@@ -25,7 +25,7 @@ fn main() {
     let lim = runaway_limit(&system, 1e-11).expect("runaway limit");
     let lam = lim.feasible().value();
     eprintln!(
-        "lambda_m = {:.3} A ({} Cholesky probes)",
+        "lambda_m = {:.3} A ({} bracket probes)",
         lim.lambda().value(),
         lim.probes()
     );

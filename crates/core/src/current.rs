@@ -13,7 +13,6 @@
 //!   subgradient `dθ/di = H·D·H·p + H·p′(i)` evaluated with two extra
 //!   triangular solves, plus a backtracking line search.
 
-use crate::lambda::runaway_limit_fast;
 use crate::{runaway_limit, CoolingSystem, FactorStrategy, OptError, SolvedState, SteadySolver};
 use tecopt_units::Amperes;
 
@@ -87,8 +86,8 @@ impl CurrentOptimum {
         self.evaluations
     }
 
-    /// Cholesky probes consumed by the `λ_m` binary search that bounded
-    /// this optimization.
+    /// Bracket probes of the `λ_m` search that bounded this optimization,
+    /// with the base factorization counted as the `i = 0` probe.
     pub fn probes(&self) -> usize {
         self.probes
     }
@@ -142,11 +141,10 @@ pub fn optimize_current(
 
 /// [`optimize_current`] routed through a [`FactorStrategy`]:
 /// [`FactorStrategy::Refactor`] is exactly `optimize_current` (bit for
-/// bit), while [`FactorStrategy::RankKUpdate`] replaces the per-probe
+/// bit), while [`FactorStrategy::RankKUpdate`] replaces the line-search
 /// Cholesky factorizations with rank-k updates over one cached `i = 0`
-/// factor and the `λ_m` bisection with O(k³) inertia probes
-/// ([`runaway_limit_fast`]) — the per-placement evaluation the fast greedy
-/// deployment runs.
+/// factor — the per-placement evaluation the fast greedy deployment runs.
+/// Both strategies find `λ_m` with the same [`runaway_limit`] search.
 ///
 /// # Errors
 ///
@@ -176,10 +174,7 @@ pub fn optimize_current_with(
             "max_evaluations must be positive".into(),
         ));
     }
-    let lim = match strategy {
-        FactorStrategy::Refactor => runaway_limit(system, settings.lambda_tolerance)?,
-        FactorStrategy::RankKUpdate => runaway_limit_fast(system, settings.lambda_tolerance)?,
-    };
+    let lim = runaway_limit(system, settings.lambda_tolerance)?;
     let ceiling = lim.search_ceiling(settings.ceiling_fraction)?.value();
     let lambda = lim.lambda();
     let probes = lim.probes();

@@ -6,17 +6,14 @@
 //! the package overheats without bound. The paper computes `λ_m` by binary
 //! search with a Cholesky positive-definiteness probe per step; this module
 //! wraps that search ([`tecopt_linalg::eigen::generalized_pd_threshold`])
-//! with the cooling-system plumbing.
+//! with the cooling-system plumbing. The search factors the Peltier-free
+//! block of `G` once and answers every probe with a `k×k` Cholesky of the
+//! Schur complement on the `k = 2 ×` devices TEC terminal nodes, so one
+//! search costs about one dense factorization.
 
 use crate::{CoolingSystem, OptError};
-use tecopt_linalg::eigen::{generalized_pd_threshold, generalized_pd_threshold_lowrank};
+use tecopt_linalg::eigen::generalized_pd_threshold;
 use tecopt_units::Amperes;
-
-/// Probe ceiling for [`runaway_limit_fast`]: the doubling phase needs at
-/// most ~60 probes to pass any representable limit and the bisection another
-/// ~60 to reach machine-precision brackets, so this bound is unreachable in
-/// practice — it exists to make exhaustion a typed error, not a hang.
-const FAST_LAMBDA_MAX_PROBES: usize = 4096;
 
 /// The computed runaway limit with search metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +40,8 @@ impl RunawayLimit {
         Amperes(self.upper)
     }
 
-    /// Number of Cholesky probes the search used.
+    /// Bracket probes the search used, with the base factorization counted
+    /// as the `i = 0` probe.
     pub fn probes(&self) -> usize {
         self.probes
     }
@@ -92,39 +90,13 @@ pub fn runaway_limit(system: &CoolingSystem, rel_tol: f64) -> Result<RunawayLimi
     })
 }
 
-/// [`runaway_limit`] with O(k³) positive-definiteness probes: one dense
-/// factorization of `G`, then Haynsworth inertia certificates on the rank-k
-/// capacitance matrix per bisection step instead of a fresh Cholesky of
-/// `G − i·D` (k = 2 × deployed devices). The bracket policy is identical to
-/// [`runaway_limit`]; an ill-conditioned certificate falls back to a dense
-/// Cholesky probe for that step, so brackets agree with the slow path to
-/// the same `rel_tol` guarantee (not bit for bit — the certificate and the
-/// factorization can disagree on boundary rounding within the bracket).
-///
-/// This is the `λ_m` search the
-/// [`FactorStrategy::RankKUpdate`](crate::FactorStrategy::RankKUpdate)
-/// deployment path uses.
+/// The same search as [`runaway_limit`], kept under its older name.
 ///
 /// # Errors
 ///
 /// Same contract as [`runaway_limit`].
 pub fn runaway_limit_fast(system: &CoolingSystem, rel_tol: f64) -> Result<RunawayLimit, OptError> {
-    if system.device_count() == 0 {
-        return Err(OptError::NoDevicesDeployed);
-    }
-    let g = system.stamped().model().g_matrix();
-    let d = system.stamped().d_diagonal();
-    let t = generalized_pd_threshold_lowrank(g, d, rel_tol, FAST_LAMBDA_MAX_PROBES).map_err(
-        |e| match e {
-            tecopt_linalg::LinalgError::InvalidInput(msg) => OptError::InvalidParameter(msg),
-            other => OptError::Linalg(other),
-        },
-    )?;
-    Ok(RunawayLimit {
-        lower: t.lower,
-        upper: t.upper,
-        probes: t.probes,
-    })
+    runaway_limit(system, rel_tol)
 }
 
 #[cfg(test)]
@@ -216,45 +188,6 @@ mod tests {
                 "fraction {bad} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn fast_limit_agrees_with_the_dense_search() {
-        for tiles in [
-            vec![TileIndex::new(1, 1)],
-            vec![
-                TileIndex::new(1, 1),
-                TileIndex::new(2, 2),
-                TileIndex::new(0, 3),
-            ],
-        ] {
-            let s = system(&tiles);
-            let slow = runaway_limit(&s, 1e-10).unwrap();
-            let fast = runaway_limit_fast(&s, 1e-10).unwrap();
-            let rel = (slow.lambda().value() - fast.lambda().value()).abs() / slow.lambda().value();
-            assert!(rel < 1e-8, "λ disagreement {rel} on {tiles:?}");
-            // The fast bracket keeps the same feasibility guarantees.
-            assert!(s.solve(fast.feasible()).is_ok());
-            assert!(matches!(
-                s.solve(Amperes(fast.infeasible().value() * 1.001)),
-                Err(OptError::BeyondRunaway { .. })
-            ));
-            assert!(fast.probes() > 0);
-        }
-    }
-
-    #[test]
-    fn fast_limit_validates_like_the_dense_search() {
-        let s = system(&[]);
-        assert!(matches!(
-            runaway_limit_fast(&s, 1e-9),
-            Err(OptError::NoDevicesDeployed)
-        ));
-        let s = system(&[TileIndex::new(1, 1)]);
-        assert!(matches!(
-            runaway_limit_fast(&s, 0.0),
-            Err(OptError::InvalidParameter(_))
-        ));
     }
 
     #[test]

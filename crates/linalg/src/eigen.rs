@@ -8,11 +8,15 @@
 //!
 //! (Theorem 1) which it computes by *binary search on positive definiteness*
 //! of `G − i·D` with a Cholesky probe per step. [`generalized_pd_threshold`]
-//! implements exactly that scheme; [`power_iteration`] and
-//! [`min_eigenvalue_symmetric`] support the Conjecture-1 experiments and
-//! diagnostics.
+//! runs that bracket policy with one factorization per search: `D` touches
+//! only the `k` TEC terminal nodes, so the Peltier-free block of `G` is
+//! factored once and every probe is a `k×k` Cholesky of the Schur
+//! complement on the Peltier nodes. [`generalized_pd_threshold_dense`] keeps
+//! the paper's dense per-probe factorization as the slow oracle.
+//! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
+//! Conjecture-1 experiments and diagnostics.
 
-use crate::{Cholesky, DenseMatrix, DiagonalUpdate, LinalgError, UpdatableFactor};
+use crate::{Cholesky, DenseMatrix, LinalgError};
 
 /// Outcome of the positive-definiteness bisection for
 /// `λ_m = sup { i ≥ 0 : G − i·D is positive definite }`.
@@ -22,7 +26,8 @@ pub struct PdThreshold {
     pub lower: f64,
     /// Upper bound: `G − upper·D` is *not* positive definite.
     pub upper: f64,
-    /// Cholesky factorizations performed.
+    /// Bracket probes, with the base factorization counted as the `i = 0`
+    /// probe.
     pub probes: usize,
 }
 
@@ -38,9 +43,10 @@ impl PdThreshold {
     }
 }
 
-/// Computes `λ_m` by exponential bracketing followed by bisection, using a
-/// Cholesky factorization as the positive-definiteness oracle at each probe
-/// — the algorithm of Sec. V.C.1 of the paper.
+/// Computes `λ_m` by exponential bracketing followed by bisection on the
+/// positive definiteness of `G − i·D` — the algorithm of Sec. V.C.1 of the
+/// paper, with every probe after the first answered on the Peltier nodes
+/// alone.
 ///
 /// `g` must be symmetric positive definite and `d` is a diagonal (passed as
 /// its diagonal vector) with at least one strictly positive entry; under
@@ -54,8 +60,8 @@ impl PdThreshold {
 /// - [`LinalgError::InvalidInput`] if `d` has no positive entry (then
 ///   `G − i·D` stays PD for all `i ≥ 0` and no finite threshold exists), if
 ///   the dimensions disagree, or if `rel_tol` is not in `(0, 1)`.
-/// - [`LinalgError::BudgetExhausted`] if [`DEFAULT_PROBE_BUDGET`] Cholesky
-///   probes are spent before the bracket reaches `rel_tol` (see
+/// - [`LinalgError::BudgetExhausted`] if [`DEFAULT_PROBE_BUDGET`] probes
+///   are spent before the bracket reaches `rel_tol` (see
 ///   [`generalized_pd_threshold_budgeted`] for a custom budget).
 pub fn generalized_pd_threshold(
     g: &DenseMatrix,
@@ -65,14 +71,31 @@ pub fn generalized_pd_threshold(
     generalized_pd_threshold_budgeted(g, d, rel_tol, DEFAULT_PROBE_BUDGET)
 }
 
-/// Default Cholesky-probe budget for [`generalized_pd_threshold`].
+/// Default probe budget for [`generalized_pd_threshold`].
 ///
 /// Exponential bracketing to `1e18` costs ~60 probes and bisection to
 /// `rel_tol = 1e-15` another ~50, so 4096 leaves two orders of magnitude of
 /// headroom for legitimate searches while still bounding adversarial ones.
 pub const DEFAULT_PROBE_BUDGET: usize = 4096;
 
-/// [`generalized_pd_threshold`] with an explicit cap on Cholesky probes.
+/// [`generalized_pd_threshold`] with an explicit cap on bracket probes.
+///
+/// `D` is nonzero only on the `k` TEC terminal nodes. Split the nodes into
+/// the Peltier-free block `A` and the Peltier-loaded block `B`; by
+/// Haynsworth,
+///
+/// ```text
+/// G − i·D ≻ 0   ⇔   G_AA ≻ 0  and  S₀ − i·D_B ≻ 0,
+/// S₀ = G_BB − G_BA·G_AA⁻¹·G_AB,
+/// ```
+///
+/// and `S₀` does not depend on `i` (with `B` ordered last, the leading
+/// `n − k` columns of the Cholesky factor are the same at every probe).
+/// So `G_AA` is factored once, `S₀` is formed with one `k`-column solve,
+/// and every probe is a `k×k` Cholesky of `S₀ − i·D_B`. The bracket policy
+/// is the one of [`generalized_pd_threshold_dense`]: the two probe the same
+/// currents for as long as their verdicts agree, and their brackets agree
+/// to `rel_tol`.
 ///
 /// A hard iteration bound makes the search total: no choice of `g`, `d`, or
 /// `rel_tol` that passes validation can loop forever (denormal-scale
@@ -89,6 +112,61 @@ pub fn generalized_pd_threshold_budgeted(
     rel_tol: f64,
     max_probes: usize,
 ) -> Result<PdThreshold, LinalgError> {
+    validate_threshold_inputs(g, d, rel_tol, max_probes)?;
+    let (peltier, free): (Vec<usize>, Vec<usize>) = (0..d.len()).partition(|&k| d[k] != 0.0);
+    let g_aa = submatrix(g, &free, &free);
+    // The columns of G_AB, one per Peltier node.
+    let g_ab: Vec<Vec<f64>> = peltier
+        .iter()
+        .map(|&b| free.iter().map(|&a| g[(a, b)]).collect())
+        .collect();
+    // G ≻ 0 needs G_AA ≻ 0: a failure here is the i = 0 verdict.
+    let x = Cholesky::factor(&g_aa)
+        .map_err(|_| LinalgError::NotPositiveDefinite { pivot: 0 })?
+        .solve_many(&g_ab)?;
+    let mut s0 = submatrix(g, &peltier, &peltier);
+    for (r, g_ab_r) in g_ab.iter().enumerate() {
+        for (c, x_c) in x.iter().enumerate() {
+            s0[(r, c)] -= g_ab_r.iter().zip(x_c).map(|(u, v)| u * v).sum::<f64>();
+        }
+    }
+    let d_b: Vec<f64> = peltier.iter().map(|&b| d[b]).collect();
+    bracket_pd_threshold(rel_tol, max_probes, |i| {
+        let mut m = s0.clone();
+        m.add_scaled_diagonal(&d_b, -i)?;
+        Ok(Cholesky::factor(&m).is_ok())
+    })
+}
+
+/// The slow oracle for [`generalized_pd_threshold_budgeted`]: the same
+/// bracket policy with a fresh dense `O(n³)` Cholesky of `G − i·D` at every
+/// probe, exactly as the paper describes the search. Tests compare the
+/// Peltier-block search against it.
+///
+/// # Errors
+///
+/// Same contract as [`generalized_pd_threshold_budgeted`].
+pub fn generalized_pd_threshold_dense(
+    g: &DenseMatrix,
+    d: &[f64],
+    rel_tol: f64,
+    max_probes: usize,
+) -> Result<PdThreshold, LinalgError> {
+    validate_threshold_inputs(g, d, rel_tol, max_probes)?;
+    bracket_pd_threshold(rel_tol, max_probes, |i| {
+        let mut m = g.clone();
+        m.add_scaled_diagonal(d, -i)?;
+        Ok(Cholesky::factor(&m).is_ok())
+    })
+}
+
+/// The preconditions both searches share, checked in the same order.
+fn validate_threshold_inputs(
+    g: &DenseMatrix,
+    d: &[f64],
+    rel_tol: f64,
+    max_probes: usize,
+) -> Result<(), LinalgError> {
     if d.len() != g.rows() {
         return Err(LinalgError::DimensionMismatch {
             expected: g.rows(),
@@ -111,6 +189,35 @@ pub fn generalized_pd_threshold_budgeted(
             budget: 0,
         });
     }
+    if !g.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: g.rows(),
+            cols: g.cols(),
+        });
+    }
+    Ok(())
+}
+
+/// The rows `rows` and columns `cols` of `g` as a dense matrix.
+fn submatrix(g: &DenseMatrix, rows: &[usize], cols: &[usize]) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(rows.len(), cols.len());
+    for (r, &gr) in rows.iter().enumerate() {
+        for (c, &gc) in cols.iter().enumerate() {
+            out[(r, c)] = g[(gr, gc)];
+        }
+    }
+    out
+}
+
+/// The bracket policy of the `λ_m` search over a positive-definiteness
+/// oracle `is_pd(i)`: the `i = 0` probe, exponential doubling from `1.0` to
+/// a guaranteed-infeasible upper bound (at most `1e18`), then bisection to
+/// `rel_tol`. Every oracle call counts against `max_probes`.
+fn bracket_pd_threshold(
+    rel_tol: f64,
+    max_probes: usize,
+    mut is_pd: impl FnMut(f64) -> Result<bool, LinalgError>,
+) -> Result<PdThreshold, LinalgError> {
     let mut probes = 0usize;
     let mut pd_at = |i: f64| -> Result<bool, LinalgError> {
         if probes >= max_probes {
@@ -120,9 +227,7 @@ pub fn generalized_pd_threshold_budgeted(
             });
         }
         probes += 1;
-        let mut m = g.clone();
-        m.add_scaled_diagonal(d, -i)?;
-        Ok(Cholesky::factor(&m).is_ok())
+        is_pd(i)
     };
     if !pd_at(0.0)? {
         return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
@@ -152,128 +257,6 @@ pub fn generalized_pd_threshold_budgeted(
             // The floating-point midpoint reached a fixed point: the bracket
             // is one ULP wide and cannot shrink further, so requesting a
             // tighter rel_tol would spin forever. Accept the bracket.
-            break;
-        }
-        if pd_at(mid)? {
-            lower = mid;
-        } else {
-            upper = mid;
-        }
-    }
-    Ok(PdThreshold {
-        lower,
-        upper,
-        probes,
-    })
-}
-
-/// [`generalized_pd_threshold_budgeted`] with `O(k³)` inertia probes
-/// instead of `O(n³)` Cholesky factorizations.
-///
-/// `D` is diagonal and supported on only the TEC junction nodes, so
-/// `G − i·D = G + U·C(i)·Uᵀ` is a rank-k diagonal perturbation of the
-/// *fixed* matrix `G`. This routine factors `G` once, prepares an
-/// [`UpdatableFactor`] over the support of `d` (a `k`-column solve), and
-/// then answers every bisection probe from the Haynsworth inertia of the
-/// `k×k` capacitance matrix — the bracketing policy (exponential doubling,
-/// `1e18` ceiling, midpoint fixed-point guard) mirrors
-/// [`generalized_pd_threshold_budgeted`] exactly, so the two agree to
-/// `rel_tol`.
-///
-/// A probe whose capacitance pivots degrade below trust
-/// ([`LinalgError::IllConditioned`]) falls back to a fresh dense Cholesky
-/// probe for that current — the verdict is then authoritative, just paid at
-/// the full price. `probes` counts both kinds.
-///
-/// # Errors
-///
-/// Same contract as [`generalized_pd_threshold_budgeted`] (the base
-/// factorization of `G` counts as the `i = 0` probe).
-pub fn generalized_pd_threshold_lowrank(
-    g: &DenseMatrix,
-    d: &[f64],
-    rel_tol: f64,
-    max_probes: usize,
-) -> Result<PdThreshold, LinalgError> {
-    if d.len() != g.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            expected: g.rows(),
-            actual: d.len(),
-        });
-    }
-    if !(rel_tol > 0.0 && rel_tol < 1.0) {
-        return Err(LinalgError::InvalidInput(format!(
-            "relative tolerance must be in (0, 1), got {rel_tol}"
-        )));
-    }
-    if !d.iter().any(|&x| x > 0.0) {
-        return Err(LinalgError::InvalidInput(
-            "d has no positive entry; G - i*D remains positive definite for all i".into(),
-        ));
-    }
-    if max_probes == 0 {
-        return Err(LinalgError::BudgetExhausted {
-            spent: 0,
-            budget: 0,
-        });
-    }
-    let support: Vec<(usize, f64)> = d
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v != 0.0)
-        .map(|(k, &v)| (k, v))
-        .collect();
-    let nodes: Vec<usize> = support.iter().map(|&(k, _)| k).collect();
-    // The base factorization doubles as the i = 0 probe.
-    let mut probes = 1usize;
-    let base = match Cholesky::factor(g) {
-        Ok(chol) => chol,
-        Err(LinalgError::NotPositiveDefinite { .. }) => {
-            return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
-        }
-        Err(e) => return Err(e),
-    };
-    let factor = UpdatableFactor::new(base, &nodes)?;
-    let mut pd_at = |i: f64| -> Result<bool, LinalgError> {
-        if probes >= max_probes {
-            return Err(LinalgError::BudgetExhausted {
-                spent: probes,
-                budget: max_probes,
-            });
-        }
-        probes += 1;
-        let update = DiagonalUpdate::new(support.iter().map(|&(k, v)| (k, -i * v)))?;
-        match factor.is_positive_definite(&update) {
-            Ok(verdict) => Ok(verdict),
-            Err(LinalgError::IllConditioned { .. }) => {
-                // Degraded capacitance pivots: answer this probe with the
-                // authoritative dense oracle instead of a shaky inertia.
-                let mut m = g.clone();
-                m.add_scaled_diagonal(d, -i)?;
-                Ok(Cholesky::factor(&m).is_ok())
-            }
-            Err(e) => Err(e),
-        }
-    };
-    let mut lower = 0.0_f64;
-    let mut upper = {
-        let mut u = 1.0_f64;
-        while pd_at(u)? {
-            lower = u;
-            u *= 2.0;
-            if u > 1e18 {
-                return Err(LinalgError::NoConvergence {
-                    iterations: probes,
-                    residual: u,
-                });
-            }
-        }
-        u
-    };
-    while (upper - lower) > rel_tol * upper.max(1e-300) {
-        let mid = 0.5 * (lower + upper);
-        if mid <= lower || mid >= upper {
-            // One-ULP bracket: accept it (see the dense-oracle twin above).
             break;
         }
         if pd_at(mid)? {
@@ -479,55 +462,46 @@ mod tests {
     }
 
     #[test]
-    fn lowrank_threshold_agrees_with_dense_oracle() {
-        use crate::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
-        for seed in [5_u64, 19, 42] {
-            let g = random_stieltjes(
-                StieltjesSampler {
-                    dim: 14,
-                    ..StieltjesSampler::default()
-                },
-                &mut seeded_rng(seed),
-            );
-            // TEC-shaped D: a few +/- pairs, zero elsewhere.
-            let mut d = vec![0.0; 14];
-            d[1] = 1.0;
-            d[4] = -1.0;
-            d[7] = 0.5;
-            d[12] = -0.5;
-            let dense = generalized_pd_threshold(&g, &d, 1e-10).unwrap();
-            let fast = generalized_pd_threshold_lowrank(&g, &d, 1e-10, 4096).unwrap();
-            let lam = dense.estimate();
-            assert!(
-                (fast.estimate() - lam).abs() <= 1e-7 * lam.max(1.0),
-                "seed {seed}: dense {lam} vs lowrank {}",
-                fast.estimate()
-            );
-            assert!(fast.lower <= fast.upper);
-        }
-    }
-
-    #[test]
-    fn lowrank_threshold_validates_like_the_dense_twin() {
+    fn dense_oracle_validates_like_the_schur_search() {
         let g = DenseMatrix::identity(2);
-        assert!(generalized_pd_threshold_lowrank(&g, &[1.0], 1e-9, 100).is_err());
-        assert!(generalized_pd_threshold_lowrank(&g, &[1.0, 1.0], 0.0, 100).is_err());
-        assert!(generalized_pd_threshold_lowrank(&g, &[0.0, -1.0], 1e-9, 100).is_err());
-        assert!(matches!(
-            generalized_pd_threshold_lowrank(&g, &[1.0, 1.0], 1e-9, 0),
-            Err(LinalgError::BudgetExhausted { budget: 0, .. })
-        ));
-        let indef = DenseMatrix::from_diagonal(&[-1.0, 1.0]);
-        assert!(matches!(
-            generalized_pd_threshold_lowrank(&indef, &[1.0, 1.0], 1e-9, 100),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-        // Budget exhaustion mid-search is a typed error, not a hang.
-        let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
-        assert!(matches!(
-            generalized_pd_threshold_lowrank(&g, &[1.0, 1.0], 1e-12, 3),
-            Err(LinalgError::BudgetExhausted { .. })
-        ));
+        for search in [
+            generalized_pd_threshold_budgeted,
+            generalized_pd_threshold_dense,
+        ] {
+            assert!(matches!(
+                search(&g, &[1.0], 1e-9, 100),
+                Err(LinalgError::DimensionMismatch { .. })
+            ));
+            assert!(search(&g, &[1.0, 1.0], 0.0, 100).is_err());
+            assert!(search(&g, &[0.0, -1.0], 1e-9, 100).is_err());
+            assert!(matches!(
+                search(&g, &[1.0, 1.0], 1e-9, 0),
+                Err(LinalgError::BudgetExhausted { budget: 0, .. })
+            ));
+            assert!(matches!(
+                search(&DenseMatrix::zeros(2, 3), &[1.0, 1.0], 1e-9, 100),
+                Err(LinalgError::NotSquare { rows: 2, cols: 3 })
+            ));
+            // Indefinite with every node Peltier-loaded, then on the
+            // Peltier-free block alone.
+            let indef = DenseMatrix::from_diagonal(&[-1.0, 1.0]);
+            assert!(matches!(
+                search(&indef, &[1.0, 1.0], 1e-9, 100),
+                Err(LinalgError::NotPositiveDefinite { pivot: 0 })
+            ));
+            assert!(matches!(
+                search(&indef, &[0.0, 1.0], 1e-9, 100),
+                Err(LinalgError::NotPositiveDefinite { pivot: 0 })
+            ));
+            let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
+            assert_eq!(
+                search(&g, &[1.0, 1.0], 1e-12, 3),
+                Err(LinalgError::BudgetExhausted {
+                    spent: 3,
+                    budget: 3
+                })
+            );
+        }
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   matrices for the Conjecture-1 experiments,
 //! - [`eigen`] — power/inverse iteration and the generalized smallest
 //!   "eigenvalue" `λ_m = min θᵀGθ/θᵀDθ` via positive-definiteness bisection,
+//!   with one factorization per search and `k×k` Schur-complement probes on
+//!   the Peltier nodes,
 //! - [`UpdatableFactor`] / [`DiagonalUpdate`] — Sherman–Morrison–Woodbury
-//!   rank-k diagonal updates over a cached Cholesky factor, with Haynsworth
-//!   inertia certificates replacing per-probe refactorizations.
+//!   rank-k diagonal updates over a cached Cholesky factor, with a
+//!   Haynsworth inertia certificate rejecting updates past runaway.
 //!
 //! ```
 //! use tecopt_linalg::{Cholesky, DenseMatrix};

@@ -379,23 +379,6 @@ impl UpdatableFactor {
             ldl: Some(ldl),
         })
     }
-
-    /// Positive-definiteness of `A + Δ` from the inertia certificate alone,
-    /// without building the solve handle.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::InvalidInput`] for a node outside the prepared set.
-    /// - [`LinalgError::IllConditioned`] when the verdict cannot be trusted
-    ///   (degraded pivot) — probe with a fresh factorization instead.
-    pub fn is_positive_definite(&self, update: &DiagonalUpdate) -> Result<bool, LinalgError> {
-        if update.is_empty() {
-            return Ok(true);
-        }
-        let (_, deltas, ldl) = self.capacitance(update)?;
-        let expected_neg = deltas.iter().filter(|&&d| d < 0.0).count();
-        Ok(ldl.inertia().1 == expected_neg)
-    }
 }
 
 /// One applied diagonal perturbation: solves against `A + Δ` through the
@@ -625,8 +608,11 @@ mod tests {
         for magnitude in [0.01, 0.1, 1.0, 10.0, 100.0] {
             let update = DiagonalUpdate::new([(4, -magnitude)]).unwrap();
             let oracle = Cholesky::is_positive_definite(&perturbed(&a, &update));
-            match factor.is_positive_definite(&update) {
-                Ok(verdict) => assert_eq!(verdict, oracle, "magnitude {magnitude}"),
+            match factor.apply(&update) {
+                Ok(_) => assert!(oracle, "magnitude {magnitude}"),
+                Err(LinalgError::NotPositiveDefinite { .. }) => {
+                    assert!(!oracle, "magnitude {magnitude}");
+                }
                 Err(LinalgError::IllConditioned { .. }) => {
                     // A degraded pivot near the boundary is an allowed
                     // "refactor instead" answer, not a wrong verdict.
@@ -646,7 +632,6 @@ mod tests {
             factor.apply(&update),
             Err(LinalgError::NotPositiveDefinite { pivot: 3 })
         ));
-        assert_eq!(factor.is_positive_definite(&update), Ok(false));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use proptest::prelude::*;
-use tecopt_linalg::eigen::generalized_pd_threshold;
+use tecopt_linalg::eigen::{
+    generalized_pd_threshold, generalized_pd_threshold_dense, DEFAULT_PROBE_BUDGET,
+};
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, determinant, CgSettings, Cholesky, CsrMatrix, DenseMatrix, Lu, Triplet,
@@ -90,6 +92,58 @@ proptest! {
         above.add_scaled_diagonal(&d, -t.upper).unwrap();
         prop_assert!(!Cholesky::is_positive_definite(&above));
         prop_assert!(t.width() <= 1e-8 * t.upper.max(1.0));
+    }
+
+    #[test]
+    fn schur_threshold_matches_the_dense_oracle(
+        seed in 0u64..2000,
+        dim in 2usize..41,
+        shape in 0usize..3,
+        mask in proptest::collection::vec(0u8..2, 20),
+        alpha in 0.05f64..2.0,
+    ) {
+        // TEC-shaped D: hot (+α) / cold (−α) terminal pairs, zero elsewhere.
+        let g = random_spd(seed, dim);
+        let mut d = vec![0.0; dim];
+        match shape {
+            // A single device.
+            0 => {
+                let hot = seed as usize % dim;
+                let cold = (hot + 1 + (seed as usize / 7) % (dim - 1)) % dim;
+                d[hot] = alpha;
+                d[cold] = -alpha;
+            }
+            // Every node is a terminal: the Peltier-free block is empty.
+            1 => {
+                for (k, x) in d.iter_mut().enumerate() {
+                    *x = if k % 2 == 0 { alpha } else { -alpha };
+                }
+            }
+            // A random subset of devices at a rotated offset.
+            _ => {
+                for j in 0..dim / 2 {
+                    if mask[j] == 1 || j == 0 {
+                        let a = alpha * (1.0 + 0.1 * j as f64);
+                        d[2 * j] = a;
+                        d[2 * j + 1] = -a;
+                    }
+                }
+                d.rotate_right(seed as usize % dim);
+            }
+        }
+        let tol = 1e-9;
+        let dense = generalized_pd_threshold_dense(&g, &d, tol, DEFAULT_PROBE_BUDGET).unwrap();
+        let t = generalized_pd_threshold(&g, &d, tol).unwrap();
+        prop_assert!((t.lower - dense.lower).abs() <= tol * dense.upper,
+            "lower {} vs dense {}", t.lower, dense.lower);
+        prop_assert!((t.upper - dense.upper).abs() <= tol * dense.upper,
+            "upper {} vs dense {}", t.upper, dense.upper);
+        let mut below = g.clone();
+        below.add_scaled_diagonal(&d, -t.lower).unwrap();
+        prop_assert!(Cholesky::is_positive_definite(&below));
+        let mut above = g.clone();
+        above.add_scaled_diagonal(&d, -t.upper).unwrap();
+        prop_assert!(!Cholesky::is_positive_definite(&above));
     }
 
     #[test]

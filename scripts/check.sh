@@ -70,7 +70,12 @@
 #      resume wall time ≤ 1.02x the uninterrupted ledger sweep, zero
 #      duplicated evaluations, and parallel speedup over a serial loop
 #      ≥ min(0.85 x workers, 8) on a 10k-candidate grid, regenerating
-#      the committed BENCH_PR10.json.
+#      the committed BENCH_PR10.json,
+#  18. the benchmark's own unit tests (perfbench/: percentile and span
+#      arithmetic, metric names, the result-line schema in run.py),
+#  19. a one-second smoke run of the benchmark's table1 workload (the
+#      paper's Table-I pipeline on all eleven chips), which must report
+#      "correct": true.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -129,5 +134,22 @@ cargo test -q --test explore_chaos -- --test-threads=1 --include-ignored
 
 echo "==> cargo run --release -p tecopt-bench --bin bench_pr10 > BENCH_PR10.json"
 cargo run --release -q -p tecopt-bench --bin bench_pr10 > BENCH_PR10.json
+
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> python3 -m unittest discover -s perfbench"
+python3 -m unittest discover -s perfbench
+
+echo "==> python3 perfbench/run.py --workload table1 --seed 1 --seconds 1 --trace 0"
+smoke=$(python3 perfbench/run.py --workload table1 --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$smoke"
+case "$smoke" in
+*'"correct": true'*) ;;
+*)
+    echo "perfbench table1 smoke run did not report correct output" >&2
+    exit 1
+    ;;
+esac
 
 echo "==> all checks passed"
