@@ -1,18 +1,23 @@
 //! Criterion bench for the linear-algebra kernels that dominate every
-//! experiment: dense Cholesky factorization/solve at the compact-model
-//! sizes, CG on the fine-grid systems, and the PR-2 backend comparison
-//! (dense vs sparse `FactoredSystem`, plus the cached-workspace hot path)
-//! on real paper-scale compact models.
+//! experiment: sparse Cholesky factorization/solve at the compact-model
+//! sizes, CG on the fine-grid systems, the backend comparison (sparse
+//! Cholesky, the dense oracle and CG behind `FactoredSystem`, plus the
+//! cached-workspace hot path) on real paper-scale compact models, and the
+//! ordering / factor / solve split of the sparse Cholesky against the
+//! dense kernel at 12×12, 32×32 and 64×64 tiles.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tecopt::{CoolingSystem, PackageConfig, TecParams, TileIndex};
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
-    conjugate_gradient, CgSettings, Cholesky, CsrMatrix, FactoredSystem, ResolvedBackend, Triplet,
+    conjugate_gradient, CgSettings, Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky,
+    FactoredSystem, ResolvedBackend, Triplet,
 };
-use tecopt_units::{Amperes, Watts};
+use tecopt_thermal::TileGrid;
+use tecopt_units::{Amperes, Meters, Watts};
 
 fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver");
@@ -69,11 +74,17 @@ fn bench_solver(c: &mut Criterion) {
 /// tests exercise, at bench scale.
 fn paper_grid_system(rows: usize, cols: usize) -> CoolingSystem {
     let config = PackageConfig::hotspot41_like(rows, cols).expect("package");
+    grid_system(&config)
+}
+
+/// [`paper_grid_system`] on an arbitrary package.
+fn grid_system(config: &PackageConfig) -> CoolingSystem {
+    let (rows, cols) = (config.grid().rows(), config.grid().cols());
     let mut powers = vec![Watts(0.05); rows * cols];
     powers[cols + 1] = Watts(0.6);
     powers[rows * cols / 2] = Watts(0.4);
     CoolingSystem::new(
-        &config,
+        config,
         TecParams::superlattice_thin_film(),
         &[TileIndex::new(1, 1)],
         powers,
@@ -81,10 +92,10 @@ fn paper_grid_system(rows: usize, cols: usize) -> CoolingSystem {
     .expect("system")
 }
 
-/// PR-2 backend comparison: factor-and-solve cost of dense Cholesky vs
-/// sparse Jacobi-CG on the stamped `G` of 8x8 .. 32x32 paper grids, plus
-/// the end-to-end cached-workspace solve (`CoolingSystem::solve` with the
-/// `Auto` backend, factorization reused across iterations).
+/// Backend comparison: factor-and-solve cost of the sparse Cholesky, the
+/// dense oracle and Jacobi-CG on the stamped `G` of 8x8 .. 32x32 paper
+/// grids, plus the end-to-end cached-workspace solve (`CoolingSystem::solve`
+/// with the `Auto` backend, factorization reused across iterations).
 fn bench_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend");
     group.sample_size(3);
@@ -97,6 +108,14 @@ fn bench_backends(c: &mut Criterion) {
         let rhs: Vec<f64> = (0..n)
             .map(|k| 0.1 + (k as f64 * 0.13).sin().abs())
             .collect();
+        group.bench_with_input(BenchmarkId::new("cholesky", &label), &n, |b, _| {
+            b.iter(|| {
+                FactoredSystem::factor(&g, ResolvedBackend::Cholesky)
+                    .expect("pd")
+                    .solve(&rhs)
+                    .expect("solve")
+            })
+        });
         group.bench_with_input(BenchmarkId::new("dense_cholesky", &label), &n, |b, _| {
             b.iter(|| {
                 FactoredSystem::factor(&g, ResolvedBackend::DenseCholesky)
@@ -122,5 +141,51 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_backends);
+/// The sparse Cholesky split into its three costs — the minimum-degree
+/// ordering with symbolic analysis (once per network), the numeric factor
+/// on that pattern (once per current), and one solve (once per step) — next
+/// to the dense kernel's factor and solve, on `G − i·D` of hotspot41-like
+/// packages at the 12×12, 32×32 and 64×64 tile grids. The 64×64 grid uses
+/// a 0.45-mm tile so its 28.8-mm die fits the 30-mm spreader; its dense
+/// factorization (n ≈ 9k, minutes per factor) is left out.
+fn bench_sparse_cholesky(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sparse_cholesky");
+    group.sample_size(3);
+    group.measurement_time(Duration::from_millis(200));
+    for (side, pitch_mm) in [(12usize, 0.5), (32, 0.5), (64, 0.45)] {
+        let grid = TileGrid::new(side, side, Meters::from_millimeters(pitch_mm)).expect("grid");
+        let config = PackageConfig::builder(grid).build().expect("package");
+        let system = grid_system(&config);
+        let a = system
+            .stamped()
+            .system_matrix(Amperes(1.0))
+            .expect("system matrix");
+        let n = a.rows();
+        let pattern = Arc::new(CholeskyPattern::analyse(&a).expect("square"));
+        let label = format!("{side}x{side}_n{n}_nnzL{}", pattern.nnz_l());
+        let rhs: Vec<f64> = (0..n).map(|k| 1.0 + (k % 7) as f64).collect();
+        group.bench_with_input(BenchmarkId::new("ordering", &label), &n, |b, _| {
+            b.iter(|| CholeskyPattern::analyse(&a).expect("square"))
+        });
+        group.bench_with_input(BenchmarkId::new("factor", &label), &n, |b, _| {
+            b.iter(|| Cholesky::factor_with(&pattern, &a).expect("pd"))
+        });
+        let chol = Cholesky::factor_with(&pattern, &a).expect("pd");
+        group.bench_with_input(BenchmarkId::new("solve", &label), &n, |b, _| {
+            b.iter(|| chol.solve(&rhs).expect("solve"))
+        });
+        if side <= 32 {
+            group.bench_with_input(BenchmarkId::new("dense_factor", &label), &n, |b, _| {
+                b.iter(|| DenseCholesky::factor(&a).expect("pd"))
+            });
+            let dense = DenseCholesky::factor(&a).expect("pd");
+            group.bench_with_input(BenchmarkId::new("dense_solve", &label), &n, |b, _| {
+                b.iter(|| dense.solve(&rhs).expect("solve"))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_solver, bench_backends, bench_sparse_cholesky);
 criterion_main!(benches);

@@ -6,18 +6,27 @@
 //! constant-current policy (one factorization key, the cache's best case
 //! and the refactor path's representative worst case):
 //!
-//! - **reuse** — factorization caching on (the default): one Cholesky
-//!   factorization up front, two triangular solves per step after.
+//! - **reuse** — factorization caching on (the default): one sparse
+//!   Cholesky factorization up front, two triangular solves per step after.
 //! - **refactor** — caching off (`set_factorization_reuse(false)`), the
-//!   dense equivalence oracle: a full refactorization every step. The
+//!   equivalence oracle: the system matrix reassembled and refactored on
+//!   the simulator's shared Cholesky pattern every step. The
 //!   reuse/refactor ratio is the headline speedup and must be ≥ 5x.
 //! - **enveloped** — caching on, the same policy wrapped in a
 //!   `SafetyEnvelope`. The per-step clamp is a handful of comparisons
 //!   against a triangular solve; its overhead must stay ≤ 2%.
 //!
-//! Each configuration runs the same single-segment schedule and reports
-//! the best of five repetitions (minimum wall time), so the ratios
-//! compare systematic cost, not scheduler noise. The reuse and refactor
+//! A sparse-Cholesky step costs a few microseconds, so a whole playback
+//! lasts a fraction of a second while the wall clock of a shared machine
+//! drifts by tens of percent over seconds: two identical configurations
+//! timed as separate playbacks differ by up to ±20%. The reuse and
+//! enveloped playbacks therefore advance side by side on two simulators,
+//! in chunks of `STEPS / CHUNKS` steps through the same
+//! `run_schedule_supervised` path, alternating which goes first and
+//! which simulator serves which configuration. The
+//! overhead is the median over chunks of the enveloped/reuse time ratio,
+//! and the reuse rate is the whole reuse playback's steps per second. The
+//! refactor oracle reports the best of five playbacks. The reuse and refactor
 //! trajectories must agree bit-exactly — the oracle property the unit
 //! suite pins — and the solve-site guard is armed throughout, so the
 //! timings include its per-step check. Emits JSON on stdout; the
@@ -27,7 +36,9 @@
 
 use std::time::Instant;
 
-use tecopt::transient::{ConstantCurrent, TecController, TransientSimulator, TransientTrace};
+use tecopt::transient::{
+    ConstantCurrent, TecController, TransientSample, TransientSimulator, TransientTrace,
+};
 use tecopt::{
     runaway_limit, CoolingSystem, EnvelopeSettings, EnvelopedController, OptError, PackageConfig,
     RunContext, SafetyEnvelope, TecParams, TileIndex,
@@ -35,12 +46,14 @@ use tecopt::{
 use tecopt_units::{Amperes, Watts};
 
 const DT: f64 = 0.5;
-const STEPS: usize = 20_000;
-/// The refactor oracle is two orders of magnitude slower per step; a
+const STEPS: usize = 100_000;
+/// The refactor oracle is an order of magnitude slower per step; a
 /// shorter schedule keeps its wall time bounded without biasing the
 /// steps/s ratio (both rates are normalized per step).
 const REFACTOR_STEPS: usize = 1_000;
 const REPS: usize = 5;
+/// Interleaved chunks of the reuse/enveloped comparison.
+const CHUNKS: usize = 200;
 
 fn bench_system() -> Result<CoolingSystem, OptError> {
     let config = PackageConfig::hotspot41_like(4, 4)?;
@@ -60,8 +73,6 @@ fn schedule(steps: usize) -> Vec<(f64, Vec<Watts>)> {
     vec![(steps as f64 * DT, powers)]
 }
 
-/// Best-of-`REPS` wall time (seconds) for one playback configuration;
-/// also returns the last repetition's trace for equivalence checks.
 /// One timed playback on a fresh simulator: `(wall seconds, trace)`.
 fn time_once(
     system: &CoolingSystem,
@@ -72,11 +83,7 @@ fn time_once(
 ) -> Result<(f64, TransientTrace), String> {
     let sched = schedule(steps);
     let ctx = RunContext::unbounded();
-    let mut sim = TransientSimulator::new(system.clone(), DT)
-        .map_err(|e| format!("simulator setup failed: {e}"))?;
-    sim.set_guard(guard)
-        .map_err(|e| format!("guard setup failed: {e}"))?;
-    sim.set_factorization_reuse(reuse);
+    let mut sim = simulator(system, guard, reuse)?;
     let start = Instant::now();
     let trace = sim
         .run_schedule_supervised(&sched, controller, &ctx)
@@ -89,6 +96,66 @@ fn time_once(
         ));
     }
     Ok((elapsed, trace))
+}
+
+fn simulator(
+    system: &CoolingSystem,
+    guard: Amperes,
+    reuse: bool,
+) -> Result<TransientSimulator, String> {
+    let mut sim = TransientSimulator::new(system.clone(), DT)
+        .map_err(|e| format!("simulator setup failed: {e}"))?;
+    sim.set_guard(guard)
+        .map_err(|e| format!("guard setup failed: {e}"))?;
+    sim.set_factorization_reuse(reuse);
+    Ok(sim)
+}
+
+/// The reuse and enveloped playbacks of `STEPS` steps, interleaved chunk
+/// by chunk (see the module docs): `(reuse seconds, enveloped seconds,
+/// median enveloped/reuse chunk-time ratio, reuse samples, enveloped
+/// samples)`.
+type Interleaved = (f64, f64, f64, Vec<TransientSample>, Vec<TransientSample>);
+
+fn interleaved_playbacks(
+    system: &CoolingSystem,
+    guard: Amperes,
+    plain: &mut (dyn TecController + Send),
+    enveloped: &mut (dyn TecController + Send),
+) -> Result<Interleaved, String> {
+    let chunk = schedule(STEPS / CHUNKS);
+    let ctx = RunContext::unbounded();
+    let mut sims = [
+        simulator(system, guard, true)?,
+        simulator(system, guard, true)?,
+    ];
+    let controllers: [&mut (dyn TecController + Send); 2] = [plain, enveloped];
+    let mut samples: [Vec<TransientSample>; 2] = [Vec::new(), Vec::new()];
+    let mut totals = [0.0_f64; 2];
+    let mut ratios = Vec::with_capacity(CHUNKS);
+    for c in 0..CHUNKS {
+        let mut took = [0.0_f64; 2];
+        // A clean command stream leaves both simulators in the same
+        // state after every chunk, so they swap configurations each chunk
+        // (cancelling any memory-layout bias between them) and the
+        // configurations swap turns every other chunk.
+        let order = if (c / 2) % 2 == 0 { [0, 1] } else { [1, 0] };
+        for k in order {
+            let start = Instant::now();
+            let trace = sims[(k + c) % 2]
+                .run_schedule_supervised(&chunk, &mut *controllers[k], &ctx)
+                .map_err(|f| format!("playback failed: {}", f.error))?;
+            took[k] = start.elapsed().as_secs_f64();
+            samples[k].extend_from_slice(trace.samples());
+        }
+        totals[0] += took[0];
+        totals[1] += took[1];
+        ratios.push(took[1] / took[0]);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let median = 0.5 * (ratios[(CHUNKS - 1) / 2] + ratios[CHUNKS / 2]);
+    let [reuse, enveloped] = samples;
+    Ok((totals[0], totals[1], median, reuse, enveloped))
 }
 
 /// Best-of-`REPS` wall time for one configuration.
@@ -120,26 +187,18 @@ fn main() -> Result<(), String> {
     // timed measurements.
     time_once(&system, lambda, STEPS, true, &mut ConstantCurrent(safe))?;
 
-    // The reuse-vs-envelope margin is sub-percent while the machine's
-    // run-to-run noise is not, so the two configurations are timed as
-    // back-to-back pairs (same thermal and scheduling conditions) and
-    // each takes the minimum over its repetitions.
     let mut enveloped = EnvelopedController::new(
         ConstantCurrent(safe),
         SafetyEnvelope::new(lambda, EnvelopeSettings::default())
             .map_err(|e| format!("envelope setup failed: {e}"))?,
     );
-    let mut reuse_s = f64::INFINITY;
-    let mut envelope_s = f64::INFINITY;
-    let mut reuse_trace = TransientTrace::default();
-    let mut envelope_trace = TransientTrace::default();
-    for _ in 0..REPS {
-        let (t, trace) = time_once(&system, lambda, STEPS, true, &mut ConstantCurrent(safe))?;
-        reuse_s = reuse_s.min(t);
-        reuse_trace = trace;
-        let (t, trace) = time_once(&system, lambda, STEPS, true, &mut enveloped)?;
-        envelope_s = envelope_s.min(t);
-        envelope_trace = trace;
+    let (reuse_s, envelope_s, envelope_ratio, reuse_trace, envelope_trace) =
+        interleaved_playbacks(&system, lambda, &mut ConstantCurrent(safe), &mut enveloped)?;
+    if reuse_trace.len() != STEPS {
+        return Err(format!(
+            "short trace: {} of {STEPS} steps",
+            reuse_trace.len()
+        ));
     }
 
     let (refactor_s, refactor_trace) = time_playback(
@@ -152,7 +211,7 @@ fn main() -> Result<(), String> {
 
     // The cached path must be the oracle's trajectory, bit for bit, over
     // the oracle's (shorter) schedule prefix.
-    for (a, b) in reuse_trace.samples().iter().zip(refactor_trace.samples()) {
+    for (a, b) in reuse_trace.iter().zip(refactor_trace.samples()) {
         if a.peak.value().to_bits() != b.peak.value().to_bits() {
             return Err(format!(
                 "reuse/refactor divergence at t={}: {:?} vs {:?}",
@@ -161,14 +220,14 @@ fn main() -> Result<(), String> {
         }
     }
     // A clean command stream passes through the envelope unchanged.
-    if envelope_trace.samples() != reuse_trace.samples() {
+    if envelope_trace != reuse_trace {
         return Err("envelope perturbed a clean command stream".into());
     }
 
     let reuse_rate = STEPS as f64 / reuse_s;
     let refactor_rate = REFACTOR_STEPS as f64 / refactor_s;
     let speedup = reuse_rate / refactor_rate;
-    let overhead_pct = (envelope_s / reuse_s - 1.0) * 100.0;
+    let overhead_pct = (envelope_ratio - 1.0) * 100.0;
 
     eprintln!(
         "reuse={reuse_rate:.0} steps/s refactor={refactor_rate:.0} steps/s \
@@ -186,7 +245,7 @@ fn main() -> Result<(), String> {
     }
 
     println!(
-        "{{\n  \"bench\": \"bench_pr6\",\n  \"description\": \"transient playback throughput on a 4x4 hotspot41-like system: implicit steps at dt={DT} s under a constant-current policy with the solve-site guard armed; reuse = factorization cache on ({STEPS} steps), refactor = dense per-step oracle ({REFACTOR_STEPS} steps, bit-identical trajectory enforced), enveloped = reuse plus the SafetyEnvelope clamp; steps/s from the best of {REPS} repetitions\",\n  \"steps\": {STEPS},\n  \"refactor_steps\": {REFACTOR_STEPS},\n  \"dt_seconds\": {DT},\n  \"steps_per_second\": {{ \"reuse\": {reuse_rate:.0}, \"refactor\": {refactor_rate:.0}, \"enveloped\": {:.0} }},\n  \"factorization_reuse_speedup\": {speedup:.2},\n  \"envelope_overhead_pct\": {overhead_pct:.3},\n  \"targets\": {{ \"min_speedup\": 5.0, \"max_envelope_overhead_pct\": 2.0 }}\n}}",
+        "{{\n  \"bench\": \"bench_pr6\",\n  \"description\": \"transient playback throughput on a 4x4 hotspot41-like system: implicit steps at dt={DT} s under a constant-current policy with the solve-site guard armed; reuse = factorization cache on ({STEPS} steps), refactor = per-step reassembly and sparse refactorization oracle on the shared Cholesky pattern ({REFACTOR_STEPS} steps, bit-identical trajectory enforced), enveloped = reuse plus the SafetyEnvelope clamp; reuse and enveloped advance side by side in {CHUNKS} alternating chunks, their steps/s are whole-playback rates and the envelope overhead is the median chunk-time ratio; refactor steps/s from the best of {REPS} repetitions\",\n  \"steps\": {STEPS},\n  \"refactor_steps\": {REFACTOR_STEPS},\n  \"dt_seconds\": {DT},\n  \"steps_per_second\": {{ \"reuse\": {reuse_rate:.0}, \"refactor\": {refactor_rate:.0}, \"enveloped\": {:.0} }},\n  \"factorization_reuse_speedup\": {speedup:.2},\n  \"envelope_overhead_pct\": {overhead_pct:.3},\n  \"targets\": {{ \"min_speedup\": 5.0, \"max_envelope_overhead_pct\": 2.0 }}\n}}",
         STEPS as f64 / envelope_s,
     );
     Ok(())

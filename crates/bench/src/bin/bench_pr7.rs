@@ -3,14 +3,17 @@
 //!
 //! The measured workload is a full `greedy_deploy` on a 32x32
 //! hotspot41-like package (≈2.3k thermal nodes) with
-//! `FactorStrategy::RankKUpdate`: each placement evaluation performs one
-//! dense `i = 0` Cholesky factorization and answers every line-search
-//! solve with a rank-k Sherman–Morrison–Woodbury correction; its `λ_m`
-//! search (shared with the default strategy) factors the Peltier-free
-//! block once and answers every probe with a `k×k` Cholesky of the Schur
-//! complement on the TEC terminal nodes.
+//! `FactorStrategy::RankKUpdate` on the default sparse Cholesky backend:
+//! each placement evaluation performs one sparse `i = 0` Cholesky
+//! factorization and answers every line-search solve with a rank-k
+//! Sherman–Morrison–Woodbury correction; its `λ_m` search (shared with the
+//! default strategy) factors the Peltier-free block once and answers every
+//! probe with a `k×k` Cholesky of the Schur complement on the TEC terminal
+//! nodes.
 //!
-//! The baseline is the PR-2 path — a fresh dense factorization per probe.
+//! The baseline is the refactor-per-probe path — a fresh dense
+//! factorization per probe, on the explicit `SolverBackend::DenseCholesky`
+//! oracle backend.
 //! Running it in full at this size takes minutes, so (as with the
 //! `bench_pr6` refactor oracle) it is measured as a reduced slice: a few
 //! real dense probe solves are wall-clocked, normalized per probe, and
@@ -25,8 +28,9 @@
 //! - **speedup ≥ 5x** — fast greedy wall time versus the normalized
 //!   refactor baseline;
 //! - **peak drift ≤ 1e-8 °C** — every accepted greedy iteration is
-//!   re-solved from scratch (fresh assembly, fresh dense factorization)
-//!   at the *same* tiles and current, and the peaks must agree.
+//!   re-solved from scratch on the dense oracle backend (fresh assembly,
+//!   fresh dense factorization) at the *same* tiles and current, and the
+//!   peaks must agree.
 //!
 //! Emits JSON on stdout; the committed copy lives at `BENCH_PR7.json`.
 
@@ -58,15 +62,12 @@ fn bench_system() -> Result<CoolingSystem, OptError> {
     powers[8 * GRID + 8] = Watts(0.7);
     powers[20 * GRID + 20] = Watts(0.65);
     powers[10 * GRID + 22] = Watts(0.6);
-    // The comparison under measurement is dense rank-k updates versus
-    // dense refactorization (the PR-2 path); at this size Auto would
-    // route both to the sparse CG backend and measure neither.
     CoolingSystem::without_devices(&config, TecParams::superlattice_thin_film(), powers)
-        .map(|s| s.with_backend(SolverBackend::DenseCholesky))
 }
 
 fn main() -> Result<(), String> {
     let base = bench_system().map_err(|e| format!("system setup failed: {e}"))?;
+    let dense_base = base.clone().with_backend(SolverBackend::DenseCholesky);
     let passive_peak = base
         .solve(Amperes(0.0))
         .map_err(|e| format!("passive solve failed: {e}"))?
@@ -98,14 +99,15 @@ fn main() -> Result<(), String> {
     }
 
     // Equivalence oracle: re-solve every accepted iteration from scratch
-    // at matched tiles and current; fresh assembly, fresh factorization.
+    // at matched tiles and current; fresh assembly, fresh dense
+    // factorization.
     let mut covered: BTreeSet<TileIndex> = BTreeSet::new();
     let mut max_drift = 0.0_f64;
     let mut placements: Vec<Vec<TileIndex>> = Vec::with_capacity(iterations.len());
     for it in iterations {
         covered.extend(it.added.iter().copied());
         let tiles: Vec<TileIndex> = covered.iter().copied().collect();
-        let fresh = base
+        let fresh = dense_base
             .with_tiles(&tiles)
             .and_then(|s| s.solve(it.current))
             .map_err(|e| format!("oracle re-solve failed: {e}"))?;
@@ -142,7 +144,7 @@ fn main() -> Result<(), String> {
     // Per-probe dense cost: real from-scratch probe solves on the final
     // placement at distinct feasible currents (distinct keys defeat the
     // factorization cache, so each solve pays a full dense Cholesky).
-    let final_system = base
+    let final_system = dense_base
         .with_tiles(placements.last().ok_or("no placements")?)
         .map_err(|e| format!("final rebuild failed: {e}"))?;
     let lim =
@@ -173,7 +175,7 @@ fn main() -> Result<(), String> {
     }
 
     println!(
-        "{{\n  \"bench\": \"bench_pr7\",\n  \"description\": \"greedy TEC deployment on a {GRID}x{GRID} hotspot41-like package: FactorStrategy::RankKUpdate answers line-search solves with rank-k SMW corrections of one cached i=0 Cholesky factor and lambda probes with k x k Cholesky factorizations of the Schur complement on the TEC terminal nodes; baseline = the dense refactor-per-probe path, measured as {BASELINE_PROBES} real dense probe solves normalized per probe times the exact probe ledger; every accepted iteration re-solved from scratch at matched tiles and current must agree on the peak\",\n  \"grid\": {GRID},\n  \"devices\": {},\n  \"iterations\": {},\n  \"fast_deploy_seconds\": {fast_s:.3},\n  \"baseline_probe_count\": {dense_probes},\n  \"baseline_seconds_per_probe\": {per_probe_s:.4},\n  \"baseline_seconds\": {baseline_s:.2},\n  \"speedup\": {speedup:.2},\n  \"max_peak_drift_celsius\": {max_drift:.3e},\n  \"targets\": {{ \"min_speedup\": {MIN_SPEEDUP}, \"max_peak_drift_celsius\": {MAX_PEAK_DRIFT:.0e} }}\n}}",
+        "{{\n  \"bench\": \"bench_pr7\",\n  \"description\": \"greedy TEC deployment on a {GRID}x{GRID} hotspot41-like package: FactorStrategy::RankKUpdate on the sparse Cholesky backend answers line-search solves with rank-k SMW corrections of one cached i=0 sparse Cholesky factor and lambda probes with k x k Cholesky factorizations of the Schur complement on the TEC terminal nodes; baseline = the dense refactor-per-probe path (DenseCholesky backend), measured as {BASELINE_PROBES} real dense probe solves normalized per probe times the exact probe ledger; every accepted iteration re-solved from scratch with a dense factorization at matched tiles and current must agree on the peak\",\n  \"grid\": {GRID},\n  \"devices\": {},\n  \"iterations\": {},\n  \"fast_deploy_seconds\": {fast_s:.3},\n  \"baseline_probe_count\": {dense_probes},\n  \"baseline_seconds_per_probe\": {per_probe_s:.4},\n  \"baseline_seconds\": {baseline_s:.2},\n  \"speedup\": {speedup:.2},\n  \"max_peak_drift_celsius\": {max_drift:.3e},\n  \"targets\": {{ \"min_speedup\": {MIN_SPEEDUP}, \"max_peak_drift_celsius\": {MAX_PEAK_DRIFT:.0e} }}\n}}",
         deployment.device_count(),
         iterations.len(),
     );

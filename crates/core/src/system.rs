@@ -2,8 +2,9 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    solve_robust, CancelToken, Cholesky, CsrMatrix, DiagonalUpdate, FactoredSystem, LinalgError,
-    ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
+    solve_robust, CancelToken, Cholesky, CholeskyPattern, CsrMatrix, DiagonalUpdate,
+    FactoredSystem, LinalgError, ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy,
+    UpdatableFactor,
 };
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -83,8 +84,9 @@ pub enum FactorStrategy {
     /// the update's condition estimate degrades (DESIGN.md §15). Opt-in via
     /// [`SteadySolver::with_strategy`]: results agree with
     /// [`FactorStrategy::Refactor`] to ~1e-12 relative, not bit for bit.
-    /// On the sparse backend this strategy is a no-op — the CSR
-    /// diagonal-patch reuse in `prepare` is already incremental.
+    /// It applies on the default sparse Cholesky backend. On the CG backend
+    /// it is a no-op — the CSR diagonal-patch reuse in `prepare` is already
+    /// incremental — and the dense oracle backend always refactors.
     RankKUpdate,
 }
 
@@ -122,8 +124,8 @@ struct RawSolve {
 
 /// The reusable solver state behind both the shared cache and
 /// [`SteadySolver`]: a [`SolveWorkspace`] (dense `G − i·D` and `p(i)`
-/// retargeted in place), the resolved backend, an optional CSR mirror for
-/// the sparse backend, and the last factorization keyed by its current so
+/// retargeted in place), the resolved backend, the Cholesky pattern of the
+/// workspace, and the last factorization keyed by its current so
 /// repeated solves at one operating point (e.g. the two extra
 /// right-hand sides of a gradient evaluation) factor only once.
 #[derive(Debug, Clone)]
@@ -131,6 +133,10 @@ struct SolverCore {
     ws: SolveWorkspace,
     resolved: ResolvedBackend,
     factored: Option<(CacheKey, FactoredSystem)>,
+    /// Symbolic analysis of `G − i·D`, built on the first sparse Cholesky
+    /// factorization and reused for every current: `D` is diagonal, so the
+    /// nonzero pattern does not depend on `i`. Clones share it.
+    pattern: Option<Arc<CholeskyPattern>>,
     /// Workspace structural fingerprint, fixed at assembly time (retargeting
     /// the current does not change it) — the plain-path half of [`CacheKey`].
     fingerprint: u64,
@@ -158,13 +164,12 @@ impl SolverCore {
             .stamped
             .solve_workspace(&system.tile_powers)
             .map_err(OptError::from)?;
-        let g = system.stamped.model().g_matrix();
-        let nnz = g.as_slice().iter().filter(|&&v| v != 0.0).count();
         Ok(SolverCore {
-            resolved: system.backend.resolve(ws.dim(), nnz),
+            resolved: system.backend.resolve(),
             fingerprint: ws.structural_fingerprint(),
             ws,
             factored: None,
+            pattern: None,
             strategy: FactorStrategy::Refactor,
             updatable: None,
             updates_applied: 0,
@@ -176,15 +181,18 @@ impl SolverCore {
     /// The cache key a factorization at `current` would be stored under.
     ///
     /// Rank-k-updated factors agree with fresh ones only to rounding, so the
-    /// update strategy folds a marker into the fingerprint half: a plain
-    /// probe can never hit an updated entry (or vice versa), which is the
-    /// stale-representation half of the PR-2 cache-poisoning shape. The
-    /// sparse backend patches exact diagonal values in place, so its reuse
-    /// stays under the plain fingerprint.
+    /// update strategy folds a marker into the fingerprint half on every
+    /// direct backend: a plain probe can never hit an updated entry (or
+    /// vice versa), which is the stale-representation half of the
+    /// cache poisoning [`CacheKey`] guards against. The CG backend patches
+    /// exact diagonal values in place, so its reuse stays under the plain
+    /// fingerprint.
     fn cache_key(&self, current: Amperes) -> CacheKey {
-        let fingerprint = if self.strategy == FactorStrategy::RankKUpdate
-            && matches!(self.resolved, ResolvedBackend::DenseCholesky)
-        {
+        let direct = matches!(
+            self.resolved,
+            ResolvedBackend::Cholesky | ResolvedBackend::DenseCholesky
+        );
+        let fingerprint = if self.strategy == FactorStrategy::RankKUpdate && direct {
             // FNV-style fold of an arbitrary marker ("updated!" in ASCII).
             (self.fingerprint ^ 0x7570_6461_7465_6421).wrapping_mul(0x0000_0100_0000_01B3)
         } else {
@@ -209,13 +217,13 @@ impl SolverCore {
         let previous = self.factored.take();
         self.ws.set_current(current)?;
         let fact = match self.resolved {
+            ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
+                self.factor_via_update(current)?
+            }
+            ResolvedBackend::Cholesky => FactoredSystem::Cholesky(self.factor_fresh(current)?),
             ResolvedBackend::DenseCholesky => {
-                if self.strategy == FactorStrategy::RankKUpdate {
-                    self.factor_via_update(current)?
-                } else {
-                    FactoredSystem::factor(self.ws.matrix(), self.resolved)
-                        .map_err(|e| runaway_from(current, e))?
-                }
+                FactoredSystem::factor(self.ws.matrix(), self.resolved)
+                    .map_err(|e| runaway_from(current, e))?
             }
             ResolvedBackend::SparseCg(settings) => {
                 // Reuse the CSR structure of the previous probe when
@@ -238,6 +246,20 @@ impl SolverCore {
         Ok(())
     }
 
+    /// A fresh sparse Cholesky factor of the workspace matrix (retargeted
+    /// to `current`) on the workspace's shared pattern.
+    fn factor_fresh(&mut self, current: Amperes) -> Result<Cholesky, OptError> {
+        let pattern = match &self.pattern {
+            Some(p) => Arc::clone(p),
+            None => {
+                let p = Arc::new(CholeskyPattern::analyse(self.ws.matrix())?);
+                self.pattern = Some(Arc::clone(&p));
+                p
+            }
+        };
+        Cholesky::factor_with(&pattern, self.ws.matrix()).map_err(|e| runaway_from(current, e))
+    }
+
     /// Produces the factorization at `current` by rank-k update over the
     /// shared `i = 0` base factor, refactoring from scratch when the update
     /// is ill-conditioned or its condition estimate exceeds
@@ -251,8 +273,7 @@ impl SolverCore {
             Some(u) => u,
             None => {
                 self.ws.set_current(Amperes(0.0))?;
-                let base = Cholesky::factor(self.ws.matrix())
-                    .map_err(|e| runaway_from(Amperes(0.0), e))?;
+                let base = self.factor_fresh(Amperes(0.0))?;
                 let nodes = self.ws.placement_delta();
                 let u =
                     Arc::new(UpdatableFactor::new(base, nodes.nodes()).map_err(OptError::from)?);
@@ -274,17 +295,15 @@ impl SolverCore {
                 // the update's answer cannot be trusted to the equivalence
                 // tolerance, so pay for a fresh factorization instead.
                 self.refactor_fallbacks += 1;
-                let chol =
-                    Cholesky::factor(self.ws.matrix()).map_err(|e| runaway_from(current, e))?;
-                Ok(FactoredSystem::Dense(chol))
+                Ok(FactoredSystem::Cholesky(self.factor_fresh(current)?))
             }
             Err(e) => Err(runaway_from(current, e)),
         }
     }
 
     /// Solves against an arbitrary right-hand side at `current`, falling
-    /// back to a dense factorization if the sparse backend stalls or needs
-    /// an authoritative definiteness verdict.
+    /// back to a sparse Cholesky factorization if the CG backend stalls or
+    /// needs an authoritative definiteness verdict.
     fn solve_raw(&mut self, current: Amperes, rhs: &[f64]) -> Result<RawSolve, OptError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
@@ -302,20 +321,19 @@ impl SolverCore {
                 condition_estimate: out.condition_estimate,
                 method: fact.method(),
             }),
-            // A cancelled CG solve must NOT fall back to a dense
-            // factorization below — that retry is exactly the expensive
-            // work the caller asked to stop.
+            // A cancelled CG solve must NOT fall back to a factorization
+            // below — that retry is exactly the work the caller asked to
+            // stop.
             Err(e @ LinalgError::Cancelled { .. }) => Err(OptError::from(e)),
             Err(_) if matches!(fact, FactoredSystem::Sparse { .. }) => {
                 // CG failed: nonpositive curvature, a nonpositive Jacobi
-                // diagonal, or stagnation. Dense Cholesky is the
-                // authoritative oracle for all three — it either produces
-                // the solution or proves the point is past runaway.
-                let chol =
-                    Cholesky::factor(self.ws.matrix()).map_err(|e| runaway_from(current, e))?;
+                // diagonal, or stagnation. Cholesky is the authoritative
+                // oracle for all three — it either produces the solution
+                // or proves the point is past runaway.
+                let chol = self.factor_fresh(current)?;
                 let condition_estimate = chol.condition_estimate();
                 let theta = chol.solve(rhs).map_err(OptError::from)?;
-                self.factored = Some((self.cache_key(current), FactoredSystem::Dense(chol)));
+                self.factored = Some((self.cache_key(current), FactoredSystem::Cholesky(chol)));
                 Ok(RawSolve {
                     theta,
                     condition_estimate,
@@ -335,7 +353,7 @@ impl SolverCore {
 
     /// Solves several right-hand sides at one current through one
     /// factorization, using the blocked multi-RHS triangular sweeps on the
-    /// dense (and rank-k-updated) representations. The sparse backend has
+    /// Cholesky (and rank-k-updated) representations. The CG backend has
     /// no shared-factor economy to exploit, so it delegates to per-column
     /// [`SolverCore::solve_raw`] calls — fallback behavior included.
     fn solve_raw_many(
@@ -534,9 +552,14 @@ impl SolvedState {
     /// Pivot-ratio condition estimate of the factored system matrix
     /// `G − i·D`.
     ///
-    /// This diverges as the supply current approaches the runaway limit
-    /// `λ_m` (the matrix approaches singularity, Lemma 2), so it doubles as
-    /// a cheap "distance to runaway" diagnostic for this operating point.
+    /// On the Cholesky backends this is `(max L_kk / min L_kk)²` of the
+    /// factor. The sparse factor is symmetrically permuted, but every pivot
+    /// still lies in `[λ_min, λ_max]`, so the estimate stays a lower bound
+    /// on `κ₂` (its value depends on the elimination order). It diverges as
+    /// the supply current approaches the runaway limit `λ_m`, because the
+    /// product of the squared pivots is `det(G − i·D)`, which vanishes there
+    /// (Lemma 2) — so it doubles as a cheap "distance to runaway"
+    /// diagnostic for this operating point.
     pub fn condition_estimate(&self) -> f64 {
         self.condition_estimate
     }
@@ -555,13 +578,15 @@ impl SolvedState {
     /// `true` when the temperatures warrant caution: the system matrix was
     /// ill-conditioned or a fallback solver produced them.
     ///
-    /// The flag's sensitivity is backend-dependent: the dense backend
-    /// compares a Cholesky pivot-ratio estimate against
-    /// [`SolverPolicy::warn_condition`], while the sparse backend compares
-    /// a CG iteration-count heuristic on a different scale — the same
-    /// system can be flagged under one backend but not the other. Treat it
-    /// as a per-backend caution signal, not a cross-backend invariant; for
-    /// the raw value see [`SolvedState::condition_estimate`].
+    /// The default sparse Cholesky backend compares its pivot-ratio
+    /// estimate (a lower bound on `κ₂`, see
+    /// [`SolvedState::condition_estimate`]) against
+    /// [`SolverPolicy::warn_condition`]. The dense oracle backend's pivot
+    /// ratio is the same kind of bound under the natural order, so the two
+    /// can differ by the effect of the ordering. The explicit CG backend
+    /// compares an iteration-count heuristic on a different scale, so treat
+    /// the flag as a per-backend caution signal, not a cross-backend
+    /// invariant.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -644,7 +669,7 @@ impl CoolingSystem {
         self.lock_cache().core = None;
     }
 
-    /// The configured solver backend (before size/density resolution).
+    /// The configured solver backend (before `Auto` is resolved).
     pub fn backend(&self) -> SolverBackend {
         self.backend
     }
@@ -766,13 +791,14 @@ impl CoolingSystem {
     ///
     /// The `(G, p)` assembly is built once per system and retargeted in
     /// place per probe; the linear solve goes through the configured
-    /// [`SolverBackend`] (dense Cholesky, or Jacobi-preconditioned CG on a
-    /// CSR copy for large sparse systems, with a dense fallback). Any
-    /// definiteness failure is interpreted as thermal runaway, exactly the
-    /// oracle of Theorem 1. The returned state always carries a condition
-    /// estimate of the system matrix (pivot-ratio for Cholesky, an
-    /// iteration-count heuristic for CG — see
-    /// [`SolvedState::condition_estimate`]).
+    /// [`SolverBackend`] (by default the sparse Cholesky on a pattern
+    /// analysed once per workspace; the dense oracle, or explicitly chosen
+    /// Jacobi-preconditioned CG with a Cholesky fallback). Any definiteness
+    /// failure is interpreted as thermal runaway, exactly the oracle of
+    /// Theorem 1. The returned state always carries a condition estimate of
+    /// the system matrix (pivot-ratio for Cholesky — a lower bound on `κ₂`
+    /// under any elimination order — and an iteration-count heuristic for
+    /// CG; see [`SolvedState::condition_estimate`]).
     ///
     /// # Errors
     ///
@@ -1319,7 +1345,7 @@ mod tests {
         assert_eq!(updated_key.current_bits, plain_key.current_bits);
 
         // Re-solving through the plain strategy must refactor (structural
-        // proof: the cached entry is now a plain dense factor) and agree
+        // proof: the cached entry is now a plain Cholesky factor) and agree
         // with the shared path bit for bit.
         let mut plain = SteadySolver {
             system: &s,
@@ -1327,7 +1353,7 @@ mod tests {
         };
         let again = plain.solve(i).unwrap();
         assert!(
-            matches!(plain.core.factored, Some((_, FactoredSystem::Dense(_)))),
+            matches!(plain.core.factored, Some((_, FactoredSystem::Cholesky(_)))),
             "plain probe must not reuse the updated factor"
         );
         for (a, b) in reference

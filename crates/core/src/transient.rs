@@ -37,10 +37,12 @@ use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::parallel::panic_message;
 use crate::supervise::{fingerprint, hex_f64, parse_hex_f64, RunContext, CHECKPOINT_HEADER};
 use crate::{CoolingSystem, OptError};
+use tecopt_linalg::CholeskyPattern;
 use tecopt_thermal::transient::BackwardEuler;
 use tecopt_thermal::ThermalError;
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -478,6 +480,10 @@ pub struct TransientSimulator {
     /// `false` switches to the refactor-per-step oracle path, kept only
     /// as an equivalence reference and a benchmark baseline.
     reuse_factorization: bool,
+    /// Cholesky pattern of `C/Δt + G − i·D`, analysed on the first
+    /// factorization and shared by every current and both paths: `D` and
+    /// `C/Δt` are diagonal, so the nonzero pattern is the network's.
+    pattern: Option<Arc<CholeskyPattern>>,
     /// Optional solve-site guard enforcing `i < λ_m` at every step.
     guard: Option<SolveGuard>,
 }
@@ -505,6 +511,7 @@ impl TransientSimulator {
             time: 0.0,
             cache: std::collections::HashMap::new(),
             reuse_factorization: true,
+            pattern: None,
             guard: None,
         })
     }
@@ -569,7 +576,8 @@ impl TransientSimulator {
     /// Chooses between the factorization-reuse fast path (the default)
     /// and the refactor-per-step oracle used for equivalence testing and
     /// benchmarking. Both paths are bit-identical by construction — the
-    /// same matrix is factored either once or every step.
+    /// same matrix is factored on the same pattern either once or every
+    /// step.
     pub fn set_factorization_reuse(&mut self, reuse: bool) {
         self.reuse_factorization = reuse;
         if !reuse {
@@ -633,9 +641,7 @@ impl TransientSimulator {
             if self.cache.len() >= 8 {
                 self.cache.clear();
             }
-            let a = self.system.stamped().system_matrix(current)?;
-            let stepper =
-                BackwardEuler::new(&a, &self.capacitance, self.dt).map_err(OptError::from)?;
+            let stepper = self.stepper(current)?;
             self.cache.insert(key, stepper);
         }
         let p = self.system.stamped().power_vector(tile_powers, current)?;
@@ -647,8 +653,7 @@ impl TransientSimulator {
                 self.cache.get(&key).expect("stepper cached above")
             }
         } else {
-            let a = self.system.stamped().system_matrix(current)?;
-            fresh = BackwardEuler::new(&a, &self.capacitance, self.dt).map_err(OptError::from)?;
+            fresh = self.stepper(current)?;
             &fresh
         };
         if let Some(guard) = self.guard.as_mut() {
@@ -666,6 +671,22 @@ impl TransientSimulator {
             current,
             tec_power,
         })
+    }
+
+    /// Factors the backward-Euler stepper at `current` on the simulator's
+    /// shared pattern, analysing it on first use.
+    fn stepper(&mut self, current: Amperes) -> Result<BackwardEuler, OptError> {
+        let a = self.system.stamped().system_matrix(current)?;
+        let pattern = match &self.pattern {
+            Some(p) => Arc::clone(p),
+            None => {
+                let p = Arc::new(CholeskyPattern::analyse(&a)?);
+                self.pattern = Some(Arc::clone(&p));
+                p
+            }
+        };
+        BackwardEuler::with_pattern(&pattern, &a, &self.capacitance, self.dt)
+            .map_err(OptError::from)
     }
 
     /// Runs for `duration` seconds under a controller, with constant tile

@@ -1,89 +1,75 @@
-//! Solver-backend selection: dense Cholesky vs. sparse CG on one interface.
+//! Solver-backend selection: one interface over the sparse Cholesky, its
+//! dense oracle, and CG.
 //!
 //! Every steady-state evaluation in the paper is a solve of
 //! `(G − i·D)·θ = p(i)` where `G − i·D` is symmetric positive definite below
-//! the runaway limit. The compact models are *sparse* (a 32×32-tile package
-//! yields n ≈ 2300 nodes at ~0.3 % density), so a dense `O(n³)` Cholesky
-//! factorization per probe leaves two orders of magnitude on the table once
-//! the grid grows. This module routes each solve to the cheaper backend:
+//! the runaway limit. The compact models are *sparse* structured grids (a
+//! 12×12-tile package has n = 536 nodes at 1.2 % density, a 32×32 one
+//! n ≈ 2300 at 0.3 %), so this module routes each solve to:
 //!
-//! - [`SolverBackend::DenseCholesky`] — exact factorization; best for small
-//!   or dense systems, and the authoritative positive-definiteness oracle.
+//! - [`SolverBackend::Auto`] — the sparse [`Cholesky`] under a
+//!   minimum-degree ordering, at every size. It is exact, certifies
+//!   definiteness, serves many right-hand sides, and is the base of the
+//!   rank-k update path.
+//! - [`SolverBackend::DenseCholesky`] — the paper's dense `O(n³)` kernel
+//!   ([`DenseCholesky`]), kept as the slow oracle the sparse factor is
+//!   tested against.
 //! - [`SolverBackend::SparseCg`] — Jacobi-preconditioned conjugate gradients
-//!   on a CSR copy; `O(nnz · iters)` per solve, no factorization at all.
-//! - [`SolverBackend::Auto`] — the density/size crossover heuristic of
-//!   DESIGN.md §10: sparse iff `n ≥ 512` **and** density `≤ 2 %`.
-//!
-//! The crossover is deliberately conservative: at n = 512 a dense
-//! factorization costs ~`n³/3 ≈ 4.5e7` multiplies while a CG solve on a
-//! 2 %-dense matrix costs ~`2·nnz ≈ 1e4` multiplies per iteration — even a
-//! thousand iterations win, and the gap only widens with n.
+//!   on a CSR copy; `O(nnz · iters)` per solve and no factorization, but no
+//!   definiteness certificate either. Only explicit callers (the fine-grid
+//!   reference solver and the CG benchmarks) select it.
 
 use crate::SolveMethod;
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,
-    DenseMatrix, DiagonalUpdate, LinalgError, UpdatableFactor,
+    DenseCholesky, DenseMatrix, DiagonalUpdate, LinalgError, UpdatableFactor,
 };
-
-/// Dense-vs-sparse crossover: minimum dimension for the sparse backend.
-pub const SPARSE_MIN_DIM: usize = 512;
-/// Dense-vs-sparse crossover: maximum density (nnz/n²) for the sparse
-/// backend.
-pub const SPARSE_MAX_DENSITY: f64 = 0.02;
 
 /// Which linear-solver backend a [`CoolingSystem`](../../tecopt) probe uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SolverBackend {
-    /// Pick per matrix via the size/density heuristic (see module docs).
+    /// The sparse Cholesky factorization (see module docs).
     #[default]
     Auto,
-    /// Always factor densely (`L·Lᵀ`).
+    /// Always factor with the dense `O(n³)` oracle kernel.
     DenseCholesky,
     /// Always solve with Jacobi-preconditioned CG on a CSR copy.
     SparseCg(CgSettings),
 }
 
-/// The concrete backend [`SolverBackend::resolve`] chose for one matrix.
+/// The concrete backend [`SolverBackend::resolve`] chose.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResolvedBackend {
-    /// Dense Cholesky factorization.
+    /// Sparse Cholesky factorization.
+    Cholesky,
+    /// Dense Cholesky factorization (the oracle).
     DenseCholesky,
     /// Sparse CG with these settings.
     SparseCg(CgSettings),
 }
 
 impl SolverBackend {
-    /// Resolves `Auto` against the matrix shape: sparse iff
-    /// `n ≥ SPARSE_MIN_DIM` and `nnz/n² ≤ SPARSE_MAX_DENSITY`.
-    pub fn resolve(self, n: usize, nnz: usize) -> ResolvedBackend {
+    /// Resolves `Auto` to the sparse Cholesky; explicit choices stay.
+    pub fn resolve(self) -> ResolvedBackend {
         match self {
+            SolverBackend::Auto => ResolvedBackend::Cholesky,
             SolverBackend::DenseCholesky => ResolvedBackend::DenseCholesky,
             SolverBackend::SparseCg(s) => ResolvedBackend::SparseCg(s),
-            SolverBackend::Auto => {
-                let density = if n == 0 {
-                    1.0
-                } else {
-                    nnz as f64 / (n as f64 * n as f64)
-                };
-                if n >= SPARSE_MIN_DIM && density <= SPARSE_MAX_DENSITY {
-                    ResolvedBackend::SparseCg(CgSettings::default())
-                } else {
-                    ResolvedBackend::DenseCholesky
-                }
-            }
         }
     }
 }
 
 /// A system "factored" for repeated right-hand sides under one backend.
 ///
-/// For the dense backend this holds a genuine `L·Lᵀ` factor; for the sparse
-/// backend it holds the CSR copy (CG needs no factorization, so "factoring"
-/// is just the format conversion plus a diagonal-positivity screen).
+/// The two Cholesky backends hold a genuine `L·Lᵀ` factor; the CG backend
+/// holds the CSR copy (CG needs no factorization, so "factoring" is just the
+/// format conversion plus a diagonal-positivity screen).
 #[derive(Debug, Clone)]
 pub enum FactoredSystem {
-    /// Dense Cholesky factor.
-    Dense(Cholesky),
+    /// Sparse Cholesky factor.
+    Cholesky(Cholesky),
+    /// Dense Cholesky factor (the oracle backend).
+    Dense(DenseCholesky),
     /// CSR copy plus the CG settings to solve with.
     Sparse {
         /// The system matrix in CSR form.
@@ -91,10 +77,10 @@ pub enum FactoredSystem {
         /// CG iteration controls.
         settings: CgSettings,
     },
-    /// A dense factor carrying a Sherman–Morrison–Woodbury rank-k diagonal
-    /// correction (see [`crate::UpdatableFactor`]): solves go through the
-    /// *base* Cholesky factor plus an `O(k·n)` correction instead of a
-    /// fresh `O(n³)` factorization.
+    /// A sparse Cholesky factor carrying a Sherman–Morrison–Woodbury rank-k
+    /// diagonal correction (see [`crate::UpdatableFactor`]): solves go
+    /// through the *base* factor plus an `O(k·n)` correction instead of a
+    /// fresh factorization.
     Updated(AppliedUpdate),
 }
 
@@ -103,33 +89,35 @@ pub enum FactoredSystem {
 pub struct BackendSolve {
     /// The solution vector.
     pub x: Vec<f64>,
-    /// Condition estimate: the Cholesky pivot ratio (dense) or the
-    /// CG-iteration-count heuristic `κ ≈ (2·iters / ln(2/tol))²` (sparse).
+    /// Condition estimate: the Cholesky pivot ratio (both direct backends;
+    /// a lower bound on `κ₂` whose value depends on the elimination order)
+    /// or the CG-iteration-count heuristic `κ ≈ (2·iters / ln(2/tol))²`.
     pub condition_estimate: f64,
-    /// CG iterations spent (0 for the direct backend).
+    /// CG iterations spent (0 for the direct backends).
     pub iterations: usize,
 }
 
 impl FactoredSystem {
     /// Prepares `a` for solves under the resolved backend.
     ///
-    /// The sparse path screens the diagonal: a symmetric matrix with a
+    /// The CG path screens the diagonal: a symmetric matrix with a
     /// nonpositive diagonal entry `a_kk = e_kᵀ·A·e_k ≤ 0` cannot be positive
     /// definite, so it is rejected with the same
-    /// [`LinalgError::NotPositiveDefinite`] signal dense Cholesky gives —
-    /// keeping runaway detection uniform across backends.
+    /// [`LinalgError::NotPositiveDefinite`] signal Cholesky gives — keeping
+    /// runaway detection uniform across backends.
     ///
     /// # Errors
     ///
     /// - [`LinalgError::NotSquare`] for a non-square input.
-    /// - [`LinalgError::NotPositiveDefinite`] from the dense factorization
-    ///   or the sparse diagonal screen.
+    /// - [`LinalgError::NotPositiveDefinite`] from a Cholesky factorization
+    ///   or the CG diagonal screen.
     pub fn factor(
         a: &DenseMatrix,
         backend: ResolvedBackend,
     ) -> Result<FactoredSystem, LinalgError> {
         match backend {
-            ResolvedBackend::DenseCholesky => Ok(FactoredSystem::Dense(Cholesky::factor(a)?)),
+            ResolvedBackend::Cholesky => Ok(FactoredSystem::Cholesky(Cholesky::factor(a)?)),
+            ResolvedBackend::DenseCholesky => Ok(FactoredSystem::Dense(DenseCholesky::factor(a)?)),
             ResolvedBackend::SparseCg(settings) => {
                 if !a.is_square() {
                     return Err(LinalgError::NotSquare {
@@ -151,7 +139,7 @@ impl FactoredSystem {
         }
     }
 
-    /// Resolves `Auto` against `a`'s shape and nonzero count, then factors.
+    /// Resolves `backend` (see [`SolverBackend::resolve`]), then factors.
     ///
     /// # Errors
     ///
@@ -160,8 +148,7 @@ impl FactoredSystem {
         a: &DenseMatrix,
         backend: SolverBackend,
     ) -> Result<FactoredSystem, LinalgError> {
-        let nnz = a.as_slice().iter().filter(|&&v| v != 0.0).count();
-        FactoredSystem::factor(a, backend.resolve(a.rows(), nnz))
+        FactoredSystem::factor(a, backend.resolve())
     }
 
     /// Which [`SolveMethod`] solves through this factored system report.
@@ -170,7 +157,9 @@ impl FactoredSystem {
     /// the base Cholesky factor, so it reports [`SolveMethod::Cholesky`].
     pub fn method(&self) -> SolveMethod {
         match self {
-            FactoredSystem::Dense(_) | FactoredSystem::Updated(_) => SolveMethod::Cholesky,
+            FactoredSystem::Cholesky(_) | FactoredSystem::Dense(_) | FactoredSystem::Updated(_) => {
+                SolveMethod::Cholesky
+            }
             FactoredSystem::Sparse { .. } => SolveMethod::SparseCg,
         }
     }
@@ -178,6 +167,7 @@ impl FactoredSystem {
     /// Dimension of the factored system.
     pub fn dim(&self) -> usize {
         match self {
+            FactoredSystem::Cholesky(chol) => chol.dim(),
             FactoredSystem::Dense(chol) => chol.dim(),
             FactoredSystem::Sparse { matrix, .. } => matrix.rows(),
             FactoredSystem::Updated(applied) => applied.dim(),
@@ -187,13 +177,14 @@ impl FactoredSystem {
     /// Re-keys this factored system to the diagonally perturbed matrix
     /// `A + Δ` without a full refactorization.
     ///
-    /// - **Dense**: builds an [`UpdatableFactor`] over the perturbed nodes
-    ///   and applies the Sherman–Morrison–Woodbury correction (`O(k)`
+    /// - **Cholesky**: builds an [`UpdatableFactor`] over the perturbed
+    ///   nodes and applies the Sherman–Morrison–Woodbury correction (`O(k)`
     ///   triangular solves once, then `O(k³)`). Callers updating the same
     ///   node set repeatedly should hold an [`UpdatableFactor`] themselves
     ///   and pay the setup once; this entry point is the uniform-interface
     ///   form.
-    /// - **Sparse**: patches the CSR diagonal in place via
+    /// - **Dense**: not supported — the dense oracle always refactors.
+    /// - **Sparse** (CG): patches the CSR diagonal in place via
     ///   [`CsrMatrix::set_diagonal_entry`] (inserting structurally missing
     ///   diagonals) and re-screens positivity, exactly like
     ///   [`FactoredSystem::factor`] does.
@@ -207,15 +198,19 @@ impl FactoredSystem {
     ///   longer positive definite (past thermal runaway).
     /// - [`LinalgError::IllConditioned`] when the update's small pivots are
     ///   too degraded to trust — fall back to a fresh factorization.
-    /// - [`LinalgError::InvalidInput`] for out-of-bounds nodes, or (on the
-    ///   updated variant) nodes outside the prepared set.
+    /// - [`LinalgError::InvalidInput`] for out-of-bounds nodes, (on the
+    ///   updated variant) nodes outside the prepared set, or the dense
+    ///   oracle backend.
     pub fn update_rank_k(&self, update: &DiagonalUpdate) -> Result<FactoredSystem, LinalgError> {
         match self {
-            FactoredSystem::Dense(chol) => {
+            FactoredSystem::Cholesky(chol) => {
                 let nodes: Vec<usize> = update.entries().iter().map(|&(k, _)| k).collect();
                 let factor = UpdatableFactor::new(chol.clone(), &nodes)?;
                 Ok(FactoredSystem::Updated(factor.apply(update)?))
             }
+            FactoredSystem::Dense(_) => Err(LinalgError::InvalidInput(
+                "the dense oracle backend takes no rank-k updates; refactor instead".into(),
+            )),
             FactoredSystem::Sparse { matrix, settings } => {
                 let mut patched = matrix.clone();
                 for &(k, delta) in update.entries() {
@@ -253,9 +248,9 @@ impl FactoredSystem {
 
     /// Solves `A·X = B` for a block of right-hand sides.
     ///
-    /// The dense and updated backends use the blocked triangular sweeps of
-    /// [`Cholesky::solve_many`] (one pass over the factor for the whole
-    /// block); the sparse backend runs CG per column against the shared CSR
+    /// The Cholesky and updated backends use the blocked triangular sweeps
+    /// of [`Cholesky::solve_many`] (one pass over the factor for the whole
+    /// block); the CG backend runs CG per column against the shared CSR
     /// matrix. Diagnostics are per column, exactly as
     /// [`FactoredSystem::solve`] would report them.
     ///
@@ -263,31 +258,26 @@ impl FactoredSystem {
     ///
     /// Same contract as [`FactoredSystem::solve`], applied per column.
     pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<BackendSolve>, LinalgError> {
+        let block = |xs: Vec<Vec<f64>>, condition_estimate: f64| {
+            xs.into_iter()
+                .map(|x| BackendSolve {
+                    x,
+                    condition_estimate,
+                    iterations: 0,
+                })
+                .collect()
+        };
         match self {
+            FactoredSystem::Cholesky(chol) => {
+                Ok(block(chol.solve_many(rhs)?, chol.condition_estimate()))
+            }
             FactoredSystem::Dense(chol) => {
-                let condition_estimate = chol.condition_estimate();
-                Ok(chol
-                    .solve_many(rhs)?
-                    .into_iter()
-                    .map(|x| BackendSolve {
-                        x,
-                        condition_estimate,
-                        iterations: 0,
-                    })
-                    .collect())
+                Ok(block(chol.solve_many(rhs)?, chol.condition_estimate()))
             }
-            FactoredSystem::Updated(applied) => {
-                let condition_estimate = applied.condition_estimate();
-                Ok(applied
-                    .solve_many(rhs)?
-                    .into_iter()
-                    .map(|x| BackendSolve {
-                        x,
-                        condition_estimate,
-                        iterations: 0,
-                    })
-                    .collect())
-            }
+            FactoredSystem::Updated(applied) => Ok(block(
+                applied.solve_many(rhs)?,
+                applied.condition_estimate(),
+            )),
             FactoredSystem::Sparse { .. } => rhs.iter().map(|b| self.solve(b)).collect(),
         }
     }
@@ -300,16 +290,16 @@ impl FactoredSystem {
     /// - [`LinalgError::NotPositiveDefinite`] if CG encounters nonpositive
     ///   curvature (the matrix is indefinite — past runaway).
     /// - [`LinalgError::NoConvergence`] if CG stalls within its iteration
-    ///   budget (callers may fall back to the dense backend).
+    ///   budget (callers may fall back to a Cholesky factorization).
     pub fn solve(&self, b: &[f64]) -> Result<BackendSolve, LinalgError> {
         self.solve_with_cancel(b, None)
     }
 
     /// [`FactoredSystem::solve`] with a cooperative cancellation token.
     ///
-    /// The dense backend checks the token once before its (short,
-    /// non-iterative) triangular solves; the sparse backend polls at every
-    /// CG iteration boundary. With `cancel: None` the result is
+    /// The direct backends check the token once before their (short,
+    /// non-iterative) triangular solves; the CG backend polls at every
+    /// iteration boundary. With `cancel: None` the result is
     /// bit-identical to [`FactoredSystem::solve`].
     ///
     /// # Errors
@@ -321,17 +311,19 @@ impl FactoredSystem {
         b: &[f64],
         cancel: Option<&CancelToken>,
     ) -> Result<BackendSolve, LinalgError> {
+        let direct = |x: Vec<f64>, condition_estimate: f64| BackendSolve {
+            x,
+            condition_estimate,
+            iterations: 0,
+        };
+        if !matches!(self, FactoredSystem::Sparse { .. })
+            && cancel.is_some_and(CancelToken::is_cancelled)
+        {
+            return Err(LinalgError::Cancelled { iterations: 0 });
+        }
         match self {
-            FactoredSystem::Dense(chol) => {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return Err(LinalgError::Cancelled { iterations: 0 });
-                }
-                Ok(BackendSolve {
-                    x: chol.solve(b)?,
-                    condition_estimate: chol.condition_estimate(),
-                    iterations: 0,
-                })
-            }
+            FactoredSystem::Cholesky(chol) => Ok(direct(chol.solve(b)?, chol.condition_estimate())),
+            FactoredSystem::Dense(chol) => Ok(direct(chol.solve(b)?, chol.condition_estimate())),
             FactoredSystem::Sparse { matrix, settings } => {
                 let out = conjugate_gradient_cancellable(matrix, b, *settings, cancel)?;
                 Ok(BackendSolve {
@@ -340,11 +332,9 @@ impl FactoredSystem {
                     x: out.x,
                 })
             }
-            FactoredSystem::Updated(applied) => Ok(BackendSolve {
-                x: applied.solve_with_cancel(b, cancel)?,
-                condition_estimate: applied.condition_estimate(),
-                iterations: 0,
-            }),
+            FactoredSystem::Updated(applied) => {
+                Ok(direct(applied.solve(b)?, applied.condition_estimate()))
+            }
         }
     }
 }
@@ -353,7 +343,7 @@ impl FactoredSystem {
 /// cheap condition-number *proxy*. It is a heuristic — preconditioning and
 /// eigenvalue clustering make CG converge faster than the bound — but it
 /// grows with the true `κ` and therefore preserves the "distance to
-/// runaway" reading of the dense pivot-ratio estimate.
+/// runaway" reading of the Cholesky pivot-ratio estimate.
 fn cg_condition_estimate(iterations: usize, tolerance: f64) -> f64 {
     let log_term = (2.0 / tolerance.max(f64::MIN_POSITIVE)).ln().max(1.0);
     let sqrt_kappa = 2.0 * iterations as f64 / log_term;
@@ -377,29 +367,18 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_size_and_density() {
-        // Small: dense regardless of density.
+    fn auto_resolves_to_the_sparse_cholesky() {
+        assert_eq!(SolverBackend::Auto.resolve(), ResolvedBackend::Cholesky);
         assert_eq!(
-            SolverBackend::Auto.resolve(100, 100),
-            ResolvedBackend::DenseCholesky
+            SolverBackend::default().resolve(),
+            ResolvedBackend::Cholesky
         );
-        // Large and sparse: CG.
-        assert!(matches!(
-            SolverBackend::Auto.resolve(1000, 10_000),
-            ResolvedBackend::SparseCg(_)
-        ));
-        // Large but dense: stay with Cholesky.
         assert_eq!(
-            SolverBackend::Auto.resolve(1000, 500_000),
-            ResolvedBackend::DenseCholesky
-        );
-        // Forced backends ignore the shape.
-        assert_eq!(
-            SolverBackend::DenseCholesky.resolve(10_000, 10),
+            SolverBackend::DenseCholesky.resolve(),
             ResolvedBackend::DenseCholesky
         );
         assert!(matches!(
-            SolverBackend::SparseCg(CgSettings::default()).resolve(2, 4),
+            SolverBackend::SparseCg(CgSettings::default()).resolve(),
             ResolvedBackend::SparseCg(_)
         ));
     }
@@ -418,6 +397,11 @@ mod tests {
                     .expect("positive diagonal")
                     .solve(&b)
                     .expect("CG converges");
+            let chol = FactoredSystem::factor(&a, ResolvedBackend::Cholesky)
+                .expect("SPD")
+                .solve(&b)
+                .expect("solves");
+            assert!(rel_err(&dense.x, &chol.x) <= 1e-12, "dim {dim}");
             let num: f64 = dense
                 .x
                 .iter()
@@ -457,6 +441,9 @@ mod tests {
         let d = FactoredSystem::factor(&a, ResolvedBackend::DenseCholesky).expect("SPD");
         let s = FactoredSystem::factor(&a, ResolvedBackend::SparseCg(CgSettings::default()))
             .expect("positive diagonal");
+        let c = FactoredSystem::factor(&a, ResolvedBackend::Cholesky).expect("SPD");
+        assert_eq!(c.method(), SolveMethod::Cholesky);
+        assert_eq!(c.dim(), 12);
         assert_eq!(d.method(), SolveMethod::Cholesky);
         assert_eq!(s.method(), SolveMethod::SparseCg);
         assert_eq!(d.dim(), 12);
@@ -494,7 +481,7 @@ mod tests {
             .expect("solves");
 
         for backend in [
-            ResolvedBackend::DenseCholesky,
+            ResolvedBackend::Cholesky,
             ResolvedBackend::SparseCg(CgSettings::default()),
         ] {
             let base = FactoredSystem::factor(&a, backend).expect("SPD");
@@ -507,6 +494,11 @@ mod tests {
             );
             assert_eq!(updated.dim(), dim);
         }
+        let dense = FactoredSystem::factor(&a, ResolvedBackend::DenseCholesky).expect("SPD");
+        assert!(matches!(
+            dense.update_rank_k(&update),
+            Err(LinalgError::InvalidInput(_))
+        ));
     }
 
     #[test]
@@ -515,7 +507,7 @@ mod tests {
         let a = spd(dim, 0.2, 23);
         let first = DiagonalUpdate::new([(2, 0.5), (11, -0.1)]).expect("finite");
         let second = DiagonalUpdate::new([(2, -0.2), (11, 0.3)]).expect("finite");
-        let base = FactoredSystem::factor(&a, ResolvedBackend::DenseCholesky).expect("SPD");
+        let base = FactoredSystem::factor(&a, ResolvedBackend::Cholesky).expect("SPD");
         let once = base.update_rank_k(&first).expect("updatable");
         let twice = once.update_rank_k(&second).expect("stacks");
 
@@ -527,7 +519,7 @@ mod tests {
             .add_scaled_diagonal(&diag, 1.0)
             .expect("dims match");
         let b: Vec<f64> = (0..dim).map(|k| (k as f64 * 0.7).sin()).collect();
-        let oracle = Cholesky::factor(&perturbed)
+        let oracle = DenseCholesky::factor(&perturbed)
             .expect("SPD")
             .solve(&b)
             .expect("solves");
@@ -541,7 +533,7 @@ mod tests {
         let a = spd(20, 0.2, 31);
         let update = DiagonalUpdate::new([(7, -1e9)]).expect("finite");
         for backend in [
-            ResolvedBackend::DenseCholesky,
+            ResolvedBackend::Cholesky,
             ResolvedBackend::SparseCg(CgSettings::default()),
         ] {
             let base = FactoredSystem::factor(&a, backend).expect("SPD");
@@ -570,8 +562,9 @@ mod tests {
         let dense = FactoredSystem::factor(&a, ResolvedBackend::DenseCholesky).expect("SPD");
         let sparse = FactoredSystem::factor(&a, ResolvedBackend::SparseCg(CgSettings::default()))
             .expect("positive diagonal");
-        let updated = dense.update_rank_k(&update).expect("updatable");
-        for f in [&dense, &sparse, &updated] {
+        let chol = FactoredSystem::factor(&a, ResolvedBackend::Cholesky).expect("SPD");
+        let updated = chol.update_rank_k(&update).expect("updatable");
+        for f in [&dense, &chol, &sparse, &updated] {
             let block = f.solve_many(&rhs).expect("solves");
             assert_eq!(block.len(), rhs.len());
             for (col, b) in block.iter().zip(&rhs) {

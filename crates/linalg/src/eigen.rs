@@ -10,13 +10,16 @@
 //! of `G − i·D` with a Cholesky probe per step. [`generalized_pd_threshold`]
 //! runs that bracket policy with one factorization per search: `D` touches
 //! only the `k` TEC terminal nodes, so the Peltier-free block of `G` is
-//! factored once and every probe is a `k×k` Cholesky of the Schur
-//! complement on the Peltier nodes. [`generalized_pd_threshold_dense`] keeps
-//! the paper's dense per-probe factorization as the slow oracle.
+//! factored once (sparse [`Cholesky`]) and every probe is a `k×k` Cholesky
+//! of the Schur complement on the Peltier nodes, on one pattern analysed
+//! per search. [`generalized_pd_threshold_dense`] keeps the paper's dense
+//! per-probe factorization ([`DenseCholesky`]) as the slow oracle.
 //! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
 //! Conjecture-1 experiments and diagnostics.
 
-use crate::{Cholesky, DenseMatrix, LinalgError};
+use std::sync::Arc;
+
+use crate::{Cholesky, CholeskyPattern, DenseCholesky, DenseMatrix, LinalgError};
 
 /// Outcome of the positive-definiteness bisection for
 /// `λ_m = sup { i ≥ 0 : G − i·D is positive definite }`.
@@ -92,8 +95,9 @@ pub const DEFAULT_PROBE_BUDGET: usize = 4096;
 /// and `S₀` does not depend on `i` (with `B` ordered last, the leading
 /// `n − k` columns of the Cholesky factor are the same at every probe).
 /// So `G_AA` is factored once, `S₀` is formed with one `k`-column solve,
-/// and every probe is a `k×k` Cholesky of `S₀ − i·D_B`. The bracket policy
-/// is the one of [`generalized_pd_threshold_dense`]: the two probe the same
+/// and every probe is a `k×k` Cholesky of `S₀ − i·D_B` on the pattern of
+/// `S₀`, analysed once. The bracket policy is the one of
+/// [`generalized_pd_threshold_dense`]: the two probe the same
 /// currents for as long as their verdicts agree, and their brackets agree
 /// to `rel_tol`.
 ///
@@ -131,17 +135,22 @@ pub fn generalized_pd_threshold_budgeted(
         }
     }
     let d_b: Vec<f64> = peltier.iter().map(|&b| d[b]).collect();
+    let pattern = Arc::new(CholeskyPattern::analyse(&s0)?);
     bracket_pd_threshold(rel_tol, max_probes, |i| {
         let mut m = s0.clone();
         m.add_scaled_diagonal(&d_b, -i)?;
-        Ok(Cholesky::factor(&m).is_ok())
+        match Cholesky::factor_with(&pattern, &m) {
+            Ok(_) => Ok(true),
+            Err(LinalgError::NotPositiveDefinite { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
     })
 }
 
 /// The slow oracle for [`generalized_pd_threshold_budgeted`]: the same
-/// bracket policy with a fresh dense `O(n³)` Cholesky of `G − i·D` at every
-/// probe, exactly as the paper describes the search. Tests compare the
-/// Peltier-block search against it.
+/// bracket policy with a fresh dense `O(n³)` Cholesky ([`DenseCholesky`])
+/// of `G − i·D` at every probe, exactly as the paper describes the search.
+/// Tests compare the Peltier-block search against it.
 ///
 /// # Errors
 ///
@@ -156,7 +165,7 @@ pub fn generalized_pd_threshold_dense(
     bracket_pd_threshold(rel_tol, max_probes, |i| {
         let mut m = g.clone();
         m.add_scaled_diagonal(d, -i)?;
-        Ok(Cholesky::factor(&m).is_ok())
+        Ok(DenseCholesky::factor(&m).is_ok())
     })
 }
 

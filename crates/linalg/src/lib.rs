@@ -8,14 +8,17 @@
 //!
 //! - [`DenseMatrix`] — row-major dense storage with the handful of BLAS-1/2/3
 //!   operations the solvers use,
-//! - [`Cholesky`] — `L·Lᵀ` factorization, the positive-definiteness oracle
-//!   used by the paper's `λ_m` binary search, plus solves and inverses,
+//! - [`Cholesky`] — sparse `P·A·Pᵀ = L·Lᵀ` factorization under a
+//!   minimum-degree ordering ([`CholeskyPattern`], analysed once per
+//!   network and shared), the positive-definiteness oracle used by the
+//!   paper's `λ_m` search, plus solves and inverses; [`DenseCholesky`]
+//!   keeps the paper's dense `O(n³)` kernel as the slow oracle,
 //! - [`Lu`] — partially pivoted LU for general systems and determinants,
 //! - [`CsrMatrix`] and [`conjugate_gradient`] — sparse kernels for the
 //!   fine-grid reference thermal solver,
-//! - [`SolverBackend`] / [`FactoredSystem`] — the dense-vs-sparse routing
-//!   layer: one interface over Cholesky and preconditioned CG with an
-//!   automatic size/density crossover,
+//! - [`SolverBackend`] / [`FactoredSystem`] — one interface over the
+//!   sparse Cholesky (what `Auto` picks at every size), the dense oracle,
+//!   and Jacobi-preconditioned CG,
 //! - [`stieltjes`] — structure checks (symmetric, nonpositive off-diagonal,
 //!   irreducible) and seeded random generation of positive-definite Stieltjes
 //!   matrices for the Conjecture-1 experiments,
@@ -24,7 +27,7 @@
 //!   with one factorization per search and `k×k` Schur-complement probes on
 //!   the Peltier nodes,
 //! - [`UpdatableFactor`] / [`DiagonalUpdate`] — Sherman–Morrison–Woodbury
-//!   rank-k diagonal updates over a cached Cholesky factor, with a
+//!   rank-k diagonal updates over a cached sparse Cholesky factor, with a
 //!   Haynsworth inertia certificate rejecting updates past runaway.
 //!
 //! ```
@@ -48,6 +51,7 @@ mod backend;
 mod cancel;
 mod cg;
 mod cholesky;
+mod dense_cholesky;
 pub mod eigen;
 mod error;
 mod lu;
@@ -57,13 +61,11 @@ mod sparse;
 pub mod stieltjes;
 mod update;
 
-pub use backend::{
-    BackendSolve, FactoredSystem, ResolvedBackend, SolverBackend, SPARSE_MAX_DENSITY,
-    SPARSE_MIN_DIM,
-};
+pub use backend::{BackendSolve, FactoredSystem, ResolvedBackend, SolverBackend};
 pub use cancel::CancelToken;
 pub use cg::{conjugate_gradient, conjugate_gradient_cancellable, CgOutcome, CgSettings};
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, CholeskyPattern};
+pub use dense_cholesky::DenseCholesky;
 pub use error::LinalgError;
 pub use lu::{determinant, log_abs_determinant, Lu};
 pub use matrix::DenseMatrix;

@@ -12,7 +12,7 @@
 //!
 //! [`solve_robust`] makes that regime explicit instead of silent:
 //!
-//! 1. **Cholesky** (`L·Lᵀ`) — the fast path. The pivot-ratio condition
+//! 1. **Cholesky** (sparse `P·A·Pᵀ = L·Lᵀ`) — the fast path. The pivot-ratio condition
 //!    estimate is always computed; results above
 //!    [`SolverPolicy::warn_condition`] are flagged
 //!    [`SolveDiagnostics::degraded`], results above
@@ -127,8 +127,8 @@ pub enum SolveMethod {
     Lu,
     /// Cholesky on the Tikhonov-shifted matrix `A + μ·I`.
     RegularizedCholesky,
-    /// Jacobi-preconditioned conjugate gradients on a CSR copy (the sparse
-    /// backend of [`crate::FactoredSystem`]; never produced by
+    /// Jacobi-preconditioned conjugate gradients on a CSR copy (the
+    /// explicit CG backend of [`crate::FactoredSystem`]; never produced by
     /// [`solve_robust`] itself).
     SparseCg,
 }

@@ -16,7 +16,7 @@
 //! One base factorization plus a `k`-column solve (`W`, `S₀`) are paid up
 //! front by [`UpdatableFactor::new`]; each subsequent perturbation costs an
 //! `O(k³)` factorization of `M` plus `O(k·n)` correction work
-//! ([`UpdatableFactor::apply`]) instead of a fresh `O(n³)` Cholesky.
+//! ([`UpdatableFactor::apply`]) instead of a fresh sparse Cholesky.
 //!
 //! Positive definiteness of the perturbed matrix — the paper's runaway
 //! verdict — comes for free from the same small factorization via the
@@ -238,7 +238,7 @@ struct UpdatableInner {
     s0: DenseMatrix,
 }
 
-/// A dense Cholesky factor of `A` prepared for repeated diagonal
+/// A sparse Cholesky factor of `A` prepared for repeated diagonal
 /// perturbations on a fixed node set.
 ///
 /// Construction pays `k` triangular solves (for `W = A⁻¹U`) once; every

@@ -1,12 +1,14 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tecopt_linalg::eigen::{
     generalized_pd_threshold, generalized_pd_threshold_dense, DEFAULT_PROBE_BUDGET,
 };
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
-    conjugate_gradient, determinant, CgSettings, Cholesky, CsrMatrix, DenseMatrix, Lu, Triplet,
+    conjugate_gradient, determinant, CgSettings, Cholesky, CholeskyPattern, CsrMatrix,
+    DenseCholesky, DenseMatrix, LinalgError, Lu, Triplet,
 };
 
 fn random_spd(seed: u64, dim: usize) -> DenseMatrix {
@@ -362,6 +364,135 @@ proptest! {
                 prop_assert!(tol == 0.0 || tol >= 1.0 || tol.is_nan());
             }
             Err(e) => prop_assert!(false, "unexpected error {e:?}"),
+        }
+    }
+}
+
+/// A random PD Stieltjes matrix of `dim` at `density`, or (by `shape`) the
+/// fully dense and the diagonal extremes of the same family.
+fn stieltjes_case(seed: u64, dim: usize, density: f64, shape: usize) -> DenseMatrix {
+    if shape == 1 {
+        let diag: Vec<f64> = (0..dim)
+            .map(|k| 0.5 + ((seed as usize + 3 * k) % 13) as f64 * 0.37)
+            .collect();
+        return DenseMatrix::from_diagonal(&diag);
+    }
+    let density = if shape == 0 { 1.0 } else { density };
+    random_stieltjes(
+        StieltjesSampler {
+            dim,
+            density,
+            ..StieltjesSampler::default()
+        },
+        &mut seeded_rng(seed),
+    )
+}
+
+fn rel_err(x: &[f64], y: &[f64]) -> f64 {
+    let num: f64 = x
+        .iter()
+        .zip(y)
+        .map(|(u, v)| (u - v) * (u - v))
+        .sum::<f64>()
+        .sqrt();
+    let den: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
+    num / den
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The sparse factor against the dense oracle: solves, blocked solves
+    /// and log-determinants agree to 1e-10 relative.
+    #[test]
+    fn sparse_cholesky_matches_the_dense_oracle(
+        seed in 0u64..5000,
+        dim in 1usize..151,
+        density in 0.02f64..0.5,
+        shape in 0usize..8,
+    ) {
+        let a = stieltjes_case(seed, dim, density, shape);
+        let chol = Cholesky::factor(&a).unwrap();
+        let dense = DenseCholesky::factor(&a).unwrap();
+        let rhs: Vec<Vec<f64>> = (0..3)
+            .map(|c| (0..dim).map(|k| ((k + 5 * c) as f64 * 0.37).sin() + 0.5).collect())
+            .collect();
+        let many = chol.solve_many(&rhs).unwrap();
+        for (b, x_many) in rhs.iter().zip(&many) {
+            let x = chol.solve(b).unwrap();
+            let x_dense = dense.solve(b).unwrap();
+            prop_assert!(rel_err(&x, &x_dense) <= 1e-10, "solve rel err {}", rel_err(&x, &x_dense));
+            prop_assert!(rel_err(x_many, &x_dense) <= 1e-10);
+        }
+        let ld = dense.log_det();
+        prop_assert!((chol.log_det() - ld).abs() <= 1e-10 * ld.abs().max(1.0),
+            "log det {} vs {}", chol.log_det(), ld);
+        prop_assert!(chol.pattern().nnz_l() <= dim * (dim + 1) / 2);
+    }
+
+    /// Definiteness verdicts on `G − s·I` agree with the dense oracle for
+    /// every shift at least 1e-6 relative away from `λ_min(G)`.
+    #[test]
+    fn sparse_and_dense_pd_verdicts_agree_off_the_boundary(
+        seed in 0u64..5000,
+        dim in 1usize..151,
+        density in 0.02f64..0.5,
+        shape in 0usize..8,
+        fraction in 0.0f64..2.0,
+    ) {
+        let g = stieltjes_case(seed, dim, density, shape);
+        let ones = vec![1.0; dim];
+        let lam = generalized_pd_threshold_dense(&g, &ones, 1e-12, DEFAULT_PROBE_BUDGET).unwrap();
+        for s in [lam.lower * (1.0 - 1e-6), lam.upper * (1.0 + 1e-6), fraction * lam.estimate()] {
+            if (s - lam.estimate()).abs() < 1e-6 * lam.estimate() {
+                continue;
+            }
+            let mut shifted = g.clone();
+            shifted.add_scaled_diagonal(&ones, -s).unwrap();
+            let sparse = Cholesky::is_positive_definite(&shifted);
+            prop_assert_eq!(sparse, DenseCholesky::is_positive_definite(&shifted));
+            prop_assert_eq!(sparse, s < lam.estimate());
+        }
+    }
+
+    /// Factorizations are deterministic, a shared pattern gives the very
+    /// same factor, and a pattern never silently drops an entry.
+    #[test]
+    fn factorization_is_bit_identical_and_patterns_are_enforced(
+        seed in 0u64..5000,
+        dim in 1usize..151,
+        density in 0.02f64..0.5,
+        shape in 0usize..8,
+    ) {
+        let a = stieltjes_case(seed, dim, density, shape);
+        let b: Vec<f64> = (0..dim).map(|k| 1.0 + (k % 7) as f64).collect();
+        let first = Cholesky::factor(&a).unwrap();
+        let again = Cholesky::factor(&a).unwrap();
+        let pattern = Arc::new(CholeskyPattern::analyse(&a).unwrap());
+        let reused = Cholesky::factor_with(&pattern, &a).unwrap();
+        let x = bits(&first.solve(&b).unwrap());
+        for other in [&again, &reused] {
+            prop_assert_eq!(bits(&other.solve(&b).unwrap()), x.clone());
+            prop_assert_eq!(other.log_det().to_bits(), first.log_det().to_bits());
+            prop_assert_eq!(
+                other.condition_estimate().to_bits(),
+                first.condition_estimate().to_bits()
+            );
+        }
+        prop_assert_eq!(pattern.permutation(), first.pattern().permutation());
+
+        // The first structurally zero lower entry, if any, made nonzero.
+        let hole = (1..dim).flat_map(|r| (0..r).map(move |c| (r, c))).find(|&(r, c)| a[(r, c)] == 0.0);
+        if let Some((r, c)) = hole {
+            let mut outside = a.clone();
+            outside[(r, c)] = -1e-3;
+            outside[(c, r)] = -1e-3;
+            let got = Cholesky::factor_with(&pattern, &outside);
+            prop_assert!(matches!(got, Err(LinalgError::InvalidInput(_))), "{got:?}");
         }
     }
 }

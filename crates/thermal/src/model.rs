@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::geometry::LayerGrid;
 use crate::{NodeId, NodeKind, PackageConfig, ThermalError, ThermalNetwork, TileIndex};
 use tecopt_linalg::{Cholesky, DenseMatrix};
@@ -90,7 +92,8 @@ pub struct CompactModel {
     sink: Vec<NodeId>,
     /// Ambient-elimination power injection per node (W).
     injection: Vec<f64>,
-    g: DenseMatrix,
+    /// Immutable once assembled, so clones of the model share it.
+    g: Arc<DenseMatrix>,
 }
 
 impl CompactModel {
@@ -354,7 +357,7 @@ impl CompactModel {
             spreader,
             sink,
             injection,
-            g,
+            g: Arc::new(g),
         })
     }
 

@@ -14,7 +14,8 @@
 //! `(C/Δt + A)·θ_{n+1} = p + (C/Δt)·θ_n`. The system matrix `A` may be the
 //! passive `G` or the active `G − i·D` at a fixed current; the higher-level
 //! `tecopt::transient` simulator re-factors when a controller changes the
-//! current.
+//! current, on one sparse Cholesky pattern ([`BackwardEuler::with_pattern`])
+//! shared by every current and step size of the network.
 //!
 //! ```
 //! use tecopt_linalg::DenseMatrix;
@@ -34,8 +35,10 @@
 //! # }
 //! ```
 
+use std::sync::Arc;
+
 use crate::ThermalError;
-use tecopt_linalg::{Cholesky, DenseMatrix};
+use tecopt_linalg::{Cholesky, CholeskyPattern, DenseMatrix};
 
 /// A factored backward-Euler stepper for a fixed system matrix and step.
 #[derive(Debug, Clone)]
@@ -46,7 +49,7 @@ pub struct BackwardEuler {
 }
 
 impl BackwardEuler {
-    /// Factors `(C/Δt + A)` for repeated stepping.
+    /// Analyses and factors `(C/Δt + A)` for repeated stepping.
     ///
     /// # Errors
     ///
@@ -62,6 +65,36 @@ impl BackwardEuler {
         capacitance: &[f64],
         dt: f64,
     ) -> Result<BackwardEuler, ThermalError> {
+        let (m, c_over_dt) = Self::stepping_matrix(a, capacitance, dt)?;
+        let pattern = Arc::new(CholeskyPattern::analyse(&m).map_err(ThermalError::from)?);
+        Self::factor(&pattern, &m, c_over_dt, dt)
+    }
+
+    /// [`BackwardEuler::new`] on a Cholesky pattern analysed before — from
+    /// `A` itself or any matrix of the same off-diagonal nonzeros, since
+    /// `C/Δt` is diagonal. The factor is bit-identical to the one
+    /// [`BackwardEuler::new`] builds on an equal pattern.
+    ///
+    /// # Errors
+    ///
+    /// As [`BackwardEuler::new`], plus [`ThermalError::Linalg`] when `A`
+    /// has a nonzero outside `pattern`.
+    pub fn with_pattern(
+        pattern: &Arc<CholeskyPattern>,
+        a: &DenseMatrix,
+        capacitance: &[f64],
+        dt: f64,
+    ) -> Result<BackwardEuler, ThermalError> {
+        let (m, c_over_dt) = Self::stepping_matrix(a, capacitance, dt)?;
+        Self::factor(pattern, &m, c_over_dt, dt)
+    }
+
+    /// Validates the inputs and forms `C/Δt + A` and `C/Δt`.
+    fn stepping_matrix(
+        a: &DenseMatrix,
+        capacitance: &[f64],
+        dt: f64,
+    ) -> Result<(DenseMatrix, Vec<f64>), ThermalError> {
         if dt <= 0.0 || !dt.is_finite() {
             return Err(ThermalError::InvalidConfig(format!(
                 "time step must be positive and finite, got {dt}"
@@ -83,7 +116,16 @@ impl BackwardEuler {
         let mut m = a.clone();
         m.add_scaled_diagonal(&c_over_dt, 1.0)
             .map_err(ThermalError::from)?;
-        let chol = Cholesky::factor(&m).map_err(ThermalError::from)?;
+        Ok((m, c_over_dt))
+    }
+
+    fn factor(
+        pattern: &Arc<CholeskyPattern>,
+        m: &DenseMatrix,
+        c_over_dt: Vec<f64>,
+        dt: f64,
+    ) -> Result<BackwardEuler, ThermalError> {
+        let chol = Cholesky::factor_with(pattern, m).map_err(ThermalError::from)?;
         Ok(BackwardEuler {
             chol,
             c_over_dt,

@@ -246,8 +246,8 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "cholesky-factor-in-loop",
         severity: Severity::Warning,
-        summary: "`Cholesky::factor` inside a loop body refactorizes at \
-                  O(n³) per iteration; reuse a cached factorization \
+        summary: "`Cholesky::factor` inside a loop body analyses and \
+                  refactorizes on every iteration; reuse a cached factorization \
                   (FactorStrategy::RankKUpdate, the solver cache) or hoist \
                   the factor out of the loop",
         scope: "crates/core/src/*",

@@ -1,15 +1,15 @@
-//! Cross-backend and parallel-determinism guarantees of the PR-2 solver
-//! stack: the sparse CG backend must agree with dense Cholesky on real
-//! paper systems to the documented 1e-8 relative tolerance, the `Auto`
-//! heuristic must pick sparse only where it is safe, and every
-//! parallelized sweep must be bit-identical to its sequential semantics.
+//! Cross-backend and parallel-determinism guarantees of the solver stack:
+//! the CG backend and the `Auto` backend's sparse Cholesky must agree with
+//! the dense Cholesky oracle on real paper systems to the documented 1e-8
+//! relative tolerance, and every parallelized sweep must be bit-identical
+//! to its sequential semantics.
 
 use tecopt::runaway::sweep_fractions;
 use tecopt::{
     certify_convexity, evaluate_deployments, optimize_current, ConvexitySettings, CoolingSystem,
     CurrentSettings, OptError, PackageConfig, TecParams, TileIndex,
 };
-use tecopt_linalg::{CgSettings, SolverBackend, SPARSE_MIN_DIM};
+use tecopt_linalg::{CgSettings, SolveMethod, SolverBackend};
 use tecopt_units::{Amperes, Watts};
 
 fn paper_system(rows: usize, cols: usize) -> CoolingSystem {
@@ -54,36 +54,41 @@ fn sparse_backend_matches_dense_on_paper_systems() {
 }
 
 #[test]
-fn auto_heuristic_goes_sparse_only_past_the_size_floor() {
-    // 4x4 -> n = 277 nodes: below SPARSE_MIN_DIM, Auto must stay dense so
-    // the small unit-test systems keep their exact Cholesky semantics.
-    let small = paper_system(4, 4);
-    assert!(small.stamped().model().node_count() < SPARSE_MIN_DIM);
-    let a = small.solve(Amperes(1.0)).unwrap();
-    assert_eq!(a.solve_method(), tecopt_linalg::SolveMethod::Cholesky);
-
-    // 12x12 -> n > 512 and density well under 2%: Auto flips to CG, and
-    // the answer still matches a forced dense solve.
-    let big = paper_system(12, 12);
-    assert!(big.stamped().model().node_count() >= SPARSE_MIN_DIM);
-    let sparse_state = big.solve(Amperes(1.0)).unwrap();
-    assert_eq!(
-        sparse_state.solve_method(),
-        tecopt_linalg::SolveMethod::SparseCg
-    );
-    let forced = paper_system(12, 12).with_backend(SolverBackend::DenseCholesky);
-    let dense_state = forced.solve(Amperes(1.0)).unwrap();
-    let scale = dense_state
-        .node_temperatures()
-        .iter()
-        .map(|t| t.value().abs())
-        .fold(1.0, f64::max);
-    assert!(
-        (sparse_state.peak().value() - dense_state.peak().value()).abs() <= 1e-8 * scale,
-        "auto-sparse {} vs dense {}",
-        sparse_state.peak().value(),
-        dense_state.peak().value()
-    );
+fn auto_uses_the_sparse_cholesky_at_every_size() {
+    // Auto has no size/density crossover: every grid, from 4x4 (n = 277)
+    // to 32x32 (n = 2293), factors with the sparse Cholesky — a direct
+    // method, not CG — and matches a forced dense Cholesky.
+    for (rows, cols) in [(4, 4), (12, 12), (32, 32)] {
+        let auto = paper_system(rows, cols);
+        assert_eq!(auto.backend(), SolverBackend::Auto);
+        let sparse_state = auto.solve(Amperes(1.0)).unwrap();
+        assert_eq!(sparse_state.solve_method(), SolveMethod::Cholesky);
+        let forced = paper_system(rows, cols).with_backend(SolverBackend::DenseCholesky);
+        let dense_state = forced.solve(Amperes(1.0)).unwrap();
+        let scale = dense_state
+            .node_temperatures()
+            .iter()
+            .map(|t| t.value().abs())
+            .fold(1.0, f64::max);
+        for (x, y) in sparse_state
+            .node_temperatures()
+            .iter()
+            .zip(dense_state.node_temperatures())
+        {
+            assert!(
+                (x.value() - y.value()).abs() <= 1e-8 * scale,
+                "{rows}x{cols}: auto {} vs dense {}",
+                x.value(),
+                y.value()
+            );
+        }
+        assert!(
+            (sparse_state.peak().value() - dense_state.peak().value()).abs() <= 1e-8 * scale,
+            "{rows}x{cols}: auto {} vs dense {}",
+            sparse_state.peak().value(),
+            dense_state.peak().value()
+        );
+    }
 }
 
 #[test]

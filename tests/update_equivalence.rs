@@ -4,19 +4,35 @@
 //! through a Sherman–Morrison–Woodbury correction of the cached `i = 0`
 //! Cholesky factor or through a from-scratch refactorization, the
 //! degraded-condition fallback must engage near runaway, and a raised
-//! cancellation token must stop a supervised fast deployment cleanly.
+//! cancellation token must stop a supervised fast deployment cleanly. The
+//! 12×12 cases run on the default `Auto` backend, which is the sparse
+//! Cholesky at every size, so the update path is exercised there too.
 
 use proptest::prelude::*;
 use tecopt::{
     greedy_deploy_supervised, runaway_limit, CoolingSystem, DeploySettings, FactorStrategy,
     OptError, PackageConfig, RunContext, TecParams, TileIndex,
 };
+use tecopt_linalg::SolverBackend;
 use tecopt_units::{Amperes, Celsius, Watts};
 
 fn system(tiles: &[TileIndex], powers: &[f64]) -> CoolingSystem {
-    let config = PackageConfig::hotspot41_like(4, 4).unwrap();
+    grid_system(4, tiles, powers)
+}
+
+fn grid_system(side: usize, tiles: &[TileIndex], powers: &[f64]) -> CoolingSystem {
+    let config = PackageConfig::hotspot41_like(side, side).unwrap();
     let powers: Vec<Watts> = powers.iter().copied().map(Watts).collect();
     CoolingSystem::new(&config, TecParams::superlattice_thin_film(), tiles, powers).unwrap()
+}
+
+/// A 12×12 power map with three hotspots.
+fn powers_12x12() -> Vec<f64> {
+    let mut powers = vec![0.05; 144];
+    powers[2 * 12 + 3] = 0.7;
+    powers[6 * 12 + 8] = 0.55;
+    powers[9 * 12 + 2] = 0.5;
+    powers
 }
 
 fn power_vec() -> impl Strategy<Value = Vec<f64>> {
@@ -85,6 +101,72 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The same agreement at 12×12 (n = 533) on the `Auto` backend.
+    #[test]
+    fn updated_and_fresh_peaks_agree_at_12x12_on_auto(
+        cells in proptest::collection::btree_set(0usize..144, 1..5),
+        fractions in proptest::collection::vec(0.05f64..0.9, 2..4),
+    ) {
+        let tiles: Vec<TileIndex> = cells.iter().map(|&k| TileIndex::new(k / 12, k % 12)).collect();
+        let s = grid_system(12, &tiles, &powers_12x12());
+        prop_assert_eq!(s.backend(), SolverBackend::Auto);
+        let feasible = runaway_limit(&s, 1e-9).unwrap().feasible().value();
+        let mut fast = s.solver().unwrap().with_strategy(FactorStrategy::RankKUpdate);
+        for &f in &fractions {
+            let i = Amperes(feasible * f);
+            let updated = fast.solve(i).unwrap();
+            let fresh = s.solve(i).unwrap();
+            let dp = (updated.peak().value() - fresh.peak().value()).abs();
+            prop_assert!(dp <= 1e-8, "peak drift {dp} at i={i:?} on {tiles:?}");
+            for (a, b) in updated.node_temperatures().iter().zip(fresh.node_temperatures()) {
+                prop_assert!((a.value() - b.value()).abs() <= 1e-8 * b.value().abs().max(1.0));
+            }
+        }
+        prop_assert!(fast.rank_k_updates() >= fractions.len() - 1);
+    }
+}
+
+/// Regression: on the `Auto` backend an SMW-updated factor and a fresh
+/// sparse factor at one current must not share a cache slot. A plain
+/// solve after a rank-k solve at the same current refactors and equals the
+/// shared `Refactor` path bit for bit.
+#[test]
+fn auto_backend_plain_solve_after_an_update_equals_refactor() {
+    let tiles = [TileIndex::new(2, 3), TileIndex::new(6, 8)];
+    let s = grid_system(12, &tiles, &powers_12x12());
+    assert_eq!(s.backend(), SolverBackend::Auto);
+    let i = Amperes(runaway_limit(&s, 1e-9).unwrap().feasible().value() * 0.6);
+    let reference = s.solve(i).unwrap();
+
+    let mut fast = s
+        .solver()
+        .unwrap()
+        .with_strategy(FactorStrategy::RankKUpdate);
+    // The i = 0 base, then the update at i.
+    fast.solve(Amperes(0.0)).unwrap();
+    let updated = fast.solve(i).unwrap();
+    assert!(fast.rank_k_updates() >= 1, "the update path must have run");
+    assert!(updated
+        .node_temperatures()
+        .iter()
+        .zip(reference.node_temperatures())
+        .any(|(a, b)| a.value() != b.value()));
+
+    let mut plain = fast.with_strategy(FactorStrategy::Refactor);
+    let again = plain.solve(i).unwrap();
+    for (a, b) in reference
+        .node_temperatures()
+        .iter()
+        .zip(again.node_temperatures())
+    {
+        assert_eq!(a.value().to_bits(), b.value().to_bits());
+    }
+    assert_eq!(again.peak(), reference.peak());
 }
 
 #[test]
