@@ -34,7 +34,7 @@ fn bench_runtime(c: &mut Criterion) {
         b.iter(|| deployed.solve(Amperes(3.0)).expect("solve"))
     });
     group.bench_function("cholesky_factorization", |b| {
-        b.iter(|| Cholesky::factor(&g).expect("factor"))
+        b.iter(|| Cholesky::factor_csr(&g).expect("factor"))
     });
     group.finish();
 }

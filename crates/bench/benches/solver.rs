@@ -2,9 +2,11 @@
 //! experiment: sparse Cholesky factorization/solve at the compact-model
 //! sizes, CG on the fine-grid systems, the backend comparison (sparse
 //! Cholesky, the dense oracle and CG behind `FactoredSystem`, plus the
-//! cached-workspace hot path) on real paper-scale compact models, and the
+//! cached-workspace hot path) on real paper-scale compact models, the
 //! ordering / factor / solve split of the sparse Cholesky against the
-//! dense kernel at 12×12, 32×32 and 64×64 tiles.
+//! dense kernel at 12×12, 32×32 and 64×64 tiles, and at the same sizes the
+//! sparse path from assembly to factor (CSR stamping, workspace build, CSR
+//! factor) against its dense oracles.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,7 +104,7 @@ fn bench_backends(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(200));
     for (rows, cols) in [(8usize, 8usize), (16, 16), (32, 32)] {
         let system = paper_grid_system(rows, cols);
-        let g = system.stamped().model().g_matrix().clone();
+        let g = system.stamped().model().g_matrix().to_dense();
         let n = g.rows();
         let label = format!("{rows}x{cols}_n{n}");
         let rhs: Vec<f64> = (0..n)
@@ -141,44 +143,55 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
+/// The hotspot41-like packages of the size sweeps: 12×12, 32×32 and 64×64
+/// tiles. The 64×64 grid uses a 0.45-mm tile so its 28.8-mm die fits the
+/// 30-mm spreader.
+fn sweep_systems() -> Vec<(usize, CoolingSystem)> {
+    [(12usize, 0.5), (32, 0.5), (64, 0.45)]
+        .into_iter()
+        .map(|(side, pitch_mm)| {
+            let grid = TileGrid::new(side, side, Meters::from_millimeters(pitch_mm)).expect("grid");
+            let config = PackageConfig::builder(grid).build().expect("package");
+            (side, grid_system(&config))
+        })
+        .collect()
+}
+
 /// The sparse Cholesky split into its three costs — the minimum-degree
 /// ordering with symbolic analysis (once per network), the numeric factor
 /// on that pattern (once per current), and one solve (once per step) — next
-/// to the dense kernel's factor and solve, on `G − i·D` of hotspot41-like
-/// packages at the 12×12, 32×32 and 64×64 tile grids. The 64×64 grid uses
-/// a 0.45-mm tile so its 28.8-mm die fits the 30-mm spreader; its dense
-/// factorization (n ≈ 9k, minutes per factor) is left out.
+/// to the dense kernel's factor and solve, on `G − i·D` of the
+/// [`sweep_systems`]. The dense factorization at 64×64 (n ≈ 9k, minutes per
+/// factor) is left out.
 fn bench_sparse_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_cholesky");
     group.sample_size(3);
     group.measurement_time(Duration::from_millis(200));
-    for (side, pitch_mm) in [(12usize, 0.5), (32, 0.5), (64, 0.45)] {
-        let grid = TileGrid::new(side, side, Meters::from_millimeters(pitch_mm)).expect("grid");
-        let config = PackageConfig::builder(grid).build().expect("package");
-        let system = grid_system(&config);
+    for (side, system) in sweep_systems() {
         let a = system
             .stamped()
-            .system_matrix(Amperes(1.0))
+            .sparse_system_matrix(Amperes(1.0))
             .expect("system matrix");
         let n = a.rows();
-        let pattern = Arc::new(CholeskyPattern::analyse(&a).expect("square"));
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(&a).expect("square"));
         let label = format!("{side}x{side}_n{n}_nnzL{}", pattern.nnz_l());
         let rhs: Vec<f64> = (0..n).map(|k| 1.0 + (k % 7) as f64).collect();
         group.bench_with_input(BenchmarkId::new("ordering", &label), &n, |b, _| {
-            b.iter(|| CholeskyPattern::analyse(&a).expect("square"))
+            b.iter(|| CholeskyPattern::analyse_csr(&a).expect("square"))
         });
         group.bench_with_input(BenchmarkId::new("factor", &label), &n, |b, _| {
-            b.iter(|| Cholesky::factor_with(&pattern, &a).expect("pd"))
+            b.iter(|| Cholesky::factor_csr_with(&pattern, &a).expect("pd"))
         });
-        let chol = Cholesky::factor_with(&pattern, &a).expect("pd");
+        let chol = Cholesky::factor_csr_with(&pattern, &a).expect("pd");
         group.bench_with_input(BenchmarkId::new("solve", &label), &n, |b, _| {
             b.iter(|| chol.solve(&rhs).expect("solve"))
         });
         if side <= 32 {
+            let dense = a.to_dense();
             group.bench_with_input(BenchmarkId::new("dense_factor", &label), &n, |b, _| {
-                b.iter(|| DenseCholesky::factor(&a).expect("pd"))
+                b.iter(|| DenseCholesky::factor(&dense).expect("pd"))
             });
-            let dense = DenseCholesky::factor(&a).expect("pd");
+            let dense = DenseCholesky::factor(&dense).expect("pd");
             group.bench_with_input(BenchmarkId::new("dense_solve", &label), &n, |b, _| {
                 b.iter(|| dense.solve(&rhs).expect("solve"))
             });
@@ -187,5 +200,56 @@ fn bench_sparse_cholesky(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_backends, bench_sparse_cholesky);
+/// The path from stamps to factor, sparse against its dense oracles, on the
+/// [`sweep_systems`]: CSR assembly of `G` against the dense-stamped
+/// `assemble_dense`, the solver workspace build (a CSR copy of `G`), and
+/// the CSR factor on the network's pattern against the dense `factor_with`
+/// on the same pattern (which converts and checks `n²` entries). The dense
+/// oracles are left out at 64×64, where one `n×n` matrix is ≈ 650 MB.
+fn bench_assembly(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assembly");
+    group.sample_size(3);
+    group.measurement_time(Duration::from_millis(200));
+    for (side, system) in sweep_systems() {
+        let stamped = system.stamped();
+        let network = stamped.model().network();
+        let n = stamped.model().node_count();
+        let label = format!("{side}x{side}_n{n}");
+        group.bench_with_input(BenchmarkId::new("csr_assemble", &label), &n, |b, _| {
+            b.iter(|| network.assemble())
+        });
+        group.bench_with_input(BenchmarkId::new("workspace_build", &label), &n, |b, _| {
+            b.iter(|| {
+                stamped
+                    .solve_workspace(system.tile_powers())
+                    .expect("workspace")
+            })
+        });
+        let a = stamped
+            .sparse_system_matrix(Amperes(1.0))
+            .expect("system matrix");
+        let pattern = stamped.model().cholesky_pattern().expect("pattern");
+        group.bench_with_input(BenchmarkId::new("csr_factor", &label), &n, |b, _| {
+            b.iter(|| Cholesky::factor_csr_with(pattern, &a).expect("pd"))
+        });
+        if side <= 32 {
+            group.bench_with_input(BenchmarkId::new("dense_assemble", &label), &n, |b, _| {
+                b.iter(|| network.assemble_dense())
+            });
+            let dense = a.to_dense();
+            group.bench_with_input(BenchmarkId::new("dense_factor_with", &label), &n, |b, _| {
+                b.iter(|| Cholesky::factor_with(pattern, &dense).expect("pd"))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_solver,
+    bench_backends,
+    bench_sparse_cholesky,
+    bench_assembly
+);
 criterion_main!(benches);

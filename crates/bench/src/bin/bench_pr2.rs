@@ -128,8 +128,7 @@ fn run_grid(rows: usize, cols: usize, reps: usize) -> Result<String, OptError> {
     let probe_count = cands.len() * PROBE_CURRENTS.len();
     let deployed = base.with_tiles(&cands[0])?;
     let n = deployed.stamped().model().node_count();
-    let g = deployed.stamped().model().g_matrix();
-    let nnz = g.as_slice().iter().filter(|&&v| v != 0.0).count();
+    let nnz = deployed.stamped().model().g_matrix().nnz();
     let method = format!("{:?}", deployed.solve(Amperes(1.0))?.solve_method());
 
     eprintln!("[{rows}x{cols}] n = {n}, nnz = {nnz}, auto backend = {method}");

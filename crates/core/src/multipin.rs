@@ -48,7 +48,7 @@ use crate::supervise::RunContext;
 use crate::{CoolingSystem, OptError};
 use tecopt_device::TecParams;
 use tecopt_linalg::eigen::generalized_pd_threshold;
-use tecopt_linalg::{Cholesky, DenseMatrix};
+use tecopt_linalg::{Cholesky, CsrMatrix};
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 
@@ -172,13 +172,13 @@ impl MultiPinSystem {
         &self.inner
     }
 
-    /// Assembles `G − Σ_g i_g·D_g`.
+    /// Assembles `G − Σ_g i_g·D_g` in CSR, with the structure of `G`.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::InvalidParameter`] for a wrong-length or
     /// negative current vector.
-    pub fn system_matrix(&self, currents: &[Amperes]) -> Result<DenseMatrix, OptError> {
+    pub fn system_matrix(&self, currents: &[Amperes]) -> Result<CsrMatrix, OptError> {
         self.check_currents(currents)?;
         let mut m = self.inner.stamped().model().g_matrix().clone();
         for (d, i) in self.d_groups.iter().zip(currents) {
@@ -208,7 +208,8 @@ impl MultiPinSystem {
                 p[k] += joule;
             }
         }
-        let chol = Cholesky::factor(&m).map_err(|e| match e {
+        let pattern = self.inner.stamped().model().cholesky_pattern()?;
+        let chol = Cholesky::factor_csr_with(pattern, &m).map_err(|e| match e {
             tecopt_linalg::LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
                 current: currents.iter().map(|i| i.value()).fold(0.0, f64::max),
             },

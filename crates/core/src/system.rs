@@ -2,11 +2,10 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    solve_robust, CancelToken, Cholesky, CholeskyPattern, CsrMatrix, DiagonalUpdate,
-    FactoredSystem, LinalgError, ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy,
-    UpdatableFactor,
+    solve_robust, CancelToken, Cholesky, DiagonalUpdate, FactoredSystem, LinalgError,
+    ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
 };
-use tecopt_thermal::{PackageConfig, TileIndex};
+use tecopt_thermal::{CompactModel, PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 
 /// A chip package with a TEC deployment and a worst-case power profile —
@@ -85,8 +84,9 @@ pub enum FactorStrategy {
     /// [`SteadySolver::with_strategy`]: results agree with
     /// [`FactorStrategy::Refactor`] to ~1e-12 relative, not bit for bit.
     /// It applies on the default sparse Cholesky backend. On the CG backend
-    /// it is a no-op — the CSR diagonal-patch reuse in `prepare` is already
-    /// incremental — and the dense oracle backend always refactors.
+    /// it is a no-op — CG takes the workspace's CSR matrix as it is, with
+    /// no factorization to update — and the dense oracle backend always
+    /// refactors.
     RankKUpdate,
 }
 
@@ -123,20 +123,18 @@ struct RawSolve {
 }
 
 /// The reusable solver state behind both the shared cache and
-/// [`SteadySolver`]: a [`SolveWorkspace`] (dense `G − i·D` and `p(i)`
-/// retargeted in place), the resolved backend, the Cholesky pattern of the
-/// workspace, and the last factorization keyed by its current so
-/// repeated solves at one operating point (e.g. the two extra
-/// right-hand sides of a gradient evaluation) factor only once.
+/// [`SteadySolver`]: a [`SolveWorkspace`] (CSR `G − i·D` and `p(i)`
+/// retargeted in place), the resolved backend, and the last factorization
+/// keyed by its current so repeated solves at one operating point (e.g. the
+/// two extra right-hand sides of a gradient evaluation) factor only once.
+/// Sparse Cholesky factors use the model's pattern
+/// ([`CompactModel::cholesky_pattern`]), which every core of the network
+/// shares, so a fresh core never re-runs the ordering.
 #[derive(Debug, Clone)]
 struct SolverCore {
     ws: SolveWorkspace,
     resolved: ResolvedBackend,
     factored: Option<(CacheKey, FactoredSystem)>,
-    /// Symbolic analysis of `G − i·D`, built on the first sparse Cholesky
-    /// factorization and reused for every current: `D` is diagonal, so the
-    /// nonzero pattern does not depend on `i`. Clones share it.
-    pattern: Option<Arc<CholeskyPattern>>,
     /// Workspace structural fingerprint, fixed at assembly time (retargeting
     /// the current does not change it) — the plain-path half of [`CacheKey`].
     fingerprint: u64,
@@ -169,7 +167,6 @@ impl SolverCore {
             fingerprint: ws.structural_fingerprint(),
             ws,
             factored: None,
-            pattern: None,
             strategy: FactorStrategy::Refactor,
             updatable: None,
             updates_applied: 0,
@@ -184,9 +181,9 @@ impl SolverCore {
     /// update strategy folds a marker into the fingerprint half on every
     /// direct backend: a plain probe can never hit an updated entry (or
     /// vice versa), which is the stale-representation half of the
-    /// cache poisoning [`CacheKey`] guards against. The CG backend patches
-    /// exact diagonal values in place, so its reuse stays under the plain
-    /// fingerprint.
+    /// cache poisoning [`CacheKey`] guards against. The CG backend solves
+    /// on an exact copy of the workspace matrix, so it stays under the
+    /// plain fingerprint.
     fn cache_key(&self, current: Amperes) -> CacheKey {
         let direct = matches!(
             self.resolved,
@@ -205,7 +202,7 @@ impl SolverCore {
     }
 
     /// Retargets the workspace (and any factorization) to `current`.
-    fn prepare(&mut self, current: Amperes) -> Result<(), OptError> {
+    fn prepare(&mut self, model: &CompactModel, current: Amperes) -> Result<(), OptError> {
         let key = self.cache_key(current);
         if self.factored.as_ref().is_some_and(|(k, _)| *k == key) {
             return Ok(());
@@ -214,50 +211,33 @@ impl SolverCore {
         // retargeting or factoring fails below, a surviving entry would key
         // the old current against the failed probe's matrix/power, and a
         // later solve at that current would cache-hit into wrong data.
-        let previous = self.factored.take();
+        self.factored = None;
         self.ws.set_current(current)?;
         let fact = match self.resolved {
             ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
-                self.factor_via_update(current)?
+                self.factor_via_update(model, current)?
             }
-            ResolvedBackend::Cholesky => FactoredSystem::Cholesky(self.factor_fresh(current)?),
+            ResolvedBackend::Cholesky => {
+                FactoredSystem::Cholesky(self.factor_fresh(model, current)?)
+            }
             ResolvedBackend::DenseCholesky => {
-                FactoredSystem::factor(self.ws.matrix(), self.resolved)
+                FactoredSystem::factor(&self.ws.matrix().to_dense(), self.resolved)
                     .map_err(|e| runaway_from(current, e))?
             }
-            ResolvedBackend::SparseCg(settings) => {
-                // Reuse the CSR structure of the previous probe when
-                // possible: only the shifted diagonal entries change.
-                let reused = match previous {
-                    Some((_, FactoredSystem::Sparse { mut matrix, .. })) => {
-                        let ok = self
-                            .ws
-                            .shifted_entries()
-                            .all(|(k, v)| matrix.set_diagonal_entry(k, v).is_ok());
-                        ok.then_some(matrix)
-                    }
-                    _ => None,
-                };
-                let matrix = reused.unwrap_or_else(|| CsrMatrix::from_dense(self.ws.matrix()));
-                FactoredSystem::Sparse { matrix, settings }
-            }
+            ResolvedBackend::SparseCg(settings) => FactoredSystem::Sparse {
+                matrix: self.ws.matrix().clone(),
+                settings,
+            },
         };
         self.factored = Some((key, fact));
         Ok(())
     }
 
     /// A fresh sparse Cholesky factor of the workspace matrix (retargeted
-    /// to `current`) on the workspace's shared pattern.
-    fn factor_fresh(&mut self, current: Amperes) -> Result<Cholesky, OptError> {
-        let pattern = match &self.pattern {
-            Some(p) => Arc::clone(p),
-            None => {
-                let p = Arc::new(CholeskyPattern::analyse(self.ws.matrix())?);
-                self.pattern = Some(Arc::clone(&p));
-                p
-            }
-        };
-        Cholesky::factor_with(&pattern, self.ws.matrix()).map_err(|e| runaway_from(current, e))
+    /// to `current`) on the model's shared pattern.
+    fn factor_fresh(&self, model: &CompactModel, current: Amperes) -> Result<Cholesky, OptError> {
+        let pattern = model.cholesky_pattern()?;
+        Cholesky::factor_csr_with(pattern, self.ws.matrix()).map_err(|e| runaway_from(current, e))
     }
 
     /// Produces the factorization at `current` by rank-k update over the
@@ -268,12 +248,16 @@ impl SolverCore {
     /// The workspace has already been retargeted to `current` by `prepare`,
     /// so its power vector matches the probe; only the base-factor build
     /// temporarily rewinds the current to zero.
-    fn factor_via_update(&mut self, current: Amperes) -> Result<FactoredSystem, OptError> {
+    fn factor_via_update(
+        &mut self,
+        model: &CompactModel,
+        current: Amperes,
+    ) -> Result<FactoredSystem, OptError> {
         let updatable = match self.updatable.clone() {
             Some(u) => u,
             None => {
                 self.ws.set_current(Amperes(0.0))?;
-                let base = self.factor_fresh(Amperes(0.0))?;
+                let base = self.factor_fresh(model, Amperes(0.0))?;
                 let nodes = self.ws.placement_delta();
                 let u =
                     Arc::new(UpdatableFactor::new(base, nodes.nodes()).map_err(OptError::from)?);
@@ -295,7 +279,7 @@ impl SolverCore {
                 // the update's answer cannot be trusted to the equivalence
                 // tolerance, so pay for a fresh factorization instead.
                 self.refactor_fallbacks += 1;
-                Ok(FactoredSystem::Cholesky(self.factor_fresh(current)?))
+                Ok(FactoredSystem::Cholesky(self.factor_fresh(model, current)?))
             }
             Err(e) => Err(runaway_from(current, e)),
         }
@@ -304,11 +288,16 @@ impl SolverCore {
     /// Solves against an arbitrary right-hand side at `current`, falling
     /// back to a sparse Cholesky factorization if the CG backend stalls or
     /// needs an authoritative definiteness verdict.
-    fn solve_raw(&mut self, current: Amperes, rhs: &[f64]) -> Result<RawSolve, OptError> {
+    fn solve_raw(
+        &mut self,
+        model: &CompactModel,
+        current: Amperes,
+        rhs: &[f64],
+    ) -> Result<RawSolve, OptError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
         }
-        self.prepare(current)?;
+        self.prepare(model, current)?;
         #[allow(clippy::expect_used)]
         let (_, fact) = self
             .factored
@@ -330,7 +319,7 @@ impl SolverCore {
                 // diagonal, or stagnation. Cholesky is the authoritative
                 // oracle for all three — it either produces the solution
                 // or proves the point is past runaway.
-                let chol = self.factor_fresh(current)?;
+                let chol = self.factor_fresh(model, current)?;
                 let condition_estimate = chol.condition_estimate();
                 let theta = chol.solve(rhs).map_err(OptError::from)?;
                 self.factored = Some((self.cache_key(current), FactoredSystem::Cholesky(chol)));
@@ -345,10 +334,14 @@ impl SolverCore {
     }
 
     /// Solves against the workspace's own power vector `p(i)`.
-    fn solve_power(&mut self, current: Amperes) -> Result<RawSolve, OptError> {
-        self.prepare(current)?;
+    fn solve_power(
+        &mut self,
+        model: &CompactModel,
+        current: Amperes,
+    ) -> Result<RawSolve, OptError> {
+        self.prepare(model, current)?;
         let rhs = self.ws.power().to_vec();
-        self.solve_raw(current, &rhs)
+        self.solve_raw(model, current, &rhs)
     }
 
     /// Solves several right-hand sides at one current through one
@@ -358,13 +351,14 @@ impl SolverCore {
     /// [`SolverCore::solve_raw`] calls — fallback behavior included.
     fn solve_raw_many(
         &mut self,
+        model: &CompactModel,
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
         }
-        self.prepare(current)?;
+        self.prepare(model, current)?;
         let sparse = matches!(
             self.factored.as_ref().map(|(_, f)| f.method()),
             Some(SolveMethod::SparseCg)
@@ -372,7 +366,7 @@ impl SolverCore {
         if sparse {
             return rhs
                 .iter()
-                .map(|b| Ok(self.solve_raw(current, b)?.theta))
+                .map(|b| Ok(self.solve_raw(model, current, b)?.theta))
                 .collect();
         }
         #[allow(clippy::expect_used)]
@@ -474,7 +468,9 @@ impl<'a> SteadySolver<'a> {
     ///
     /// Same failure modes as [`CoolingSystem::solve`].
     pub fn solve(&mut self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self.core.solve_power(current)?;
+        let raw = self
+            .core
+            .solve_power(self.system.stamped.model(), current)?;
         self.system.finish_raw(current, raw)
     }
 
@@ -489,7 +485,10 @@ impl<'a> SteadySolver<'a> {
         current: Amperes,
         rhs: &[f64],
     ) -> Result<Vec<f64>, OptError> {
-        Ok(self.core.solve_raw(current, rhs)?.theta)
+        Ok(self
+            .core
+            .solve_raw(self.system.stamped.model(), current, rhs)?
+            .theta)
     }
 
     /// Solves `(G − i·D)·x_j = rhs_j` for several independent right-hand
@@ -504,7 +503,8 @@ impl<'a> SteadySolver<'a> {
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.core.solve_raw_many(current, rhs)
+        self.core
+            .solve_raw_many(self.system.stamped.model(), current, rhs)
     }
 }
 
@@ -733,7 +733,7 @@ impl CoolingSystem {
     /// the pre-flight step of the parallel sweeps, which guarantees each
     /// worker's handle construction cannot fail.
     pub(crate) fn warm_solver_cache(&self) -> Result<(), OptError> {
-        self.with_core(|_| Ok(()))
+        self.with_core(|_, _| Ok(()))
     }
 
     fn lock_cache(&self) -> MutexGuard<'_, SolverCache> {
@@ -744,7 +744,7 @@ impl CoolingSystem {
     /// use.
     fn with_core<R>(
         &self,
-        f: impl FnOnce(&mut SolverCore) -> Result<R, OptError>,
+        f: impl FnOnce(&mut SolverCore, &CompactModel) -> Result<R, OptError>,
     ) -> Result<R, OptError> {
         let mut cache = self.lock_cache();
         if cache.core.is_none() {
@@ -754,7 +754,7 @@ impl CoolingSystem {
         #[allow(clippy::expect_used)]
         // tecopt:allow(panic-in-kernel) — populated on the line just above
         let core = cache.core.as_mut().expect("core populated just above");
-        f(core)
+        f(core, self.stamped.model())
     }
 
     /// The stamped device/thermal system underneath.
@@ -789,16 +789,16 @@ impl CoolingSystem {
 
     /// Solves the steady state at supply current `i`.
     ///
-    /// The `(G, p)` assembly is built once per system and retargeted in
+    /// The `(G, p)` workspace is built once per system and retargeted in
     /// place per probe; the linear solve goes through the configured
-    /// [`SolverBackend`] (by default the sparse Cholesky on a pattern
-    /// analysed once per workspace; the dense oracle, or explicitly chosen
-    /// Jacobi-preconditioned CG with a Cholesky fallback). Any definiteness
-    /// failure is interpreted as thermal runaway, exactly the oracle of
-    /// Theorem 1. The returned state always carries a condition estimate of
-    /// the system matrix (pivot-ratio for Cholesky — a lower bound on `κ₂`
-    /// under any elimination order — and an iteration-count heuristic for
-    /// CG; see [`SolvedState::condition_estimate`]).
+    /// [`SolverBackend`] (by default the sparse Cholesky on the pattern the
+    /// model analyses once per network; the dense oracle, or explicitly
+    /// chosen Jacobi-preconditioned CG with a Cholesky fallback). Any
+    /// definiteness failure is interpreted as thermal runaway, exactly the
+    /// oracle of Theorem 1. The returned state always carries a condition
+    /// estimate of the system matrix (pivot-ratio for Cholesky — a lower
+    /// bound on `κ₂` under any elimination order — and an iteration-count
+    /// heuristic for CG; see [`SolvedState::condition_estimate`]).
     ///
     /// # Errors
     ///
@@ -806,7 +806,7 @@ impl CoolingSystem {
     ///   (thermal runaway).
     /// - [`OptError::Device`] for a negative current.
     pub fn solve(&self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self.with_core(|core| core.solve_power(current))?;
+        let raw = self.with_core(|core, model| core.solve_power(model, current))?;
         self.finish_raw(current, raw)
     }
 
@@ -936,7 +936,7 @@ impl CoolingSystem {
     ///
     /// Same failure modes as [`CoolingSystem::solve`].
     pub(crate) fn solve_rhs(&self, current: Amperes, rhs: &[f64]) -> Result<Vec<f64>, OptError> {
-        self.with_core(|core| Ok(core.solve_raw(current, rhs)?.theta))
+        self.with_core(|core, model| Ok(core.solve_raw(model, current, rhs)?.theta))
     }
 
     /// Batched form of [`CoolingSystem::solve_rhs`]: several independent
@@ -951,7 +951,7 @@ impl CoolingSystem {
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.with_core(|core| core.solve_raw_many(current, rhs))
+        self.with_core(|core, model| core.solve_raw_many(model, current, rhs))
     }
 }
 
@@ -977,6 +977,68 @@ mod tests {
             hotspot_powers(),
         )
         .unwrap()
+    }
+
+    /// The pattern of the sparse Cholesky factor a core holds.
+    fn pattern_of(core: &SolverCore) -> Arc<tecopt_linalg::CholeskyPattern> {
+        match core.factored.as_ref().map(|(_, f)| f) {
+            Some(FactoredSystem::Cholesky(chol)) => Arc::clone(chol.pattern()),
+            other => panic!("expected a sparse Cholesky factor, got {other:?}"),
+        }
+    }
+
+    fn shared_pattern(system: &CoolingSystem) -> Arc<tecopt_linalg::CholeskyPattern> {
+        pattern_of(system.lock_cache().core.as_ref().expect("warm cache"))
+    }
+
+    #[test]
+    fn one_cholesky_pattern_serves_the_whole_network() {
+        let mut system = system(&[TileIndex::new(1, 1)]);
+        system.solve(Amperes(1.0)).unwrap();
+        let model = Arc::clone(system.stamped().model().cholesky_pattern().unwrap());
+        assert!(Arc::ptr_eq(&shared_pattern(&system), &model));
+
+        // Two private handles, one adopting the warm core, both solving at
+        // new currents.
+        for current in [2.0, 3.0] {
+            let mut handle = system.solver().unwrap();
+            handle.solve(Amperes(current)).unwrap();
+            assert!(Arc::ptr_eq(&pattern_of(&handle.core), &model));
+        }
+
+        // A clone starts with a cold cache but the same model: its shared
+        // core and a handle built from scratch both reuse the pattern.
+        let clone = system.clone();
+        let mut cold = clone.solver().unwrap();
+        cold.solve(Amperes(1.5)).unwrap();
+        assert!(Arc::ptr_eq(&pattern_of(&cold.core), &model));
+        clone.solve(Amperes(2.5)).unwrap();
+        assert!(Arc::ptr_eq(&shared_pattern(&clone), &model));
+
+        // The transient simulator factors on it too.
+        let mut sim = crate::transient::TransientSimulator::new(system.clone(), 1e-3).unwrap();
+        sim.step(&hotspot_powers(), Amperes(1.0)).unwrap();
+        sim.step(&hotspot_powers(), Amperes(2.0)).unwrap();
+        let stepper_patterns = sim.cached_patterns();
+        assert_eq!(stepper_patterns.len(), 2);
+        for p in &stepper_patterns {
+            assert!(Arc::ptr_eq(p, &model));
+        }
+
+        // New powers keep the network, so the pattern survives.
+        system.set_tile_powers(vec![Watts(0.1); 16]).unwrap();
+        system.solve(Amperes(1.0)).unwrap();
+        assert!(Arc::ptr_eq(&shared_pattern(&system), &model));
+
+        // A new tile set is a new network with its own pattern.
+        let other = system.with_tiles(&[TileIndex::new(2, 2)]).unwrap();
+        other.solve(Amperes(1.0)).unwrap();
+        let fresh = shared_pattern(&other);
+        assert!(!Arc::ptr_eq(&fresh, &model));
+        assert!(Arc::ptr_eq(
+            &fresh,
+            other.stamped().model().cholesky_pattern().unwrap()
+        ));
     }
 
     #[test]

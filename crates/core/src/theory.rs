@@ -64,7 +64,7 @@ impl TheoryReport {
 /// Never fails for a validly constructed system; the signature allows the
 /// linear algebra to report breakage.
 pub fn check_lemma1(system: &CoolingSystem) -> Result<TheoryReport, OptError> {
-    let g = system.stamped().model().g_matrix();
+    let g = &system.stamped().model().g_matrix().to_dense();
     if let Err(v) = check_stieltjes(g, 1e-9) {
         return Ok(TheoryReport::refuted(
             "Lemma 1",
@@ -97,9 +97,8 @@ pub fn check_lemma2(
     pairs: &[(usize, usize)],
 ) -> Result<TheoryReport, OptError> {
     let lim = runaway_limit(system, 1e-12)?;
-    let g = system.stamped().model().g_matrix();
+    let mut a = system.stamped().model().g_matrix().to_dense();
     let d = system.stamped().d_diagonal();
-    let mut a = g.clone();
     a.add_scaled_diagonal(d, -lim.lambda().value())
         .map_err(tecopt_thermal::ThermalError::from)?;
     // Work in log space: raw determinants of hundreds of conductance

@@ -37,12 +37,12 @@ use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+#[cfg(test)]
 use std::sync::Arc;
 
 use crate::parallel::panic_message;
 use crate::supervise::{fingerprint, hex_f64, parse_hex_f64, RunContext, CHECKPOINT_HEADER};
 use crate::{CoolingSystem, OptError};
-use tecopt_linalg::CholeskyPattern;
 use tecopt_thermal::transient::BackwardEuler;
 use tecopt_thermal::ThermalError;
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -480,10 +480,6 @@ pub struct TransientSimulator {
     /// `false` switches to the refactor-per-step oracle path, kept only
     /// as an equivalence reference and a benchmark baseline.
     reuse_factorization: bool,
-    /// Cholesky pattern of `C/Δt + G − i·D`, analysed on the first
-    /// factorization and shared by every current and both paths: `D` and
-    /// `C/Δt` are diagonal, so the nonzero pattern is the network's.
-    pattern: Option<Arc<CholeskyPattern>>,
     /// Optional solve-site guard enforcing `i < λ_m` at every step.
     guard: Option<SolveGuard>,
 }
@@ -511,7 +507,6 @@ impl TransientSimulator {
             time: 0.0,
             cache: std::collections::HashMap::new(),
             reuse_factorization: true,
-            pattern: None,
             guard: None,
         })
     }
@@ -673,20 +668,25 @@ impl TransientSimulator {
         })
     }
 
-    /// Factors the backward-Euler stepper at `current` on the simulator's
-    /// shared pattern, analysing it on first use.
-    fn stepper(&mut self, current: Amperes) -> Result<BackwardEuler, OptError> {
-        let a = self.system.stamped().system_matrix(current)?;
-        let pattern = match &self.pattern {
-            Some(p) => Arc::clone(p),
-            None => {
-                let p = Arc::new(CholeskyPattern::analyse(&a)?);
-                self.pattern = Some(Arc::clone(&p));
-                p
-            }
-        };
-        BackwardEuler::with_pattern(&pattern, &a, &self.capacitance, self.dt)
-            .map_err(OptError::from)
+    /// The Cholesky patterns of the cached steppers (for the pattern-sharing
+    /// tests).
+    #[cfg(test)]
+    pub(crate) fn cached_patterns(&self) -> Vec<Arc<tecopt_linalg::CholeskyPattern>> {
+        self.cache
+            .values()
+            .map(|stepper| Arc::clone(stepper.pattern()))
+            .collect()
+    }
+
+    /// Factors the backward-Euler stepper at `current` on the network's
+    /// Cholesky pattern (the model's, shared with every steady solver of
+    /// the system): `D` and `C/Δt` are diagonal, so `C/Δt + G − i·D` has
+    /// the structure of `G` at every current.
+    fn stepper(&self, current: Amperes) -> Result<BackwardEuler, OptError> {
+        let stamped = self.system.stamped();
+        let a = stamped.sparse_system_matrix(current)?;
+        let pattern = stamped.model().cholesky_pattern()?;
+        BackwardEuler::with_pattern(pattern, &a, &self.capacitance, self.dt).map_err(OptError::from)
     }
 
     /// Runs for `duration` seconds under a controller, with constant tile

@@ -12,7 +12,7 @@
 //!   vector `p(i)`.
 
 use crate::{DeviceError, TecParams};
-use tecopt_linalg::DenseMatrix;
+use tecopt_linalg::{CsrMatrix, DenseMatrix};
 use tecopt_thermal::{CompactModel, PackageConfig, ThermalError, TileIndex};
 use tecopt_units::{Amperes, Kelvin, Watts};
 
@@ -133,12 +133,29 @@ impl StampedSystem {
         &self.junctions
     }
 
-    /// The system matrix `G − i·D`.
+    /// The system matrix `G − i·D` as a dense `n×n` matrix, for the dense
+    /// oracles, the robust fallback chain and callers that want one. The
+    /// solve paths use [`StampedSystem::sparse_system_matrix`] or a
+    /// [`SolveWorkspace`]; all three hold bit-identical values.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::NegativeCurrent`] for `i < 0`.
     pub fn system_matrix(&self, current: Amperes) -> Result<DenseMatrix, DeviceError> {
+        let i = nonnegative(current)?;
+        let mut m = self.model.g_matrix().to_dense();
+        m.add_scaled_diagonal(&self.d_diagonal, -i)
+            .map_err(ThermalError::from)?;
+        Ok(m)
+    }
+
+    /// The system matrix `G − i·D` in CSR, with the structure of `G` (so
+    /// it factors on the model's Cholesky pattern).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::NegativeCurrent`] for `i < 0`.
+    pub fn sparse_system_matrix(&self, current: Amperes) -> Result<CsrMatrix, DeviceError> {
         let i = nonnegative(current)?;
         let mut m = self.model.g_matrix().clone();
         m.add_scaled_diagonal(&self.d_diagonal, -i)
@@ -169,13 +186,16 @@ impl StampedSystem {
 
     /// Builds a reusable solve workspace for this system and power profile.
     ///
-    /// The workspace assembles `G` and the base power vector `p(0)` **once**;
-    /// every subsequent operating point is reached by overwriting the few
-    /// diagonal entries `D` touches and the Joule entries of `p` in place —
-    /// `O(#devices)` per probe instead of the `O(n²)` clone-and-restamp of
-    /// [`StampedSystem::system_matrix`]. This is what makes current sweeps
-    /// (λ_m bisection, golden section, designer candidate evaluation)
-    /// allocation-free between probes.
+    /// The workspace copies the CSR `G` (`O(nnz)`) and the base power
+    /// vector `p(0)` **once**, and records where each diagonal entry `D`
+    /// touches is stored. Every later operating point overwrites those few
+    /// values and the Joule entries of `p` in place: `O(#devices)` per
+    /// probe, where [`StampedSystem::system_matrix`] pays `O(n²)`. The
+    /// matrix keeps the structure of `G`, so the sparse Cholesky factors it
+    /// on the model's pattern after one `O(nnz)` structure check. This is
+    /// what makes current sweeps (λ_m bisection, golden section, designer
+    /// candidate evaluation) allocation-free between probes, up to the
+    /// factor itself.
     ///
     /// # Errors
     ///
@@ -183,19 +203,28 @@ impl StampedSystem {
     pub fn solve_workspace(&self, silicon_powers: &[Watts]) -> Result<SolveWorkspace, DeviceError> {
         let matrix = self.model.g_matrix().clone();
         let base_power = self.model.power_vector(silicon_powers)?;
-        // Only nodes with a nonzero D entry ever change in the matrix.
-        let shift_nodes: Vec<usize> = self
+        // Only nodes with a nonzero D entry ever change in the matrix; the
+        // assembly stores every diagonal, so each has a slot.
+        let mut shift_nodes = Vec::new();
+        let mut shift_slots = Vec::new();
+        for (k, _) in self
             .d_diagonal
             .iter()
             .enumerate()
             .filter(|(_, &d)| d != 0.0)
-            .map(|(k, _)| k)
-            .collect();
-        let base_diag: Vec<f64> = shift_nodes.iter().map(|&k| matrix[(k, k)]).collect();
+        {
+            let slot = matrix.diagonal_offset(k).ok_or_else(|| {
+                ThermalError::InvalidConfig(format!("G stores no diagonal entry at node {k}"))
+            })?;
+            shift_nodes.push(k);
+            shift_slots.push(slot);
+        }
+        let base_diag: Vec<f64> = shift_slots.iter().map(|&t| matrix.values()[t]).collect();
         let shift_d: Vec<f64> = shift_nodes.iter().map(|&k| self.d_diagonal[k]).collect();
         let power = base_power.clone();
         Ok(SolveWorkspace {
             matrix,
+            shift_slots,
             base_diag,
             shift_nodes,
             shift_d,
@@ -252,15 +281,19 @@ impl StampedSystem {
     }
 }
 
-/// A preassembled `(G − i·D, p(i))` pair that is retargeted to a new supply
-/// current in `O(#devices)` — see [`StampedSystem::solve_workspace`].
+/// A preassembled `(G − i·D, p(i))` pair, the matrix in CSR with the
+/// structure of `G`, that is retargeted to a new supply current in
+/// `O(#devices)` — see [`StampedSystem::solve_workspace`]. A clone costs
+/// `O(nnz)`.
 ///
 /// The matrix produced for a given current is bit-identical to the one
 /// [`StampedSystem::system_matrix`] assembles from scratch, so solver
 /// results are unchanged; only the per-probe cost drops.
 #[derive(Debug, Clone)]
 pub struct SolveWorkspace {
-    matrix: DenseMatrix,
+    matrix: CsrMatrix,
+    /// Offsets of the diagonal entries at `shift_nodes` in the CSR values.
+    shift_slots: Vec<usize>,
     /// Unshifted `G` diagonal values at `shift_nodes`, in the same order.
     base_diag: Vec<f64>,
     /// Nodes where `D` is nonzero (hot/cold junctions).
@@ -287,13 +320,14 @@ impl SolveWorkspace {
     /// current (the workspace is left at its previous operating point).
     pub fn set_current(&mut self, current: Amperes) -> Result<(), DeviceError> {
         let i = nonnegative(current)?;
-        for ((&k, &g_kk), &d_k) in self
-            .shift_nodes
+        let values = self.matrix.values_mut();
+        for ((&slot, &g_kk), &d_k) in self
+            .shift_slots
             .iter()
             .zip(&self.base_diag)
             .zip(&self.shift_d)
         {
-            self.matrix[(k, k)] = g_kk - i * d_k;
+            values[slot] = g_kk - i * d_k;
         }
         self.power.copy_from_slice(&self.base_power);
         let joule = self.half_resistance * i * i;
@@ -304,8 +338,9 @@ impl SolveWorkspace {
         Ok(())
     }
 
-    /// The system matrix `G − i·D` at the last-set current.
-    pub fn matrix(&self) -> &DenseMatrix {
+    /// The system matrix `G − i·D` at the last-set current, in CSR with
+    /// the structure of `G`.
+    pub fn matrix(&self) -> &CsrMatrix {
         &self.matrix
     }
 
@@ -322,17 +357,6 @@ impl SolveWorkspace {
     /// Matrix dimension (node count).
     pub fn dim(&self) -> usize {
         self.matrix.rows()
-    }
-
-    /// Nodes whose diagonal entries depend on the current (the nonzero
-    /// support of `D`), with their `D` values — what a sparse mirror needs
-    /// to stay in sync via `CsrMatrix::set_diagonal_entry`.
-    pub fn shifted_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.shift_nodes
-            .iter()
-            .zip(&self.base_diag)
-            .zip(&self.shift_d)
-            .map(move |((&k, &g_kk), &d_k)| (k, g_kk - self.current * d_k))
     }
 
     /// The placement's rank-k structure as seen by this workspace — same
@@ -449,7 +473,7 @@ mod tests {
         assert!(s.d_diagonal().iter().all(|&x| x == 0.0));
         assert!(s.joule_nodes().is_empty());
         let m = s.system_matrix(Amperes(10.0)).unwrap();
-        assert_eq!(m, *s.model().g_matrix());
+        assert_eq!(m, s.model().g_matrix().to_dense());
     }
 
     #[test]
@@ -570,16 +594,28 @@ mod tests {
             ws.set_current(Amperes(i)).unwrap();
             let m = s.system_matrix(Amperes(i)).unwrap();
             let p = s.power_vector(&powers, Amperes(i)).unwrap();
-            assert_eq!(ws.matrix().as_slice(), m.as_slice(), "matrix at i = {i}");
+            assert_eq!(
+                ws.matrix().to_dense().as_slice(),
+                m.as_slice(),
+                "matrix at i = {i}"
+            );
+            let sparse = s.sparse_system_matrix(Amperes(i)).unwrap();
+            assert_eq!(ws.matrix(), &sparse, "sparse matrix at i = {i}");
             assert_eq!(ws.power(), &p[..], "power at i = {i}");
             assert_eq!(ws.current(), Amperes(i));
         }
         assert_eq!(ws.dim(), s.model().node_count());
-        // Shifted entries cover exactly the junction nodes.
-        let shifted: Vec<usize> = ws.shifted_entries().map(|(k, _)| k).collect();
-        assert_eq!(shifted.len(), 4);
+        // The structure is G's: retargeting only rewrites values.
+        assert_eq!(ws.matrix().row_ptr(), s.model().g_matrix().row_ptr());
+        assert_eq!(
+            ws.matrix().col_indices(),
+            s.model().g_matrix().col_indices()
+        );
+        // Shifted nodes are exactly the junction nodes.
+        let shifted = ws.placement_delta();
+        assert_eq!(shifted.rank(), 4);
         for &(cold, hot) in s.junctions() {
-            assert!(shifted.contains(&cold) && shifted.contains(&hot));
+            assert!(shifted.nodes().contains(&cold) && shifted.nodes().contains(&hot));
         }
     }
 
@@ -592,7 +628,7 @@ mod tests {
         assert!(delta.nodes().windows(2).all(|w| w[0] < w[1]));
         // G plus the structured deltas equals the stamped G - iD exactly.
         let i = Amperes(2.5);
-        let mut rebuilt = s.model().g_matrix().clone();
+        let mut rebuilt = s.model().g_matrix().to_dense();
         for (k, d) in delta.deltas_at(i) {
             rebuilt[(k, k)] += d;
         }

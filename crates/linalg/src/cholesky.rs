@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::{DenseMatrix, LinalgError};
+use crate::{CsrMatrix, DenseMatrix, LinalgError};
 
 /// Sentinel "no node" in the elimination tree.
 const NONE: usize = usize::MAX;
@@ -9,29 +9,36 @@ const NONE: usize = usize::MAX;
 /// fill-reducing elimination order, the elimination tree, and the column
 /// structure of the factor `L`.
 ///
-/// The analysis depends only on *where* the matrix is nonzero, never on the
-/// values, so one pattern serves every matrix with the same nonzero graph.
-/// For the thermal systems of the paper that is every operating point of a
-/// network: `D` (the Peltier term of `G − i·D`) and the backward-Euler mass
-/// term `C/Δt` are diagonal, and the diagonal is always part of the
-/// pattern. Share it through an [`Arc`] and factor with
-/// [`Cholesky::factor_with`]; the ordering then costs once per network
+/// The analysis depends only on the *structure* of the lower triangle,
+/// never on the values, so one pattern serves every matrix with the same
+/// structure. For the thermal systems of the paper that is every operating
+/// point of a network: `D` (the Peltier term of `G − i·D`) and the
+/// backward-Euler mass term `C/Δt` are diagonal, and the diagonal is always
+/// part of the pattern. The compact model analyses its `G` once and shares
+/// the pattern through an [`Arc`] with every solver, transient stepper and
+/// passive solve of that network, which all factor with
+/// [`Cholesky::factor_csr_with`]; the ordering then costs once per network
 /// instead of once per factorization.
 ///
 /// The ordering is an approximate minimum-degree ordering on the quotient
 /// graph: at every step the node of least (approximate) degree is
 /// eliminated, ties broken by the lowest original index. It is
-/// deterministic, so two analyses of one matrix agree bit for bit and so do
-/// the factors built on them.
+/// deterministic, so two analyses of one structure agree bit for bit and so
+/// do the factors built on them.
 #[derive(Debug)]
 pub struct CholeskyPattern {
     n: usize,
     /// `perm[k]` is the original index of the `k`-th pivot.
     perm: Vec<usize>,
+    /// The lower-triangle structure this pattern covers: row `r` holds the
+    /// strictly lower columns `lo_col[lo_ptr[r]..lo_ptr[r + 1] - 1]`
+    /// (ascending) and then `r` itself.
+    lo_ptr: Vec<usize>,
+    lo_col: Vec<usize>,
     /// Gather map of the permuted upper triangle: pivot column `k` reads
     /// the entries `a_ptr[k]..a_ptr[k + 1]`, each a permuted row `≤ k`
-    /// (`a_row`) and a row-major offset into the lower triangle of the
-    /// original matrix (`a_src`). The diagonal is always present.
+    /// (`a_row`) and a position in the lower-triangle structure
+    /// (`a_src`). The diagonal is always present.
     a_ptr: Vec<usize>,
     a_row: Vec<usize>,
     a_src: Vec<usize>,
@@ -49,33 +56,48 @@ pub struct CholeskyPattern {
 }
 
 impl CholeskyPattern {
-    /// Analyses the nonzero pattern of the lower triangle of `a` (plus the
-    /// full diagonal).
+    /// Analyses the nonzero pattern of the lower triangle of the dense `a`
+    /// (plus the full diagonal). Same analysis as
+    /// [`CholeskyPattern::analyse_csr`] of `a` with its zeros dropped.
     ///
     /// # Errors
     ///
     /// [`LinalgError::NotSquare`] if `a` is not square.
     pub fn analyse(a: &DenseMatrix) -> Result<CholeskyPattern, LinalgError> {
-        if !a.is_square() {
+        CholeskyPattern::analyse_csr(&lower_triangle(a)?)
+    }
+
+    /// Analyses the stored structure of the lower triangle of `a` (plus
+    /// the full diagonal) in `O(nnz)` before the ordering. Stored zeros
+    /// count as structure.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`] if `a` is not square.
+    pub fn analyse_csr(a: &CsrMatrix) -> Result<CholeskyPattern, LinalgError> {
+        if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
                 cols: a.cols(),
             });
         }
         let n = a.rows();
+        // Strictly lower entries, row-major with ascending columns, and
+        // where each sits in the lower-triangle structure.
         let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut edge_src: Vec<usize> = Vec::new();
+        let mut lo_ptr = Vec::with_capacity(n + 1);
+        let mut lo_col = Vec::with_capacity(a.nnz() / 2 + n);
+        lo_ptr.push(0);
         for r in 0..n {
-            // Most of a row is zero: skip all-zero blocks in one test.
-            for (b, block) in a.row(r)[..r].chunks(16).enumerate() {
-                if nonzeros(block) == 0 {
-                    continue;
-                }
-                for (off, &v) in block.iter().enumerate() {
-                    if v != 0.0 {
-                        edges.push((r, 16 * b + off));
-                    }
-                }
+            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
+            for &c in row.iter().take_while(|&&c| c < r) {
+                edges.push((r, c));
+                edge_src.push(lo_col.len());
+                lo_col.push(c);
             }
+            lo_col.push(r);
+            lo_ptr.push(lo_col.len());
         }
         let perm = approximate_minimum_degree(n, &edges);
         let mut iperm = vec![0; n];
@@ -84,13 +106,18 @@ impl CholeskyPattern {
         }
 
         // Permuted upper triangle, bucketed by column: (column, row,
-        // source offset), diagonal included.
+        // source position), diagonal first.
         let entries = (0..n)
-            .map(|r| (r, r))
-            .chain(edges.iter().copied())
-            .map(|(r, c)| {
+            .map(|r| (r, r, lo_ptr[r + 1] - 1))
+            .chain(
+                edges
+                    .iter()
+                    .zip(&edge_src)
+                    .map(|(&(r, c), &src)| (r, c, src)),
+            )
+            .map(|(r, c, src)| {
                 let (i, j) = (iperm[r], iperm[c]);
-                (i.max(j), i.min(j), r * n + c)
+                (i.max(j), i.min(j), src)
             });
         let mut a_ptr = vec![0; n + 1];
         for &(r, c) in &edges {
@@ -185,6 +212,8 @@ impl CholeskyPattern {
         Ok(CholeskyPattern {
             n,
             perm,
+            lo_ptr,
+            lo_col,
             a_ptr,
             a_row,
             a_src,
@@ -207,17 +236,102 @@ impl CholeskyPattern {
         &self.perm
     }
 
-    /// The original `(row, col)`, `row ≥ col`, of the first nonzero of `a`'s
-    /// lower triangle outside this pattern, if any.
-    fn first_outside(&self, a: &[f64]) -> Option<(usize, usize)> {
-        let mut inside = self.a_src.clone();
-        inside.sort_unstable();
-        (0..self.n)
-            .flat_map(|r| (0..=r).map(move |c| (r, c)))
-            .find(|&(r, c)| {
-                a[r * self.n + c] != 0.0 && inside.binary_search(&(r * self.n + c)).is_err()
-            })
+    /// Where the diagonal entry of row `r` sits in the lower-triangle
+    /// layout [`CholeskyPattern::gather`] produces.
+    pub(crate) fn diagonal_position(&self, r: usize) -> usize {
+        self.lo_ptr[r + 1] - 1
     }
+
+    /// The lower triangle of `a`, laid out by this pattern's structure, in
+    /// one `O(nnz)` merge of each row against the pattern's row.
+    ///
+    /// The strictly lower structures must be equal: an entry the pattern
+    /// does not cover would be dropped silently, and a pattern entry `a`
+    /// lacks means the pattern was analysed for another matrix. A missing
+    /// diagonal reads as zero.
+    pub(crate) fn gather(&self, a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
+        if a.rows() != a.cols() {
+            return Err(LinalgError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        if a.rows() != self.n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: self.n,
+                actual: a.rows(),
+            });
+        }
+        let outside = |r: usize, c: usize| {
+            LinalgError::InvalidInput(format!(
+                "entry ({r}, {c}) lies outside the analysed Cholesky pattern"
+            ))
+        };
+        let missing = |r: usize, c: usize| {
+            LinalgError::InvalidInput(format!(
+                "pattern entry ({r}, {c}) is missing from the matrix structure"
+            ))
+        };
+        let mut values = vec![0.0; self.lo_col.len()];
+        for r in 0..self.n {
+            let diag = self.lo_ptr[r + 1] - 1;
+            let mut q = self.lo_ptr[r];
+            for t in a.row_ptr()[r]..a.row_ptr()[r + 1] {
+                let c = a.col_indices()[t];
+                if c >= r {
+                    if c == r {
+                        values[diag] = a.values()[t];
+                    }
+                    break;
+                }
+                if q < diag && self.lo_col[q] < c {
+                    return Err(missing(r, self.lo_col[q]));
+                }
+                if q == diag || self.lo_col[q] != c {
+                    return Err(outside(r, c));
+                }
+                values[q] = a.values()[t];
+                q += 1;
+            }
+            if q < diag {
+                return Err(missing(r, self.lo_col[q]));
+            }
+        }
+        Ok(values)
+    }
+}
+
+/// The lower triangle (diagonal included) of the dense `a` as CSR, zeros
+/// dropped: the bridge from the dense entry points to the CSR analysis
+/// and factorization. Reads only the lower triangle, as they always have.
+fn lower_triangle(a: &DenseMatrix) -> Result<CsrMatrix, LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    let n = a.rows();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    row_ptr.push(0);
+    for r in 0..n {
+        // Most of a row is zero: skip all-zero blocks in one test.
+        for (b, block) in a.row(r)[..=r].chunks(16).enumerate() {
+            if nonzeros(block) == 0 {
+                continue;
+            }
+            for (off, &v) in block.iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(16 * b + off);
+                    values.push(v);
+                }
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    Ok(CsrMatrix::from_parts(n, n, row_ptr, col_idx, values))
 }
 
 /// Nonzero entries of `values` (NaN counts as nonzero).
@@ -450,9 +564,11 @@ impl Cholesky {
     ///
     /// Only the lower triangle of `a` is read; symmetry of the input is the
     /// caller's responsibility (the compact-model assembly guarantees it, and
-    /// [`DenseMatrix::is_symmetric`] is available for validation). Callers
-    /// factoring many matrices of one nonzero pattern should analyse it once
-    /// and use [`Cholesky::factor_with`]; the result is bit-identical.
+    /// [`DenseMatrix::is_symmetric`] is available for validation). The
+    /// lower triangle is converted to CSR and takes the path of
+    /// [`Cholesky::factor_csr`]. Callers factoring many matrices of one
+    /// structure should analyse it once and use
+    /// [`Cholesky::factor_csr_with`]; the result is bit-identical.
     ///
     /// # Errors
     ///
@@ -461,77 +577,91 @@ impl Cholesky {
     ///   positive — the signal used to detect thermal runaway (`i ≥ λ_m`).
     ///   `pivot` is the original index of the node whose pivot failed.
     pub fn factor(a: &DenseMatrix) -> Result<Cholesky, LinalgError> {
-        let pattern = Arc::new(CholeskyPattern::analyse(a)?);
-        Cholesky::numeric(pattern, a.as_slice())
+        Cholesky::factor_csr(&lower_triangle(a)?)
     }
 
-    /// Factors `a` on a pattern analysed before, gathering only the
-    /// pattern's entries.
+    /// Analyses and factors a symmetric positive-definite CSR matrix,
+    /// reading its lower triangle.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::factor`].
+    pub fn factor_csr(a: &CsrMatrix) -> Result<Cholesky, LinalgError> {
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(a)?);
+        Cholesky::factor_csr_with(&pattern, a)
+    }
+
+    /// Factors the dense `a` on a pattern analysed before: its lower
+    /// triangle is converted to CSR (zeros dropped) and takes the path of
+    /// [`Cholesky::factor_csr_with`].
     ///
     /// # Errors
     ///
     /// - [`LinalgError::NotSquare`] if `a` is not square, and
     ///   [`LinalgError::DimensionMismatch`] if its size differs from the
     ///   pattern's.
-    /// - [`LinalgError::InvalidInput`] if the lower triangle of `a` has a
-    ///   nonzero the pattern does not cover: the entry would otherwise be
-    ///   silently dropped.
+    /// - [`LinalgError::InvalidInput`] if the nonzeros of the strictly
+    ///   lower triangle of `a` are not exactly the pattern's entries: a
+    ///   nonzero the pattern does not cover would otherwise be silently
+    ///   dropped.
     /// - [`LinalgError::NotPositiveDefinite`] as for [`Cholesky::factor`].
     pub fn factor_with(
         pattern: &Arc<CholeskyPattern>,
         a: &DenseMatrix,
     ) -> Result<Cholesky, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if a.rows() != pattern.n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: pattern.n,
-                actual: a.rows(),
-            });
-        }
-        // Every pattern slot is a distinct lower-triangle position, so the
-        // two nonzero counts agree iff no nonzero lies outside the pattern.
-        let values = a.as_slice();
-        let total: usize = (0..pattern.n).map(|r| nonzeros(&a.row(r)[..=r])).sum();
-        let covered = pattern
-            .a_src
-            .iter()
-            .filter(|&&src| values[src] != 0.0)
-            .count();
-        if total != covered {
-            let (r, c) = pattern.first_outside(values).unwrap_or((0, 0));
-            return Err(LinalgError::InvalidInput(format!(
-                "nonzero entry ({r}, {c}) lies outside the analysed Cholesky pattern"
-            )));
-        }
-        Cholesky::numeric(Arc::clone(pattern), values)
+        Cholesky::factor_csr_with(pattern, &lower_triangle(a)?)
     }
 
-    /// Up-looking numeric factorization over `pattern` of the row-major
-    /// matrix `a`: row `k` of `L` is the solve of the leading `k×k` factor
-    /// against column `k` of the permuted matrix, walked over the
-    /// precomputed row structure.
-    fn numeric(pattern: Arc<CholeskyPattern>, a: &[f64]) -> Result<Cholesky, LinalgError> {
+    /// Factors the CSR matrix `a` on a pattern analysed before: the
+    /// production path of every steady, transient and passive solve.
+    ///
+    /// The lower triangle of `a` must have exactly the pattern's structure
+    /// (the diagonal may be unstored, reading as zero). Checking that is one
+    /// `O(nnz)` merge, and the values are then gathered by position, so a
+    /// factorization costs nothing of order `n²`.
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::NotSquare`] / [`LinalgError::DimensionMismatch`]
+    ///   as for [`Cholesky::factor_with`].
+    /// - [`LinalgError::InvalidInput`] if the lower-triangle structure of
+    ///   `a` differs from the pattern's: an extra entry would be dropped
+    ///   silently, and a missing one means the pattern was analysed for a
+    ///   different matrix.
+    /// - [`LinalgError::NotPositiveDefinite`] as for [`Cholesky::factor`].
+    pub fn factor_csr_with(
+        pattern: &Arc<CholeskyPattern>,
+        a: &CsrMatrix,
+    ) -> Result<Cholesky, LinalgError> {
+        let values = pattern.gather(a)?;
+        Cholesky::numeric(Arc::clone(pattern), &values)
+    }
+
+    /// Up-looking numeric factorization over `pattern` of the lower
+    /// triangle `a`, laid out by the pattern's structure: row `k` of `L` is
+    /// the solve of the leading `k×k` factor against column `k` of the
+    /// permuted matrix, walked over the precomputed row structure.
+    pub(crate) fn numeric(
+        pattern: Arc<CholeskyPattern>,
+        a: &[f64],
+    ) -> Result<Cholesky, LinalgError> {
         let p = &*pattern;
         let mut lx = vec![0.0; p.l_row.len()];
         let mut x = vec![0.0; p.n];
         for k in 0..p.n {
-            for t in p.a_ptr[k]..p.a_ptr[k + 1] {
-                x[p.a_row[t]] = a[p.a_src[t]];
+            let entries = p.a_ptr[k]..p.a_ptr[k + 1];
+            for (&row, &src) in p.a_row[entries.clone()].iter().zip(&p.a_src[entries]) {
+                x[row] = a[src];
             }
             let mut diag = x[k];
             x[k] = 0.0;
-            for t in p.r_ptr[k]..p.r_ptr[k + 1] {
-                let j = p.r_col[t];
-                let slot = p.r_slot[t];
+            let row_k = p.r_ptr[k]..p.r_ptr[k + 1];
+            for (&j, &slot) in p.r_col[row_k.clone()].iter().zip(&p.r_slot[row_k]) {
                 let lkj = x[j] / lx[p.l_ptr[j]];
                 x[j] = 0.0;
-                for q in (p.l_ptr[j] + 1)..slot {
-                    x[p.l_row[q]] -= lx[q] * lkj;
+                let below = (p.l_ptr[j] + 1)..slot;
+                for (&row, &lij) in p.l_row[below.clone()].iter().zip(&lx[below]) {
+                    x[row] -= lij * lkj;
                 }
                 diag -= lkj * lkj;
                 lx[slot] = lkj;
@@ -849,6 +979,15 @@ mod tests {
         outside[(0, 4)] = -0.1;
         match Cholesky::factor_with(&pattern, &outside) {
             Err(LinalgError::InvalidInput(msg)) => assert!(msg.contains("(4, 0)"), "{msg}"),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        // A pattern entry the matrix lacks: the pattern is for another
+        // matrix, so the structures must match exactly.
+        let mut cut = a.clone();
+        cut[(3, 2)] = 0.0;
+        cut[(2, 3)] = 0.0;
+        match Cholesky::factor_with(&pattern, &cut) {
+            Err(LinalgError::InvalidInput(msg)) => assert!(msg.contains("(3, 2)"), "{msg}"),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
         assert!(matches!(

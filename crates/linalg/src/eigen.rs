@@ -9,17 +9,17 @@
 //! (Theorem 1) which it computes by *binary search on positive definiteness*
 //! of `G − i·D` with a Cholesky probe per step. [`generalized_pd_threshold`]
 //! runs that bracket policy with one factorization per search: `D` touches
-//! only the `k` TEC terminal nodes, so the Peltier-free block of `G` is
-//! factored once (sparse [`Cholesky`]) and every probe is a `k×k` Cholesky
-//! of the Schur complement on the Peltier nodes, on one pattern analysed
-//! per search. [`generalized_pd_threshold_dense`] keeps the paper's dense
+//! only the `k` TEC terminal nodes, so the Peltier-free block of the CSR `G`
+//! is gathered in `O(nnz)` and factored once (sparse [`Cholesky`]), and
+//! every probe is a `k×k` Cholesky of the Schur complement on the Peltier
+//! nodes, on one pattern analysed per search. [`generalized_pd_threshold_dense`] keeps the paper's dense
 //! per-probe factorization ([`DenseCholesky`]) as the slow oracle.
 //! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
 //! Conjecture-1 experiments and diagnostics.
 
 use std::sync::Arc;
 
-use crate::{Cholesky, CholeskyPattern, DenseCholesky, DenseMatrix, LinalgError};
+use crate::{Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError};
 
 /// Outcome of the positive-definiteness bisection for
 /// `λ_m = sup { i ≥ 0 : G − i·D is positive definite }`.
@@ -67,7 +67,7 @@ impl PdThreshold {
 ///   are spent before the bracket reaches `rel_tol` (see
 ///   [`generalized_pd_threshold_budgeted`] for a custom budget).
 pub fn generalized_pd_threshold(
-    g: &DenseMatrix,
+    g: &CsrMatrix,
     d: &[f64],
     rel_tol: f64,
 ) -> Result<PdThreshold, LinalgError> {
@@ -111,35 +111,80 @@ pub const DEFAULT_PROBE_BUDGET: usize = 4096;
 /// As [`generalized_pd_threshold`], with [`LinalgError::BudgetExhausted`]
 /// carrying `spent == budget == max_probes` once the cap is hit.
 pub fn generalized_pd_threshold_budgeted(
-    g: &DenseMatrix,
+    g: &CsrMatrix,
     d: &[f64],
     rel_tol: f64,
     max_probes: usize,
 ) -> Result<PdThreshold, LinalgError> {
-    validate_threshold_inputs(g, d, rel_tol, max_probes)?;
+    validate_threshold_inputs(g.rows(), g.cols(), d, rel_tol, max_probes)?;
     let (peltier, free): (Vec<usize>, Vec<usize>) = (0..d.len()).partition(|&k| d[k] != 0.0);
-    let g_aa = submatrix(g, &free, &free);
-    // The columns of G_AB, one per Peltier node.
-    let g_ab: Vec<Vec<f64>> = peltier
-        .iter()
-        .map(|&b| free.iter().map(|&a| g[(a, b)]).collect())
-        .collect();
-    // G ≻ 0 needs G_AA ≻ 0: a failure here is the i = 0 verdict.
-    let x = Cholesky::factor(&g_aa)
-        .map_err(|_| LinalgError::NotPositiveDefinite { pivot: 0 })?
-        .solve_many(&g_ab)?;
-    let mut s0 = submatrix(g, &peltier, &peltier);
-    for (r, g_ab_r) in g_ab.iter().enumerate() {
-        for (c, x_c) in x.iter().enumerate() {
-            s0[(r, c)] -= g_ab_r.iter().zip(x_c).map(|(u, v)| u * v).sum::<f64>();
+    // One pass over the stored entries: G_AA as CSR (the free nodes keep
+    // their relative order, so its rows stay sorted), the columns of G_AB,
+    // one per Peltier node, dense for the solve and as their few stored
+    // entries, and G_BB.
+    let mut slot = vec![0; d.len()];
+    for block in [&free, &peltier] {
+        for (s, &node) in block.iter().enumerate() {
+            slot[node] = s;
         }
     }
-    let d_b: Vec<f64> = peltier.iter().map(|&b| d[b]).collect();
-    let pattern = Arc::new(CholeskyPattern::analyse(&s0)?);
+    let mut aa_ptr = Vec::with_capacity(free.len() + 1);
+    let mut aa_col = Vec::with_capacity(g.nnz());
+    let mut aa_val = Vec::with_capacity(g.nnz());
+    aa_ptr.push(0);
+    let mut g_ab = vec![vec![0.0; free.len()]; peltier.len()];
+    let mut g_ab_stored: Vec<Vec<(usize, f64)>> = vec![Vec::new(); peltier.len()];
+    let mut s0 = DenseMatrix::zeros(peltier.len(), peltier.len());
+    for r in 0..g.rows() {
+        for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
+            let (c, v) = (g.col_indices()[t], g.values()[t]);
+            match (d[r] != 0.0, d[c] != 0.0) {
+                (false, false) => {
+                    aa_col.push(slot[c]);
+                    aa_val.push(v);
+                }
+                (false, true) => {
+                    g_ab[slot[c]][slot[r]] = v;
+                    g_ab_stored[slot[c]].push((slot[r], v));
+                }
+                (true, true) => s0[(slot[r], slot[c])] = v,
+                (true, false) => {}
+            }
+        }
+        if d[r] == 0.0 {
+            aa_ptr.push(aa_col.len());
+        }
+    }
+    let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
+    // G ≻ 0 needs G_AA ≻ 0: a failure here is the i = 0 verdict.
+    let x = Cholesky::factor_csr(&g_aa)
+        .map_err(|_| LinalgError::NotPositiveDefinite { pivot: 0 })?
+        .solve_many(&g_ab)?;
+    // S₀ −= G_BA·X over the stored entries only, in ascending order: the
+    // skipped terms are exact zeros, so the sums are those of the full dot
+    // products.
+    for (r, g_ab_r) in g_ab_stored.iter().enumerate() {
+        for (c, x_c) in x.iter().enumerate() {
+            s0[(r, c)] -= g_ab_r.iter().map(|&(a, u)| u * x_c[a]).sum::<f64>();
+        }
+    }
+    // Every probe factors S₀ − i·D_B on one pattern: the lower triangle of
+    // S₀ is laid out once, and a probe only shifts its diagonal
+    // (`s_kk += (−i)·d_k`, the arithmetic of `add_scaled_diagonal`).
+    let s0 = CsrMatrix::from_dense(&s0);
+    let pattern = Arc::new(CholeskyPattern::analyse_csr(&s0)?);
+    let lower = pattern.gather(&s0)?;
+    let shifts: Vec<(usize, f64)> = peltier
+        .iter()
+        .enumerate()
+        .map(|(r, &b)| (pattern.diagonal_position(r), d[b]))
+        .collect();
     bracket_pd_threshold(rel_tol, max_probes, |i| {
-        let mut m = s0.clone();
-        m.add_scaled_diagonal(&d_b, -i)?;
-        match Cholesky::factor_with(&pattern, &m) {
+        let mut m = lower.clone();
+        for &(slot, d_k) in &shifts {
+            m[slot] += -i * d_k;
+        }
+        match Cholesky::numeric(Arc::clone(&pattern), &m) {
             Ok(_) => Ok(true),
             Err(LinalgError::NotPositiveDefinite { .. }) => Ok(false),
             Err(e) => Err(e),
@@ -161,7 +206,7 @@ pub fn generalized_pd_threshold_dense(
     rel_tol: f64,
     max_probes: usize,
 ) -> Result<PdThreshold, LinalgError> {
-    validate_threshold_inputs(g, d, rel_tol, max_probes)?;
+    validate_threshold_inputs(g.rows(), g.cols(), d, rel_tol, max_probes)?;
     bracket_pd_threshold(rel_tol, max_probes, |i| {
         let mut m = g.clone();
         m.add_scaled_diagonal(d, -i)?;
@@ -169,16 +214,18 @@ pub fn generalized_pd_threshold_dense(
     })
 }
 
-/// The preconditions both searches share, checked in the same order.
+/// The preconditions both searches share, checked in the same order, for a
+/// `rows × cols` matrix `G`.
 fn validate_threshold_inputs(
-    g: &DenseMatrix,
+    rows: usize,
+    cols: usize,
     d: &[f64],
     rel_tol: f64,
     max_probes: usize,
 ) -> Result<(), LinalgError> {
-    if d.len() != g.rows() {
+    if d.len() != rows {
         return Err(LinalgError::DimensionMismatch {
-            expected: g.rows(),
+            expected: rows,
             actual: d.len(),
         });
     }
@@ -198,24 +245,10 @@ fn validate_threshold_inputs(
             budget: 0,
         });
     }
-    if !g.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: g.rows(),
-            cols: g.cols(),
-        });
+    if rows != cols {
+        return Err(LinalgError::NotSquare { rows, cols });
     }
     Ok(())
-}
-
-/// The rows `rows` and columns `cols` of `g` as a dense matrix.
-fn submatrix(g: &DenseMatrix, rows: &[usize], cols: &[usize]) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(rows.len(), cols.len());
-    for (r, &gr) in rows.iter().enumerate() {
-        for (c, &gc) in cols.iter().enumerate() {
-            out[(r, c)] = g[(gr, gc)];
-        }
-    }
-    out
 }
 
 /// The bracket policy of the `λ_m` search over a positive-definiteness
@@ -383,11 +416,15 @@ fn normalize(v: &mut [f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn csr(g: &DenseMatrix) -> CsrMatrix {
+        CsrMatrix::from_dense(g)
+    }
+
     #[test]
     fn pd_threshold_on_diagonal_case() {
         // G = diag(2, 4), D = diag(1, 1): threshold at i = 2.
         let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
-        let t = generalized_pd_threshold(&g, &[1.0, 1.0], 1e-10).unwrap();
+        let t = generalized_pd_threshold(&csr(&g), &[1.0, 1.0], 1e-10).unwrap();
         assert!((t.estimate() - 2.0).abs() < 1e-8);
         assert!(t.lower <= 2.0 && 2.0 <= t.upper);
     }
@@ -397,7 +434,7 @@ mod tests {
         // D with a negative entry only *helps* definiteness on that axis:
         // G = diag(2, 4), D = diag(1, -1): still limited by the first axis.
         let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
-        let t = generalized_pd_threshold(&g, &[1.0, -1.0], 1e-10).unwrap();
+        let t = generalized_pd_threshold(&csr(&g), &[1.0, -1.0], 1e-10).unwrap();
         assert!((t.estimate() - 2.0).abs() < 1e-8);
     }
 
@@ -407,37 +444,37 @@ mod tests {
         // lambda_m = min over x of xGx / x1^2. Parametrize x = (1, t):
         // f(t) = 3 - 2t + 3t^2 minimized at t = 1/3 -> f = 8/3.
         let g = DenseMatrix::from_rows(&[&[3.0, -1.0], &[-1.0, 3.0]]).unwrap();
-        let t = generalized_pd_threshold(&g, &[1.0, 0.0], 1e-12).unwrap();
+        let t = generalized_pd_threshold(&csr(&g), &[1.0, 0.0], 1e-12).unwrap();
         assert!((t.estimate() - 8.0 / 3.0).abs() < 1e-8);
     }
 
     #[test]
     fn pd_threshold_requires_positive_d_entry() {
         let g = DenseMatrix::identity(2);
-        let err = generalized_pd_threshold(&g, &[0.0, -1.0], 1e-9).unwrap_err();
+        let err = generalized_pd_threshold(&csr(&g), &[0.0, -1.0], 1e-9).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput(_)));
     }
 
     #[test]
     fn pd_threshold_rejects_indefinite_g() {
         let g = DenseMatrix::from_diagonal(&[-1.0, 1.0]);
-        let err = generalized_pd_threshold(&g, &[1.0, 1.0], 1e-9).unwrap_err();
+        let err = generalized_pd_threshold(&csr(&g), &[1.0, 1.0], 1e-9).unwrap_err();
         assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
     }
 
     #[test]
     fn pd_threshold_validates_inputs() {
         let g = DenseMatrix::identity(2);
-        assert!(generalized_pd_threshold(&g, &[1.0], 1e-9).is_err());
-        assert!(generalized_pd_threshold(&g, &[1.0, 1.0], 0.0).is_err());
-        assert!(generalized_pd_threshold(&g, &[1.0, 1.0], 1.5).is_err());
+        assert!(generalized_pd_threshold(&csr(&g), &[1.0], 1e-9).is_err());
+        assert!(generalized_pd_threshold(&csr(&g), &[1.0, 1.0], 0.0).is_err());
+        assert!(generalized_pd_threshold(&csr(&g), &[1.0, 1.0], 1.5).is_err());
     }
 
     #[test]
     fn pd_threshold_budget_exhaustion_is_an_error_not_a_hang() {
         let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
         // Three probes are not enough to even finish bracketing to i = 2.
-        let err = generalized_pd_threshold_budgeted(&g, &[1.0, 1.0], 1e-12, 3).unwrap_err();
+        let err = generalized_pd_threshold_budgeted(&csr(&g), &[1.0, 1.0], 1e-12, 3).unwrap_err();
         assert_eq!(
             err,
             LinalgError::BudgetExhausted {
@@ -445,7 +482,7 @@ mod tests {
                 budget: 3
             }
         );
-        let err = generalized_pd_threshold_budgeted(&g, &[1.0, 1.0], 1e-12, 0).unwrap_err();
+        let err = generalized_pd_threshold_budgeted(&csr(&g), &[1.0, 1.0], 1e-12, 0).unwrap_err();
         assert!(matches!(
             err,
             LinalgError::BudgetExhausted { budget: 0, .. }
@@ -458,7 +495,8 @@ mod tests {
         // one ULP and must stop via the midpoint fixed-point guard instead of
         // spinning until the probe budget trips.
         let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
-        let t = generalized_pd_threshold_budgeted(&g, &[1.0, 1.0], 1e-300, usize::MAX).unwrap();
+        let t =
+            generalized_pd_threshold_budgeted(&csr(&g), &[1.0, 1.0], 1e-300, usize::MAX).unwrap();
         assert!(t.probes < 200, "spent {} probes", t.probes);
         assert!((t.estimate() - 2.0).abs() < 1e-9);
     }
@@ -466,17 +504,19 @@ mod tests {
     #[test]
     fn default_budget_covers_legitimate_searches() {
         let g = DenseMatrix::from_diagonal(&[2.0, 4.0]);
-        let t = generalized_pd_threshold(&g, &[1.0, 1.0], 1e-15).unwrap();
+        let t = generalized_pd_threshold(&csr(&g), &[1.0, 1.0], 1e-15).unwrap();
         assert!(t.probes < DEFAULT_PROBE_BUDGET / 10);
     }
 
     #[test]
     fn dense_oracle_validates_like_the_schur_search() {
+        type Search = dyn Fn(&DenseMatrix, &[f64], f64, usize) -> Result<PdThreshold, LinalgError>;
+        let schur = |g: &DenseMatrix, d: &[f64], tol: f64, probes: usize| {
+            generalized_pd_threshold_budgeted(&csr(g), d, tol, probes)
+        };
         let g = DenseMatrix::identity(2);
-        for search in [
-            generalized_pd_threshold_budgeted,
-            generalized_pd_threshold_dense,
-        ] {
+        let searches: [&Search; 2] = [&schur, &generalized_pd_threshold_dense];
+        for search in searches {
             assert!(matches!(
                 search(&g, &[1.0], 1e-9, 100),
                 Err(LinalgError::DimensionMismatch { .. })
@@ -555,7 +595,7 @@ mod tests {
                 _ => 0.0,
             })
             .collect();
-        let t = generalized_pd_threshold(&g, &d, 1e-11).unwrap();
+        let t = generalized_pd_threshold(&csr(&g), &d, 1e-11).unwrap();
         // At the threshold, G - lambda*D should be singular: its smallest
         // eigenvalue is ~0.
         let mut m = g.clone();

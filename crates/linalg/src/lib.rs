@@ -14,7 +14,8 @@
 //!   paper's `λ_m` search, plus solves and inverses; [`DenseCholesky`]
 //!   keeps the paper's dense `O(n³)` kernel as the slow oracle,
 //! - [`Lu`] — partially pivoted LU for general systems and determinants,
-//! - [`CsrMatrix`] and [`conjugate_gradient`] — sparse kernels for the
+//! - [`CsrMatrix`] — the storage every conductance matrix is stamped into
+//!   and factored from, and with [`conjugate_gradient`] the kernel of the
 //!   fine-grid reference thermal solver,
 //! - [`SolverBackend`] / [`FactoredSystem`] — one interface over the
 //!   sparse Cholesky (what `Auto` picks at every size), the dense oracle,

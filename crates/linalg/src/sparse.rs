@@ -20,10 +20,15 @@ impl Triplet {
 
 /// Compressed sparse row matrix.
 ///
-/// Backs the fine-grid reference thermal solver, whose systems (tens of
-/// thousands of nodes, 7-point stencils) are too large for dense Cholesky but
-/// are symmetric positive definite and solve quickly with preconditioned
-/// conjugate gradients.
+/// The storage of every conductance matrix in the workspace: the compact
+/// thermal model stamps `G` straight into CSR (the matrix is ≈99 % zeros
+/// at package scale), the solver workspace retargets `G − i·D` by
+/// overwriting diagonal values in place, and the sparse [`Cholesky`]
+/// gathers its input from here. It also backs the fine-grid reference
+/// thermal solver, whose CG iterations need only [`CsrMatrix::mul_vec_into`].
+/// Column indices are strictly ascending within each row.
+///
+/// [`Cholesky`]: crate::Cholesky
 ///
 /// ```
 /// use tecopt_linalg::{CsrMatrix, Triplet};
@@ -51,6 +56,13 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Assembles a CSR matrix from coordinate triplets, summing duplicates.
     ///
+    /// The triplets are ordered by `(row, col)` with a stable sort, so the
+    /// duplicates of one entry are summed left to right in the order they
+    /// were given: `[a, b, c]` stores `(a + b) + c`. That is the order a
+    /// dense `+=` stamp loop accumulates in, so a network stamped either way
+    /// gives bit-identical values. Sums are stored even when they cancel to
+    /// zero: the structure depends only on which positions were stamped.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidInput`] if any index is out of bounds.
@@ -67,33 +79,39 @@ impl CsrMatrix {
                 )));
             }
         }
-        // Count entries per row (before dedup).
-        let mut sorted: Vec<&Triplet> = triplets.iter().collect();
-        sorted.sort_by_key(|t| (t.row, t.col));
-
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        let mut iter = sorted.into_iter().peekable();
+        // Bucket the entries by row (a stable counting sort), then sort
+        // each short row by column with a stable sort.
+        let mut start = vec![0usize; rows + 1];
+        for t in triplets {
+            start[t.row + 1] += 1;
+        }
         for r in 0..rows {
-            while let Some(t) = iter.peek() {
-                if t.row != r {
-                    break;
-                }
-                let Some(t) = iter.next() else {
-                    break; // unreachable: the peek above saw this entry
-                };
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut entries = vec![(0usize, 0.0f64); triplets.len()];
+        for t in triplets {
+            entries[next[t.row]] = (t.col, t.val);
+            next[t.row] += 1;
+        }
+        let mut row_ptr = vec![0usize; rows + 1];
+        let mut col_idx = Vec::with_capacity(triplets.len());
+        let mut values = Vec::with_capacity(triplets.len());
+        for r in 0..rows {
+            let row = &mut entries[start[r]..start[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            for &(c, v) in row.iter() {
                 // `row_ptr[r] < col_idx.len()` restricts the duplicate check
                 // to entries appended for the current row, so an equal
                 // column index in a *previous* row cannot absorb this value.
-                if row_ptr[r] < col_idx.len() && col_idx.last() == Some(&t.col) {
+                if row_ptr[r] < col_idx.len() && col_idx.last() == Some(&c) {
                     if let Some(last_v) = values.last_mut() {
-                        *last_v += t.val;
+                        *last_v += v;
                         continue;
                     }
                 }
-                col_idx.push(t.col);
-                values.push(t.val);
+                col_idx.push(c);
+                values.push(v);
             }
             row_ptr[r + 1] = col_idx.len();
         }
@@ -106,13 +124,31 @@ impl CsrMatrix {
         })
     }
 
+    /// Wraps raw CSR arrays the caller built in canonical form (row
+    /// pointers from 0 to `col_idx.len()`, strictly ascending columns per
+    /// row, one value per column index).
+    pub(crate) fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> CsrMatrix {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Compresses a dense matrix, dropping exact zeros.
     ///
-    /// This is the entry point of the sparse solver backend: compact thermal
-    /// models assemble `G` densely (stamping is simplest there) but at
-    /// package scale `G` is ≥ 99 % zeros, so the CG backend converts once
-    /// and then reuses the CSR copy across probes via
-    /// [`CsrMatrix::set_diagonal_entry`].
+    /// The bridge from the dense entry points ([`crate::FactoredSystem::factor`]
+    /// on the CG backend, the dense `λ_m` tests) to the sparse kernels.
     pub fn from_dense(a: &DenseMatrix) -> CsrMatrix {
         let (rows, cols) = (a.rows(), a.cols());
         let mut row_ptr = Vec::with_capacity(rows + 1);
@@ -135,6 +171,93 @@ impl CsrMatrix {
             col_idx,
             values,
         }
+    }
+
+    /// The dense copy of this matrix (unstored entries read as zero).
+    ///
+    /// For oracles, validation and the dense entry points only: at package
+    /// scale the copy is ~100× the size of the CSR storage.
+    pub fn to_dense(&self) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                a[(r, self.col_idx[k])] = self.values[k];
+            }
+        }
+        a
+    }
+
+    /// Row pointers: row `r` occupies `row_ptr()[r]..row_ptr()[r + 1]` of
+    /// [`CsrMatrix::col_indices`] and [`CsrMatrix::values`].
+    #[inline]
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// Column index of every stored entry, ascending within each row.
+    #[inline]
+    pub fn col_indices(&self) -> &[usize] {
+        &self.col_idx
+    }
+
+    /// Value of every stored entry, aligned with [`CsrMatrix::col_indices`].
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Mutable values. The structure stays fixed, so an offset found once
+    /// (e.g. by [`CsrMatrix::diagonal_offset`]) stays valid: this is how
+    /// the solver workspace retargets `G − i·D` in `O(#devices)`.
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// Offset of the stored diagonal entry `(k, k)` in
+    /// [`CsrMatrix::values`], or `None` if it is out of bounds or not
+    /// stored.
+    pub fn diagonal_offset(&self, k: usize) -> Option<usize> {
+        if k >= self.rows || k >= self.cols {
+            return None;
+        }
+        let start = self.row_ptr[k];
+        self.col_idx[start..self.row_ptr[k + 1]]
+            .binary_search(&k)
+            .ok()
+            .map(|pos| start + pos)
+    }
+
+    /// Adds `scale · diag[k]` to every diagonal entry — the sparse
+    /// counterpart of [`DenseMatrix::add_scaled_diagonal`], with the same
+    /// arithmetic (`a_kk += scale · d_k`), so both give bit-identical
+    /// values. A structurally absent diagonal is inserted when the shift is
+    /// nonzero (see [`CsrMatrix::set_diagonal_entry`]).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`] for a non-square matrix and
+    /// [`LinalgError::DimensionMismatch`] if `diag.len() != rows`.
+    pub fn add_scaled_diagonal(&mut self, diag: &[f64], scale: f64) -> Result<(), LinalgError> {
+        if self.rows != self.cols {
+            return Err(LinalgError::NotSquare {
+                rows: self.rows,
+                cols: self.cols,
+            });
+        }
+        if diag.len() != self.rows {
+            return Err(LinalgError::DimensionMismatch {
+                expected: self.rows,
+                actual: diag.len(),
+            });
+        }
+        for (k, &d) in diag.iter().enumerate() {
+            match self.diagonal_offset(k) {
+                Some(slot) => self.values[slot] += scale * d,
+                None => self.set_diagonal_entry(k, 0.0 + scale * d)?,
+            }
+        }
+        Ok(())
     }
 
     /// Sets the diagonal entry `(k, k)`, inserting it if structurally
@@ -324,6 +447,83 @@ mod tests {
         .unwrap();
         assert_eq!(a.get(0, 0), 3.5);
         assert_eq!(a.nnz(), 2);
+    }
+
+    #[test]
+    fn duplicates_are_summed_in_insertion_order() {
+        // (1e16 + 1) + (−1e16) = 0: the 1.0 is absorbed by 1e16 before the
+        // cancellation, as in a dense `+=` loop from zero; an order that
+        // cancels ±1e16 first gives 1.0. The bit-identity of sparse and
+        // dense assembly rests on this order. Entry (0, 1) takes the same
+        // values in an order whose reversal would also cancel first.
+        let t = |c, v| Triplet::new(1 - c, c, v);
+        let a = CsrMatrix::from_triplets(
+            2,
+            2,
+            &[
+                t(0, 1e16),
+                t(1, 1.0),
+                Triplet::new(0, 0, 2.0),
+                t(0, 1.0),
+                t(1, 1e16),
+                Triplet::new(1, 1, 3.0),
+                t(0, -1e16),
+                t(1, -1e16),
+            ],
+        )
+        .unwrap();
+        assert_eq!(a.get(1, 0).to_bits(), 0.0_f64.to_bits());
+        assert_eq!(a.get(0, 1).to_bits(), 0.0_f64.to_bits());
+        // A cancelled sum stays stored: the structure is what was stamped.
+        assert_eq!(a.nnz(), 4);
+        assert_eq!(a.col_indices(), &[0, 1, 0, 1]);
+        assert_eq!(a.row_ptr(), &[0, 2, 4]);
+        let mut dense = DenseMatrix::zeros(2, 2);
+        for v in [1e16, 1.0, -1e16] {
+            dense[(1, 0)] += v;
+        }
+        for v in [1.0, 1e16, -1e16] {
+            dense[(0, 1)] += v;
+        }
+        assert_eq!(a.to_dense().as_slice()[1..3], dense.as_slice()[1..3]);
+    }
+
+    #[test]
+    fn to_dense_and_diagonal_offsets() {
+        let a = laplacian_1d(3);
+        let d = a.to_dense();
+        assert_eq!(
+            d,
+            DenseMatrix::from_rows(&[&[2.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 2.0]])
+                .unwrap()
+        );
+        assert_eq!(a.diagonal_offset(0), Some(0));
+        assert_eq!(a.diagonal_offset(1), Some(3));
+        assert_eq!(a.diagonal_offset(3), None);
+        let holey = CsrMatrix::from_triplets(2, 2, &[Triplet::new(1, 0, 1.0)]).unwrap();
+        assert_eq!(holey.diagonal_offset(1), None);
+    }
+
+    #[test]
+    fn add_scaled_diagonal_matches_the_dense_arithmetic() {
+        let mut a = laplacian_1d(4);
+        let mut d = a.to_dense();
+        let shift = [0.3, -1.7, 0.0, 2.2];
+        a.add_scaled_diagonal(&shift, -0.1).unwrap();
+        d.add_scaled_diagonal(&shift, -0.1).unwrap();
+        assert_eq!(a.to_dense(), d);
+        assert_eq!(a.nnz(), 10);
+        // A missing diagonal is inserted only where the shift is nonzero.
+        let mut holey = CsrMatrix::from_triplets(2, 2, &[Triplet::new(1, 0, 1.0)]).unwrap();
+        holey.add_scaled_diagonal(&[0.0, 2.0], 1.0).unwrap();
+        assert_eq!(holey.nnz(), 2);
+        assert_eq!(holey.get(1, 1), 2.0);
+        assert!(holey.add_scaled_diagonal(&[1.0], 1.0).is_err());
+        let mut wide = CsrMatrix::from_triplets(1, 2, &[]).unwrap();
+        assert!(matches!(
+            wide.add_scaled_diagonal(&[1.0], 1.0),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]

@@ -11,6 +11,15 @@ use tecopt_linalg::{
     DenseCholesky, DenseMatrix, LinalgError, Lu, Triplet,
 };
 
+/// The nonzeros of `a` as triplets, row-major.
+fn triplets_of(a: &DenseMatrix) -> Vec<Triplet> {
+    (0..a.rows())
+        .flat_map(|r| (0..a.cols()).map(move |c| (r, c)))
+        .filter(|&(r, c)| a[(r, c)] != 0.0)
+        .map(|(r, c)| Triplet::new(r, c, a[(r, c)]))
+        .collect()
+}
+
 fn random_spd(seed: u64, dim: usize) -> DenseMatrix {
     // PD Stieltjes matrices are a convenient SPD family with exact
     // reproducibility.
@@ -72,7 +81,7 @@ proptest! {
         // minors A_kl are not.
         let g = random_spd(seed, 5);
         let d = [1.0, -1.0, 0.0, 1.0, 0.0];
-        let t = generalized_pd_threshold(&g, &d, 1e-12).unwrap();
+        let t = generalized_pd_threshold(&CsrMatrix::from_dense(&g), &d, 1e-12).unwrap();
         let mut a = g.clone();
         a.add_scaled_diagonal(&d, -t.estimate()).unwrap();
         let det_a = determinant(&a).unwrap();
@@ -86,7 +95,7 @@ proptest! {
     fn pd_threshold_brackets_are_tight_and_correct(seed in 0u64..2000, dim in 2usize..10) {
         let g = random_spd(seed, dim);
         let d: Vec<f64> = (0..dim).map(|k| if k % 2 == 0 { 1.0 } else { -0.5 }).collect();
-        let t = generalized_pd_threshold(&g, &d, 1e-9).unwrap();
+        let t = generalized_pd_threshold(&CsrMatrix::from_dense(&g), &d, 1e-9).unwrap();
         let mut below = g.clone();
         below.add_scaled_diagonal(&d, -t.lower).unwrap();
         prop_assert!(Cholesky::is_positive_definite(&below));
@@ -135,7 +144,7 @@ proptest! {
         }
         let tol = 1e-9;
         let dense = generalized_pd_threshold_dense(&g, &d, tol, DEFAULT_PROBE_BUDGET).unwrap();
-        let t = generalized_pd_threshold(&g, &d, tol).unwrap();
+        let t = generalized_pd_threshold(&CsrMatrix::from_dense(&g), &d, tol).unwrap();
         prop_assert!((t.lower - dense.lower).abs() <= tol * dense.upper,
             "lower {} vs dense {}", t.lower, dense.lower);
         prop_assert!((t.upper - dense.upper).abs() <= tol * dense.upper,
@@ -354,7 +363,7 @@ proptest! {
         let g = random_spd(seed, dim);
         let d: Vec<f64> = (0..dim).map(|k| 0.1 + k as f64).collect();
         let tol = 10f64.powf(log_tol);
-        match tecopt_linalg::eigen::generalized_pd_threshold_budgeted(&g, &d, tol, 512) {
+        match tecopt_linalg::eigen::generalized_pd_threshold_budgeted(&CsrMatrix::from_dense(&g), &d, tol, 512) {
             Ok(th) => prop_assert!(th.lower > 0.0 && th.lower <= th.upper),
             Err(tecopt_linalg::LinalgError::BudgetExhausted { spent, budget }) => {
                 prop_assert!(spent == budget && budget == 512);
@@ -485,6 +494,18 @@ proptest! {
         }
         prop_assert_eq!(pattern.permutation(), first.pattern().permutation());
 
+        // The CSR path: the same analysis, and a factor bit-identical to
+        // the dense `factor_with` on the shared pattern.
+        let csr = CsrMatrix::from_dense(&a);
+        let csr_pattern = Arc::new(CholeskyPattern::analyse_csr(&csr).unwrap());
+        prop_assert_eq!(csr_pattern.permutation(), pattern.permutation());
+        let on_csr = Cholesky::factor_csr_with(&pattern, &csr).unwrap();
+        let fresh_csr = Cholesky::factor_csr(&csr).unwrap();
+        for other in [&on_csr, &fresh_csr] {
+            prop_assert_eq!(bits(&other.solve(&b).unwrap()), x.clone());
+            prop_assert_eq!(other.log_det().to_bits(), reused.log_det().to_bits());
+        }
+
         // The first structurally zero lower entry, if any, made nonzero.
         let hole = (1..dim).flat_map(|r| (0..r).map(move |c| (r, c))).find(|&(r, c)| a[(r, c)] == 0.0);
         if let Some((r, c)) = hole {
@@ -492,6 +513,24 @@ proptest! {
             outside[(r, c)] = -1e-3;
             outside[(c, r)] = -1e-3;
             let got = Cholesky::factor_with(&pattern, &outside);
+            prop_assert!(matches!(got, Err(LinalgError::InvalidInput(_))), "{got:?}");
+            // The same extra entry in CSR, even stored as an explicit zero.
+            let mut t = triplets_of(&a);
+            t.push(Triplet::new(r, c, 0.0));
+            t.push(Triplet::new(c, r, 0.0));
+            let extra = CsrMatrix::from_triplets(dim, dim, &t).unwrap();
+            let got = Cholesky::factor_csr_with(&pattern, &extra);
+            prop_assert!(matches!(got, Err(LinalgError::InvalidInput(_))), "{got:?}");
+        }
+        // The first stored off-diagonal dropped from the CSR structure.
+        let stored = (1..dim).flat_map(|r| (0..r).map(move |c| (r, c))).find(|&(r, c)| a[(r, c)] != 0.0);
+        if let Some((r, c)) = stored {
+            let t: Vec<Triplet> = triplets_of(&a)
+                .into_iter()
+                .filter(|e| (e.row, e.col) != (r, c) && (e.row, e.col) != (c, r))
+                .collect();
+            let missing = CsrMatrix::from_triplets(dim, dim, &t).unwrap();
+            let got = Cholesky::factor_csr_with(&pattern, &missing);
             prop_assert!(matches!(got, Err(LinalgError::InvalidInput(_))), "{got:?}");
         }
     }

@@ -1,5 +1,5 @@
 use crate::{ThermalError, TileIndex};
-use tecopt_linalg::DenseMatrix;
+use tecopt_linalg::{CsrMatrix, DenseMatrix, Triplet};
 
 /// Opaque identifier of a node in a [`ThermalNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,9 +56,9 @@ pub enum NodeKind {
 /// net.add_conductance(a, b, 2.0);
 /// net.add_ambient_conductance(b, 1.0);
 /// let g = net.assemble();
-/// assert_eq!(g[(0, 0)], 2.0);
-/// assert_eq!(g[(0, 1)], -2.0);
-/// assert_eq!(g[(1, 1)], 3.0);
+/// assert_eq!(g.get(0, 0), 2.0);
+/// assert_eq!(g.get(0, 1), -2.0);
+/// assert_eq!(g.get(1, 1), 3.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ThermalNetwork {
@@ -141,8 +141,37 @@ impl ThermalNetwork {
         &self.ambient_legs
     }
 
-    /// Assembles the conductance matrix `G` (Expression 5 of the paper).
-    pub fn assemble(&self) -> DenseMatrix {
+    /// Assembles the conductance matrix `G` (Expression 5 of the paper)
+    /// straight into CSR.
+    ///
+    /// Every node's diagonal is stored, even where no stamp reaches it, and
+    /// each entry holds exactly the positions the stamps touch. The
+    /// stamps are emitted in the order [`ThermalNetwork::assemble_dense`]
+    /// applies them, starting every diagonal from `0.0`, and
+    /// [`CsrMatrix::from_triplets`] sums duplicates in that order, so every
+    /// value is bit-identical to the dense `+=` assembly.
+    pub fn assemble(&self) -> CsrMatrix {
+        let n = self.node_count();
+        let mut t = Vec::with_capacity(n + 4 * self.edges.len() + self.ambient_legs.len());
+        t.extend((0..n).map(|k| Triplet::new(k, k, 0.0)));
+        for &(a, b, v) in &self.edges {
+            t.push(Triplet::new(a, b, -v));
+            t.push(Triplet::new(b, a, -v));
+            t.push(Triplet::new(a, a, v));
+            t.push(Triplet::new(b, b, v));
+        }
+        for &(k, v) in &self.ambient_legs {
+            t.push(Triplet::new(k, k, v));
+        }
+        // Node ids are checked against the network when stamped.
+        #[allow(clippy::expect_used)]
+        CsrMatrix::from_triplets(n, n, &t).expect("stamps index nodes of this network")
+    }
+
+    /// The dense `n×n` assembly of `G`: the oracle the CSR
+    /// [`ThermalNetwork::assemble`] is tested against, bit for bit. No
+    /// solve path uses it.
+    pub fn assemble_dense(&self) -> DenseMatrix {
         let n = self.node_count();
         let mut g = DenseMatrix::zeros(n, n);
         for &(a, b, v) in &self.edges {
@@ -231,7 +260,8 @@ mod tests {
     #[test]
     fn assembly_matches_hand_computation() {
         let net = chain(3);
-        let g = net.assemble();
+        let g = net.assemble().to_dense();
+        assert_eq!(g, net.assemble_dense());
         assert_eq!(g[(0, 0)], 1.0);
         assert_eq!(g[(1, 1)], 2.0);
         assert_eq!(g[(2, 2)], 1.5);
@@ -243,7 +273,7 @@ mod tests {
     #[test]
     fn assembled_matrix_is_pd_stieltjes_and_irreducible() {
         let net = chain(6);
-        let g = net.assemble();
+        let g = net.assemble().to_dense();
         assert_eq!(check_stieltjes(&g, 1e-12), Ok(()));
         assert!(is_irreducible(&g));
     }
@@ -254,7 +284,7 @@ mod tests {
         let a = net.add_node(NodeKind::Spreader(0));
         let b = net.add_node(NodeKind::Spreader(1));
         net.add_conductance(a, b, 1.0);
-        let g = net.assemble();
+        let g = net.assemble().to_dense();
         assert!(!tecopt_linalg::Cholesky::is_positive_definite(&g));
         assert!(net.validate_grounding().is_err());
     }
@@ -282,9 +312,22 @@ mod tests {
         let b = net.add_node(NodeKind::Spreader(1));
         net.add_conductance(a, b, 1.0);
         net.add_conductance(a, b, 2.0);
-        let g = net.assemble();
+        let g = net.assemble().to_dense();
         assert_eq!(g[(0, 1)], -3.0);
         assert_eq!(g[(0, 0)], 3.0);
+    }
+
+    #[test]
+    fn every_diagonal_is_stored_even_unstamped() {
+        let mut net = chain(3);
+        let lone = net.add_node(NodeKind::Sink(0));
+        let g = net.assemble();
+        assert_eq!(
+            g.diagonal_offset(lone.index()).map(|k| g.values()[k]),
+            Some(0.0)
+        );
+        assert_eq!(g.nnz(), 4 + 2 * 2);
+        assert_eq!(g.to_dense(), net.assemble_dense());
     }
 
     #[test]

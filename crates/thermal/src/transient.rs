@@ -14,16 +14,19 @@
 //! `(C/Δt + A)·θ_{n+1} = p + (C/Δt)·θ_n`. The system matrix `A` may be the
 //! passive `G` or the active `G − i·D` at a fixed current; the higher-level
 //! `tecopt::transient` simulator re-factors when a controller changes the
-//! current, on one sparse Cholesky pattern ([`BackwardEuler::with_pattern`])
-//! shared by every current and step size of the network.
+//! current, on the network's one sparse Cholesky pattern
+//! ([`BackwardEuler::with_pattern`], taken from
+//! [`CompactModel::cholesky_pattern`](crate::CompactModel::cholesky_pattern))
+//! shared by every current and step size.
 //!
 //! ```
-//! use tecopt_linalg::DenseMatrix;
+//! use tecopt_linalg::{CsrMatrix, Triplet};
 //! use tecopt_thermal::transient::BackwardEuler;
 //!
 //! # fn main() -> Result<(), tecopt_thermal::ThermalError> {
 //! // A single RC node: C dθ/dt + g θ = p, time constant C/g = 1 s.
-//! let a = DenseMatrix::from_rows(&[&[2.0]]).map_err(tecopt_thermal::ThermalError::from)?;
+//! let a = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 2.0)])
+//!     .map_err(tecopt_thermal::ThermalError::from)?;
 //! let stepper = BackwardEuler::new(&a, &[2.0], 0.1)?;
 //! let mut theta = vec![0.0];
 //! for _ in 0..100 {
@@ -38,7 +41,7 @@
 use std::sync::Arc;
 
 use crate::ThermalError;
-use tecopt_linalg::{Cholesky, CholeskyPattern, DenseMatrix};
+use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix};
 
 /// A factored backward-Euler stepper for a fixed system matrix and step.
 #[derive(Debug, Clone)]
@@ -60,28 +63,25 @@ impl BackwardEuler {
     ///   *deeply* indefinite (far beyond runaway) relative to `C/Δt`; mild
     ///   super-runaway currents integrate fine and simply diverge in time,
     ///   which is the physical behaviour.
-    pub fn new(
-        a: &DenseMatrix,
-        capacitance: &[f64],
-        dt: f64,
-    ) -> Result<BackwardEuler, ThermalError> {
+    pub fn new(a: &CsrMatrix, capacitance: &[f64], dt: f64) -> Result<BackwardEuler, ThermalError> {
         let (m, c_over_dt) = Self::stepping_matrix(a, capacitance, dt)?;
-        let pattern = Arc::new(CholeskyPattern::analyse(&m).map_err(ThermalError::from)?);
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(&m).map_err(ThermalError::from)?);
         Self::factor(&pattern, &m, c_over_dt, dt)
     }
 
     /// [`BackwardEuler::new`] on a Cholesky pattern analysed before — from
-    /// `A` itself or any matrix of the same off-diagonal nonzeros, since
-    /// `C/Δt` is diagonal. The factor is bit-identical to the one
-    /// [`BackwardEuler::new`] builds on an equal pattern.
+    /// `A` itself or any matrix of the same off-diagonal structure (such as
+    /// the network's `G`), since `C/Δt` is diagonal. The factor is
+    /// bit-identical to the one [`BackwardEuler::new`] builds on an equal
+    /// pattern.
     ///
     /// # Errors
     ///
-    /// As [`BackwardEuler::new`], plus [`ThermalError::Linalg`] when `A`
-    /// has a nonzero outside `pattern`.
+    /// As [`BackwardEuler::new`], plus [`ThermalError::Linalg`] when the
+    /// lower-triangle structure of `A` differs from `pattern`'s.
     pub fn with_pattern(
         pattern: &Arc<CholeskyPattern>,
-        a: &DenseMatrix,
+        a: &CsrMatrix,
         capacitance: &[f64],
         dt: f64,
     ) -> Result<BackwardEuler, ThermalError> {
@@ -91,10 +91,10 @@ impl BackwardEuler {
 
     /// Validates the inputs and forms `C/Δt + A` and `C/Δt`.
     fn stepping_matrix(
-        a: &DenseMatrix,
+        a: &CsrMatrix,
         capacitance: &[f64],
         dt: f64,
-    ) -> Result<(DenseMatrix, Vec<f64>), ThermalError> {
+    ) -> Result<(CsrMatrix, Vec<f64>), ThermalError> {
         if dt <= 0.0 || !dt.is_finite() {
             return Err(ThermalError::InvalidConfig(format!(
                 "time step must be positive and finite, got {dt}"
@@ -121,11 +121,11 @@ impl BackwardEuler {
 
     fn factor(
         pattern: &Arc<CholeskyPattern>,
-        m: &DenseMatrix,
+        m: &CsrMatrix,
         c_over_dt: Vec<f64>,
         dt: f64,
     ) -> Result<BackwardEuler, ThermalError> {
-        let chol = Cholesky::factor_with(pattern, m).map_err(ThermalError::from)?;
+        let chol = Cholesky::factor_csr_with(pattern, m).map_err(ThermalError::from)?;
         Ok(BackwardEuler {
             chol,
             c_over_dt,
@@ -141,6 +141,11 @@ impl BackwardEuler {
     /// Number of nodes.
     pub fn dim(&self) -> usize {
         self.c_over_dt.len()
+    }
+
+    /// The Cholesky pattern this stepper was factored on.
+    pub fn pattern(&self) -> &Arc<CholeskyPattern> {
+        self.chol.pattern()
     }
 
     /// Advances one step: solves `(C/Δt + A)·θ' = p + (C/Δt)·θ`.
@@ -210,7 +215,7 @@ mod tests {
         let g = 0.5;
         let c = 2.0;
         let dt = 1e-3;
-        let a = DenseMatrix::from_rows(&[&[g]]).unwrap();
+        let a = CsrMatrix::from_dense(&tecopt_linalg::DenseMatrix::from_rows(&[&[g]]).unwrap());
         let stepper = BackwardEuler::new(&a, &[c], dt).unwrap();
         let mut theta = vec![1.0];
         let steps = 4000; // t = 4 s, one time constant = C/g = 4 s
@@ -283,7 +288,7 @@ mod tests {
 
     #[test]
     fn invalid_inputs_rejected() {
-        let a = DenseMatrix::identity(2);
+        let a = CsrMatrix::from_dense(&tecopt_linalg::DenseMatrix::identity(2));
         assert!(BackwardEuler::new(&a, &[1.0, 1.0], 0.0).is_err());
         assert!(BackwardEuler::new(&a, &[1.0], 0.1).is_err());
         assert!(BackwardEuler::new(&a, &[1.0, -1.0], 0.1).is_err());

@@ -43,9 +43,50 @@ proptest! {
     #[test]
     fn assembled_g_satisfies_lemma1(config in arbitrary_config()) {
         let model = CompactModel::new(&config).unwrap();
+        let g = model.g_matrix().to_dense();
+        prop_assert_eq!(check_stieltjes(&g, 1e-9), Ok(()));
+        prop_assert!(is_irreducible(&g));
+    }
+
+    /// The CSR assembly of G equals the dense-stamped oracle bit for bit,
+    /// stores every diagonal, and stores no zero off the diagonal, for any
+    /// package and any set of spliced tiles.
+    #[test]
+    fn csr_assembly_is_bit_identical_to_the_dense_oracle(
+        config in arbitrary_config(),
+        pick in proptest::collection::btree_set(0usize..36, 0..8),
+    ) {
+        let rows = config.grid().rows();
+        let cols = config.grid().cols();
+        let spec = TwoPortSpec {
+            lower_contact: WattsPerKelvin(0.02),
+            mid: WattsPerKelvin(0.04),
+            upper_contact: WattsPerKelvin(0.02),
+        };
+        let splices: Vec<(TileIndex, TwoPortSpec)> = pick
+            .into_iter()
+            .map(|k| TileIndex::new((k / cols) % rows, k % cols))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .map(|t| (t, spec))
+            .collect();
+        let model = CompactModel::with_two_ports(&config, &splices).unwrap();
         let g = model.g_matrix();
-        prop_assert_eq!(check_stieltjes(g, 1e-9), Ok(()));
-        prop_assert!(is_irreducible(g));
+        let oracle = model.network().assemble_dense();
+        let dense = g.to_dense();
+        prop_assert_eq!(dense.rows(), oracle.rows());
+        for (u, v) in dense.as_slice().iter().zip(oracle.as_slice()) {
+            prop_assert_eq!(u.to_bits(), v.to_bits());
+        }
+        let n = model.node_count();
+        for r in 0..n {
+            prop_assert!(g.diagonal_offset(r).is_some());
+        }
+        let stored_zeros = (0..n)
+            .flat_map(|r| (g.row_ptr()[r]..g.row_ptr()[r + 1]).map(move |t| (r, t)))
+            .filter(|&(r, t)| g.col_indices()[t] != r && g.values()[t] == 0.0)
+            .count();
+        prop_assert_eq!(stored_zeros, 0);
     }
 
     /// Zero power leaves every node exactly at ambient.
@@ -96,8 +137,9 @@ proptest! {
             .into_iter()
             .collect();
         let model = CompactModel::with_two_ports(&config, &splices).unwrap();
-        prop_assert_eq!(check_stieltjes(model.g_matrix(), 1e-9), Ok(()));
-        prop_assert!(is_irreducible(model.g_matrix()));
+        let g = model.g_matrix().to_dense();
+        prop_assert_eq!(check_stieltjes(&g, 1e-9), Ok(()));
+        prop_assert!(is_irreducible(&g));
         prop_assert_eq!(model.two_ports().len(), splices.len());
     }
 

@@ -97,7 +97,12 @@ fn every_linalg_error_variant_is_reachable() {
     // immediately instead of hanging.
     let g = fi::spd_matrix(3, 6);
     assert!(matches!(
-        eigen::generalized_pd_threshold_budgeted(&g, &[1.0, 1.0, 1.0], 1e-9, 0),
+        eigen::generalized_pd_threshold_budgeted(
+            &CsrMatrix::from_dense(&g),
+            &[1.0, 1.0, 1.0],
+            1e-9,
+            0
+        ),
         Err(LinalgError::BudgetExhausted {
             spent: 0,
             budget: 0

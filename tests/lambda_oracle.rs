@@ -49,7 +49,7 @@ fn system(powers: Vec<Watts>, tiles: &[TileIndex]) -> CoolingSystem {
 
 fn dense_oracle(system: &CoolingSystem, rel_tol: f64) -> PdThreshold {
     generalized_pd_threshold_dense(
-        system.stamped().model().g_matrix(),
+        &system.stamped().model().g_matrix().to_dense(),
         system.stamped().d_diagonal(),
         rel_tol,
         DEFAULT_PROBE_BUDGET,
@@ -135,7 +135,8 @@ fn two_pin_axis_limits_match_the_dense_oracle() {
         currents[group] = Amperes(0.0);
         let g_fixed = mp.system_matrix(&currents).unwrap();
         let dense =
-            generalized_pd_threshold_dense(&g_fixed, &d, 1e-9, DEFAULT_PROBE_BUDGET).unwrap();
+            generalized_pd_threshold_dense(&g_fixed.to_dense(), &d, 1e-9, DEFAULT_PROBE_BUDGET)
+                .unwrap();
         let limit = mp.axis_limit(&currents, group).unwrap();
         assert_eq!(
             limit.value().to_bits(),
