@@ -6,7 +6,9 @@
 //! ordering / factor / solve split of the sparse Cholesky against the
 //! dense kernel at 12×12, 32×32 and 64×64 tiles, and at the same sizes the
 //! sparse path from assembly to factor (CSR stamping, workspace build, CSR
-//! factor) against its dense oracles.
+//! factor) against its dense oracles, and the per-current cost of the two
+//! placement-factor plans (the `k×k` trailing block against the network's
+//! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,7 +18,7 @@ use tecopt::{CoolingSystem, PackageConfig, TecParams, TileIndex};
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, CgSettings, Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky,
-    FactoredSystem, ResolvedBackend, Triplet,
+    FactorPlan, FactoredSystem, ResolvedBackend, ShiftedCholesky, Triplet,
 };
 use tecopt_thermal::TileGrid;
 use tecopt_units::{Amperes, Meters, Watts};
@@ -245,11 +247,86 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-current cost of each placement-factor plan on the paper's 12×12
+/// package with 4, 14 and 144 devices (k = 8, 28, 288): retargeting the
+/// `k×k` trailing block and solving against a cached `y_A`, against a
+/// numeric factor of the whole network on its pattern plus one solve. The
+/// label names the plan the rule picks (`k³/3` against the flops of
+/// `G_AA`'s factor), so the crossover shows between k = 28 and 288.
+fn bench_placement_factor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("placement_factor");
+    group.sample_size(5);
+    group.measurement_time(Duration::from_millis(300));
+    let config = PackageConfig::hotspot41_like(12, 12).expect("package");
+    let all: Vec<TileIndex> = config.grid().tiles().collect();
+    for devices in [4usize, 14, 144] {
+        let mut powers = vec![Watts(0.05); all.len()];
+        powers[13] = Watts(0.6);
+        let system = CoolingSystem::new(
+            &config,
+            TecParams::superlattice_thin_film(),
+            &all[..devices],
+            powers,
+        )
+        .expect("system");
+        let stamped = system.stamped();
+        let g = stamped.model().g_matrix();
+        let d = stamped.d_diagonal();
+        let support: Vec<usize> = stamped
+            .junctions()
+            .iter()
+            .flat_map(|&(cold, hot)| [cold, hot])
+            .collect();
+        let k = support.len();
+        let network = || {
+            Ok(Arc::clone(
+                stamped.model().cholesky_pattern().expect("pattern"),
+            ))
+        };
+        let rule = stamped.placement_factor().expect("placement factor").plan();
+        let label = format!(
+            "k{k}_rule_{}",
+            if rule == FactorPlan::Network {
+                "network"
+            } else {
+                "block"
+            }
+        );
+        let block = Arc::new(
+            ShiftedCholesky::with_plan(g, d, &support, FactorPlan::TrailingBlock { k }, network)
+                .expect("trailing block"),
+        );
+        let whole = Arc::new(
+            ShiftedCholesky::with_plan(g, d, &support, FactorPlan::Network, network)
+                .expect("network"),
+        );
+        let i = 0.5 * block.pd_threshold(1e-6, 4096).expect("lambda_m").lower;
+        let p = stamped
+            .power_vector(system.tile_powers(), Amperes(i))
+            .expect("power");
+        let lead = block.leading_solve(&p).expect("leading solve");
+        group.bench_with_input(BenchmarkId::new("trailing_block", &label), &k, |b, _| {
+            b.iter(|| {
+                block
+                    .factor_at(i)
+                    .expect("pd")
+                    .solve_with(&lead, &p)
+                    .expect("solve")
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("network", &label), &k, |b, _| {
+            b.iter(|| whole.factor_at(i).expect("pd").solve(&p).expect("solve"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_solver,
     bench_backends,
     bench_sparse_cholesky,
-    bench_assembly
+    bench_assembly,
+    bench_placement_factor
 );
 criterion_main!(benches);

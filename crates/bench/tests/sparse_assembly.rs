@@ -4,14 +4,16 @@
 //!
 //! - the CSR `G` equals the dense-stamped `G` bit for bit,
 //! - the CSR and dense analyses give the same elimination order,
-//! - steady temperatures at three currents equal a dense-assembled
-//!   factor-and-solve bit for bit,
+//! - steady temperatures at three currents equal the same placement
+//!   factorization built on the dense-assembled `G` bit for bit, and a
+//!   whole-network Cholesky of the dense-assembled `G − i·D` to rounding,
 //! - the `runaway_limit` bracket equals the search run on the dense `G`.
 
+use std::sync::Arc;
 use tecopt::{runaway_limit, CoolingSystem, CurrentSettings, TileIndex};
 use tecopt_bench::all_benchmarks;
 use tecopt_linalg::eigen::generalized_pd_threshold;
-use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix};
+use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix, ShiftedCholesky};
 use tecopt_units::Amperes;
 
 const REFERENCE: &str = include_str!("../../../perfbench/reference/table1.tsv");
@@ -81,8 +83,21 @@ fn check_chip(name: &str, chip: &CoolingSystem) {
         let lambda = lim.feasible().value();
         vec![0.0, 0.4 * lambda, 0.9 * lambda]
     };
+    let dense_csr = CsrMatrix::from_dense(&dense_g);
+    let support: Vec<usize> = stamped
+        .junctions()
+        .iter()
+        .flat_map(|&(cold, hot)| [cold, hot])
+        .collect();
+    let family = Arc::new(
+        ShiftedCholesky::new(&dense_csr, stamped.d_diagonal(), &support, || {
+            Ok(Arc::new(CholeskyPattern::analyse(&dense_g)?))
+        })
+        .expect("placement factor of the dense G"),
+    );
     for i in currents {
         let state = system.solve(Amperes(i)).expect("steady state");
+        assert_eq!(system.factor_plan(), Some(family.plan()), "{name}: plan");
         let mut a = dense_g.clone();
         a.add_scaled_diagonal(stamped.d_diagonal(), -i)
             .expect("square");
@@ -90,13 +105,20 @@ fn check_chip(name: &str, chip: &CoolingSystem) {
         let p = stamped
             .power_vector(system.tile_powers(), Amperes(i))
             .expect("power");
-        let oracle = Cholesky::factor(&a).expect("pd").solve(&p).expect("solve");
+        let oracle = family.factor_at(i).expect("pd").solve(&p).expect("solve");
         let theta: Vec<f64> = state
             .node_temperatures()
             .iter()
             .map(|t| t.value())
             .collect();
         assert_eq!(bits(&theta), bits(&oracle), "{name}: theta at {i} A");
+        let network = Cholesky::factor(&a).expect("pd").solve(&p).expect("solve");
+        for (x, y) in theta.iter().zip(&network) {
+            assert!(
+                (x - y).abs() <= 1e-12 * y.abs(),
+                "{name}: theta at {i} A: {x} vs network factor {y}"
+            );
+        }
     }
 }
 

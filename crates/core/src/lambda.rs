@@ -6,13 +6,16 @@
 //! the package overheats without bound. The paper computes `λ_m` by binary
 //! search with a Cholesky positive-definiteness probe per step; this module
 //! wraps that search ([`tecopt_linalg::eigen::generalized_pd_threshold`])
-//! with the cooling-system plumbing. The search factors the Peltier-free
-//! block of `G` once and answers every probe with a `k×k` Cholesky of the
-//! Schur complement on the `k = 2 ×` devices TEC terminal nodes, so one
-//! search costs about one dense factorization.
+//! with the cooling-system plumbing. The search runs over the placement's
+//! own factorization ([`tecopt_device::StampedSystem::placement_factor`]):
+//! the Peltier-free block of `G` is factored once per placement and every
+//! probe is a `k×k` Cholesky of the Schur complement on the `k = 2 ×`
+//! devices TEC terminal nodes, the same factor every later steady solve of
+//! the placement refactors, so the search's verdict and the solves' cannot
+//! disagree at the boundary.
 
 use crate::{CoolingSystem, OptError};
-use tecopt_linalg::eigen::generalized_pd_threshold;
+use tecopt_linalg::eigen::DEFAULT_PROBE_BUDGET;
 use tecopt_units::Amperes;
 
 /// The computed runaway limit with search metadata.
@@ -71,18 +74,19 @@ impl RunawayLimit {
 /// - [`OptError::NoDevicesDeployed`] if no TEC is deployed (`D = 0`, the
 ///   system is passive and has no runaway limit).
 /// - [`OptError::InvalidParameter`] for a tolerance outside `(0, 1)`.
-/// - Linear-algebra failures if `G` itself is not positive definite
-///   (cannot happen for validly assembled packages).
+/// - Device or linear-algebra failures if `G` itself is not positive
+///   definite (cannot happen for validly assembled packages).
 pub fn runaway_limit(system: &CoolingSystem, rel_tol: f64) -> Result<RunawayLimit, OptError> {
     if system.device_count() == 0 {
         return Err(OptError::NoDevicesDeployed);
     }
-    let g = system.stamped().model().g_matrix();
-    let d = system.stamped().d_diagonal();
-    let t = generalized_pd_threshold(g, d, rel_tol).map_err(|e| match e {
-        tecopt_linalg::LinalgError::InvalidInput(msg) => OptError::InvalidParameter(msg),
-        other => OptError::Linalg(other),
-    })?;
+    let family = system.stamped().placement_factor()?;
+    let t = family
+        .pd_threshold(rel_tol, DEFAULT_PROBE_BUDGET)
+        .map_err(|e| match e {
+            tecopt_linalg::LinalgError::InvalidInput(msg) => OptError::InvalidParameter(msg),
+            other => OptError::Linalg(other),
+        })?;
     Ok(RunawayLimit {
         lower: t.lower,
         upper: t.upper,

@@ -108,6 +108,9 @@ pub use system::{CoolingSystem, FactorStrategy, SolvedState, SteadySolver};
 // supervisor share one token type.
 pub use tecopt_linalg::CancelToken;
 
+// What `CoolingSystem::factor_plan` reports.
+pub use tecopt_linalg::FactorPlan;
+
 // The substrate types a user of this crate inevitably touches.
 pub use tecopt_device::TecParams;
 pub use tecopt_thermal::{PackageConfig, TileIndex};

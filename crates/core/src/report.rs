@@ -1,5 +1,7 @@
-//! Table-I-style reporting and Fig.-7-style deployment maps.
+//! Table-I-style reporting, Fig.-7-style deployment maps, and the solver
+//! diagnostics of a placement.
 
+use crate::{CoolingSystem, FactorPlan};
 use tecopt_thermal::{TileGrid, TileIndex};
 use tecopt_units::{Amperes, Celsius, Watts};
 
@@ -158,10 +160,51 @@ pub fn temperature_map(grid: &TileGrid, temps: &[Celsius]) -> String {
     out
 }
 
+/// One line naming how a placement's steady solves and runaway search
+/// were factored: network size, devices, backend, and the plan of
+/// [`CoolingSystem::factor_plan`] (`trailing block (k = …)`, `network`, or
+/// `not built` before the first default-backend solve or `λ_m` search).
+pub fn solver_diagnostics(system: &CoolingSystem) -> String {
+    let plan = match system.factor_plan() {
+        Some(FactorPlan::TrailingBlock { k }) => format!("trailing block (k = {k})"),
+        Some(FactorPlan::Network) => "network".to_string(),
+        None => "not built".to_string(),
+    };
+    format!(
+        "n = {} nodes, {} TECs, backend {:?}, factor plan {plan}",
+        system.stamped().model().node_count(),
+        system.device_count(),
+        system.backend()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tecopt_device::TecParams;
+    use tecopt_thermal::PackageConfig;
     use tecopt_units::Meters;
+
+    #[test]
+    fn solver_diagnostics_name_the_plan_once_it_ran() {
+        let config = PackageConfig::hotspot41_like(4, 4).unwrap();
+        let s = CoolingSystem::new(
+            &config,
+            TecParams::superlattice_thin_film(),
+            &[TileIndex::new(1, 1)],
+            vec![Watts(0.1); 16],
+        )
+        .unwrap();
+        assert!(solver_diagnostics(&s).ends_with("factor plan not built"));
+        s.solve(Amperes(1.0)).unwrap();
+        let line = solver_diagnostics(&s);
+        assert!(line.contains("1 TECs"), "{line}");
+        assert!(line.contains("backend Auto"), "{line}");
+        assert!(
+            line.ends_with("factor plan trailing block (k = 2)"),
+            "{line}"
+        );
+    }
 
     fn row(name: &str, p_tec: f64, greedy: f64, full: f64) -> TableOneRow {
         TableOneRow {

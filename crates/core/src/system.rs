@@ -2,10 +2,10 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    solve_robust, CancelToken, Cholesky, DiagonalUpdate, FactoredSystem, LinalgError,
-    ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
+    solve_robust, CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingSolve,
+    LinalgError, ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
 };
-use tecopt_thermal::{CompactModel, PackageConfig, TileIndex};
+use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 
 /// A chip package with a TEC deployment and a worst-case power profile —
@@ -72,9 +72,15 @@ struct SolverCache {
 /// current changes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FactorStrategy {
-    /// Factor from scratch at every new current — the reference path (and
-    /// the equivalence oracle for the update path). This is the default and
-    /// the only strategy the shared [`CoolingSystem::solve`] cache uses.
+    /// Factor afresh at every new current — the reference path (and the
+    /// equivalence oracle for the update path). This is the default and
+    /// the only strategy the shared [`CoolingSystem::solve`] cache uses. On
+    /// the default backend "afresh" means the placement's
+    /// [`StampedSystem::placement_factor`]: `G_AA` is factored once per
+    /// placement and a new current refactors only the `k×k` trailing block
+    /// on the TEC terminal nodes (or, when `k` is too large for that to
+    /// pay, the whole network on its sparse pattern; see
+    /// [`CoolingSystem::factor_plan`]).
     #[default]
     Refactor,
     /// Apply a rank-k Sherman–Morrison–Woodbury diagonal update over one
@@ -127,9 +133,9 @@ struct RawSolve {
 /// retargeted in place), the resolved backend, and the last factorization
 /// keyed by its current so repeated solves at one operating point (e.g. the
 /// two extra right-hand sides of a gradient evaluation) factor only once.
-/// Sparse Cholesky factors use the model's pattern
-/// ([`CompactModel::cholesky_pattern`]), which every core of the network
-/// shares, so a fresh core never re-runs the ordering.
+/// Default-backend factors come from the placement's
+/// [`StampedSystem::placement_factor`], which every core of the placement
+/// shares, so a fresh core never re-analyses or refactors `G_AA`.
 #[derive(Debug, Clone)]
 struct SolverCore {
     ws: SolveWorkspace,
@@ -154,6 +160,11 @@ struct SolverCore {
     /// shared cache never carries one, so a token cannot leak into
     /// unrelated [`CoolingSystem::solve`] calls through the cache.
     cancel: Option<CancelToken>,
+    /// `y_A = G_AA⁻¹·p_A` of the placement factor for this core's power
+    /// profile, built on the first solve against `p(i)`. The Joule sources
+    /// sit on the TEC terminal nodes, so `p_A` is the same at every
+    /// current; a new profile builds a new core.
+    leading: Option<LeadingSolve>,
 }
 
 impl SolverCore {
@@ -172,6 +183,7 @@ impl SolverCore {
             updates_applied: 0,
             refactor_fallbacks: 0,
             cancel: None,
+            leading: None,
         })
     }
 
@@ -202,7 +214,7 @@ impl SolverCore {
     }
 
     /// Retargets the workspace (and any factorization) to `current`.
-    fn prepare(&mut self, model: &CompactModel, current: Amperes) -> Result<(), OptError> {
+    fn prepare(&mut self, stamped: &StampedSystem, current: Amperes) -> Result<(), OptError> {
         let key = self.cache_key(current);
         if self.factored.as_ref().is_some_and(|(k, _)| *k == key) {
             return Ok(());
@@ -215,11 +227,9 @@ impl SolverCore {
         self.ws.set_current(current)?;
         let fact = match self.resolved {
             ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
-                self.factor_via_update(model, current)?
+                self.factor_via_update(stamped, current)?
             }
-            ResolvedBackend::Cholesky => {
-                FactoredSystem::Cholesky(self.factor_fresh(model, current)?)
-            }
+            ResolvedBackend::Cholesky => factor_placement(stamped, current)?,
             ResolvedBackend::DenseCholesky => {
                 FactoredSystem::factor(&self.ws.matrix().to_dense(), self.resolved)
                     .map_err(|e| runaway_from(current, e))?
@@ -233,31 +243,28 @@ impl SolverCore {
         Ok(())
     }
 
-    /// A fresh sparse Cholesky factor of the workspace matrix (retargeted
-    /// to `current`) on the model's shared pattern.
-    fn factor_fresh(&self, model: &CompactModel, current: Amperes) -> Result<Cholesky, OptError> {
-        let pattern = model.cholesky_pattern()?;
-        Cholesky::factor_csr_with(pattern, self.ws.matrix()).map_err(|e| runaway_from(current, e))
-    }
-
     /// Produces the factorization at `current` by rank-k update over the
-    /// shared `i = 0` base factor, refactoring from scratch when the update
-    /// is ill-conditioned or its condition estimate exceeds
-    /// [`UPDATE_CONDITION_LIMIT`] (the fallback policy of DESIGN.md §15).
+    /// shared `i = 0` base factor (a sparse Cholesky of the whole network on
+    /// the model's pattern), falling back to the placement factor of
+    /// [`FactorStrategy::Refactor`] when the update is ill-conditioned or its
+    /// condition estimate exceeds [`UPDATE_CONDITION_LIMIT`] (the fallback
+    /// policy of DESIGN.md §15).
     ///
     /// The workspace has already been retargeted to `current` by `prepare`,
     /// so its power vector matches the probe; only the base-factor build
     /// temporarily rewinds the current to zero.
     fn factor_via_update(
         &mut self,
-        model: &CompactModel,
+        stamped: &StampedSystem,
         current: Amperes,
     ) -> Result<FactoredSystem, OptError> {
         let updatable = match self.updatable.clone() {
             Some(u) => u,
             None => {
                 self.ws.set_current(Amperes(0.0))?;
-                let base = self.factor_fresh(model, Amperes(0.0))?;
+                let pattern = stamped.model().cholesky_pattern()?;
+                let base = Cholesky::factor_csr_with(pattern, self.ws.matrix())
+                    .map_err(|e| runaway_from(Amperes(0.0), e))?;
                 let nodes = self.ws.placement_delta();
                 let u =
                     Arc::new(UpdatableFactor::new(base, nodes.nodes()).map_err(OptError::from)?);
@@ -279,25 +286,31 @@ impl SolverCore {
                 // the update's answer cannot be trusted to the equivalence
                 // tolerance, so pay for a fresh factorization instead.
                 self.refactor_fallbacks += 1;
-                Ok(FactoredSystem::Cholesky(self.factor_fresh(model, current)?))
+                factor_placement(stamped, current)
             }
             Err(e) => Err(runaway_from(current, e)),
         }
     }
 
-    /// Solves against an arbitrary right-hand side at `current`, falling
-    /// back to a sparse Cholesky factorization if the CG backend stalls or
-    /// needs an authoritative definiteness verdict.
-    fn solve_raw(
-        &mut self,
-        model: &CompactModel,
-        current: Amperes,
-        rhs: &[f64],
-    ) -> Result<RawSolve, OptError> {
+    /// Returns [`OptError::Cancelled`] once this core's token is raised.
+    fn check_cancel(&self) -> Result<(), OptError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
         }
-        self.prepare(model, current)?;
+        Ok(())
+    }
+
+    /// Solves against an arbitrary right-hand side at `current`, falling
+    /// back to the placement factor if the CG backend stalls or needs an
+    /// authoritative definiteness verdict.
+    fn solve_raw(
+        &mut self,
+        stamped: &StampedSystem,
+        current: Amperes,
+        rhs: &[f64],
+    ) -> Result<RawSolve, OptError> {
+        self.check_cancel()?;
+        self.prepare(stamped, current)?;
         #[allow(clippy::expect_used)]
         let (_, fact) = self
             .factored
@@ -319,13 +332,12 @@ impl SolverCore {
                 // diagonal, or stagnation. Cholesky is the authoritative
                 // oracle for all three — it either produces the solution
                 // or proves the point is past runaway.
-                let chol = self.factor_fresh(model, current)?;
-                let condition_estimate = chol.condition_estimate();
-                let theta = chol.solve(rhs).map_err(OptError::from)?;
-                self.factored = Some((self.cache_key(current), FactoredSystem::Cholesky(chol)));
+                let chol = factor_placement(stamped, current)?;
+                let out = chol.solve(rhs).map_err(OptError::from)?;
+                self.factored = Some((self.cache_key(current), chol));
                 Ok(RawSolve {
-                    theta,
-                    condition_estimate,
+                    theta: out.x,
+                    condition_estimate: out.condition_estimate,
                     method: SolveMethod::Cholesky,
                 })
             }
@@ -333,15 +345,30 @@ impl SolverCore {
         }
     }
 
-    /// Solves against the workspace's own power vector `p(i)`.
+    /// Solves against the workspace's own power vector `p(i)`. Through
+    /// the placement factor, `y_A = G_AA⁻¹·p_A` is solved once per core and
+    /// a solve is the `k×k` block plus `θ_A = y_A − X·θ_B`.
     fn solve_power(
         &mut self,
-        model: &CompactModel,
+        stamped: &StampedSystem,
         current: Amperes,
     ) -> Result<RawSolve, OptError> {
-        self.prepare(model, current)?;
-        let rhs = self.ws.power().to_vec();
-        self.solve_raw(model, current, &rhs)
+        self.check_cancel()?;
+        self.prepare(stamped, current)?;
+        let Some((_, FactoredSystem::Shifted(fact))) = &self.factored else {
+            let rhs = self.ws.power().to_vec();
+            return self.solve_raw(stamped, current, &rhs);
+        };
+        let power = self.ws.power();
+        let lead = match &mut self.leading {
+            Some(lead) => lead,
+            empty => empty.insert(fact.family().leading_solve(power)?),
+        };
+        Ok(RawSolve {
+            theta: fact.solve_with(lead, power)?,
+            condition_estimate: fact.condition_estimate(),
+            method: SolveMethod::Cholesky,
+        })
     }
 
     /// Solves several right-hand sides at one current through one
@@ -351,14 +378,12 @@ impl SolverCore {
     /// [`SolverCore::solve_raw`] calls — fallback behavior included.
     fn solve_raw_many(
         &mut self,
-        model: &CompactModel,
+        stamped: &StampedSystem,
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
-        }
-        self.prepare(model, current)?;
+        self.check_cancel()?;
+        self.prepare(stamped, current)?;
         let sparse = matches!(
             self.factored.as_ref().map(|(_, f)| f.method()),
             Some(SolveMethod::SparseCg)
@@ -366,7 +391,7 @@ impl SolverCore {
         if sparse {
             return rhs
                 .iter()
-                .map(|b| Ok(self.solve_raw(model, current, b)?.theta))
+                .map(|b| Ok(self.solve_raw(stamped, current, b)?.theta))
                 .collect();
         }
         #[allow(clippy::expect_used)]
@@ -378,6 +403,16 @@ impl SolverCore {
         let outs = fact.solve_many(rhs).map_err(|e| runaway_from(current, e))?;
         Ok(outs.into_iter().map(|o| o.x).collect())
     }
+}
+
+/// The placement factor at `current` (the workspace's matrix, factored
+/// through [`StampedSystem::placement_factor`]).
+fn factor_placement(stamped: &StampedSystem, current: Amperes) -> Result<FactoredSystem, OptError> {
+    stamped
+        .placement_factor()?
+        .factor_at(current.value())
+        .map(FactoredSystem::Shifted)
+        .map_err(|e| runaway_from(current, e))
 }
 
 fn runaway_from(current: Amperes, e: LinalgError) -> OptError {
@@ -468,9 +503,7 @@ impl<'a> SteadySolver<'a> {
     ///
     /// Same failure modes as [`CoolingSystem::solve`].
     pub fn solve(&mut self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self
-            .core
-            .solve_power(self.system.stamped.model(), current)?;
+        let raw = self.core.solve_power(&self.system.stamped, current)?;
         self.system.finish_raw(current, raw)
     }
 
@@ -487,7 +520,7 @@ impl<'a> SteadySolver<'a> {
     ) -> Result<Vec<f64>, OptError> {
         Ok(self
             .core
-            .solve_raw(self.system.stamped.model(), current, rhs)?
+            .solve_raw(&self.system.stamped, current, rhs)?
             .theta)
     }
 
@@ -503,8 +536,7 @@ impl<'a> SteadySolver<'a> {
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.core
-            .solve_raw_many(self.system.stamped.model(), current, rhs)
+        self.core.solve_raw_many(&self.system.stamped, current, rhs)
     }
 }
 
@@ -744,7 +776,7 @@ impl CoolingSystem {
     /// use.
     fn with_core<R>(
         &self,
-        f: impl FnOnce(&mut SolverCore, &CompactModel) -> Result<R, OptError>,
+        f: impl FnOnce(&mut SolverCore, &StampedSystem) -> Result<R, OptError>,
     ) -> Result<R, OptError> {
         let mut cache = self.lock_cache();
         if cache.core.is_none() {
@@ -754,7 +786,19 @@ impl CoolingSystem {
         #[allow(clippy::expect_used)]
         // tecopt:allow(panic-in-kernel) — populated on the line just above
         let core = cache.core.as_mut().expect("core populated just above");
-        f(core, self.stamped.model())
+        f(core, &self.stamped)
+    }
+
+    /// Which factorization the placement's steady solves and runaway
+    /// search ran through: the `k×k` trailing block over a `G_AA` factored
+    /// once, or the network's sparse factor (the plan rule is in
+    /// [`tecopt_linalg::ShiftedCholesky`]). `None` until a solve on the
+    /// default backend or a [`crate::runaway_limit`] search built the
+    /// placement factor (the dense oracle backend never builds it, the CG
+    /// backend only on a Cholesky fallback). A diagnostic, not a setting:
+    /// the plan follows from the placement.
+    pub fn factor_plan(&self) -> Option<FactorPlan> {
+        self.stamped.placement_plan()
     }
 
     /// The stamped device/thermal system underneath.
@@ -791,9 +835,11 @@ impl CoolingSystem {
     ///
     /// The `(G, p)` workspace is built once per system and retargeted in
     /// place per probe; the linear solve goes through the configured
-    /// [`SolverBackend`] (by default the sparse Cholesky on the pattern the
-    /// model analyses once per network; the dense oracle, or explicitly
-    /// chosen Jacobi-preconditioned CG with a Cholesky fallback). Any
+    /// [`SolverBackend`] (by default the placement factor of
+    /// [`StampedSystem::placement_factor`], which refactors only the `k×k`
+    /// trailing block on the TEC terminal nodes per current; the dense
+    /// oracle, or explicitly chosen Jacobi-preconditioned CG with a
+    /// Cholesky fallback). Any
     /// definiteness failure is interpreted as thermal runaway, exactly the
     /// oracle of Theorem 1. The returned state always carries a condition
     /// estimate of the system matrix (pivot-ratio for Cholesky — a lower
@@ -806,7 +852,7 @@ impl CoolingSystem {
     ///   (thermal runaway).
     /// - [`OptError::Device`] for a negative current.
     pub fn solve(&self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self.with_core(|core, model| core.solve_power(model, current))?;
+        let raw = self.with_core(|core, stamped| core.solve_power(stamped, current))?;
         self.finish_raw(current, raw)
     }
 
@@ -936,7 +982,7 @@ impl CoolingSystem {
     ///
     /// Same failure modes as [`CoolingSystem::solve`].
     pub(crate) fn solve_rhs(&self, current: Amperes, rhs: &[f64]) -> Result<Vec<f64>, OptError> {
-        self.with_core(|core, model| Ok(core.solve_raw(model, current, rhs)?.theta))
+        self.with_core(|core, stamped| Ok(core.solve_raw(stamped, current, rhs)?.theta))
     }
 
     /// Batched form of [`CoolingSystem::solve_rhs`]: several independent
@@ -951,7 +997,7 @@ impl CoolingSystem {
         current: Amperes,
         rhs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.with_core(|core, model| core.solve_raw_many(model, current, rhs))
+        self.with_core(|core, stamped| core.solve_raw_many(stamped, current, rhs))
     }
 }
 
@@ -979,43 +1025,56 @@ mod tests {
         .unwrap()
     }
 
-    /// The pattern of the sparse Cholesky factor a core holds.
-    fn pattern_of(core: &SolverCore) -> Arc<tecopt_linalg::CholeskyPattern> {
+    /// The placement factor a core's cached factorization belongs to.
+    fn family_of(core: &SolverCore) -> Arc<tecopt_linalg::ShiftedCholesky> {
         match core.factored.as_ref().map(|(_, f)| f) {
-            Some(FactoredSystem::Cholesky(chol)) => Arc::clone(chol.pattern()),
-            other => panic!("expected a sparse Cholesky factor, got {other:?}"),
+            Some(FactoredSystem::Shifted(f)) => Arc::clone(f.family()),
+            other => panic!("expected a placement factor, got {other:?}"),
         }
     }
 
-    fn shared_pattern(system: &CoolingSystem) -> Arc<tecopt_linalg::CholeskyPattern> {
-        pattern_of(system.lock_cache().core.as_ref().expect("warm cache"))
+    fn shared_family(system: &CoolingSystem) -> Arc<tecopt_linalg::ShiftedCholesky> {
+        family_of(system.lock_cache().core.as_ref().expect("warm cache"))
     }
 
     #[test]
     fn one_cholesky_pattern_serves_the_whole_network() {
         let mut system = system(&[TileIndex::new(1, 1)]);
+        // The runaway search builds the placement factor, and a clone made
+        // before it shares the slot.
+        let early = system.clone();
+        assert_eq!(system.factor_plan(), None);
+        crate::runaway_limit(&system, 1e-9).unwrap();
+        assert_eq!(
+            early.factor_plan(),
+            Some(FactorPlan::TrailingBlock { k: 2 })
+        );
+        let block = Arc::clone(system.stamped().placement_factor().unwrap());
         system.solve(Amperes(1.0)).unwrap();
-        let model = Arc::clone(system.stamped().model().cholesky_pattern().unwrap());
-        assert!(Arc::ptr_eq(&shared_pattern(&system), &model));
+        assert!(Arc::ptr_eq(&shared_family(&system), &block));
 
         // Two private handles, one adopting the warm core, both solving at
         // new currents.
         for current in [2.0, 3.0] {
             let mut handle = system.solver().unwrap();
             handle.solve(Amperes(current)).unwrap();
-            assert!(Arc::ptr_eq(&pattern_of(&handle.core), &model));
+            assert!(Arc::ptr_eq(&family_of(&handle.core), &block));
         }
 
-        // A clone starts with a cold cache but the same model: its shared
-        // core and a handle built from scratch both reuse the pattern.
+        // A clone starts with a cold cache but the same placement: its
+        // shared core and a handle built from scratch both reuse the block.
         let clone = system.clone();
         let mut cold = clone.solver().unwrap();
         cold.solve(Amperes(1.5)).unwrap();
-        assert!(Arc::ptr_eq(&pattern_of(&cold.core), &model));
+        assert!(Arc::ptr_eq(&family_of(&cold.core), &block));
         clone.solve(Amperes(2.5)).unwrap();
-        assert!(Arc::ptr_eq(&shared_pattern(&clone), &model));
+        assert!(Arc::ptr_eq(&shared_family(&clone), &block));
+        early.solve(Amperes(0.5)).unwrap();
+        assert!(Arc::ptr_eq(&shared_family(&early), &block));
 
-        // The transient simulator factors on it too.
+        // The transient simulator factors `C/Δt + G − i·D` on the model's
+        // one network pattern, which the trailing block never analyses.
+        let model = Arc::clone(system.stamped().model().cholesky_pattern().unwrap());
         let mut sim = crate::transient::TransientSimulator::new(system.clone(), 1e-3).unwrap();
         sim.step(&hotspot_powers(), Amperes(1.0)).unwrap();
         sim.step(&hotspot_powers(), Amperes(2.0)).unwrap();
@@ -1025,20 +1084,54 @@ mod tests {
             assert!(Arc::ptr_eq(p, &model));
         }
 
-        // New powers keep the network, so the pattern survives.
+        // New powers keep the placement, so the block survives while the
+        // core (and the `y_A` it cached for the old profile) is dropped.
+        assert!(system.lock_cache().core.as_ref().unwrap().leading.is_some());
         system.set_tile_powers(vec![Watts(0.1); 16]).unwrap();
+        assert!(system.lock_cache().core.is_none());
         system.solve(Amperes(1.0)).unwrap();
-        assert!(Arc::ptr_eq(&shared_pattern(&system), &model));
+        assert!(Arc::ptr_eq(&shared_family(&system), &block));
 
-        // A new tile set is a new network with its own pattern.
+        // A new tile set is a new placement with its own block.
         let other = system.with_tiles(&[TileIndex::new(2, 2)]).unwrap();
         other.solve(Amperes(1.0)).unwrap();
-        let fresh = shared_pattern(&other);
-        assert!(!Arc::ptr_eq(&fresh, &model));
+        let fresh = shared_family(&other);
+        assert!(!Arc::ptr_eq(&fresh, &block));
         assert!(Arc::ptr_eq(
             &fresh,
-            other.stamped().model().cholesky_pattern().unwrap()
+            other.stamped().placement_factor().unwrap()
         ));
+    }
+
+    #[test]
+    fn new_powers_solve_like_a_freshly_built_system_bit_for_bit() {
+        // Cache poisoning through the cached `y_A`: a solve after
+        // `set_tile_powers` must not reuse the old profile's leading solve.
+        let tiles = [TileIndex::new(1, 1), TileIndex::new(2, 3)];
+        let mut s = system(&tiles);
+        let mut new_powers = hotspot_powers();
+        new_powers[3] = Watts(0.4);
+        for i in [0.0, 1.0, 2.5] {
+            s.solve(Amperes(i)).unwrap();
+        }
+        s.set_tile_powers(new_powers.clone()).unwrap();
+        let fresh = CoolingSystem::new(
+            &config(),
+            TecParams::superlattice_thin_film(),
+            &tiles,
+            new_powers,
+        )
+        .unwrap();
+        for i in [2.5, 0.0, 1.0] {
+            let a = s.solve(Amperes(i)).unwrap();
+            let b = fresh.solve(Amperes(i)).unwrap();
+            for (x, y) in a.node_temperatures().iter().zip(b.node_temperatures()) {
+                assert_eq!(x.value().to_bits(), y.value().to_bits(), "at i = {i}");
+            }
+            let mut handle = s.solver().unwrap();
+            let c = handle.solve(Amperes(i)).unwrap();
+            assert_eq!(c.peak().value().to_bits(), b.peak().value().to_bits());
+        }
     }
 
     #[test]
@@ -1415,7 +1508,7 @@ mod tests {
         };
         let again = plain.solve(i).unwrap();
         assert!(
-            matches!(plain.core.factored, Some((_, FactoredSystem::Cholesky(_)))),
+            matches!(plain.core.factored, Some((_, FactoredSystem::Shifted(_)))),
             "plain probe must not reuse the updated factor"
         );
         for (a, b) in reference

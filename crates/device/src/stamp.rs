@@ -11,8 +11,10 @@
 //! - Joule sources `r·i²/2` at both nodes of every device in the power
 //!   vector `p(i)`.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::{DeviceError, TecParams};
-use tecopt_linalg::{CsrMatrix, DenseMatrix};
+use tecopt_linalg::{CsrMatrix, DenseMatrix, FactorPlan, LinalgError, ShiftedCholesky};
 use tecopt_thermal::{CompactModel, PackageConfig, ThermalError, TileIndex};
 use tecopt_units::{Amperes, Kelvin, Watts};
 
@@ -49,6 +51,10 @@ pub struct StampedSystem {
     joule_nodes: Vec<usize>,
     /// `(cold, hot)` node indices per deployed tile, in `tiles` order.
     junctions: Vec<(usize, usize)>,
+    /// The placement's factorization of `G − i·D`, built on first use.
+    /// The slot itself is shared, so a clone made before the build still
+    /// sees it.
+    placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
 }
 
 impl StampedSystem {
@@ -95,7 +101,49 @@ impl StampedSystem {
             d_diagonal,
             joule_nodes,
             junctions,
+            placement: Arc::new(OnceLock::new()),
         })
+    }
+
+    /// The placement's factorization of the family `G − i·D`
+    /// ([`ShiftedCholesky`]), with the junction nodes as the support of
+    /// `D`: built on the first call and shared by every clone. The runaway
+    /// search and every steady solve of the default backend factor through
+    /// it, so `G_AA` (the Peltier-free block) is analysed and factored once
+    /// per placement. The Joule sources sit on the same nodes, so the part
+    /// of a solve off the support does not depend on the current.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Thermal`] if `G_AA` is not positive definite (it is
+    /// for an assembled package) or the network's analysis fails.
+    pub fn placement_factor(&self) -> Result<&Arc<ShiftedCholesky>, DeviceError> {
+        if let Some(f) = self.placement.get() {
+            return Ok(f);
+        }
+        let support: Vec<usize> = self
+            .junctions
+            .iter()
+            .flat_map(|&(cold, hot)| [cold, hot])
+            .collect();
+        let built = ShiftedCholesky::new(self.model.g_matrix(), &self.d_diagonal, &support, || {
+            self.model
+                .cholesky_pattern()
+                .map(Arc::clone)
+                .map_err(|e| match e {
+                    ThermalError::Linalg(e) => e,
+                    other => LinalgError::InvalidInput(other.to_string()),
+                })
+        })
+        .map_err(ThermalError::from)?;
+        // A racing first call may have won; either build is the same.
+        Ok(self.placement.get_or_init(|| Arc::new(built)))
+    }
+
+    /// The plan of [`StampedSystem::placement_factor`] if it has been
+    /// built, without building it.
+    pub fn placement_plan(&self) -> Option<FactorPlan> {
+        self.placement.get().map(|f| f.plan())
     }
 
     /// The underlying compact model (provides `G` and node metadata).

@@ -22,7 +22,7 @@
 use crate::SolveMethod;
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,
-    DenseCholesky, DenseMatrix, DiagonalUpdate, LinalgError, UpdatableFactor,
+    DenseCholesky, DenseMatrix, DiagonalUpdate, LinalgError, ShiftedFactor, UpdatableFactor,
 };
 
 /// Which linear-solver backend a [`CoolingSystem`](../../tecopt) probe uses.
@@ -82,6 +82,10 @@ pub enum FactoredSystem {
     /// through the *base* factor plus an `O(k·n)` correction instead of a
     /// fresh factorization.
     Updated(AppliedUpdate),
+    /// One current of a placement's [`crate::ShiftedCholesky`]: the
+    /// trailing `k×k` block over a `G_AA` factored once, or the network's
+    /// sparse factor.
+    Shifted(ShiftedFactor),
 }
 
 /// One backend solve with its diagnostics.
@@ -157,9 +161,10 @@ impl FactoredSystem {
     /// the base Cholesky factor, so it reports [`SolveMethod::Cholesky`].
     pub fn method(&self) -> SolveMethod {
         match self {
-            FactoredSystem::Cholesky(_) | FactoredSystem::Dense(_) | FactoredSystem::Updated(_) => {
-                SolveMethod::Cholesky
-            }
+            FactoredSystem::Cholesky(_)
+            | FactoredSystem::Dense(_)
+            | FactoredSystem::Updated(_)
+            | FactoredSystem::Shifted(_) => SolveMethod::Cholesky,
             FactoredSystem::Sparse { .. } => SolveMethod::SparseCg,
         }
     }
@@ -171,6 +176,7 @@ impl FactoredSystem {
             FactoredSystem::Dense(chol) => chol.dim(),
             FactoredSystem::Sparse { matrix, .. } => matrix.rows(),
             FactoredSystem::Updated(applied) => applied.dim(),
+            FactoredSystem::Shifted(f) => f.dim(),
         }
     }
 
@@ -210,6 +216,9 @@ impl FactoredSystem {
             }
             FactoredSystem::Dense(_) => Err(LinalgError::InvalidInput(
                 "the dense oracle backend takes no rank-k updates; refactor instead".into(),
+            )),
+            FactoredSystem::Shifted(_) => Err(LinalgError::InvalidInput(
+                "a placement factor takes no rank-k updates; factor it at the new current".into(),
             )),
             FactoredSystem::Sparse { matrix, settings } => {
                 let mut patched = matrix.clone();
@@ -278,6 +287,7 @@ impl FactoredSystem {
                 applied.solve_many(rhs)?,
                 applied.condition_estimate(),
             )),
+            FactoredSystem::Shifted(f) => Ok(block(f.solve_many(rhs)?, f.condition_estimate())),
             FactoredSystem::Sparse { .. } => rhs.iter().map(|b| self.solve(b)).collect(),
         }
     }
@@ -324,6 +334,7 @@ impl FactoredSystem {
         match self {
             FactoredSystem::Cholesky(chol) => Ok(direct(chol.solve(b)?, chol.condition_estimate())),
             FactoredSystem::Dense(chol) => Ok(direct(chol.solve(b)?, chol.condition_estimate())),
+            FactoredSystem::Shifted(f) => Ok(direct(f.solve(b)?, f.condition_estimate())),
             FactoredSystem::Sparse { matrix, settings } => {
                 let out = conjugate_gradient_cancellable(matrix, b, *settings, cancel)?;
                 Ok(BackendSolve {

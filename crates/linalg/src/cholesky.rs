@@ -230,6 +230,20 @@ impl CholeskyPattern {
         self.l_row.len()
     }
 
+    /// Flops of one numeric factorization on this pattern, counted as the
+    /// sum over the columns of `L` of the squared column count (diagonal
+    /// included). [`crate::ShiftedCholesky`] weighs it against the `k³/3`
+    /// of a dense trailing block.
+    pub fn factor_flops(&self) -> f64 {
+        self.l_ptr
+            .windows(2)
+            .map(|w| {
+                let count = (w[1] - w[0]) as f64;
+                count * count
+            })
+            .sum()
+    }
+
     /// The elimination order: `permutation()[k]` is the original index of
     /// the `k`-th pivot.
     pub fn permutation(&self) -> &[usize] {
@@ -693,7 +707,7 @@ impl Cholesky {
     }
 
     /// The pivots `L_kk`, in elimination order.
-    fn pivots(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn pivots(&self) -> impl Iterator<Item = f64> + '_ {
         self.pattern.l_ptr[..self.dim()].iter().map(|&p| self.lx[p])
     }
 
@@ -787,6 +801,10 @@ impl Cholesky {
                     actual: b.len(),
                 });
             }
+        }
+        if m == 0 {
+            // No columns: skip the sweeps, which would still walk `L`.
+            return Ok(Vec::new());
         }
         // Row-major n×m block in elimination order: y[k·m + c] is pivot k
         // of column c.

@@ -8,18 +8,20 @@
 //!
 //! (Theorem 1) which it computes by *binary search on positive definiteness*
 //! of `G − i·D` with a Cholesky probe per step. [`generalized_pd_threshold`]
-//! runs that bracket policy with one factorization per search: `D` touches
-//! only the `k` TEC terminal nodes, so the Peltier-free block of the CSR `G`
-//! is gathered in `O(nnz)` and factored once (sparse [`Cholesky`]), and
-//! every probe is a `k×k` Cholesky of the Schur complement on the Peltier
-//! nodes, on one pattern analysed per search. [`generalized_pd_threshold_dense`] keeps the paper's dense
-//! per-probe factorization ([`DenseCholesky`]) as the slow oracle.
+//! runs that bracket policy over one [`ShiftedCholesky`]: `D` touches only
+//! the `k` TEC terminal nodes, so the Peltier-free block of `G` is factored
+//! once and every probe is a `k×k` Cholesky of the Schur complement on the
+//! Peltier nodes (or, when `k` is too large for that to pay, a sparse
+//! numeric factor of the whole network). [`ShiftedCholesky::pd_threshold`]
+//! runs the same search over a family a caller already holds.
+//! [`generalized_pd_threshold_dense`] keeps the paper's dense per-probe
+//! factorization ([`DenseCholesky`]) as the slow oracle.
 //! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
 //! Conjecture-1 experiments and diagnostics.
 
 use std::sync::Arc;
 
-use crate::{Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError};
+use crate::{CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError, ShiftedCholesky};
 
 /// Outcome of the positive-definiteness bisection for
 /// `λ_m = sup { i ≥ 0 : G − i·D is positive definite }`.
@@ -83,23 +85,15 @@ pub const DEFAULT_PROBE_BUDGET: usize = 4096;
 
 /// [`generalized_pd_threshold`] with an explicit cap on bracket probes.
 ///
-/// `D` is nonzero only on the `k` TEC terminal nodes. Split the nodes into
-/// the Peltier-free block `A` and the Peltier-loaded block `B`; by
-/// Haynsworth,
-///
-/// ```text
-/// G − i·D ≻ 0   ⇔   G_AA ≻ 0  and  S₀ − i·D_B ≻ 0,
-/// S₀ = G_BB − G_BA·G_AA⁻¹·G_AB,
-/// ```
-///
-/// and `S₀` does not depend on `i` (with `B` ordered last, the leading
-/// `n − k` columns of the Cholesky factor are the same at every probe).
-/// So `G_AA` is factored once, `S₀` is formed with one `k`-column solve,
-/// and every probe is a `k×k` Cholesky of `S₀ − i·D_B` on the pattern of
-/// `S₀`, analysed once. The bracket policy is the one of
-/// [`generalized_pd_threshold_dense`]: the two probe the same
-/// currents for as long as their verdicts agree, and their brackets agree
-/// to `rel_tol`.
+/// `D` is nonzero only on the `k` TEC terminal nodes, so the search builds
+/// one [`ShiftedCholesky`] with those nodes as its support and brackets
+/// over [`ShiftedCholesky::is_pd_at`] (see
+/// [`ShiftedCholesky::pd_threshold`]): under the trailing-block plan
+/// `G_AA` is factored once and every probe is a `k×k` Cholesky of
+/// `S₀ − i·D_B` (Haynsworth); under the network plan every probe is a
+/// sparse numeric factor of `G − i·D`. The bracket policy is the one of
+/// [`generalized_pd_threshold_dense`]: the two probe the same currents for
+/// as long as their verdicts agree, and their brackets agree to `rel_tol`.
 ///
 /// A hard iteration bound makes the search total: no choice of `g`, `d`, or
 /// `rel_tol` that passes validation can loop forever (denormal-scale
@@ -117,79 +111,35 @@ pub fn generalized_pd_threshold_budgeted(
     max_probes: usize,
 ) -> Result<PdThreshold, LinalgError> {
     validate_threshold_inputs(g.rows(), g.cols(), d, rel_tol, max_probes)?;
-    let (peltier, free): (Vec<usize>, Vec<usize>) = (0..d.len()).partition(|&k| d[k] != 0.0);
-    // One pass over the stored entries: G_AA as CSR (the free nodes keep
-    // their relative order, so its rows stay sorted), the columns of G_AB,
-    // one per Peltier node, dense for the solve and as their few stored
-    // entries, and G_BB.
-    let mut slot = vec![0; d.len()];
-    for block in [&free, &peltier] {
-        for (s, &node) in block.iter().enumerate() {
-            slot[node] = s;
-        }
-    }
-    let mut aa_ptr = Vec::with_capacity(free.len() + 1);
-    let mut aa_col = Vec::with_capacity(g.nnz());
-    let mut aa_val = Vec::with_capacity(g.nnz());
-    aa_ptr.push(0);
-    let mut g_ab = vec![vec![0.0; free.len()]; peltier.len()];
-    let mut g_ab_stored: Vec<Vec<(usize, f64)>> = vec![Vec::new(); peltier.len()];
-    let mut s0 = DenseMatrix::zeros(peltier.len(), peltier.len());
-    for r in 0..g.rows() {
-        for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
-            let (c, v) = (g.col_indices()[t], g.values()[t]);
-            match (d[r] != 0.0, d[c] != 0.0) {
-                (false, false) => {
-                    aa_col.push(slot[c]);
-                    aa_val.push(v);
-                }
-                (false, true) => {
-                    g_ab[slot[c]][slot[r]] = v;
-                    g_ab_stored[slot[c]].push((slot[r], v));
-                }
-                (true, true) => s0[(slot[r], slot[c])] = v,
-                (true, false) => {}
-            }
-        }
-        if d[r] == 0.0 {
-            aa_ptr.push(aa_col.len());
-        }
-    }
-    let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
-    // G ≻ 0 needs G_AA ≻ 0: a failure here is the i = 0 verdict.
-    let x = Cholesky::factor_csr(&g_aa)
-        .map_err(|_| LinalgError::NotPositiveDefinite { pivot: 0 })?
-        .solve_many(&g_ab)?;
-    // S₀ −= G_BA·X over the stored entries only, in ascending order: the
-    // skipped terms are exact zeros, so the sums are those of the full dot
-    // products.
-    for (r, g_ab_r) in g_ab_stored.iter().enumerate() {
-        for (c, x_c) in x.iter().enumerate() {
-            s0[(r, c)] -= g_ab_r.iter().map(|&(a, u)| u * x_c[a]).sum::<f64>();
-        }
-    }
-    // Every probe factors S₀ − i·D_B on one pattern: the lower triangle of
-    // S₀ is laid out once, and a probe only shifts its diagonal
-    // (`s_kk += (−i)·d_k`, the arithmetic of `add_scaled_diagonal`).
-    let s0 = CsrMatrix::from_dense(&s0);
-    let pattern = Arc::new(CholeskyPattern::analyse_csr(&s0)?);
-    let lower = pattern.gather(&s0)?;
-    let shifts: Vec<(usize, f64)> = peltier
-        .iter()
-        .enumerate()
-        .map(|(r, &b)| (pattern.diagonal_position(r), d[b]))
-        .collect();
-    bracket_pd_threshold(rel_tol, max_probes, |i| {
-        let mut m = lower.clone();
-        for &(slot, d_k) in &shifts {
-            m[slot] += -i * d_k;
-        }
-        match Cholesky::numeric(Arc::clone(&pattern), &m) {
-            Ok(_) => Ok(true),
-            Err(LinalgError::NotPositiveDefinite { .. }) => Ok(false),
-            Err(e) => Err(e),
-        }
+    let support: Vec<usize> = (0..d.len()).filter(|&k| d[k] != 0.0).collect();
+    let family = ShiftedCholesky::new(g, d, &support, || {
+        Ok(Arc::new(CholeskyPattern::analyse_csr(g)?))
     })
+    // G ≻ 0 needs G_AA ≻ 0: a failure here is the i = 0 verdict.
+    .map_err(|e| match e {
+        LinalgError::NotPositiveDefinite { .. } => LinalgError::NotPositiveDefinite { pivot: 0 },
+        other => other,
+    })?;
+    family.pd_threshold(rel_tol, max_probes)
+}
+
+impl ShiftedCholesky {
+    /// The `λ_m` search of [`generalized_pd_threshold_budgeted`] over this
+    /// family's own [`ShiftedCholesky::is_pd_at`], so a placement's
+    /// runaway limit and its steady solves share one factorization.
+    ///
+    /// # Errors
+    ///
+    /// As [`generalized_pd_threshold_budgeted`], minus the dimension
+    /// checks the family has already passed.
+    pub fn pd_threshold(
+        &self,
+        rel_tol: f64,
+        max_probes: usize,
+    ) -> Result<PdThreshold, LinalgError> {
+        validate_search(self.d_support(), rel_tol, max_probes)?;
+        bracket_pd_threshold(rel_tol, max_probes, |i| self.is_pd_at(i))
+    }
 }
 
 /// The slow oracle for [`generalized_pd_threshold_budgeted`]: the same
@@ -229,6 +179,15 @@ fn validate_threshold_inputs(
             actual: d.len(),
         });
     }
+    validate_search(d, rel_tol, max_probes)?;
+    if rows != cols {
+        return Err(LinalgError::NotSquare { rows, cols });
+    }
+    Ok(())
+}
+
+/// The preconditions of a bracket over `D` (all of it, or its support).
+fn validate_search(d: &[f64], rel_tol: f64, max_probes: usize) -> Result<(), LinalgError> {
     if !(rel_tol > 0.0 && rel_tol < 1.0) {
         return Err(LinalgError::InvalidInput(format!(
             "relative tolerance must be in (0, 1), got {rel_tol}"
@@ -244,9 +203,6 @@ fn validate_threshold_inputs(
             spent: 0,
             budget: 0,
         });
-    }
-    if rows != cols {
-        return Err(LinalgError::NotSquare { rows, cols });
     }
     Ok(())
 }

@@ -23,10 +23,13 @@
 //! - [`stieltjes`] — structure checks (symmetric, nonpositive off-diagonal,
 //!   irreducible) and seeded random generation of positive-definite Stieltjes
 //!   matrices for the Conjecture-1 experiments,
+//! - [`ShiftedCholesky`] — one factorization of the family `G − i·D` for a
+//!   `D` on `k` declared nodes: `G_AA` factored once and a dense `k×k`
+//!   trailing block per current, or the network's own sparse factor when
+//!   `k` is too large for that to pay ([`FactorPlan`]),
 //! - [`eigen`] — power/inverse iteration and the generalized smallest
-//!   "eigenvalue" `λ_m = min θᵀGθ/θᵀDθ` via positive-definiteness bisection,
-//!   with one factorization per search and `k×k` Schur-complement probes on
-//!   the Peltier nodes,
+//!   "eigenvalue" `λ_m = min θᵀGθ/θᵀDθ` via positive-definiteness bisection
+//!   over [`ShiftedCholesky::is_pd_at`],
 //! - [`UpdatableFactor`] / [`DiagonalUpdate`] — Sherman–Morrison–Woodbury
 //!   rank-k diagonal updates over a cached sparse Cholesky factor, with a
 //!   Haynsworth inertia certificate rejecting updates past runaway.
@@ -58,6 +61,7 @@ mod error;
 mod lu;
 mod matrix;
 mod robust;
+mod shifted;
 mod sparse;
 pub mod stieltjes;
 mod update;
@@ -71,5 +75,6 @@ pub use error::LinalgError;
 pub use lu::{determinant, log_abs_determinant, Lu};
 pub use matrix::DenseMatrix;
 pub use robust::{solve_robust, RobustSolution, SolveDiagnostics, SolveMethod, SolverPolicy};
+pub use shifted::{FactorPlan, LeadingSolve, ShiftedCholesky, ShiftedFactor};
 pub use sparse::{CsrMatrix, Triplet};
 pub use update::{AppliedUpdate, DiagonalUpdate, SmallLdl, UpdatableFactor, LDL_PIVOT_FLOOR};

@@ -8,7 +8,7 @@ use tecopt_linalg::eigen::{
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, determinant, CgSettings, Cholesky, CholeskyPattern, CsrMatrix,
-    DenseCholesky, DenseMatrix, LinalgError, Lu, Triplet,
+    DenseCholesky, DenseMatrix, FactorPlan, LinalgError, Lu, ShiftedCholesky, Triplet,
 };
 
 /// The nonzeros of `a` as triplets, row-major.
@@ -532,6 +532,102 @@ proptest! {
             let missing = CsrMatrix::from_triplets(dim, dim, &t).unwrap();
             let got = Cholesky::factor_csr_with(&pattern, &missing);
             prop_assert!(matches!(got, Err(LinalgError::InvalidInput(_))), "{got:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn shifted_cholesky_matches_the_dense_oracle(
+        seed in 0u64..5000,
+        dim in 1usize..30,
+        k_pick in 0usize..1000,
+        density in 0.05f64..0.9,
+        alpha in 0.05f64..2.0,
+    ) {
+        // A random Stieltjes G and a random ±α D on k declared nodes, k
+        // anywhere from 0 (passive) to n (G_AA empty).
+        let g = stieltjes_case(seed, dim, density, 2);
+        let k = k_pick % (dim + 1);
+        let mut order: Vec<usize> = (0..dim).collect();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for i in (1..dim).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let support = &order[..k];
+        let mut d = vec![0.0; dim];
+        for (j, &b) in support.iter().enumerate() {
+            let sign = if (seed as usize + j).is_multiple_of(3) { -1.0 } else { 1.0 };
+            d[b] = sign * alpha * (1.0 + 0.1 * j as f64);
+        }
+        let csr = CsrMatrix::from_dense(&g);
+        let network = || Ok(Arc::new(CholeskyPattern::analyse_csr(&csr)?));
+        let rule = ShiftedCholesky::new(&csr, &d, support, network).unwrap();
+        if let FactorPlan::TrailingBlock { k: planned } = rule.plan() {
+            prop_assert_eq!(planned, k);
+        }
+        // The rule's plan, and both plans forced, on the same placement.
+        let families = [
+            rule,
+            ShiftedCholesky::with_plan(&csr, &d, support, FactorPlan::TrailingBlock { k }, network)
+                .unwrap(),
+            ShiftedCholesky::with_plan(&csr, &d, support, FactorPlan::Network, network).unwrap(),
+        ];
+
+        // Currents either side of λ_m, when there is one.
+        let lambda = if d.iter().any(|&x| x > 0.0) {
+            generalized_pd_threshold_dense(&g, &d, 1e-12, DEFAULT_PROBE_BUDGET)
+                .unwrap()
+                .estimate()
+        } else {
+            1.0
+        };
+        let b: Vec<f64> = (0..dim).map(|j| 1.0 + (j as f64 * 0.61).cos()).collect();
+        let shifted = |i: f64| {
+            let mut m = g.clone();
+            m.add_scaled_diagonal(&d, -i).unwrap();
+            m
+        };
+        for family in families.map(Arc::new) {
+            for f in [0.0, 0.5, 0.9, 0.999, 1.001, 1.5, 4.0] {
+                let i = f * lambda;
+                let dense = DenseCholesky::factor(&shifted(i));
+                prop_assert_eq!(family.is_pd_at(i).unwrap(), dense.is_ok(),
+                    "{:?} verdict at {} λ_m", family.plan(), f);
+                if f > 0.95 {
+                    continue;
+                }
+                let factor = family.factor_at(i).unwrap();
+                let x = factor.solve(&b).unwrap();
+                let oracle = dense.unwrap().solve(&b).unwrap();
+                let scale = oracle.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+                for (u, v) in x.iter().zip(&oracle) {
+                    prop_assert!((u - v).abs() <= 1e-10 * scale,
+                        "{:?}: {} vs dense {} at {} λ_m", family.plan(), u, v, f);
+                }
+                let cols: Vec<Vec<f64>> = (0..3)
+                    .map(|c| b.iter().map(|v| v * (c as f64 + 1.0) - c as f64).collect())
+                    .collect();
+                let many = factor.solve_many(&cols).unwrap();
+                for (col, got) in cols.iter().zip(&many) {
+                    prop_assert_eq!(&factor.solve(col).unwrap(), got);
+                }
+            }
+        }
+
+        // A D entry off the declared support is an error, not a wrong answer.
+        if let Some(&off) = order.get(k) {
+            let mut bad = d.clone();
+            bad[off] = alpha;
+            prop_assert!(matches!(
+                ShiftedCholesky::new(&csr, &bad, support, || unreachable!()),
+                Err(LinalgError::InvalidInput(_))
+            ));
         }
     }
 }

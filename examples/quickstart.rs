@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tecopt::report::deployment_map;
+use tecopt::report::{deployment_map, solver_diagnostics};
 use tecopt::{greedy_deploy, CoolingSystem, DeploySettings, OptError, PackageConfig, TecParams};
 use tecopt_units::{Amperes, Celsius, Watts};
 
@@ -44,6 +44,7 @@ fn main() -> Result<(), OptError> {
         d.cooling_swing(),
         d.optimum().state().tec_power(),
     );
+    println!("solver: {}", solver_diagnostics(d.system()));
     println!("\ncovered tiles (# = TEC):\n");
     print!("{}", deployment_map(config.grid(), d.tiles()));
     Ok(())
