@@ -4,7 +4,9 @@
 //! Cholesky, the dense oracle and CG behind `FactoredSystem`, plus the
 //! cached-workspace hot path) on real paper-scale compact models, the
 //! ordering / factor / solve split of the sparse Cholesky against the
-//! dense kernel at 12×12, 32×32 and 64×64 tiles, and at the same sizes the
+//! dense kernel at 12×12, 32×32 and 64×64 tiles with the analysis of a
+//! placement's `G_AA` on the package order against minimum degree, and at
+//! the same sizes the
 //! sparse path from assembly to factor (CSR stamping, workspace build, CSR
 //! factor) against its dense oracles, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
@@ -160,11 +162,14 @@ fn sweep_systems() -> Vec<(usize, CoolingSystem)> {
 }
 
 /// The sparse Cholesky split into its three costs — the minimum-degree
-/// ordering with symbolic analysis (once per network), the numeric factor
+/// ordering with symbolic analysis (once per package), the numeric factor
 /// on that pattern (once per current), and one solve (once per step) — next
 /// to the dense kernel's factor and solve, on `G − i·D` of the
 /// [`sweep_systems`]. The dense factorization at 64×64 (n ≈ 9k, minutes per
-/// factor) is left out.
+/// factor) is left out. Then the placement's Peltier-free block `G_AA`
+/// (one device, so `A` is all but two nodes): its analysis on the package
+/// order restricted to `A` against a minimum-degree analysis of its own,
+/// and the numeric factor on each; the labels carry each `nnz(L_AA)`.
 fn bench_sparse_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_cholesky");
     group.sample_size(3);
@@ -198,8 +203,73 @@ fn bench_sparse_cholesky(c: &mut Criterion) {
                 b.iter(|| dense.solve(&rhs).expect("solve"))
             });
         }
+
+        let (g_aa, restricted) = peltier_free_block(&system);
+        let amd = Arc::new(CholeskyPattern::analyse_csr(&g_aa).expect("square"));
+        let ordered =
+            Arc::new(CholeskyPattern::analyse_csr_ordered(&g_aa, &restricted).expect("order"));
+        let label = format!(
+            "{side}x{side}_nA{}_nnzL_restricted{}_amd{}",
+            g_aa.rows(),
+            ordered.nnz_l(),
+            amd.nnz_l()
+        );
+        group.bench_with_input(BenchmarkId::new("g_aa_ordering_amd", &label), &n, |b, _| {
+            b.iter(|| CholeskyPattern::analyse_csr(&g_aa).expect("square"))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("g_aa_ordering_restricted", &label),
+            &n,
+            |b, _| {
+                b.iter(|| CholeskyPattern::analyse_csr_ordered(&g_aa, &restricted).expect("order"))
+            },
+        );
+        for (name, pattern) in [
+            ("g_aa_factor_amd", &amd),
+            ("g_aa_factor_restricted", &ordered),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, &label), &n, |b, _| {
+                b.iter(|| Cholesky::factor_csr_with(pattern, &g_aa).expect("pd"))
+            });
+        }
     }
     group.finish();
+}
+
+/// `G_AA` of `system` (its nodes off the TEC terminals, ascending) and the
+/// package order restricted to them, as `ShiftedCholesky::with_order`
+/// derives it.
+fn peltier_free_block(system: &CoolingSystem) -> (CsrMatrix, Vec<usize>) {
+    let model = system.stamped().model();
+    let g = model.g_matrix();
+    let n = g.rows();
+    let mut slot = vec![Some(0); n];
+    for &(cold, hot) in system.stamped().junctions() {
+        slot[cold] = None;
+        slot[hot] = None;
+    }
+    let mut free = 0;
+    for s in slot.iter_mut().flatten() {
+        *s = free;
+        free += 1;
+    }
+    let mut trips = Vec::new();
+    for (r, slot_r) in slot.iter().enumerate() {
+        let Some(a) = *slot_r else { continue };
+        for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
+            if let Some(b) = slot[g.col_indices()[t]] {
+                trips.push(Triplet::new(a, b, g.values()[t]));
+            }
+        }
+    }
+    let g_aa = CsrMatrix::from_triplets(free, free, &trips).expect("G_AA");
+    let restricted = model
+        .network_order()
+        .expect("package order")
+        .into_iter()
+        .filter_map(|node| slot[node])
+        .collect();
+    (g_aa, restricted)
 }
 
 /// The path from stamps to factor, sparse against its dense oracles, on the

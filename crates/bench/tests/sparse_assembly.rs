@@ -89,8 +89,11 @@ fn check_chip(name: &str, chip: &CoolingSystem) {
         .iter()
         .flat_map(|&(cold, hot)| [cold, hot])
         .collect();
+    // Built as `StampedSystem::placement_factor` builds it: `G_AA` on the
+    // package order restricted to the free nodes.
+    let order = model.network_order().expect("package order");
     let family = Arc::new(
-        ShiftedCholesky::new(&dense_csr, stamped.d_diagonal(), &support, || {
+        ShiftedCholesky::with_order(&dense_csr, stamped.d_diagonal(), &support, &order, || {
             Ok(Arc::new(CholeskyPattern::analyse(&dense_g)?))
         })
         .expect("placement factor of the dense G"),

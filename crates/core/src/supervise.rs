@@ -780,9 +780,12 @@ pub fn score_candidates(
     ctx: &RunContext,
 ) -> Result<Vec<CandidateScore>, SweepFailure<CandidateScore>> {
     let fp = {
-        let mut digest = String::from(CandidateScore::KIND);
-        let grid = base.config().grid();
-        digest.push_str(&format!(" grid {}x{}", grid.rows(), grid.cols()));
+        let mut digest = format!(
+            "{} {} {}",
+            CandidateScore::KIND,
+            base.config().digest(),
+            base.stamped().params().digest()
+        );
         for p in base.tile_powers() {
             digest.push(' ');
             digest.push_str(&hex_f64(p.value()));
@@ -1169,6 +1172,29 @@ mod tests {
         let failure = run(fingerprint("params B")).unwrap_err();
         assert!(matches!(failure.error, OptError::InvalidParameter(_)));
         assert!(failure.error.to_string().contains("stale checkpoint"));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_resume_against_another_device_is_refused_as_stale() {
+        let dir = std::env::temp_dir().join("tecopt-supervise-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("score-device-unit.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let config = crate::PackageConfig::hotspot41_like(4, 4).unwrap();
+        let params = crate::TecParams::superlattice_thin_film();
+        let system = |params: crate::TecParams| {
+            CoolingSystem::new(&config, params, &[], vec![Watts(0.2); 16]).unwrap()
+        };
+        let candidates = vec![vec![TileIndex::new(1, 1)]];
+        let ctx = RunContext::unbounded().checkpoint(&path);
+        let settings = CurrentSettings::default();
+        score_candidates(&system(params.clone()), &candidates, settings, &ctx).unwrap();
+        let other = params.with_contact_scale(2.0).unwrap();
+        let failure = score_candidates(&system(other), &candidates, settings, &ctx).unwrap_err();
+        assert!(failure.error.to_string().contains("stale checkpoint"));
+        // The same device resumes from the checkpoint.
+        score_candidates(&system(params), &candidates, settings, &ctx).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -128,6 +128,24 @@ impl TecParams {
         self.side
     }
 
+    /// A canonical text of the six device parameters, each as the 16 hex
+    /// digits of its bits: resumable sweeps bind their checkpoints and
+    /// ledgers to it.
+    pub fn digest(&self) -> String {
+        let mut digest = String::from("device");
+        for v in [
+            self.seebeck.value(),
+            self.resistance.value(),
+            self.conductance.value(),
+            self.cold_contact.value(),
+            self.hot_contact.value(),
+            self.side.value(),
+        ] {
+            digest.push_str(&format!(" {:016x}", v.to_bits()));
+        }
+        digest
+    }
+
     /// Device footprint area.
     pub fn area(&self) -> SquareMeters {
         self.side * self.side

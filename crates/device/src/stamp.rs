@@ -109,9 +109,11 @@ impl StampedSystem {
     /// ([`ShiftedCholesky`]), with the junction nodes as the support of
     /// `D`: built on the first call and shared by every clone. The runaway
     /// search and every steady solve of the default backend factor through
-    /// it, so `G_AA` (the Peltier-free block) is analysed and factored once
-    /// per placement. The Joule sources sit on the same nodes, so the part
-    /// of a solve off the support does not depend on the current.
+    /// it, so `G_AA` (the Peltier-free block) is factored once per
+    /// placement, and analysed on the package's passive order
+    /// ([`CompactModel::network_order`]) rather than by a minimum-degree
+    /// search of its own. The Joule sources sit on the same nodes, so the
+    /// part of a solve off the support does not depend on the current.
     ///
     /// # Errors
     ///
@@ -126,15 +128,22 @@ impl StampedSystem {
             .iter()
             .flat_map(|&(cold, hot)| [cold, hot])
             .collect();
-        let built = ShiftedCholesky::new(self.model.g_matrix(), &self.d_diagonal, &support, || {
-            self.model
-                .cholesky_pattern()
-                .map(Arc::clone)
-                .map_err(|e| match e {
-                    ThermalError::Linalg(e) => e,
-                    other => LinalgError::InvalidInput(other.to_string()),
-                })
-        })
+        let order = self.model.network_order()?;
+        let built = ShiftedCholesky::with_order(
+            self.model.g_matrix(),
+            &self.d_diagonal,
+            &support,
+            &order,
+            || {
+                self.model
+                    .cholesky_pattern()
+                    .map(Arc::clone)
+                    .map_err(|e| match e {
+                        ThermalError::Linalg(e) => e,
+                        other => LinalgError::InvalidInput(other.to_string()),
+                    })
+            },
+        )
         .map_err(ThermalError::from)?;
         // A racing first call may have won; either build is the same.
         Ok(self.placement.get_or_init(|| Arc::new(built)))

@@ -158,30 +158,16 @@ impl Explorer {
     }
 
     /// FNV-1a fingerprint of the full exploration identity: the space
-    /// spec, the package grid, the base device, the worst-case powers and
-    /// every setting that can change a result. This is what the ledger
-    /// header is bound to.
+    /// spec, the package ([`tecopt::PackageConfig::digest`]), the base
+    /// device, the worst-case powers and every setting that can change a
+    /// result. This is what the ledger header is bound to.
     pub fn fingerprint(&self) -> u64 {
-        let params = self.system.stamped().params();
-        let grid = self.system.config().grid();
         let mut digest = format!(
-            "explore v1 {} grid {}x{} device",
+            "explore v1 {} {} {} powers",
             self.space.digest(),
-            grid.rows(),
-            grid.cols()
+            self.system.config().digest(),
+            self.system.stamped().params().digest(),
         );
-        for v in [
-            params.seebeck().value(),
-            params.resistance().value(),
-            params.conductance().value(),
-            params.cold_contact().value(),
-            params.hot_contact().value(),
-            params.side().value(),
-        ] {
-            digest.push(' ');
-            digest.push_str(&hex_f64(v));
-        }
-        digest.push_str(" powers");
         for p in self.system.tile_powers() {
             digest.push(' ');
             digest.push_str(&hex_f64(p.value()));
@@ -530,5 +516,43 @@ impl Explorer {
             evaluated_this_run,
             resumed,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::space::Placement;
+    use tecopt::{PackageConfig, TecParams, TileIndex};
+    use tecopt_thermal::TileGrid;
+    use tecopt_units::{KelvinPerWatt, Meters};
+
+    fn explorer(convection: f64) -> Explorer {
+        let grid = TileGrid::new(4, 4, Meters::from_millimeters(0.5)).unwrap();
+        let config = PackageConfig::builder(grid)
+            .convection_resistance(KelvinPerWatt(convection))
+            .build()
+            .unwrap();
+        let system = CoolingSystem::new(
+            &config,
+            TecParams::superlattice_thin_film(),
+            &[],
+            vec![Watts(0.2); 16],
+        )
+        .unwrap();
+        let space = DesignSpace::new(
+            vec![1.0],
+            vec![1.0],
+            vec![Placement::Tiles(vec![TileIndex::new(1, 1)])],
+            Celsius(70.0),
+        )
+        .unwrap();
+        Explorer::new(&system, space, ExploreSettings::default())
+    }
+
+    #[test]
+    fn fingerprint_binds_the_package_not_just_its_grid() {
+        assert_eq!(explorer(0.46).fingerprint(), explorer(0.46).fingerprint());
+        assert_ne!(explorer(0.46).fingerprint(), explorer(0.47).fingerprint());
     }
 }

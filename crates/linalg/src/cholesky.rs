@@ -17,14 +17,17 @@ const NONE: usize = usize::MAX;
 /// part of the pattern. The compact model analyses its `G` once and shares
 /// the pattern through an [`Arc`] with every solver, transient stepper and
 /// passive solve of that network, which all factor with
-/// [`Cholesky::factor_csr_with`]; the ordering then costs once per network
-/// instead of once per factorization.
+/// [`Cholesky::factor_csr_with`].
 ///
-/// The ordering is an approximate minimum-degree ordering on the quotient
-/// graph: at every step the node of least (approximate) degree is
-/// eliminated, ties broken by the lowest original index. It is
+/// [`CholeskyPattern::analyse_csr`] orders by approximate minimum degree on
+/// the quotient graph: at every step the node of least (approximate)
+/// degree is eliminated, ties broken by the lowest original index. It is
 /// deterministic, so two analyses of one structure agree bit for bit and so
-/// do the factors built on them.
+/// do the factors built on them. [`CholeskyPattern::analyse_csr_ordered`]
+/// takes the order from the caller instead and costs only the symbolic
+/// work: the thermal model runs minimum degree once per package and
+/// analyses every passive network, and every placement's Peltier-free
+/// block, on that order (restricted to the block's nodes).
 #[derive(Debug)]
 pub struct CholeskyPattern {
     n: usize,
@@ -75,6 +78,16 @@ impl CholeskyPattern {
     ///
     /// [`LinalgError::NotSquare`] if `a` is not square.
     pub fn analyse_csr(a: &CsrMatrix) -> Result<CholeskyPattern, LinalgError> {
+        CholeskyPattern::analyse_csr_with(a, None)
+    }
+
+    /// The elimination order [`CholeskyPattern::analyse_csr`] picks for
+    /// `a`, without the rest of the analysis.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`] if `a` is not square.
+    pub fn minimum_degree_order(a: &CsrMatrix) -> Result<Vec<usize>, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -82,6 +95,49 @@ impl CholeskyPattern {
             });
         }
         let n = a.rows();
+        let mut edges = Vec::with_capacity(a.nnz() / 2);
+        for r in 0..n {
+            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
+            edges.extend(row.iter().take_while(|&&c| c < r).map(|&c| (r, c)));
+        }
+        Ok(approximate_minimum_degree(n, &edges))
+    }
+
+    /// Analyses the stored structure of the lower triangle of `a` (plus
+    /// the full diagonal) on the elimination order `perm` (`perm[k]` is
+    /// the original index of the `k`-th pivot) instead of a minimum-degree
+    /// search: `O(nnz(L))` after the structure pass. With `perm` the
+    /// permutation [`CholeskyPattern::analyse_csr`] picks, the two patterns
+    /// are identical.
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::NotSquare`] if `a` is not square.
+    /// - [`LinalgError::InvalidInput`] if `perm` is not a permutation of
+    ///   `0..n`.
+    pub fn analyse_csr_ordered(
+        a: &CsrMatrix,
+        perm: &[usize],
+    ) -> Result<CholeskyPattern, LinalgError> {
+        CholeskyPattern::analyse_csr_with(a, Some(perm))
+    }
+
+    /// The analysis of `a` on `perm`, or on a minimum-degree order of its
+    /// structure when `perm` is `None`.
+    fn analyse_csr_with(
+        a: &CsrMatrix,
+        perm: Option<&[usize]>,
+    ) -> Result<CholeskyPattern, LinalgError> {
+        if a.rows() != a.cols() {
+            return Err(LinalgError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        let n = a.rows();
+        if let Some(perm) = perm {
+            check_permutation(perm, n)?;
+        }
         // Strictly lower entries, row-major with ascending columns, and
         // where each sits in the lower-triangle structure.
         let mut edges: Vec<(usize, usize)> = Vec::new();
@@ -99,7 +155,10 @@ impl CholeskyPattern {
             lo_col.push(r);
             lo_ptr.push(lo_col.len());
         }
-        let perm = approximate_minimum_degree(n, &edges);
+        let perm = match perm {
+            Some(perm) => perm.to_vec(),
+            None => approximate_minimum_degree(n, &edges),
+        };
         let mut iperm = vec![0; n];
         for (k, &node) in perm.iter().enumerate() {
             iperm[node] = k;
@@ -346,6 +405,27 @@ fn lower_triangle(a: &DenseMatrix) -> Result<CsrMatrix, LinalgError> {
         row_ptr.push(col_idx.len());
     }
     Ok(CsrMatrix::from_parts(n, n, row_ptr, col_idx, values))
+}
+
+/// [`LinalgError::InvalidInput`] unless `perm` lists every node of `0..n`
+/// exactly once.
+pub(crate) fn check_permutation(perm: &[usize], n: usize) -> Result<(), LinalgError> {
+    if perm.len() != n {
+        return Err(LinalgError::InvalidInput(format!(
+            "an elimination order of {} nodes for n = {n}",
+            perm.len()
+        )));
+    }
+    let mut seen = vec![false; n];
+    for &node in perm {
+        if node >= n || std::mem::replace(&mut seen[node], true) {
+            return Err(LinalgError::InvalidInput(format!(
+                "elimination order is not a permutation of 0..{n}: node {node} is out of \
+                 bounds or repeated"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Nonzero entries of `values` (NaN counts as nonzero).
@@ -1136,5 +1216,56 @@ mod tests {
         let chol = Cholesky::factor(&a).unwrap();
         assert_eq!(chol.solve(&[8.0]).unwrap(), vec![2.0]);
         assert!((chol.log_det() - 4.0_f64.ln()).abs() < 1e-14);
+    }
+
+    #[test]
+    fn ordered_analysis_follows_the_given_order() {
+        let a = CsrMatrix::from_dense(&chain(6));
+        let amd = CholeskyPattern::analyse_csr(&a).unwrap();
+        let order = CholeskyPattern::minimum_degree_order(&a).unwrap();
+        assert_eq!(order, amd.permutation());
+        let same = CholeskyPattern::analyse_csr_ordered(&a, &order).unwrap();
+        assert_eq!(same.permutation(), amd.permutation());
+        assert_eq!(same.nnz_l(), amd.nnz_l());
+        // Eliminating the middle of a chain first fills in.
+        let middle_first = [2, 3, 0, 1, 4, 5];
+        let filled = CholeskyPattern::analyse_csr_ordered(&a, &middle_first).unwrap();
+        assert_eq!(filled.permutation(), &middle_first);
+        assert!(filled.nnz_l() > amd.nnz_l());
+        let chol = Cholesky::factor_csr_with(&Arc::new(filled), &a).unwrap();
+        let oracle = DenseCholesky::factor(&chain(6)).unwrap();
+        let b = [1.0, -2.0, 0.5, 3.0, 0.0, 1.5];
+        for (u, v) in chol
+            .solve(&b)
+            .unwrap()
+            .iter()
+            .zip(oracle.solve(&b).unwrap())
+        {
+            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn ordered_analysis_rejects_a_non_permutation() {
+        let a = CsrMatrix::from_dense(&chain(4));
+        for bad in [
+            &[0, 1, 2][..],
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 1, 3],
+            &[0, 1, 2, 4],
+        ] {
+            assert!(
+                matches!(
+                    CholeskyPattern::analyse_csr_ordered(&a, bad),
+                    Err(LinalgError::InvalidInput(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        let rect = CsrMatrix::from_parts(2, 3, vec![0, 0, 0], Vec::new(), Vec::new());
+        assert!(matches!(
+            CholeskyPattern::analyse_csr_ordered(&rect, &[0, 1]),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 }

@@ -16,7 +16,10 @@
 //! ```
 //!
 //! so `G_AA` is analysed and factored once, `X` and `S₀` are formed once,
-//! and each shift refactors only the dense `k×k` trailing block. `y_A`
+//! and each shift refactors only the dense `k×k` trailing block. The
+//! analysis of `G_AA` may reuse a caller's order
+//! ([`ShiftedCholesky::with_order`]): the thermal model hands over its
+//! package's passive order, so a placement runs no minimum-degree search. `y_A`
 //! does not depend on the shift; [`ShiftedCholesky::leading_solve`] hands
 //! it out for callers that solve one right-hand side at many shifts.
 //!
@@ -30,6 +33,7 @@
 
 use std::sync::Arc;
 
+use crate::cholesky::check_permutation;
 use crate::{Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError};
 
 /// Which factorization a [`ShiftedCholesky`] runs per shift.
@@ -116,10 +120,12 @@ impl ShiftedCholesky {
     /// repeats do not matter, and `d` may be zero on it).
     ///
     /// For a nonempty support `G_AA` is analysed whatever the plan, since
-    /// the plan rule needs its flop count. `network_pattern` must return
-    /// the analysis of `g`'s own structure; it is called under
-    /// [`FactorPlan::Network`] and for an empty support, where `G_AA` is
-    /// `g` itself and is factored on that pattern.
+    /// the plan rule needs its flop count; here it is ordered by minimum
+    /// degree, and [`ShiftedCholesky::with_order`] takes the order from the
+    /// caller instead. `network_pattern` must return the analysis of `g`'s
+    /// own structure; it is called under [`FactorPlan::Network`] and for an
+    /// empty support, where `G_AA` is `g` itself and is factored on that
+    /// pattern.
     ///
     /// # Errors
     ///
@@ -137,7 +143,29 @@ impl ShiftedCholesky {
         support: &[usize],
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, network_pattern)
+        ShiftedCholesky::build(g, d, support, None, None, network_pattern)
+    }
+
+    /// [`ShiftedCholesky::new`] with `G_AA` analysed on the elimination
+    /// order `order` of `g`'s nodes restricted to the nodes off the
+    /// support ([`CholeskyPattern::analyse_csr_ordered`]), so a placement
+    /// costs no minimum-degree search. The thermal model passes its
+    /// package's passive-network order: `G_AA` is an induced subgraph of
+    /// the passive network, so eliminating it in that order fills no more
+    /// than the passive factor does.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftedCholesky::new`], plus [`LinalgError::InvalidInput`] if
+    /// `order` is not a permutation of `0..n`.
+    pub fn with_order(
+        g: &CsrMatrix,
+        d: &[f64],
+        support: &[usize],
+        order: &[usize],
+        network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
+    ) -> Result<ShiftedCholesky, LinalgError> {
+        ShiftedCholesky::build(g, d, support, None, Some(order), network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] on the given plan instead of the rule's,
@@ -155,7 +183,7 @@ impl ShiftedCholesky {
         plan: FactorPlan,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, Some(plan), network_pattern)
+        ShiftedCholesky::build(g, d, support, Some(plan), None, network_pattern)
     }
 
     fn build(
@@ -163,6 +191,7 @@ impl ShiftedCholesky {
         d: &[f64],
         support: &[usize],
         plan: Option<FactorPlan>,
+        order: Option<&[usize]>,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
         let n = g.rows();
@@ -195,6 +224,9 @@ impl ShiftedCholesky {
                 "D entry {} at node {k} lies outside the declared support",
                 d[k]
             )));
+        }
+        if let Some(order) = order {
+            check_permutation(order, n)?;
         }
         let free: Vec<usize> = (0..n).filter(|&k| !on_support[k]).collect();
         let d_support: Vec<f64> = support.iter().map(|&b| d[b]).collect();
@@ -249,7 +281,17 @@ impl ShiftedCholesky {
             }
         }
         let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
-        let aa_pattern = Arc::new(CholeskyPattern::analyse_csr(&g_aa)?);
+        let aa_pattern = Arc::new(match order {
+            Some(order) => {
+                let restricted: Vec<usize> = order
+                    .iter()
+                    .filter(|&&node| !on_support[node])
+                    .map(|&node| slot[node])
+                    .collect();
+                CholeskyPattern::analyse_csr_ordered(&g_aa, &restricted)?
+            }
+            None => CholeskyPattern::analyse_csr(&g_aa)?,
+        });
 
         let k = support.len() as f64;
         let trailing = match plan {

@@ -631,3 +631,126 @@ proptest! {
         }
     }
 }
+
+/// The nodes of `0..dim` split by a seeded shuffle: the first `k` are the
+/// support, the rest (ascending) the free nodes.
+fn random_support(seed: u64, dim: usize, k: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..dim).collect();
+    let mut state = seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1;
+    for i in (1..dim).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let support = order[..k].to_vec();
+    let mut free = order[k..].to_vec();
+    free.sort_unstable();
+    (support, free)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn restricted_order_bounds_the_fill_and_matches_minimum_degree(
+        seed in 0u64..5000,
+        dim in 2usize..40,
+        k_pick in 0usize..1000,
+        density in 0.05f64..0.6,
+    ) {
+        // A network, its minimum-degree order, and a random support whose
+        // complement A is the Peltier-free block.
+        let g = stieltjes_case(seed, dim, density, 2);
+        let csr = CsrMatrix::from_dense(&g);
+        let network = CholeskyPattern::analyse_csr(&csr).unwrap();
+        let k = 1 + k_pick % (dim - 1);
+        let (support, free) = random_support(seed, dim, k);
+        let mut g_aa = DenseMatrix::zeros(free.len(), free.len());
+        for (r, &a) in free.iter().enumerate() {
+            for (c, &b) in free.iter().enumerate() {
+                g_aa[(r, c)] = g[(a, b)];
+            }
+        }
+        let aa = CsrMatrix::from_dense(&g_aa);
+        let mut slot = vec![usize::MAX; dim];
+        for (s, &a) in free.iter().enumerate() {
+            slot[a] = s;
+        }
+        let restricted: Vec<usize> = network
+            .permutation()
+            .iter()
+            .filter(|&&v| slot[v] != usize::MAX)
+            .map(|&v| slot[v])
+            .collect();
+
+        // G_AA is an induced subgraph: eliminating it in the network's
+        // order fills no more than the network's factor.
+        let ordered = Arc::new(CholeskyPattern::analyse_csr_ordered(&aa, &restricted).unwrap());
+        prop_assert!(ordered.nnz_l() <= network.nnz_l(),
+            "nnz(L_AA) {} > nnz(L) {}", ordered.nnz_l(), network.nnz_l());
+
+        // Solves on the restricted order agree with the minimum-degree
+        // factor of G_AA, and so do the families built on either.
+        let b: Vec<f64> = (0..free.len()).map(|j| 1.0 + (j as f64 * 0.43).sin()).collect();
+        let on_order = Cholesky::factor_csr_with(&ordered, &aa).unwrap().solve(&b).unwrap();
+        let amd = Cholesky::factor_csr(&aa).unwrap().solve(&b).unwrap();
+        prop_assert!(rel_err(&on_order, &amd) <= 1e-10, "{}", rel_err(&on_order, &amd));
+
+        let mut d = vec![0.0; dim];
+        for (j, &s) in support.iter().enumerate() {
+            d[s] = if j % 2 == 0 { 0.3 } else { -0.3 };
+        }
+        let pattern = || Ok(Arc::new(CholeskyPattern::analyse_csr(&csr)?));
+        let with_order = Arc::new(
+            ShiftedCholesky::with_order(&csr, &d, &support, network.permutation(), pattern)
+                .unwrap(),
+        );
+        let fresh = Arc::new(ShiftedCholesky::new(&csr, &d, &support, pattern).unwrap());
+        prop_assert_eq!(with_order.plan(), fresh.plan());
+        let rhs: Vec<f64> = (0..dim).map(|j| 1.0 + (j as f64 * 0.61).cos()).collect();
+        let lambda = if d.iter().any(|&x| x > 0.0) {
+            generalized_pd_threshold_dense(&g, &d, 1e-12, DEFAULT_PROBE_BUDGET)
+                .unwrap()
+                .estimate()
+        } else {
+            1.0
+        };
+        for f in [0.0, 0.5, 0.9] {
+            let i = f * lambda;
+            let x = with_order.factor_at(i).unwrap().solve(&rhs).unwrap();
+            let y = fresh.factor_at(i).unwrap().solve(&rhs).unwrap();
+            prop_assert!(rel_err(&x, &y) <= 1e-10, "{} at {} λ_m", rel_err(&x, &y), f);
+        }
+
+        // An order that is not a permutation is refused, not restricted.
+        let mut bad = network.permutation().to_vec();
+        bad[0] = bad[dim - 1];
+        prop_assert!(matches!(
+            ShiftedCholesky::with_order(&csr, &d, &support, &bad, pattern),
+            Err(LinalgError::InvalidInput(_))
+        ));
+    }
+
+    #[test]
+    fn arbitrary_orders_are_a_pattern_or_a_typed_error(
+        seed in 0u64..5000,
+        dim in 1usize..12,
+        shuffled in 0usize..3,
+        raw in proptest::collection::vec(0usize..14, 0..14),
+    ) {
+        let csr = CsrMatrix::from_dense(&stieltjes_case(seed, dim, 0.4, 2));
+        // A third of the cases a true permutation, the rest arbitrary.
+        let perm = if shuffled == 0 { random_support(seed, dim, dim).0 } else { raw };
+        match CholeskyPattern::analyse_csr_ordered(&csr, &perm) {
+            Ok(pattern) => {
+                let mut sorted = perm.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, (0..dim).collect::<Vec<_>>());
+                prop_assert_eq!(pattern.permutation(), &perm[..]);
+                Cholesky::factor_csr_with(&Arc::new(pattern), &csr).unwrap();
+            }
+            Err(e) => prop_assert!(matches!(e, LinalgError::InvalidInput(_)), "{e:?}"),
+        }
+    }
+}

@@ -1,3 +1,6 @@
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use crate::{Material, ThermalError, TileGrid};
 use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 
@@ -11,6 +14,12 @@ use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 /// Use [`PackageConfig::hotspot41_like`] for the HotSpot-4.1-class defaults
 /// the paper's experiments were run against, or [`PackageConfig::builder`]
 /// for full control.
+///
+/// A configuration also carries the minimum-degree elimination order of
+/// its passive network, filled by the first [`crate::CompactModel`] that
+/// needs it and shared by every clone (see
+/// [`crate::CompactModel::package_order`]). It is a cache of a function of
+/// the other fields: equality and [`PackageConfig::digest`] ignore it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackageConfig {
     grid: TileGrid,
@@ -28,6 +37,42 @@ pub struct PackageConfig {
     sink_cells: usize,
     convection_resistance: KelvinPerWatt,
     ambient: Celsius,
+    passive_order: OrderSlot,
+}
+
+/// The lazily filled passive-network order of a [`PackageConfig`], one
+/// slot per built configuration and shared by its clones.
+#[derive(Clone, Default)]
+pub(crate) struct OrderSlot(Arc<OnceLock<Arc<[usize]>>>);
+
+impl OrderSlot {
+    pub(crate) fn get(&self) -> Option<&Arc<[usize]>> {
+        self.0.get()
+    }
+
+    /// Fills the slot unless a racing first fill won (both hold the same
+    /// deterministic order) and returns what it holds.
+    pub(crate) fn fill(&self, order: Vec<usize>) -> &Arc<[usize]> {
+        self.0.get_or_init(|| order.into())
+    }
+}
+
+/// The slot is a cache, not part of the package's identity.
+impl PartialEq for OrderSlot {
+    fn eq(&self, _: &OrderSlot) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for OrderSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.get().is_some() {
+            "filled"
+        } else {
+            "empty"
+        };
+        write!(f, "OrderSlot({state})")
+    }
 }
 
 impl PackageConfig {
@@ -142,6 +187,49 @@ impl PackageConfig {
     /// Ambient air temperature.
     pub fn ambient(&self) -> Celsius {
         self.ambient
+    }
+
+    /// The slot holding the passive network's elimination order.
+    pub(crate) fn passive_order(&self) -> &OrderSlot {
+        &self.passive_order
+    }
+
+    /// A canonical text of every physical field: the grid, each layer's
+    /// thickness, side, cell count and material (conductivity and heat
+    /// capacity), the convection resistance and the ambient, floats as the
+    /// 16 hex digits of their bits. Two packages with the same digest build
+    /// bit-identical models; resumable sweeps bind their checkpoints and
+    /// ledgers to it.
+    pub fn digest(&self) -> String {
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let material = |m: &Material| {
+            format!(
+                "{} {}",
+                hex(m.conductivity().value()),
+                hex(m.volumetric_heat_capacity())
+            )
+        };
+        format!(
+            "package grid {}x{} tile {} die {} {} tim {} {} spreader {} {} {} {} \
+             sink {} {} {} {} convection {} ambient {}",
+            self.grid.rows(),
+            self.grid.cols(),
+            hex(self.grid.tile_size().value()),
+            hex(self.die_thickness.value()),
+            material(&self.die_material),
+            hex(self.tim_thickness.value()),
+            material(&self.tim_material),
+            hex(self.spreader_side.value()),
+            hex(self.spreader_thickness.value()),
+            self.spreader_cells,
+            material(&self.spreader_material),
+            hex(self.sink_side.value()),
+            hex(self.sink_thickness.value()),
+            self.sink_cells,
+            material(&self.sink_material),
+            hex(self.convection_resistance.value()),
+            hex(self.ambient.value()),
+        )
     }
 }
 
@@ -295,6 +383,7 @@ impl PackageConfigBuilder {
             sink_cells: self.sink_cells,
             convection_resistance: self.convection_resistance,
             ambient: self.ambient,
+            passive_order: OrderSlot::default(),
         })
     }
 }
@@ -331,6 +420,36 @@ mod tests {
         assert!((c.tim_thickness().value() - 50e-6).abs() < 1e-15);
         assert_eq!(c.spreader_cells(), 6);
         assert_eq!(c.sink_cells(), 8);
+    }
+
+    #[test]
+    fn digest_covers_every_physical_field() {
+        let grid = TileGrid::new(4, 4, Meters::from_millimeters(0.5)).unwrap();
+        let base = PackageConfig::builder(grid.clone()).build().unwrap();
+        let variants = [
+            PackageConfig::builder(grid.clone())
+                .convection_resistance(KelvinPerWatt(0.47))
+                .build(),
+            PackageConfig::builder(grid.clone())
+                .ambient(Celsius(46.0))
+                .build(),
+            PackageConfig::builder(grid.clone())
+                .tim_thickness(Meters::from_micrometers(86.0))
+                .build(),
+            PackageConfig::builder(grid.clone())
+                .tim_material(Material::thermal_interface().with_heat_capacity(1.0e6))
+                .build(),
+            PackageConfig::builder(grid.clone()).sink_cells(11).build(),
+            PackageConfig::builder(TileGrid::new(4, 4, Meters::from_millimeters(0.45)).unwrap())
+                .build(),
+        ];
+        for v in variants {
+            let v = v.unwrap();
+            assert_ne!(v.digest(), base.digest(), "{v:?}");
+            assert_ne!(v, base);
+        }
+        let rebuilt = PackageConfig::builder(grid).build().unwrap();
+        assert_eq!(rebuilt.digest(), base.digest());
     }
 
     #[test]

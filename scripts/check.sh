@@ -73,8 +73,10 @@
 #      the committed BENCH_PR10.json,
 #  18. the benchmark's own unit tests (perfbench/: percentile and span
 #      arithmetic, metric names, the result-line schema in run.py),
-#  19. a one-second smoke run of the benchmark's table1 workload (the
-#      paper's Table-I pipeline on all eleven chips), which must report
+#  19. one-second smoke runs of the benchmark's table1 workload (the
+#      paper's Table-I pipeline on all eleven chips) and explore workload
+#      (a design sweep whose candidates, with different TEC parameters,
+#      share one package order), each of which must report
 #      "correct": true.
 # Run from the repository root: ./scripts/check.sh
 set -eu
@@ -141,15 +143,17 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> python3 -m unittest discover -s perfbench"
 python3 -m unittest discover -s perfbench
 
-echo "==> python3 perfbench/run.py --workload table1 --seed 1 --seconds 1 --trace 0"
-smoke=$(python3 perfbench/run.py --workload table1 --seed 1 --seconds 1 --trace 0 | tail -n 1)
-echo "$smoke"
-case "$smoke" in
-*'"correct": true'*) ;;
-*)
-    echo "perfbench table1 smoke run did not report correct output" >&2
-    exit 1
-    ;;
-esac
+for workload in table1 explore; do
+    echo "==> python3 perfbench/run.py --workload $workload --seed 1 --seconds 1 --trace 0"
+    smoke=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$smoke"
+    case "$smoke" in
+    *'"correct": true'*) ;;
+    *)
+        echo "perfbench $workload smoke run did not report correct output" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "==> all checks passed"
