@@ -7,7 +7,8 @@
 //! and `η′(i) = H·D·H·1_J` (two solves), so a certificate probe costs one
 //! Cholesky factorization regardless of how many tiles are checked.
 
-use crate::supervise::{checkpointed_map, fingerprint, hex_f64, Checkpointable, RunContext};
+use crate::record::{fingerprint, hex_f64};
+use crate::supervise::{checkpointed_map, Checkpointable, RunContext};
 use crate::{runaway_limit, CoolingSystem, OptError, SteadySolver, SweepFailure};
 use tecopt_units::Amperes;
 

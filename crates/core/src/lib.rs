@@ -77,6 +77,7 @@ mod error;
 mod lambda;
 pub mod multipin;
 pub mod parallel;
+pub mod record;
 pub mod report;
 pub mod runaway;
 pub mod supervise;

@@ -7,7 +7,8 @@
 //! `G − i·D` is no longer positive definite and no bounded steady state
 //! exists at all.
 
-use crate::supervise::{checkpointed_map, fingerprint, hex_f64, Checkpointable, RunContext};
+use crate::record::{fingerprint, hex_f64};
+use crate::supervise::{checkpointed_map, Checkpointable, RunContext};
 use crate::{runaway_limit, CoolingSystem, OptError, RunawayLimit, SweepFailure};
 use tecopt_units::{Amperes, Celsius};
 

@@ -15,25 +15,27 @@
 //! - a panicking worker is contained at its item boundary
 //!   ([`OptError::WorkerPanicked`]) instead of aborting the process, with
 //!   the lowest-index failure winning deterministically;
-//! - completed probe results can be serialized to a versioned,
-//!   dependency-free text checkpoint file and resumed bit-identically.
+//! - completed probe results can be appended to a checkpoint and resumed
+//!   bit-identically: [`checkpointed_map`] writes one `item <index>`
+//!   record per completed item through [`crate::record`] (which owns the
+//!   header, checksums, torn-tail replay and atomic creation) and splices
+//!   recorded items back in any order on resume.
 //!
-//! See `DESIGN.md` §12 for the model and the checkpoint format.
+//! See `DESIGN.md` §12 for the model and the record format.
 
 use crate::parallel::{par_map_init_isolated, ItemOutcome};
+use crate::record::{hex_f64, hex_opt, parse_hex_f64, parse_hex_opt, Header, RecordFile};
 use crate::{optimize_current, CoolingSystem, CurrentSettings, OptError};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tecopt_linalg::CancelToken;
 use tecopt_thermal::TileIndex;
 use tecopt_units::{Amperes, Celsius, Watts};
 
-/// Magic first line of every checkpoint file; the trailing integer is the
-/// format version.
-pub const CHECKPOINT_HEADER: &str = "tecopt-checkpoint v1";
+/// Kept at its historical path for callers that digest sweep parameters.
+pub use crate::record::fingerprint;
 
 /// Shared supervision state for one logical run (a sweep, a certificate, a
 /// whole designer pipeline).
@@ -379,8 +381,8 @@ where
 /// A sweep result that can round-trip through the text checkpoint format.
 ///
 /// Encoding must be *bit-exact* for floating-point payloads (use
-/// [`hex_f64`]/[`parse_hex_f64`]), because resume correctness is defined
-/// as bit-identity with the uninterrupted run.
+/// [`hex_f64`]/[`parse_hex_f64`] from [`crate::record`]), because resume
+/// correctness is defined as bit-identity with the uninterrupted run.
 pub trait Checkpointable: Sized {
     /// Stable record-kind tag written to (and checked against) the
     /// checkpoint header.
@@ -391,190 +393,6 @@ pub trait Checkpointable: Sized {
     /// Decodes what [`Checkpointable::encode`] produced; `None` for
     /// malformed input (e.g. a torn final line after a crash).
     fn decode(fields: &str) -> Option<Self>;
-}
-
-/// FNV-1a hash of `data` — the dependency-free fingerprint binding a
-/// checkpoint file to the exact sweep parameters that produced it.
-pub fn fingerprint(data: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in data.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Bit-exact hex encoding of an `f64` (16 lowercase hex digits).
-pub fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Inverse of [`hex_f64`].
-pub fn parse_hex_f64(s: &str) -> Option<f64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
-        .flatten()
-}
-
-fn hex_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => hex_f64(v),
-        None => "-".to_string(),
-    }
-}
-
-fn parse_hex_opt(s: &str) -> Option<Option<f64>> {
-    if s == "-" {
-        Some(None)
-    } else {
-        parse_hex_f64(s).map(Some)
-    }
-}
-
-fn checkpoint_io(e: std::io::Error) -> OptError {
-    OptError::InvalidParameter(format!("checkpoint io: {e}"))
-}
-
-/// The sibling temp path the atomic-replace protocol writes through:
-/// `<final>.tmp` in the same directory (same filesystem, so the rename is
-/// atomic). `faultinject::DiskFull` relies on this convention to obstruct
-/// the temp path in write-failure tests.
-pub fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(std::ffi::OsStr::to_os_string)
-        .unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Atomically replaces `path` with `contents`: the bytes are written and
-/// synced to [`temp_sibling`] first, renamed over the final path, then the
-/// parent directory is synced so the rename itself survives power loss. A
-/// crash at any instant leaves the final path either absent, with its old
-/// content, or with the complete new content — never a torn prefix.
-/// Checkpoint and ledger *headers* go through this; item records are plain
-/// appends that are flushed but not synced — durable against process
-/// kills, while an OS crash or power loss may drop an unsynced record
-/// tail, which costs re-running those items, never correctness (the
-/// loaders treat a missing record as pending work).
-///
-/// # Errors
-///
-/// Any I/O error from create/write/sync/rename: before the rename the
-/// final path is untouched; a directory-sync failure after it leaves the
-/// final path with the complete new content (never a torn file).
-pub fn atomic_replace(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = temp_sibling(path);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // The rename lives in the directory entry, not the file: without this
-    // sync a power cut can roll the replacement back even though the file
-    // data itself was synced.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Reads the completed items recorded in `path`, validating the header
-/// against this sweep's kind, fingerprint and item count. A missing file
-/// is an empty (fresh) checkpoint; a header mismatch is a typed error —
-/// resuming under different parameters would silently mix sweeps.
-fn load_checkpoint<R: Checkpointable>(
-    path: &Path,
-    fp: u64,
-    total: usize,
-) -> Result<Vec<Option<R>>, OptError> {
-    let mut prefilled: Vec<Option<R>> = Vec::with_capacity(total);
-    prefilled.resize_with(total, || None);
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(prefilled),
-        Err(e) => return Err(checkpoint_io(e)),
-    };
-    let mut lines = text.lines();
-    let header_ok = lines.next() == Some(CHECKPOINT_HEADER)
-        && lines.next() == Some(&format!("kind {}", R::KIND))
-        && lines.next() == Some(&format!("fingerprint {fp:016x}"))
-        && lines.next() == Some(&format!("total {total}"));
-    if !header_ok {
-        return Err(OptError::InvalidParameter(format!(
-            "stale checkpoint {}: header does not match this sweep (kind {}, fingerprint \
-             {fp:016x}, total {total}); delete it to start fresh",
-            path.display(),
-            R::KIND,
-        )));
-    }
-    for line in lines {
-        // Item lines are order-insensitive; a malformed line (torn final
-        // write after a crash) is skipped, so its item simply re-runs.
-        let Some(rest) = line.strip_prefix("item ") else {
-            continue;
-        };
-        let Some((idx_str, fields)) = rest.split_once(' ') else {
-            continue;
-        };
-        let Ok(idx) = idx_str.parse::<usize>() else {
-            continue;
-        };
-        if idx >= total {
-            continue;
-        }
-        if let Some(record) = R::decode(fields) {
-            prefilled[idx] = Some(record);
-        }
-    }
-    Ok(prefilled)
-}
-
-/// Opens `path` for appending item records, writing the header first if
-/// the file is fresh.
-fn open_checkpoint<R: Checkpointable>(
-    path: &Path,
-    fp: u64,
-    total: usize,
-    fresh: bool,
-) -> Result<std::fs::File, OptError> {
-    if fresh {
-        // The header must appear atomically: a direct create-then-write
-        // killed mid-header would leave a torn header that reads as a
-        // *stale* checkpoint on resume (a typed error demanding manual
-        // deletion) instead of a fresh file.
-        let header = format!(
-            "{CHECKPOINT_HEADER}\nkind {}\nfingerprint {fp:016x}\ntotal {total}\n",
-            R::KIND
-        );
-        atomic_replace(path, &header).map_err(checkpoint_io)?;
-    }
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(checkpoint_io)
-}
-
-/// Appends one completed item record and flushes, so a kill immediately
-/// after a probe boundary loses at most the probe in flight.
-fn append_item<R: Checkpointable>(
-    file: &Mutex<std::fs::File>,
-    index: usize,
-    record: &R,
-) -> Result<(), OptError> {
-    let mut file = file
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The mutex exists to serialize exactly this append+flush; writing
-    // outside it would interleave records from concurrent workers and
-    // corrupt the checkpoint file.
-    // tecopt:allow(lock-across-blocking)
-    writeln!(file, "item {index} {}", record.encode()).map_err(checkpoint_io)?;
-    file.flush().map_err(checkpoint_io)
 }
 
 /// [`supervised_map`] with checkpoint/resume: when the context carries a
@@ -608,14 +426,25 @@ where
     let Some(path) = ctx.checkpoint_path() else {
         return supervised_map(ctx, items, init, f);
     };
-    let path = path.to_path_buf();
     let total = items.len();
-    let fresh = !path.exists();
-    let prefilled = load_checkpoint::<R>(&path, params_fingerprint, total)
-        .map_err(|e| SweepFailure::before_start(e, total))?;
-    let file = open_checkpoint::<R>(&path, params_fingerprint, total, fresh)
-        .map_err(|e| SweepFailure::before_start(e, total))?;
-    let file = Mutex::new(file);
+    let header = Header {
+        noun: "checkpoint",
+        kind: R::KIND,
+        fingerprint: params_fingerprint,
+        total,
+    };
+    let mut prefilled: Vec<Option<R>> = Vec::with_capacity(total);
+    prefilled.resize_with(total, || None);
+    // Item records are order-insensitive; an unreadable one re-runs.
+    let file = RecordFile::open(path, &header, |rec| {
+        let idx = rec.key.parse::<usize>().ok().filter(|i| *i < total);
+        if let (Some(idx), "item") = (idx, rec.tag) {
+            if let Some(record) = R::decode(rec.payload) {
+                prefilled[idx] = Some(record);
+            }
+        }
+    })
+    .map_err(|e| SweepFailure::before_start(e, total))?;
 
     let missing: Vec<(usize, T)> = items
         .into_iter()
@@ -628,7 +457,7 @@ where
         init,
         |state, (index, item)| {
             let record = f(state, item)?;
-            append_item(&file, index, &record)?;
+            file.append("item", &index.to_string(), &record.encode())?;
             Ok(record)
         },
         || ctx.admit(),
@@ -1048,34 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_and_sensitive() {
-        assert_eq!(fingerprint(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fingerprint("abc"), fingerprint("abc"));
-        assert_ne!(fingerprint("abc"), fingerprint("abd"));
-    }
-
-    #[test]
-    fn hex_f64_round_trips_bit_exactly() {
-        for v in [
-            0.0,
-            -0.0,
-            1.0,
-            -1.5,
-            f64::NAN,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-            1.234_567_890_123_456_7e-300,
-        ] {
-            let enc = hex_f64(v);
-            let back = parse_hex_f64(&enc).unwrap();
-            assert_eq!(v.to_bits(), back.to_bits(), "{v} via {enc}");
-        }
-        assert!(parse_hex_f64("nonsense").is_none());
-        assert!(parse_hex_f64("123").is_none());
-        assert_eq!(parse_hex_opt("-"), Some(None));
-    }
-
-    #[test]
     fn candidate_score_round_trips() {
         let score = CandidateScore {
             device_count: 7,
@@ -1195,27 +996,6 @@ mod tests {
         assert!(failure.error.to_string().contains("stale checkpoint"));
         // The same device resumes from the checkpoint.
         score_candidates(&system(params), &candidates, settings, &ctx).unwrap();
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_final_line_is_tolerated() {
-        let dir = std::env::temp_dir().join("tecopt-supervise-unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-unit.ckpt");
-        let fp = fingerprint("torn");
-        let header = format!(
-            "{CHECKPOINT_HEADER}\nkind {}\nfingerprint {fp:016x}\ntotal 3\nitem 0 1 {} {} {} 9\nitem 1 2 3fb",
-            CandidateScore::KIND,
-            hex_f64(1.0),
-            hex_f64(2.0),
-            hex_f64(3.0),
-        );
-        std::fs::write(&path, header).unwrap();
-        let loaded = load_checkpoint::<CandidateScore>(&path, fp, 3).unwrap();
-        assert!(loaded[0].is_some(), "intact record survives");
-        assert!(loaded[1].is_none(), "torn record re-runs");
-        assert!(loaded[2].is_none());
         std::fs::remove_file(&path).unwrap();
     }
 }

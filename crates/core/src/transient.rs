@@ -33,15 +33,14 @@
 //! ```
 
 use core::fmt;
-use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 #[cfg(test)]
 use std::sync::Arc;
 
 use crate::parallel::panic_message;
-use crate::supervise::{fingerprint, hex_f64, parse_hex_f64, RunContext, CHECKPOINT_HEADER};
+use crate::record::{fingerprint, hex_f64, parse_hex_f64, Header, RecordFile};
+use crate::supervise::RunContext;
 use crate::{CoolingSystem, OptError};
 use tecopt_thermal::transient::BackwardEuler;
 use tecopt_thermal::ThermalError;
@@ -829,52 +828,54 @@ impl TransientSimulator {
         };
         let (plan, total) = self.plan_schedule(schedule).map_err(fail)?;
         let fp = self.playback_fingerprint(schedule, params_fingerprint);
-        let recovered =
-            load_transient_checkpoint(&path, fp, total, self.theta.len()).map_err(fail)?;
-
-        let mut trace = TransientTrace::default();
-        if let Some((samples, theta, time)) = recovered {
-            // Fast-forward the controller over the recorded peak sequence:
-            // the pre-step peak of step j is the post-step peak of j−1
-            // (the simulator's own starting peak for j = 0).
-            for (j, sample) in samples.iter().enumerate() {
-                let peak = if j == 0 {
-                    self.peak()
-                } else {
-                    samples[j - 1].peak
-                };
-                if let Err(payload) =
-                    catch_unwind(AssertUnwindSafe(|| controller.next_current(peak)))
-                {
-                    return Err(TransientFailure {
-                        error: OptError::ControllerPanicked {
-                            step: j,
-                            payload: panic_message(payload),
-                        },
-                        partial: TransientTrace::from_samples(samples[..j].to_vec()),
-                    });
-                }
-                let _ = sample;
-            }
-            self.theta = theta;
-            self.time = time;
-            trace.samples = samples;
-        }
-
-        let mut writer = CheckpointWriter::open(&path, fp, total, !trace.samples.is_empty())
-            .map_err(|error| TransientFailure {
-                error,
-                partial: trace.clone(),
-            })?;
-        self.play(
-            schedule,
-            &plan,
+        let header = Header {
+            noun: "checkpoint",
+            kind: CHECKPOINT_KIND,
+            fingerprint: fp,
             total,
-            controller,
-            ctx,
-            trace,
-            Some(&mut writer),
-        )
+        };
+        // Step records keyed by index, later duplicates winning (a torn
+        // record is re-appended intact after a resume).
+        let mut records: Vec<Option<(TransientSample, Vec<f64>)>> = vec![None; total];
+        let file = RecordFile::open(&path, &header, |rec| {
+            let idx = rec.key.parse::<usize>().ok().filter(|i| *i < total);
+            if let (Some(idx), "item") = (idx, rec.tag) {
+                if let Some(step) = decode_step(rec.payload, self.theta.len()) {
+                    records[idx] = Some(step);
+                }
+            }
+        })
+        .map_err(fail)?;
+
+        // The longest intact prefix is the recovered run.
+        let samples: Vec<TransientSample> = records
+            .iter()
+            .map_while(|r| r.as_ref().map(|(sample, _)| *sample))
+            .collect();
+        // Fast-forward the controller over the recorded peak sequence: the
+        // pre-step peak of step j is the post-step peak of j−1 (the
+        // simulator's own starting peak for j = 0).
+        let mut peak = self.peak();
+        for (j, sample) in samples.iter().enumerate() {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| controller.next_current(peak))) {
+                return Err(TransientFailure {
+                    error: OptError::ControllerPanicked {
+                        step: j,
+                        payload: panic_message(payload),
+                    },
+                    partial: TransientTrace::from_samples(samples[..j].to_vec()),
+                });
+            }
+            peak = sample.peak;
+        }
+        // Restore the state and clock after the last recovered step.
+        let last = samples.len().checked_sub(1);
+        if let Some((sample, theta)) = last.and_then(|i| records.get_mut(i)?.take()) {
+            self.time = sample.time;
+            self.theta = theta;
+        }
+        let trace = TransientTrace::from_samples(samples);
+        self.play(schedule, &plan, total, controller, ctx, trace, Some(&file))
     }
 
     /// Digest of everything the simulator itself contributes to a
@@ -911,7 +912,7 @@ impl TransientSimulator {
         controller: &mut (dyn TecController + Send),
         ctx: &RunContext,
         mut trace: TransientTrace,
-        mut writer: Option<&mut CheckpointWriter>,
+        file: Option<&RecordFile>,
     ) -> Result<TransientTrace, TransientFailure> {
         let mut done = trace.samples.len();
         let mut base = 0usize;
@@ -959,8 +960,9 @@ impl TransientSimulator {
                         });
                     }
                 };
-                if let Some(w) = writer.as_deref_mut() {
-                    if let Err(error) = w.append(done, &sample, &self.theta) {
+                if let Some(file) = file {
+                    let payload = encode_step(&sample, &self.theta);
+                    if let Err(error) = file.append("item", &done.to_string(), &payload) {
                         return Err(TransientFailure {
                             error,
                             partial: trace,
@@ -987,161 +989,32 @@ fn exhaustion(ctx: &RunContext, done: usize, total: usize) -> OptError {
     }
 }
 
-/// Sequentially appends per-step records to a playback checkpoint.
-struct CheckpointWriter {
-    file: fs::File,
-}
-
-impl CheckpointWriter {
-    /// Opens `path` for appending. A fresh file gets the four-line header;
-    /// on reopen (`resuming`) a defensive newline first terminates any
-    /// record torn by a mid-write kill, so the next append starts clean.
-    fn open(
-        path: &Path,
-        fp: u64,
-        total: usize,
-        resuming: bool,
-    ) -> Result<CheckpointWriter, OptError> {
-        let io = |e: std::io::Error| {
-            OptError::InvalidParameter(format!("checkpoint io at {}: {e}", path.display()))
-        };
-        let fresh = !path.exists();
-        if fresh {
-            // The header appears atomically via temp-file+rename: a kill
-            // mid-header would otherwise read as a *stale* checkpoint on
-            // resume instead of a fresh file.
-            let header = format!(
-                "{CHECKPOINT_HEADER}\nkind {CHECKPOINT_KIND}\nfingerprint {fp:016x}\ntotal {total}\n"
-            );
-            crate::supervise::atomic_replace(path, &header).map_err(io)?;
-        }
-        let mut file = fs::OpenOptions::new().append(true).open(path).map_err(io)?;
-        if !fresh && resuming {
-            writeln!(file).map_err(io)?;
-            file.flush().map_err(io)?;
-        }
-        Ok(CheckpointWriter { file })
-    }
-
-    /// Appends and flushes one step record: the sample fields plus the
-    /// full post-step state `θ`, all as bit-exact hex.
-    fn append(
-        &mut self,
-        idx: usize,
-        sample: &TransientSample,
-        theta: &[f64],
-    ) -> Result<(), OptError> {
-        let mut line = format!(
-            "item {idx} {} {} {} {}",
-            hex_f64(sample.time),
-            hex_f64(sample.peak.value()),
-            hex_f64(sample.current.value()),
-            hex_f64(sample.tec_power.value())
-        );
-        for t in theta {
-            line.push(' ');
-            line.push_str(&hex_f64(*t));
-        }
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| OptError::InvalidParameter(format!("checkpoint io: {e}")))
-    }
-}
-
-/// A recovered checkpoint prefix: the recorded samples, the post-step
-/// state `θ` of the last one, and its clock reading.
-type RecoveredPlayback = (Vec<TransientSample>, Vec<f64>, f64);
-
-/// Loads the longest intact step prefix of a playback checkpoint:
-/// `(samples, last θ, last time)`, or `None` for a missing file or an
-/// empty prefix. A header that disagrees with the expected fingerprint or
-/// step total is a stale checkpoint and a typed error; torn or duplicated
-/// item lines (a kill mid-append) are tolerated, later duplicates winning.
-fn load_transient_checkpoint(
-    path: &Path,
-    fp: u64,
-    total: usize,
-    nodes: usize,
-) -> Result<Option<RecoveredPlayback>, OptError> {
-    let content = match fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(OptError::InvalidParameter(format!(
-                "checkpoint io at {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let stale = |why: String| {
-        OptError::InvalidParameter(format!("stale checkpoint at {}: {why}", path.display()))
-    };
-    let mut lines = content.lines().filter(|l| !l.trim().is_empty());
-    let expect_header: [String; 4] = [
-        CHECKPOINT_HEADER.to_string(),
-        format!("kind {CHECKPOINT_KIND}"),
-        format!("fingerprint {fp:016x}"),
-        format!("total {total}"),
+/// A step record's payload: the sample fields plus the full post-step
+/// state `θ`, all as bit-exact hex.
+fn encode_step(sample: &TransientSample, theta: &[f64]) -> String {
+    let head = [
+        sample.time,
+        sample.peak.value(),
+        sample.current.value(),
+        sample.tec_power.value(),
     ];
-    for want in &expect_header {
-        let got = lines.next().unwrap_or("");
-        if got != want {
-            return Err(stale(format!("expected `{want}`, found `{got}`")));
-        }
-    }
+    let fields: Vec<String> = head.iter().chain(theta).map(|v| hex_f64(*v)).collect();
+    fields.join(" ")
+}
 
-    // Item lines keyed by index, later duplicates winning (a torn line may
-    // be re-appended intact after a resume).
-    let mut records: Vec<Option<&str>> = vec![None; total];
-    for line in lines {
-        let mut it = line.split_ascii_whitespace();
-        if it.next() != Some("item") {
-            continue;
-        }
-        let Some(idx) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
-            continue;
-        };
-        if idx >= total {
-            continue;
-        }
-        // A record is intact only with exactly 4 sample fields plus the
-        // full state vector, every one a well-formed hex f64.
-        let fields: Vec<&str> = it.collect();
-        if fields.len() != 4 + nodes || fields.iter().any(|f| parse_hex_f64(f).is_none()) {
-            continue;
-        }
-        records[idx] = Some(line);
-    }
-
-    let prefix = records.iter().take_while(|r| r.is_some()).count();
-    if prefix == 0 {
-        return Ok(None);
-    }
-    let mut samples = Vec::with_capacity(prefix);
-    let mut theta = Vec::new();
-    let mut time = 0.0f64;
-    for record in records.iter().take(prefix) {
-        // `prefix` only counts leading `Some` records.
-        #[allow(clippy::expect_used)]
-        let line = record.expect("prefix records are present");
-        let vals: Vec<f64> = line
-            .split_ascii_whitespace()
-            .skip(2)
-            .filter_map(parse_hex_f64)
-            .collect();
-        // Validated above: 4 sample fields + `nodes` state entries.
-        samples.push(TransientSample {
-            time: vals[0],
-            peak: Celsius(vals[1]),
-            current: Amperes(vals[2]),
-            tec_power: Watts(vals[3]),
-        });
-        time = vals[0];
-        theta = vals[4..].to_vec();
-    }
-    Ok(Some((samples, theta, time)))
+/// Inverse of [`encode_step`]: exactly the 4 sample fields plus `nodes`
+/// state entries, every one a well-formed hex `f64`.
+fn decode_step(payload: &str, nodes: usize) -> Option<(TransientSample, Vec<f64>)> {
+    let mut vals = payload.split(' ').map(parse_hex_f64);
+    let mut next = || vals.next().flatten();
+    let sample = TransientSample {
+        time: next()?,
+        peak: Celsius(next()?),
+        current: Amperes(next()?),
+        tec_power: Watts(next()?),
+    };
+    let theta: Vec<f64> = vals.collect::<Option<_>>()?;
+    (theta.len() == nodes).then_some((sample, theta))
 }
 
 #[cfg(test)]
@@ -1510,5 +1383,34 @@ mod tests {
             (0.5 * (max_tail + min_tail) - target.value()).abs() < 1.5,
             "band center off target: [{min_tail}, {max_tail}] vs {target:?}"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn step_records_round_trip_bit_exactly(
+            bits in proptest::collection::vec(0u64..=u64::MAX, 4..40),
+        ) {
+            let f = |i: usize| f64::from_bits(bits[i]);
+            let sample = TransientSample {
+                time: f(0),
+                peak: Celsius(f(1)),
+                current: Amperes(f(2)),
+                tec_power: Watts(f(3)),
+            };
+            let theta: Vec<f64> = (4..bits.len()).map(f).collect();
+            let payload = encode_step(&sample, &theta);
+            let (back, back_theta) = decode_step(&payload, theta.len()).unwrap();
+            let sample_bits = |s: &TransientSample| {
+                [s.time, s.peak.value(), s.current.value(), s.tec_power.value()].map(f64::to_bits)
+            };
+            assert_eq!(sample_bits(&back), sample_bits(&sample));
+            let theta_bits: Vec<u64> = back_theta.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(theta_bits, bits[4..]);
+            // A record of another network size is not a step of this one.
+            assert!(decode_step(&payload, theta.len() + 1).is_none());
+            assert!(decode_step(&payload[..payload.len() - 1], theta.len()).is_none());
+        }
     }
 }

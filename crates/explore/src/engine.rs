@@ -16,7 +16,7 @@ use crate::quarantine::{retryable, PartialPrefix, QuarantineReason, QuarantineRe
 use crate::space::{Candidate, DesignSpace, Placement};
 use std::collections::BTreeMap;
 use tecopt::parallel::{par_map_init_isolated, ItemOutcome};
-use tecopt::supervise::{fingerprint, hex_f64};
+use tecopt::record::{fingerprint, hex_f64};
 use tecopt::{
     greedy_deploy_supervised, optimize_current_with, CoolingSystem, CurrentSettings, DeployFailure,
     DeploySettings, FactorStrategy, OptError, RunContext,

@@ -1,38 +1,22 @@
-//! The durable append-only work ledger.
-//!
-//! Format (`tecopt-ledger v1`), line-oriented like the `tecopt-checkpoint
-//! v1` files it extends:
+//! The durable append-only work ledger: a [`tecopt::record`] file of
+//! kind `explore-candidates`, whose records are
 //!
 //! ```text
-//! tecopt-ledger v1
-//! kind explore-candidates
-//! fingerprint <fp:016x>
-//! total <n>
-//! claim <id:016x> <attempt>
-//! done <id:016x> pruned
-//! done <id:016x> eval <feasible 0|1> <devices> <current> <peak> <power> <evals>
-//! quar <id:016x> <attempts> <reason> <partial> <message...>
+//! claim <id:016x> <sum> <attempt>
+//! done <id:016x> <sum> pruned
+//! done <id:016x> <sum> eval <feasible 0|1> <devices> <current> <peak> <power> <evals>
+//! quar <id:016x> <sum> <attempts> <reason> <partial> <message...>
 //! ```
 //!
-//! Durability contract:
-//!
-//! - the four-line header is written **atomically** (temp-file + rename,
-//!   [`tecopt::supervise::atomic_replace`]): a kill at any instant leaves
-//!   either no ledger or a complete header, never a torn one that would
-//!   read back as a *stale* ledger;
-//! - record lines are appended and flushed one at a time under a mutex; a
-//!   kill mid-append tears at most the final line, which the loader
-//!   skips (the in-flight candidate simply re-runs on resume). Flushing
-//!   makes records durable against *process kills* — the chaos suite's
-//!   crash model; an OS crash or power loss may additionally drop an
-//!   unsynced record tail, which re-runs those candidates on resume,
-//!   never corrupting settled state (only the atomically-replaced header
-//!   is synced through to stable storage);
-//! - floating-point payloads are bit-exact hex ([`hex_f64`]), so a
-//!   resumed exploration reproduces the uninterrupted run bit for bit;
-//! - the header fingerprint binds the file to the exact design-space
-//!   spec, device parameters, tile powers and settings that produced it —
-//!   a mismatch is a typed error, never a silent mixed resume.
+//! [`tecopt::record`] owns the header, the per-record checksum `sum`,
+//! torn-tail replay and atomic creation (see its docs for the durability
+//! contract). This module is the codec and the merge rule: a record
+//! whose checksum fails is skipped and its candidate re-runs, the last
+//! `done`/`quar` per id wins, and `claim` keeps the maximum attempt per
+//! candidate. Floating-point payloads are bit-exact hex, so a resumed
+//! exploration reproduces the uninterrupted run bit for bit, and the
+//! header fingerprint binds the file to the exact design-space spec,
+//! device parameters, tile powers and settings that produced it.
 //!
 //! `claim` records are the lease trail: one per admitted evaluation
 //! attempt, written *before* the evaluation starts. A claim without a
@@ -45,16 +29,10 @@
 
 use crate::quarantine::{PartialPrefix, QuarantineReason, QuarantineRecord};
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use tecopt::supervise::{atomic_replace, hex_f64, parse_hex_f64};
+use std::path::Path;
+use tecopt::record::{hex_f64, parse_hex_f64, parse_hex_u64, Header, RecordFile};
 use tecopt::OptError;
 use tecopt_units::{Amperes, Celsius, Watts};
-
-/// Magic first line of every ledger file; the trailing integer is the
-/// format version.
-pub const LEDGER_HEADER: &str = "tecopt-ledger v1";
 
 /// Record-kind tag of design-space exploration ledgers.
 pub const LEDGER_KIND: &str = "explore-candidates";
@@ -95,19 +73,20 @@ impl EvalRecord {
         }
     }
 
+    /// The payload of this record's `done` line.
     fn encode(&self) -> String {
         match self {
-            EvalRecord::Pruned { id } => format!("done {id:016x} pruned"),
+            EvalRecord::Pruned { .. } => "pruned".to_string(),
             EvalRecord::Evaluated {
-                id,
                 feasible,
                 devices,
                 current,
                 peak,
                 tec_power,
                 evaluations,
+                ..
             } => format!(
-                "done {id:016x} eval {} {devices} {} {} {} {evaluations}",
+                "eval {} {devices} {} {} {} {evaluations}",
                 u8::from(*feasible),
                 hex_f64(current.value()),
                 hex_f64(peak.value()),
@@ -116,11 +95,9 @@ impl EvalRecord {
         }
     }
 
-    /// Decodes the fields after `done `; `None` for a malformed (torn)
-    /// line.
-    fn decode(rest: &str) -> Option<EvalRecord> {
-        let mut it = rest.split_ascii_whitespace();
-        let id = parse_hex_u64(it.next()?)?;
+    /// Decodes a `done` payload for candidate `id`.
+    fn decode(id: u64, payload: &str) -> Option<EvalRecord> {
+        let mut it = payload.split(' ');
         match it.next()? {
             "pruned" => it.next().is_none().then_some(EvalRecord::Pruned { id }),
             "eval" => {
@@ -155,17 +132,15 @@ fn encode_quarantine(rec: &QuarantineRecord) -> String {
         Some(p) => format!("{}:{}", p.devices, hex_f64(p.peak.value())),
     };
     format!(
-        "quar {:016x} {} {} {partial} {}",
-        rec.id,
+        "{} {} {partial} {}",
         rec.attempts,
         rec.reason.tag(),
         rec.message
     )
 }
 
-fn decode_quarantine(rest: &str) -> Option<QuarantineRecord> {
-    let mut it = rest.splitn(5, ' ');
-    let id = parse_hex_u64(it.next()?)?;
+fn decode_quarantine(id: u64, payload: &str) -> Option<QuarantineRecord> {
+    let mut it = payload.splitn(4, ' ');
     let attempts = it.next()?.parse::<u32>().ok()?;
     let reason = QuarantineReason::from_tag(it.next()?)?;
     let partial = match it.next()? {
@@ -186,12 +161,6 @@ fn decode_quarantine(rest: &str) -> Option<QuarantineRecord> {
         message,
         partial,
     })
-}
-
-fn parse_hex_u64(s: &str) -> Option<u64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
 }
 
 /// Everything a resumed exploration needs to know about prior cycles,
@@ -220,23 +189,18 @@ impl LedgerState {
     }
 }
 
-fn ledger_io(path: &Path) -> impl Fn(std::io::Error) -> OptError + '_ {
-    move |e| OptError::InvalidParameter(format!("ledger io at {}: {e}", path.display()))
-}
-
 /// The durable append-only work ledger of one exploration.
 #[derive(Debug)]
 pub struct Ledger {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
+    file: RecordFile,
 }
 
 impl Ledger {
     /// Opens (or atomically creates) the ledger at `path`, bound to the
     /// exploration identity `fp` over `total` candidates, and replays the
-    /// existing record trail. Torn or malformed record lines — the tail a
-    /// mid-append kill leaves — are skipped; their candidates simply run
-    /// again.
+    /// existing record trail. Torn or corrupted records — the tail a
+    /// mid-append kill leaves, or a flipped byte — are skipped; their
+    /// candidates simply run again.
     ///
     /// # Errors
     ///
@@ -245,85 +209,44 @@ impl Ledger {
     ///   parameters would silently mix explorations;
     /// - [`OptError::InvalidParameter`] `"ledger io ..."` for I/O errors.
     pub fn open(path: &Path, fp: u64, total: usize) -> Result<(Ledger, LedgerState), OptError> {
-        let io = ledger_io(path);
+        let header = Header {
+            noun: "ledger",
+            kind: LEDGER_KIND,
+            fingerprint: fp,
+            total,
+        };
         let mut state = LedgerState::default();
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                let header_ok = lines.next() == Some(LEDGER_HEADER)
-                    && lines.next() == Some(&format!("kind {LEDGER_KIND}"))
-                    && lines.next() == Some(&format!("fingerprint {fp:016x}"))
-                    && lines.next() == Some(&format!("total {total}"));
-                if !header_ok {
-                    return Err(OptError::InvalidParameter(format!(
-                        "stale ledger {}: header does not match this exploration \
-                         (kind {LEDGER_KIND}, fingerprint {fp:016x}, total {total}); \
-                         delete it to start fresh",
-                        path.display(),
-                    )));
-                }
-                for line in lines {
-                    if let Some(rest) = line.strip_prefix("claim ") {
-                        let mut it = rest.split_ascii_whitespace();
-                        let Some(id) = it.next().and_then(parse_hex_u64) else {
-                            continue;
-                        };
-                        let Some(attempt) = it.next().and_then(|a| a.parse::<u32>().ok()) else {
-                            continue;
-                        };
-                        if it.next().is_none() {
-                            let slot = state.claims.entry(id).or_insert(0);
-                            *slot = (*slot).max(attempt);
-                        }
-                    } else if let Some(rest) = line.strip_prefix("done ") {
-                        if let Some(rec) = EvalRecord::decode(rest) {
-                            state.done.insert(rec.id(), rec);
-                        }
-                    } else if let Some(rest) = line.strip_prefix("quar ") {
-                        if let Some(rec) = decode_quarantine(rest) {
-                            state.quarantined.insert(rec.id, rec);
-                        }
+        let file = RecordFile::open(path, &header, |rec| {
+            let Some(id) = parse_hex_u64(rec.key) else {
+                return;
+            };
+            match rec.tag {
+                "claim" => {
+                    if let Ok(attempt) = rec.payload.parse::<u32>() {
+                        let slot = state.claims.entry(id).or_insert(0);
+                        *slot = (*slot).max(attempt);
                     }
-                    // Unknown tags and torn lines: skipped, forward
-                    // compatible with later record kinds.
                 }
+                "done" => {
+                    if let Some(done) = EvalRecord::decode(id, rec.payload) {
+                        state.done.insert(id, done);
+                    }
+                }
+                "quar" => {
+                    if let Some(quar) = decode_quarantine(id, rec.payload) {
+                        state.quarantined.insert(id, quar);
+                    }
+                }
+                // Unknown tags: forward compatible with later record kinds.
+                _ => {}
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let header = format!(
-                    "{LEDGER_HEADER}\nkind {LEDGER_KIND}\nfingerprint {fp:016x}\ntotal {total}\n"
-                );
-                atomic_replace(path, &header).map_err(&io)?;
-            }
-            Err(e) => return Err(io(e)),
-        }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(&io)?;
-        Ok((
-            Ledger {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-            },
-            state,
-        ))
+        })?;
+        Ok((Ledger { file }, state))
     }
 
     /// The ledger file path.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn append(&self, line: &str) -> Result<(), OptError> {
-        let io = ledger_io(&self.path);
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // The mutex serializes exactly this append+flush; interleaved
-        // records from concurrent workers would corrupt the trail.
-        writeln!(file, "{line}").map_err(&io)?;
-        file.flush().map_err(&io)
+        self.file.path()
     }
 
     /// Leases one evaluation attempt: appended and flushed *before* the
@@ -334,7 +257,8 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn claim(&self, id: u64, attempt: u32) -> Result<(), OptError> {
-        self.append(&format!("claim {id:016x} {attempt}"))
+        self.file
+            .append("claim", &format!("{id:016x}"), &attempt.to_string())
     }
 
     /// Appends a terminal evaluation record.
@@ -343,7 +267,8 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn record(&self, rec: &EvalRecord) -> Result<(), OptError> {
-        self.append(&rec.encode())
+        self.file
+            .append("done", &format!("{:016x}", rec.id()), &rec.encode())
     }
 
     /// Appends a quarantine (blacklist) record.
@@ -352,7 +277,8 @@ impl Ledger {
     ///
     /// Ledger I/O as a typed [`OptError::InvalidParameter`].
     pub fn quarantine(&self, rec: &QuarantineRecord) -> Result<(), OptError> {
-        self.append(&encode_quarantine(rec))
+        self.file
+            .append("quar", &format!("{:016x}", rec.id), &encode_quarantine(rec))
     }
 }
 
@@ -360,7 +286,7 @@ impl Ledger {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tecopt-ledger-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -411,32 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_skipped_and_the_candidate_reruns() {
-        let path = scratch("torn");
-        let (ledger, _) = Ledger::open(&path, 1, 4).unwrap();
-        ledger.record(&eval_rec(7)).unwrap();
-        ledger.record(&eval_rec(8)).unwrap();
-        drop(ledger);
-        // Tear the last record mid-line, as a kill mid-append would.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 9]).unwrap();
-
-        let (_, state) = Ledger::open(&path, 1, 4).unwrap();
-        assert_eq!(state.done.get(&7), Some(&eval_rec(7)));
-        assert!(!state.settled(8));
-    }
-
-    #[test]
-    fn header_mismatch_is_a_typed_stale_error() {
-        let path = scratch("stale");
-        drop(Ledger::open(&path, 1, 4).unwrap());
-        let err = Ledger::open(&path, 2, 4).unwrap_err();
-        assert!(matches!(err, OptError::InvalidParameter(ref m) if m.contains("stale ledger")));
-        let err = Ledger::open(&path, 1, 5).unwrap_err();
-        assert!(matches!(err, OptError::InvalidParameter(ref m) if m.contains("stale ledger")));
-    }
-
-    #[test]
     fn claim_attempts_keep_their_maximum_across_cycles() {
         let path = scratch("claims");
         let (ledger, _) = Ledger::open(&path, 1, 4).unwrap();
@@ -447,18 +347,5 @@ mod tests {
         let (_, state) = Ledger::open(&path, 1, 4).unwrap();
         assert_eq!(state.claims.get(&5), Some(&2));
         assert_eq!(state.claims.get(&6), Some(&1));
-    }
-
-    #[test]
-    fn an_orphaned_temp_file_does_not_block_a_fresh_ledger() {
-        let path = scratch("orphan");
-        // Simulate a kill between temp-file write and rename.
-        std::fs::write(tecopt::supervise::temp_sibling(&path), "garbage").unwrap();
-        let (ledger, state) = Ledger::open(&path, 1, 4).unwrap();
-        assert!(state.done.is_empty());
-        ledger.record(&eval_rec(1)).unwrap();
-        drop(ledger);
-        let (_, state) = Ledger::open(&path, 1, 4).unwrap();
-        assert!(state.settled(1));
     }
 }

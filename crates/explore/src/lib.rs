@@ -55,7 +55,7 @@ pub mod quarantine;
 pub mod space;
 
 pub use engine::{CandidateEval, CandidateFailure, ExploreReport, ExploreSettings, Explorer};
-pub use ledger::{EvalRecord, Ledger, LedgerState, LEDGER_HEADER, LEDGER_KIND};
+pub use ledger::{EvalRecord, Ledger, LedgerState, LEDGER_KIND};
 pub use pareto::{merge_fronts, pareto_front, ParetoPoint};
 pub use quarantine::{retryable, PartialPrefix, QuarantineReason, QuarantineRecord};
 pub use space::{candidate_id, Candidate, DesignSpace, Placement};

@@ -10,7 +10,7 @@
 //! so two processes (or two fleet shards, or two crash/resume cycles)
 //! enumerating the same spec agree on every id without coordination.
 
-use tecopt::supervise::{fingerprint, hex_f64};
+use tecopt::record::{fingerprint, hex_f64};
 use tecopt::{OptError, TecParams};
 use tecopt_thermal::TileIndex;
 use tecopt_units::{Celsius, Ohms, WattsPerKelvin};

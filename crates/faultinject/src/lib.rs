@@ -489,7 +489,7 @@ pub fn tear_tail(path: &std::path::Path, keep: u64) -> std::io::Result<()> {
 
 /// A disk-full (or permission-lost) injector for the atomic
 /// temp-file+rename protocol: occupies the writer's temp sibling
-/// (`<final>.tmp`, the [`tecopt::supervise::temp_sibling`] convention)
+/// (`<final>.tmp`, the [`tecopt::record::temp_sibling`] convention)
 /// with a directory, so creating the temp file fails with a typed I/O
 /// error while the *final* path — and every record already persisted in
 /// it — stays untouched. [`DiskFull::release`] (or drop) clears the
@@ -506,7 +506,7 @@ impl DiskFull {
     ///
     /// Any filesystem failure creating the blocking directory.
     pub fn at(final_path: &std::path::Path) -> std::io::Result<DiskFull> {
-        let tmp = tecopt::supervise::temp_sibling(final_path);
+        let tmp = tecopt::record::temp_sibling(final_path);
         std::fs::create_dir_all(&tmp)?;
         Ok(DiskFull { tmp })
     }
@@ -848,12 +848,12 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep this\n");
 
         let blockage = DiskFull::at(&path).unwrap();
-        let denied = tecopt::supervise::atomic_replace(&path, "replacement\n");
+        let denied = tecopt::record::atomic_replace(&path, "replacement\n");
         assert!(denied.is_err());
         // The final path — and its surviving records — are untouched.
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep this\n");
         blockage.release().unwrap();
-        tecopt::supervise::atomic_replace(&path, "replacement\n").unwrap();
+        tecopt::record::atomic_replace(&path, "replacement\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "replacement\n");
     }
 

@@ -52,7 +52,7 @@ use crate::util::{backoff_duration, pause};
 use crate::wire::{
     decode_response, encode_ping, encode_repl, encode_request, ReplFrame, RequestFrame, Response,
 };
-use tecopt::supervise::fingerprint;
+use tecopt::record::fingerprint;
 use tecopt::CancelToken;
 
 /// One shard of the fleet: something that can evaluate a request, answer

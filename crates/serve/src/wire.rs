@@ -2,7 +2,7 @@
 //!
 //! One frame is one `\n`-terminated UTF-8 line of space-separated fields.
 //! Floating-point payloads travel as the bit-exact 16-digit hex encoding
-//! of `tecopt::supervise` (`hex_f64`), so a value decodes to the same
+//! of `tecopt::record` (`hex_f64`), so a value decodes to the same
 //! bits it was encoded from — responses are reproducible across the wire.
 //!
 //! ```text
@@ -32,8 +32,8 @@
 //!   non-UTF-8 bytes, and NaN smuggled into a sweep plan.
 
 use crate::error::ServeError;
+use tecopt::record::{fingerprint, hex_f64, hex_opt, parse_hex_f64, parse_hex_opt, parse_hex_u64};
 use tecopt::runaway::SweepPoint;
-use tecopt::supervise::{fingerprint, hex_f64, parse_hex_f64};
 use tecopt::transient::ControllerSpec;
 use tecopt::{CandidateScore, EnvelopeSettings, TileIndex};
 use tecopt_explore::{ParetoPoint, Placement};
@@ -761,7 +761,7 @@ fn decode_nonce_frame(line: &str, tag: &str) -> Option<u64> {
     if it.next() != Some(tag) {
         return None;
     }
-    let nonce = u64::from_str_radix(it.next()?, 16).ok()?;
+    let nonce = parse_hex_u64(it.next()?)?;
     if it.next().is_some() {
         return None;
     }
@@ -824,11 +824,11 @@ pub fn decode_extension(line: &str) -> Result<Option<ReplFrame>, ServeError> {
     let bad = |what: &str| decode_err(format!("malformed replication frame: {what}"));
     let request_fp = it
         .next()
-        .and_then(|f| u64::from_str_radix(f, 16).ok())
+        .and_then(parse_hex_u64)
         .ok_or_else(|| bad("request fingerprint"))?;
     let body_fp = it
         .next()
-        .and_then(|f| u64::from_str_radix(f, 16).ok())
+        .and_then(parse_hex_u64)
         .ok_or_else(|| bad("body fingerprint"))?;
     let key = it.next().ok_or_else(|| bad("missing key"))?;
     if !valid_key(key) {
@@ -853,14 +853,6 @@ pub fn decode_extension(line: &str) -> Result<Option<ReplFrame>, ServeError> {
 // Response encoding
 // ---------------------------------------------------------------------
 
-fn hex_opt_c(v: Option<Celsius>) -> String {
-    v.map(|c| hex_f64(c.value())).unwrap_or_else(|| "-".into())
-}
-
-fn hex_opt_w(v: Option<Watts>) -> String {
-    v.map(|w| hex_f64(w.value())).unwrap_or_else(|| "-".into())
-}
-
 /// Encodes a server reply to `key` as one line (no terminator).
 pub fn encode_response(key: Option<&str>, result: &Result<Response, ServeError>) -> String {
     match result {
@@ -878,8 +870,8 @@ pub fn encode_response(key: Option<&str>, result: &Result<Response, ServeError>)
                         s.push_str(&format!(
                             "{}:{}:{}",
                             hex_f64(p.current.value()),
-                            hex_opt_c(p.peak),
-                            hex_opt_w(p.tec_power)
+                            hex_opt(p.peak.map(|c| c.value())),
+                            hex_opt(p.tec_power.map(|w| w.value()))
                         ));
                     }
                     s
@@ -1103,31 +1095,19 @@ fn it_or_err(line: &str) -> Result<std::str::SplitAsciiWhitespace<'_>, ServeErro
 }
 
 fn parse_point(field: &str) -> Result<SweepPoint, ServeError> {
+    let bad = || decode_err(format!("malformed sweep point `{field}`"));
     let mut parts = field.split(':');
-    let current = parts
-        .next()
-        .and_then(parse_hex_f64)
-        .ok_or_else(|| decode_err(format!("malformed sweep point `{field}`")))?;
-    let peak = parse_opt(parts.next(), field)?;
-    let tec_power = parse_opt(parts.next(), field)?;
+    let current = parts.next().and_then(parse_hex_f64).ok_or_else(bad)?;
+    let peak = parts.next().and_then(parse_hex_opt).ok_or_else(bad)?;
+    let tec_power = parts.next().and_then(parse_hex_opt).ok_or_else(bad)?;
     if parts.next().is_some() {
-        return Err(decode_err(format!("malformed sweep point `{field}`")));
+        return Err(bad());
     }
     Ok(SweepPoint {
         current: Amperes(current),
         peak: peak.map(Celsius),
         tec_power: tec_power.map(Watts),
     })
-}
-
-fn parse_opt(part: Option<&str>, field: &str) -> Result<Option<f64>, ServeError> {
-    match part {
-        Some("-") => Ok(None),
-        Some(h) => parse_hex_f64(h)
-            .map(Some)
-            .ok_or_else(|| decode_err(format!("malformed sweep point `{field}`"))),
-        None => Err(decode_err(format!("malformed sweep point `{field}`"))),
-    }
 }
 
 fn parse_score(field: &str) -> Result<CandidateScore, ServeError> {
@@ -1153,11 +1133,7 @@ fn parse_score(field: &str) -> Result<CandidateScore, ServeError> {
 fn parse_pareto_point(field: &str) -> Result<ParetoPoint, ServeError> {
     let bad = || decode_err(format!("malformed pareto point `{field}`"));
     let mut parts = field.split(':');
-    let id = parts
-        .next()
-        .filter(|s| s.len() == 16)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(bad)?;
+    let id = parts.next().and_then(parse_hex_u64).ok_or_else(bad)?;
     let current = parts.next().and_then(parse_hex_f64).ok_or_else(bad)?;
     let peak = parts.next().and_then(parse_hex_f64).ok_or_else(bad)?;
     let tec_power = parts.next().and_then(parse_hex_f64).ok_or_else(bad)?;

@@ -55,7 +55,7 @@ fn revision() -> u64 {
         text.push_str(r.summary);
         text.push(';');
     }
-    tecopt::supervise::fingerprint(&text)
+    tecopt::record::fingerprint(&text)
 }
 
 fn esc(s: &str) -> String {

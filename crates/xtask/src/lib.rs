@@ -97,7 +97,7 @@ pub fn lint_workspace_with(root: &Path, use_cache: bool) -> Result<Report, Strin
             |(), (path, rel)| {
                 let src = fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let hash = tecopt::supervise::fingerprint(&src);
+                let hash = tecopt::record::fingerprint(&src);
                 if old.entries.get(&rel).is_some_and(|e| e.hash == hash) {
                     // Hit: the entry is moved out of `old` (no clone)
                     // back on the sequential side.
@@ -258,7 +258,7 @@ pub fn render_sarif(report: &Report) -> String {
 /// the rule, and the message (which pins the lock ids / callees involved,
 /// not raw positions elsewhere in the file).
 pub fn baseline_fingerprint(f: &Finding) -> u64 {
-    tecopt::supervise::fingerprint(&format!("{}|{}|{}", f.file, f.rule, f.message))
+    tecopt::record::fingerprint(&format!("{}|{}|{}", f.file, f.rule, f.message))
 }
 
 /// Result of checking a report against a baseline file.

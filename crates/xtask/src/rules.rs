@@ -105,7 +105,7 @@ pub struct FileContext {
     /// with no rename evidence nearby leave a torn file after a crash.
     /// On for the ledger/checkpoint persistence modules, where every
     /// durable write must go through the temp-file+rename protocol
-    /// (`tecopt::supervise::atomic_replace`) or a torn-tail-tolerant
+    /// (`tecopt::record::atomic_replace`) or a torn-tail-tolerant
     /// append (DESIGN.md §18).
     pub check_persist: bool,
 }
@@ -310,10 +310,10 @@ pub const CATALOG: &[RuleInfo] = &[
                   following tokens leaves a torn file if the process dies \
                   mid-write; route durable writes through the \
                   temp-file+rename protocol \
-                  (`tecopt::supervise::atomic_replace`) or a \
+                  (`tecopt::record::atomic_replace`) or a \
                   torn-tail-tolerant append",
         scope: "ledger/checkpoint persistence modules \
-                (crates/core/src/{supervise,transient}.rs, \
+                (crates/core/src/{record,supervise,transient}.rs, \
                 crates/explore/src/ledger.rs)",
     },
 ];
@@ -1164,7 +1164,7 @@ fn check_non_atomic_persist(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<
                     "`{}` writes the final path in place with no rename \
                      evidence in the following {RENAME_WINDOW} tokens; a \
                      kill mid-write leaves a torn file — write through \
-                     `tecopt::supervise::atomic_replace` (temp sibling + \
+                     `tecopt::record::atomic_replace` (temp sibling + \
                      rename) instead",
                     t.text
                 ),
@@ -1206,7 +1206,7 @@ fn check_non_atomic_persist(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<
                     "`OpenOptions` chain creates/truncates/writes the final \
                      path without `append(true)` and with no rename evidence \
                      nearby; a kill mid-write leaves a torn file — use \
-                     `tecopt::supervise::atomic_replace` or a \
+                     `tecopt::record::atomic_replace` or a \
                      torn-tail-tolerant append"
                         .to_string(),
                 );

@@ -55,6 +55,7 @@ const FACTOR_LOOP_PREFIX: &str = "crates/core/src/";
 /// the service layer itself (the graph is always built workspace-wide).
 const LOCK_CORE_FILES: &[&str] = &[
     "crates/core/src/parallel.rs",
+    "crates/core/src/record.rs",
     "crates/core/src/supervise.rs",
     "crates/core/src/system.rs",
 ];
@@ -73,9 +74,11 @@ const CANCELLATION_FILES: &[&str] = &[
 
 /// Durable-persistence modules: every whole-file write to a final path
 /// must show rename evidence (`non-atomic-persist`), or a crash mid-write
-/// leaves a torn ledger/checkpoint. The sweep checkpoints, the transient
-/// playback checkpoints, and the explorer's work ledger.
+/// leaves a torn ledger/checkpoint. The record module that owns every
+/// durable write, and its three consumers: the sweep checkpoints, the
+/// transient playback checkpoints, and the explorer's work ledger.
 const PERSIST_FILES: &[&str] = &[
+    "crates/core/src/record.rs",
     "crates/core/src/supervise.rs",
     "crates/core/src/transient.rs",
     "crates/explore/src/ledger.rs",
@@ -277,6 +280,7 @@ mod tests {
         assert!(context_for("crates/serve/src/queue.rs").check_locks);
         assert!(context_for("crates/serve/src/server.rs").check_locks);
         assert!(context_for("crates/core/src/supervise.rs").check_locks);
+        assert!(context_for("crates/core/src/record.rs").check_locks);
         assert!(context_for("crates/core/src/system.rs").check_locks);
         assert!(!context_for("crates/core/src/designer.rs").check_locks);
         assert!(!context_for("crates/linalg/src/cholesky.rs").check_locks);
@@ -291,6 +295,7 @@ mod tests {
         assert!(!context_for("crates/core/src/parallel.rs").check_retry_backoff);
         assert!(!context_for("crates/core/src/designer.rs").check_retry_backoff);
         // Persist scoping: the durable ledger/checkpoint modules only.
+        assert!(context_for("crates/core/src/record.rs").check_persist);
         assert!(context_for("crates/core/src/supervise.rs").check_persist);
         assert!(context_for("crates/core/src/transient.rs").check_persist);
         assert!(context_for("crates/explore/src/ledger.rs").check_persist);
