@@ -24,8 +24,12 @@
 //! See `DESIGN.md` §12 for the model and the record format.
 
 use crate::parallel::{par_map_init_isolated, ItemOutcome};
-use crate::record::{hex_f64, hex_opt, parse_hex_f64, parse_hex_opt, Header, RecordFile};
-use crate::{optimize_current, CoolingSystem, CurrentSettings, OptError};
+use crate::record::{
+    fields, hex_f64, read, Count, Field, FieldError, FieldReader, FieldWriter, Group, Header, Hex,
+    Opt, RecordFile, Taken,
+};
+use crate::runaway::SweepPoint;
+use crate::{optimize_current, CertificateOutcome, CoolingSystem, CurrentSettings, OptError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -380,9 +384,9 @@ where
 
 /// A sweep result that can round-trip through the text checkpoint format.
 ///
-/// Encoding must be *bit-exact* for floating-point payloads (use
-/// [`hex_f64`]/[`parse_hex_f64`] from [`crate::record`]), because resume
-/// correctness is defined as bit-identity with the uninterrupted run.
+/// Encoding must be *bit-exact* for floating-point payloads (the
+/// [`Hex`] field of [`crate::record`]), because resume correctness is
+/// defined as bit-identity with the uninterrupted run.
 pub trait Checkpointable: Sized {
     /// Stable record-kind tag written to (and checked against) the
     /// checkpoint header.
@@ -393,6 +397,22 @@ pub trait Checkpointable: Sized {
     /// Decodes what [`Checkpointable::encode`] produced; `None` for
     /// malformed input (e.g. a torn final line after a crash).
     fn decode(fields: &str) -> Option<Self>;
+}
+
+/// Implements [`Checkpointable`] for a type with a [`Group`] field
+/// table: its fields, space-separated.
+macro_rules! checkpointable {
+    ($ty:ty, $kind:literal) => {
+        impl Checkpointable for $ty {
+            const KIND: &'static str = $kind;
+            fn encode(&self) -> String {
+                fields(' ', |w| Group(' ').put(w, self))
+            }
+            fn decode(text: &str) -> Option<$ty> {
+                read(text, ' ', $kind, |r| r.take(&Group(' '), $kind)).ok()
+            }
+        }
+    };
 }
 
 /// [`supervised_map`] with checkpoint/resume: when the context carries a
@@ -478,66 +498,55 @@ where
     resolve(ctx, full)
 }
 
-impl Checkpointable for crate::runaway::SweepPoint {
-    const KIND: &'static str = "runaway-sweep";
+crate::field_table!(Group => SweepPoint {
+    current: Hex,
+    peak: Opt(Hex),
+    tec_power: Opt(Hex),
+});
 
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {}",
-            hex_f64(self.current.value()),
-            hex_opt(self.peak.map(|c| c.value())),
-            hex_opt(self.tec_power.map(|w| w.value())),
-        )
+checkpointable!(SweepPoint, "runaway-sweep");
+
+impl Field<Option<CertificateOutcome>> for Group {
+    fn put(&self, w: &mut FieldWriter<'_>, v: &Option<CertificateOutcome>) {
+        w.group(self.0, |w| {
+            match v {
+                None => w.text("pass"),
+                Some(CertificateOutcome::Certified) => w.text("certified"),
+                Some(CertificateOutcome::Inconclusive {
+                    tile,
+                    interval,
+                    lower_bound,
+                }) => w
+                    .text("inconclusive")
+                    .put(&Count, tile)
+                    .put(&Hex, &interval.0)
+                    .put(&Hex, &interval.1)
+                    .put(&Hex, lower_bound),
+            };
+        });
     }
 
-    fn decode(fields: &str) -> Option<crate::runaway::SweepPoint> {
-        let mut it = fields.split_ascii_whitespace();
-        let current = Amperes(parse_hex_f64(it.next()?)?);
-        let peak = parse_hex_opt(it.next()?)?.map(Celsius);
-        let tec_power = parse_hex_opt(it.next()?)?.map(Watts);
-        it.next().is_none().then_some(crate::runaway::SweepPoint {
-            current,
-            peak,
-            tec_power,
+    fn take(
+        &self,
+        r: &mut FieldReader<'_>,
+        name: &'static str,
+    ) -> Taken<Option<CertificateOutcome>> {
+        r.group(name, self.0, |r| {
+            Ok(match r.text(name)? {
+                "pass" => None,
+                "certified" => Some(CertificateOutcome::Certified),
+                "inconclusive" => Some(CertificateOutcome::Inconclusive {
+                    tile: r.take(&Count, "tile")?,
+                    interval: (r.take(&Hex, "interval")?, r.take(&Hex, "interval")?),
+                    lower_bound: r.take(&Hex, "lower bound")?,
+                }),
+                _ => return Err(FieldError::Malformed(name)),
+            })
         })
     }
 }
 
-impl Checkpointable for Option<crate::CertificateOutcome> {
-    const KIND: &'static str = "convexity-subranges";
-
-    fn encode(&self) -> String {
-        match self {
-            None => "pass".to_string(),
-            Some(crate::CertificateOutcome::Certified) => "certified".to_string(),
-            Some(crate::CertificateOutcome::Inconclusive {
-                tile,
-                interval,
-                lower_bound,
-            }) => format!(
-                "inconclusive {tile} {} {} {}",
-                hex_f64(interval.0),
-                hex_f64(interval.1),
-                hex_f64(*lower_bound),
-            ),
-        }
-    }
-
-    fn decode(fields: &str) -> Option<Option<crate::CertificateOutcome>> {
-        let mut it = fields.split_ascii_whitespace();
-        let out = match it.next()? {
-            "pass" => None,
-            "certified" => Some(crate::CertificateOutcome::Certified),
-            "inconclusive" => Some(crate::CertificateOutcome::Inconclusive {
-                tile: it.next()?.parse().ok()?,
-                interval: (parse_hex_f64(it.next()?)?, parse_hex_f64(it.next()?)?),
-                lower_bound: parse_hex_f64(it.next()?)?,
-            }),
-            _ => return None,
-        };
-        it.next().is_none().then_some(out)
-    }
-}
+checkpointable!(Option<CertificateOutcome>, "convexity-subranges");
 
 // ---------------------------------------------------------------------------
 // Designer-alternative scoring (the checkpointed designer sweep)
@@ -560,36 +569,15 @@ pub struct CandidateScore {
     pub evaluations: usize,
 }
 
-impl Checkpointable for CandidateScore {
-    const KIND: &'static str = "designer-candidates";
+crate::field_table!(Group => CandidateScore {
+    device_count: Count,
+    current: Hex,
+    peak: Hex,
+    tec_power: Hex,
+    evaluations: Count,
+});
 
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {} {} {}",
-            self.device_count,
-            hex_f64(self.current.value()),
-            hex_f64(self.peak.value()),
-            hex_f64(self.tec_power.value()),
-            self.evaluations,
-        )
-    }
-
-    fn decode(fields: &str) -> Option<CandidateScore> {
-        let mut it = fields.split_ascii_whitespace();
-        let device_count = it.next()?.parse().ok()?;
-        let current = Amperes(parse_hex_f64(it.next()?)?);
-        let peak = Celsius(parse_hex_f64(it.next()?)?);
-        let tec_power = Watts(parse_hex_f64(it.next()?)?);
-        let evaluations = it.next()?.parse().ok()?;
-        it.next().is_none().then_some(CandidateScore {
-            device_count,
-            current,
-            peak,
-            tec_power,
-            evaluations,
-        })
-    }
-}
+checkpointable!(CandidateScore, "designer-candidates");
 
 /// Scores candidate deployments (each with its own optimized current)
 /// under supervision, checkpointing each completed candidate when the

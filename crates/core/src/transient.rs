@@ -39,7 +39,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::parallel::panic_message;
-use crate::record::{fingerprint, hex_f64, parse_hex_f64, Header, RecordFile};
+use crate::record::{
+    fields, fingerprint, hex_f64, read, Field, Group, Header, Hex, List, RecordFile,
+};
 use crate::supervise::RunContext;
 use crate::{CoolingSystem, OptError};
 use tecopt_thermal::transient::BackwardEuler;
@@ -370,35 +372,18 @@ impl ControllerSpec {
     }
 
     /// Canonical bit-exact encoding, used in checkpoint and result-cache
-    /// fingerprints.
+    /// fingerprints: the field table below, space-separated.
     pub fn digest(&self) -> String {
-        match *self {
-            ControllerSpec::Constant { current } => {
-                format!("const {}", hex_f64(current.value()))
-            }
-            ControllerSpec::BangBang {
-                upper,
-                lower,
-                on_current,
-            } => format!(
-                "bang {} {} {}",
-                hex_f64(upper.value()),
-                hex_f64(lower.value()),
-                hex_f64(on_current.value())
-            ),
-            ControllerSpec::Proportional {
-                target,
-                gain,
-                max_current,
-            } => format!(
-                "prop {} {} {}",
-                hex_f64(target.value()),
-                hex_f64(gain),
-                hex_f64(max_current.value())
-            ),
-        }
+        fields(' ', |w| Group(' ').put(w, self))
     }
 }
+
+// The controller's codec: its digest here, `tag:fields` on the wire.
+crate::field_table!(Group => ControllerSpec {
+    "const" => Constant { current: Hex },
+    "bang" => BangBang { upper: Hex, lower: Hex, on_current: Hex },
+    "prop" => Proportional { target: Hex, gain: Hex, max_current: Hex },
+});
 
 /// A failed supervised transient run: the typed error plus the partial
 /// trace recorded before the failure. Mirrors
@@ -989,32 +974,36 @@ fn exhaustion(ctx: &RunContext, done: usize, total: usize) -> OptError {
     }
 }
 
+crate::field_table!(Group => TransientSample {
+    time: Hex,
+    peak: Hex,
+    current: Hex,
+    tec_power: Hex,
+});
+
 /// A step record's payload: the sample fields plus the full post-step
 /// state `θ`, all as bit-exact hex.
 fn encode_step(sample: &TransientSample, theta: &[f64]) -> String {
-    let head = [
-        sample.time,
-        sample.peak.value(),
-        sample.current.value(),
-        sample.tec_power.value(),
-    ];
-    let fields: Vec<String> = head.iter().chain(theta).map(|v| hex_f64(*v)).collect();
-    fields.join(" ")
+    fields(' ', |w| {
+        w.put(&Group(' '), sample);
+        theta.iter().for_each(|t| {
+            w.put(&Hex, t);
+        });
+    })
 }
 
 /// Inverse of [`encode_step`]: exactly the 4 sample fields plus `nodes`
 /// state entries, every one a well-formed hex `f64`.
 fn decode_step(payload: &str, nodes: usize) -> Option<(TransientSample, Vec<f64>)> {
-    let mut vals = payload.split(' ').map(parse_hex_f64);
-    let mut next = || vals.next().flatten();
-    let sample = TransientSample {
-        time: next()?,
-        peak: Celsius(next()?),
-        current: Amperes(next()?),
-        tec_power: Watts(next()?),
+    let state = List {
+        sep: ' ',
+        len: nodes..=nodes,
+        item: Hex,
     };
-    let theta: Vec<f64> = vals.collect::<Option<_>>()?;
-    (theta.len() == nodes).then_some((sample, theta))
+    read(payload, ' ', "step record", |r| {
+        Ok((r.take(&Group(' '), "sample")?, r.take(&state, "state")?))
+    })
+    .ok()
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@
 use crate::quarantine::{PartialPrefix, QuarantineReason, QuarantineRecord};
 use std::collections::BTreeMap;
 use std::path::Path;
-use tecopt::record::{hex_f64, parse_hex_f64, parse_hex_u64, Header, RecordFile};
+use tecopt::record::{
+    fields, parse_hex_u64, read, Count, FieldError, Flag, Group, Header, Hex, Opt, RecordFile,
+};
 use tecopt::OptError;
 use tecopt_units::{Amperes, Celsius, Watts};
 
@@ -75,8 +77,10 @@ impl EvalRecord {
 
     /// The payload of this record's `done` line.
     fn encode(&self) -> String {
-        match self {
-            EvalRecord::Pruned { .. } => "pruned".to_string(),
+        fields(' ', |w| match self {
+            EvalRecord::Pruned { .. } => {
+                w.text("pruned");
+            }
             EvalRecord::Evaluated {
                 feasible,
                 devices,
@@ -85,82 +89,66 @@ impl EvalRecord {
                 tec_power,
                 evaluations,
                 ..
-            } => format!(
-                "eval {} {devices} {} {} {} {evaluations}",
-                u8::from(*feasible),
-                hex_f64(current.value()),
-                hex_f64(peak.value()),
-                hex_f64(tec_power.value()),
-            ),
-        }
+            } => {
+                w.text("eval")
+                    .put(&Flag, feasible)
+                    .put(&Count, devices)
+                    .put(&Hex, current)
+                    .put(&Hex, peak)
+                    .put(&Hex, tec_power)
+                    .put(&Count, evaluations);
+            }
+        })
     }
 
     /// Decodes a `done` payload for candidate `id`.
     fn decode(id: u64, payload: &str) -> Option<EvalRecord> {
-        let mut it = payload.split(' ');
-        match it.next()? {
-            "pruned" => it.next().is_none().then_some(EvalRecord::Pruned { id }),
-            "eval" => {
-                let feasible = match it.next()? {
-                    "0" => false,
-                    "1" => true,
-                    _ => return None,
-                };
-                let devices = it.next()?.parse::<usize>().ok()?;
-                let current = Amperes(parse_hex_f64(it.next()?)?);
-                let peak = Celsius(parse_hex_f64(it.next()?)?);
-                let tec_power = Watts(parse_hex_f64(it.next()?)?);
-                let evaluations = it.next()?.parse::<usize>().ok()?;
-                it.next().is_none().then_some(EvalRecord::Evaluated {
+        read(payload, ' ', "done record", |r| {
+            Ok(match r.text("outcome")? {
+                "pruned" => EvalRecord::Pruned { id },
+                "eval" => EvalRecord::Evaluated {
                     id,
-                    feasible,
-                    devices,
-                    current,
-                    peak,
-                    tec_power,
-                    evaluations,
-                })
-            }
-            _ => None,
-        }
+                    feasible: r.take(&Flag, "feasible")?,
+                    devices: r.take(&Count, "devices")?,
+                    current: r.take(&Hex, "current")?,
+                    peak: r.take(&Hex, "peak")?,
+                    tec_power: r.take(&Hex, "tec power")?,
+                    evaluations: r.take(&Count, "evaluations")?,
+                },
+                _ => return Err(FieldError::Malformed("outcome")),
+            })
+        })
+        .ok()
     }
 }
 
+tecopt::field_table!(Group => PartialPrefix {
+    devices: Count,
+    peak: Hex,
+});
+
 fn encode_quarantine(rec: &QuarantineRecord) -> String {
-    let partial = match &rec.partial {
-        None => "-".to_string(),
-        Some(p) => format!("{}:{}", p.devices, hex_f64(p.peak.value())),
-    };
-    format!(
-        "{} {} {partial} {}",
-        rec.attempts,
-        rec.reason.tag(),
-        rec.message
-    )
+    fields(' ', |w| {
+        w.put(&Count, &rec.attempts)
+            .text(rec.reason.tag())
+            .put(&Opt(Group(':')), &rec.partial)
+            .text(&rec.message);
+    })
 }
 
 fn decode_quarantine(id: u64, payload: &str) -> Option<QuarantineRecord> {
-    let mut it = payload.splitn(4, ' ');
-    let attempts = it.next()?.parse::<u32>().ok()?;
-    let reason = QuarantineReason::from_tag(it.next()?)?;
-    let partial = match it.next()? {
-        "-" => None,
-        spec => {
-            let (devices, peak) = spec.split_once(':')?;
-            Some(PartialPrefix {
-                devices: devices.parse::<usize>().ok()?,
-                peak: Celsius(parse_hex_f64(peak)?),
-            })
-        }
-    };
-    let message = it.next().unwrap_or("").to_string();
-    Some(QuarantineRecord {
-        id,
-        attempts,
-        reason,
-        message,
-        partial,
+    read(payload, ' ', "quarantine record", |r| {
+        let attempts = r.take(&Count, "attempts")?;
+        let reason = QuarantineReason::from_tag(r.text("reason")?);
+        Ok(QuarantineRecord {
+            id,
+            attempts,
+            reason: reason.ok_or(FieldError::Malformed("reason"))?,
+            partial: r.take(&Opt(Group(':')), "partial prefix")?,
+            message: r.rest().to_string(),
+        })
     })
+    .ok()
 }
 
 /// Everything a resumed exploration needs to know about prior cycles,
@@ -222,7 +210,9 @@ impl Ledger {
             };
             match rec.tag {
                 "claim" => {
-                    if let Ok(attempt) = rec.payload.parse::<u32>() {
+                    if let Ok(attempt) = read(rec.payload, ' ', "claim", |r| {
+                        r.take::<u32>(&Count, "attempt")
+                    }) {
                         let slot = state.claims.entry(id).or_insert(0);
                         *slot = (*slot).max(attempt);
                     }

@@ -32,12 +32,12 @@ pub fn parse_flp(name: impl Into<String>, text: &str) -> Result<Floorplan, Power
             continue;
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 5 {
+        let [name, w, h, x, y, ..] = fields.as_slice() else {
             return Err(PowerError::InvalidParameter(format!(
                 "flp line {}: expected `name w h x y`, got '{raw}'",
                 lineno + 1
             )));
-        }
+        };
         let parse = |s: &str, what: &str| -> Result<f64, PowerError> {
             s.parse::<f64>().map_err(|_| {
                 PowerError::InvalidParameter(format!(
@@ -46,29 +46,27 @@ pub fn parse_flp(name: impl Into<String>, text: &str) -> Result<Floorplan, Power
                 ))
             })
         };
-        let w = parse(fields[1], "width")?;
-        let h = parse(fields[2], "height")?;
-        let x = parse(fields[3], "left-x")?;
-        let y = parse(fields[4], "bottom-y")?;
+        let w = parse(w, "width")?;
+        let h = parse(h, "height")?;
+        let x = parse(x, "left-x")?;
+        let y = parse(y, "bottom-y")?;
         // `1e999` parses to +∞ and `NaN` parses to NaN, so a plain
         // `w <= 0.0` check lets both through; require finiteness explicitly.
         for (what, v) in [("width", w), ("height", h), ("left-x", x), ("bottom-y", y)] {
             if !v.is_finite() {
                 return Err(PowerError::InvalidParameter(format!(
-                    "flp line {}: unit '{}' has non-finite {what} {v}",
+                    "flp line {}: unit '{name}' has non-finite {what} {v}",
                     lineno + 1,
-                    fields[0]
                 )));
             }
         }
         if w <= 0.0 || h <= 0.0 {
             return Err(PowerError::InvalidParameter(format!(
-                "flp line {}: unit '{}' has nonpositive extent",
+                "flp line {}: unit '{name}' has nonpositive extent",
                 lineno + 1,
-                fields[0]
             )));
         }
-        units.push(Unit::new(fields[0], Rect::new(x, y, x + w, y + h)));
+        units.push(Unit::new(*name, Rect::new(x, y, x + w, y + h)));
     }
     if units.is_empty() {
         return Err(PowerError::InvalidParameter(
@@ -131,8 +129,10 @@ pub fn to_flp(plan: &Floorplan) -> String {
 /// # Errors
 ///
 /// Returns [`PowerError::UnknownUnit`] for a header naming a foreign unit,
-/// [`PowerError::ProfileMismatch`] if a unit is missing, and
-/// [`PowerError::InvalidParameter`] for malformed rows.
+/// [`PowerError::DuplicateUnit`] for a header naming a unit twice,
+/// [`PowerError::ProfileMismatch`] (counting the plan units the header
+/// matched) if a unit is missing, and [`PowerError::InvalidParameter`] for
+/// malformed rows.
 pub fn parse_ptrace(plan: &Floorplan, text: &str) -> Result<Vec<PowerProfile>, PowerError> {
     let mut lines = text
         .lines()
@@ -142,15 +142,22 @@ pub fn parse_ptrace(plan: &Floorplan, text: &str) -> Result<Vec<PowerProfile>, P
         .next()
         .ok_or_else(|| PowerError::InvalidParameter("ptrace file is empty".into()))?;
     let names: Vec<&str> = header.split_whitespace().collect();
-    let mut column_of_unit = vec![usize::MAX; plan.unit_count()];
+    // The header column of each plan unit; a repeated name would shadow
+    // (and silently drop) a column.
+    let mut column_of_unit = vec![None; plan.unit_count()];
     for (col, name) in names.iter().enumerate() {
-        let idx = plan.unit_index(name)?;
-        column_of_unit[idx] = col;
+        let slot = column_of_unit.get_mut(plan.unit_index(name)?);
+        if slot.and_then(|slot| slot.replace(col)).is_some() {
+            return Err(PowerError::DuplicateUnit {
+                unit: (*name).to_string(),
+            });
+        }
     }
-    if let Some(missing) = column_of_unit.iter().position(|&c| c == usize::MAX) {
+    let columns: Vec<usize> = column_of_unit.iter().flatten().copied().collect();
+    if columns.len() != plan.unit_count() {
         return Err(PowerError::ProfileMismatch {
             expected: plan.unit_count(),
-            actual: plan.unit_count() - 1 - missing + names.len().min(plan.unit_count()),
+            actual: columns.len(),
         });
     }
     let mut profiles = Vec::new();
@@ -164,13 +171,12 @@ pub fn parse_ptrace(plan: &Floorplan, text: &str) -> Result<Vec<PowerProfile>, P
                 names.len()
             )));
         }
-        let mut powers = vec![Watts(0.0); plan.unit_count()];
-        for (unit, &col) in column_of_unit.iter().enumerate() {
-            let v: f64 = values[col].parse().map_err(|_| {
+        let power = |col: &usize| {
+            let text = values.get(*col).copied().unwrap_or_default();
+            let v: f64 = text.parse().map_err(|_| {
                 PowerError::InvalidParameter(format!(
-                    "ptrace row {}: '{}' is not a number",
-                    rowno + 1,
-                    values[col]
+                    "ptrace row {}: '{text}' is not a number",
+                    rowno + 1
                 ))
             })?;
             if !v.is_finite() {
@@ -179,8 +185,9 @@ pub fn parse_ptrace(plan: &Floorplan, text: &str) -> Result<Vec<PowerProfile>, P
                     rowno + 1
                 )));
             }
-            powers[unit] = Watts(v);
-        }
+            Ok(Watts(v))
+        };
+        let powers = columns.iter().map(power).collect::<Result<Vec<_>, _>>()?;
         profiles.push(PowerProfile::new(plan, powers)?);
     }
     Ok(profiles)

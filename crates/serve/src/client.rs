@@ -16,9 +16,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::util::{backoff_duration, pause};
-use crate::wire::{
-    decode_response, encode_request, Request, RequestFrame, Response, MAX_FRAME_LEN,
-};
+use crate::wire::{decode_response, encode_request, split_frame, Request, RequestFrame, Response};
 
 /// Why a client call failed for good.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -326,19 +324,14 @@ impl Client {
 pub(crate) fn read_line(conn: &mut Stream, buf: &mut Vec<u8>) -> io::Result<Vec<u8>> {
     let mut chunk = [0u8; 4096];
     loop {
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = buf.drain(..=pos).collect();
-            line.pop();
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return Ok(line);
-        }
-        if buf.len() > MAX_FRAME_LEN {
-            return Err(io::Error::new(
+        let frame = split_frame(buf).map_err(|_| {
+            io::Error::new(
                 io::ErrorKind::InvalidData,
                 "reply exceeds the frame length cap",
-            ));
+            )
+        })?;
+        if let Some(line) = frame {
+            return Ok(line);
         }
         match conn.read_bytes(&mut chunk) {
             Ok(0) => {

@@ -142,6 +142,12 @@ impl fmt::Display for ServeError {
     }
 }
 
+impl From<tecopt::record::FieldError> for ServeError {
+    fn from(e: tecopt::record::FieldError) -> ServeError {
+        ServeError::DecodeError(e.to_string())
+    }
+}
+
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -35,7 +35,7 @@ use crate::error::ServeError;
 use crate::util::pause;
 use crate::wire::{
     decode_extension, decode_ping, decode_request, encode_pong, encode_response,
-    is_extension_frame, MAX_FRAME_LEN,
+    is_extension_frame, split_frame, MAX_FRAME_LEN,
 };
 use tecopt::CancelToken;
 
@@ -217,7 +217,7 @@ enum FrameRead {
     /// The server is shutting down; stop serving this connection.
     Shutdown,
     /// The peer exceeded [`MAX_FRAME_LEN`] without a terminator.
-    TooLong,
+    TooLong(ServeError),
 }
 
 impl<E: Evaluator> Server<E> {
@@ -328,11 +328,8 @@ impl<E: Evaluator> Server<E> {
                     self.disconnects.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                FrameRead::TooLong => {
+                FrameRead::TooLong(err) => {
                     self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let err = ServeError::DecodeError(format!(
-                        "frame exceeds {MAX_FRAME_LEN} bytes without a terminator"
-                    ));
                     // Best-effort error reply on a connection we are
                     // about to drop anyway.
                     // tecopt:allow(swallowed-result)
@@ -415,16 +412,10 @@ impl<E: Evaluator> Server<E> {
     fn read_frame(&self, conn: &mut Conn, buf: &mut Vec<u8>) -> FrameRead {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = buf.drain(..=pos).collect();
-                line.pop(); // the terminator
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return FrameRead::Frame(line);
-            }
-            if buf.len() > MAX_FRAME_LEN {
-                return FrameRead::TooLong;
+            match split_frame(buf) {
+                Ok(Some(line)) => return FrameRead::Frame(line),
+                Ok(None) => {}
+                Err(e) => return FrameRead::TooLong(e),
             }
             match conn.read_bytes(&mut chunk) {
                 Ok(0) => {

@@ -97,6 +97,13 @@ macro_rules! quantity {
             }
         }
 
+        impl From<f64> for $name {
+            #[inline]
+            fn from(v: f64) -> $name {
+                $name(v)
+            }
+        }
+
         impl Add for $name {
             type Output = $name;
             #[inline]

@@ -51,9 +51,13 @@ pub struct Finding {
 pub struct FileContext {
     /// Display path for diagnostics.
     pub path: String,
-    /// File is a designated numerical hot-path module: `panic-in-kernel`
-    /// and `float-cast-truncation` apply.
+    /// File is a designated numerical hot-path module:
+    /// `float-cast-truncation` applies (and `panic-in-kernel`, via
+    /// [`FileContext::check_panics`]).
     pub kernel: bool,
+    /// `panic-in-kernel` applies: on for the kernels and for the
+    /// trust-boundary parsers (wire codec, record files, HotSpot files).
+    pub check_panics: bool,
     /// The indexing sub-check of `panic-in-kernel` applies. Off for the
     /// dense linear-algebra kernels, where bounds-checked slice indexing
     /// against constructor-established dimensions is the core idiom
@@ -116,6 +120,7 @@ impl FileContext {
         FileContext {
             path: path.to_string(),
             kernel: true,
+            check_panics: true,
             check_indexing: true,
             check_sleep: true,
             allow_thread: false,
@@ -135,6 +140,7 @@ impl FileContext {
         FileContext {
             path: path.to_string(),
             kernel: false,
+            check_panics: false,
             check_indexing: false,
             check_sleep: false,
             allow_thread: false,
@@ -179,10 +185,13 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "panic-in-kernel",
         severity: Severity::Error,
         summary: "unwrap/expect/panic!/unreachable! and [] indexing are \
-                  panicking paths inside solver hot-path modules; return a \
-                  typed error or justify the invariant in DESIGN.md §11",
-        scope: "crates/linalg/src/*, crates/core/src/{system,runaway,convexity,lambda}.rs \
-                (indexing sub-check: core kernels only)",
+                  panicking paths inside solver hot-path modules and \
+                  trust-boundary parsers; return a typed error or justify \
+                  the invariant in DESIGN.md §11",
+        scope: "crates/linalg/src/*, crates/core/src/{system,runaway,convexity,lambda}.rs, \
+                and the trust-boundary parsers crates/serve/src/wire.rs, \
+                crates/core/src/record.rs, crates/power/src/hotspot_io.rs \
+                (indexing sub-check: core kernels and parsers only)",
     },
     RuleInfo {
         id: "unbounded-spawn",
@@ -216,8 +225,8 @@ pub const CATALOG: &[RuleInfo] = &[
                   busy-wait loops stall solver hot paths and starve the \
                   cooperative cancellation checks; block on real \
                   synchronization primitives instead",
-        scope: "kernel modules (same set as panic-in-kernel) plus \
-                crates/core/src/parallel.rs",
+        scope: "kernel modules (panic-in-kernel's scope minus the parsers) \
+                plus crates/core/src/parallel.rs",
     },
     RuleInfo {
         id: "unclamped-current",
@@ -235,7 +244,7 @@ pub const CATALOG: &[RuleInfo] = &[
         summary: "`as` casts from float to int silently truncate/saturate; \
                   use try_from on a checked rounding or keep the value in \
                   float space",
-        scope: "kernel modules (same set as panic-in-kernel)",
+        scope: "kernel modules (panic-in-kernel's scope minus the parsers)",
     },
     RuleInfo {
         id: "todo-markers",
@@ -382,8 +391,10 @@ fn token_rule_findings(toks: &[Tok], ctx: &FileContext) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     check_nan_unsafe_cmp(toks, ctx, &mut findings);
-    if ctx.kernel {
+    if ctx.check_panics {
         check_panic_in_kernel(toks, ctx, &mut findings);
+    }
+    if ctx.kernel {
         check_float_cast(toks, ctx, &mut findings);
     }
     if ctx.check_sleep {
@@ -666,6 +677,11 @@ const NON_INDEX_PRECEDERS: &[&str] = &[
 ];
 
 fn check_panic_in_kernel(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<Finding>) {
+    let (place, module) = if ctx.kernel {
+        ("a solver hot path", "a solver hot-path module")
+    } else {
+        ("a trust-boundary parser", "a trust-boundary parser")
+    };
     for (i, t) in toks.iter().enumerate() {
         let prev = i.checked_sub(1).and_then(|p| toks.get(p));
         if (t.is_ident("unwrap") || t.is_ident("expect"))
@@ -677,7 +693,7 @@ fn check_panic_in_kernel(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<Fin
                 ctx,
                 t,
                 format!(
-                    "`{}` is a panicking path in a solver hot-path module; \
+                    "`{}` is a panicking path in {module}; \
                      return a typed error (or justify the invariant in \
                      DESIGN.md §11 and suppress)",
                     t.text
@@ -692,10 +708,7 @@ fn check_panic_in_kernel(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<Fin
                 "panic-in-kernel",
                 ctx,
                 t,
-                format!(
-                    "`{}!` aborts a solver hot path; return a typed error",
-                    t.text
-                ),
+                format!("`{}!` aborts {place}; return a typed error", t.text),
             );
         }
         if ctx.check_indexing && t.is_punct("[") {
@@ -710,10 +723,11 @@ fn check_panic_in_kernel(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<Fin
                     "panic-in-kernel",
                     ctx,
                     t,
-                    "`[]` indexing panics on out-of-bounds in a solver hot \
-                     path; use iterators/`get`, or justify the bound \
-                     invariant in DESIGN.md §11 and suppress"
-                        .to_string(),
+                    format!(
+                        "`[]` indexing panics on out-of-bounds in {place}; use \
+                         iterators/`get`, or justify the bound invariant in \
+                         DESIGN.md §11 and suppress"
+                    ),
                 );
             }
         }

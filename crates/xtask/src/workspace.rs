@@ -20,6 +20,15 @@ const KERNEL_CORE_FILES: &[&str] = &[
     "crates/core/src/lambda.rs",
 ];
 
+/// Trust-boundary parsers: they read bytes from peers and files, so a
+/// panicking path there is a remote crash. `panic-in-kernel` applies,
+/// including the indexing sub-check, but not the numeric kernel rules.
+const PARSER_FILES: &[&str] = &[
+    "crates/serve/src/wire.rs",
+    "crates/core/src/record.rs",
+    "crates/power/src/hotspot_io.rs",
+];
+
 /// Prefix of the dense/sparse linear-algebra kernels. Panicking calls are
 /// flagged; the `[]` indexing sub-check is exempt here — bounds-checked
 /// slice indexing against constructor-established dimensions is the core
@@ -94,10 +103,12 @@ const SKIP_MEMBER_PREFIXES: &[&str] = &["shims/"];
 /// Derives the per-file rule configuration from a repo-relative path.
 pub fn context_for(rel: &str) -> FileContext {
     let kernel = rel.starts_with(LINALG_PREFIX) || KERNEL_CORE_FILES.contains(&rel);
+    let parser = PARSER_FILES.contains(&rel);
     FileContext {
         path: rel.to_string(),
         kernel,
-        check_indexing: kernel && !rel.starts_with(LINALG_PREFIX),
+        check_panics: kernel || parser,
+        check_indexing: (kernel && !rel.starts_with(LINALG_PREFIX)) || parser,
         // Sleeps and busy-waits are banned from the hot paths *and* from
         // the sanctioned thread module: its fork/join workers sit between
         // the supervisor's cancellation checks.
@@ -251,7 +262,19 @@ mod tests {
         let c = context_for("crates/core/src/convexity.rs");
         assert!(c.kernel && c.check_indexing);
         let c = context_for("crates/core/src/designer.rs");
-        assert!(!c.kernel);
+        assert!(!c.kernel && !c.check_panics);
+        // Trust-boundary parsers: panics and indexing, no kernel rules.
+        for parser in [
+            "crates/serve/src/wire.rs",
+            "crates/core/src/record.rs",
+            "crates/power/src/hotspot_io.rs",
+        ] {
+            let c = context_for(parser);
+            assert!(c.check_panics && c.check_indexing, "{parser}");
+            assert!(!c.kernel && !c.check_sleep, "{parser}");
+        }
+        assert!(!context_for("crates/serve/src/server.rs").check_panics);
+        assert!(!context_for("crates/power/src/floorplan.rs").check_panics);
         assert!(context_for("crates/core/src/parallel.rs").allow_thread);
         assert!(!context_for("crates/core/src/runaway.rs").allow_thread);
         // Sleep scoping: hot paths and the thread module, nothing else.
