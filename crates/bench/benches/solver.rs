@@ -10,13 +10,18 @@
 //! sparse path from assembly to factor (CSR stamping, workspace build, CSR
 //! factor) against its dense oracles, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
-//! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package.
+//! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, and
+//! one 4-device Alpha explorer candidate end to end on the placement
+//! factor against the SMW rank-k update path.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tecopt::{CoolingSystem, PackageConfig, TecParams, TileIndex};
+use tecopt::{
+    optimize_current_with, CoolingSystem, CurrentSettings, FactorStrategy, PackageConfig,
+    TecParams, TileIndex,
+};
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, CgSettings, Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky,
@@ -391,12 +396,55 @@ fn bench_placement_factor(c: &mut Criterion) {
     group.finish();
 }
 
+/// One explorer candidate end to end on the Alpha chip: a 4-device mask
+/// on the four hottest passive tiles, from `CoolingSystem::new` (assembly,
+/// then the λ_m search and the golden-section current search inside
+/// `optimize_current_with`) under the default `Refactor` strategy, which
+/// runs on the placement factor, against the opt-in SMW `RankKUpdate`.
+fn bench_explore_candidate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("explore_candidate");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_millis(500));
+    let base = tecopt_bench::alpha_system().expect("alpha");
+    let passive = base.solve(Amperes(0.0)).expect("passive");
+    let mut hottest: Vec<(f64, TileIndex)> = base
+        .config()
+        .grid()
+        .tiles()
+        .zip(passive.silicon_temperatures())
+        .map(|(t, c)| (c.value(), t))
+        .collect();
+    hottest.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut tiles: Vec<TileIndex> = hottest.iter().take(4).map(|&(_, t)| t).collect();
+    tiles.sort_unstable();
+    for (name, strategy) in [
+        ("placement_factor", FactorStrategy::Refactor),
+        ("rank_k_update", FactorStrategy::RankKUpdate),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let system = CoolingSystem::new(
+                    base.config(),
+                    base.stamped().params().clone(),
+                    &tiles,
+                    base.tile_powers().to_vec(),
+                )
+                .expect("candidate");
+                optimize_current_with(&system, CurrentSettings::default(), strategy)
+                    .expect("optimum")
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_solver,
     bench_backends,
     bench_sparse_cholesky,
     bench_assembly,
-    bench_placement_factor
+    bench_placement_factor,
+    bench_explore_candidate
 );
 criterion_main!(benches);

@@ -2,7 +2,8 @@
 //!
 //! [`Explorer::explore`] drives a [`DesignSpace`] end to end: analytical
 //! first-cut pruning, per-candidate shared-current optimization (golden
-//! section over the rank-k update path by default), quarantine of
+//! section on the placement factor: `G_AA` factored once per candidate,
+//! a `k×k` block per current), quarantine of
 //! pathological candidates, and a deterministic Pareto front over peak
 //! temperature vs. total TEC power. Attach a checkpoint path to the
 //! [`RunContext`] and every unit of work flows through the durable
@@ -29,8 +30,12 @@ pub struct ExploreSettings {
     /// Per-candidate shared-current optimization settings.
     pub current: CurrentSettings,
     /// How per-candidate solves factor `G − i·D`. Defaults to
-    /// [`FactorStrategy::RankKUpdate`]: one factorization per candidate,
-    /// rank-k updated across the golden-section probes.
+    /// [`FactorStrategy::Refactor`]: each candidate's placement factor
+    /// (`StampedSystem::placement_factor`) factors `G_AA` once for its
+    /// λ_m search and golden-section probes, and every new current costs
+    /// one `k×k` block factor. [`FactorStrategy::RankKUpdate`] is the
+    /// opt-in SMW path, slower per current and agreeing only to ≈1e-12
+    /// relative.
     pub strategy: FactorStrategy,
     /// Evaluation attempts a retryable failure (panic, non-finite result,
     /// envelope trip) is granted before the candidate is quarantined.
@@ -46,7 +51,7 @@ impl Default for ExploreSettings {
     fn default() -> ExploreSettings {
         ExploreSettings {
             current: CurrentSettings::default(),
-            strategy: FactorStrategy::RankKUpdate,
+            strategy: FactorStrategy::Refactor,
             retry_budget: 2,
             prune_optimism: 1.0,
         }
@@ -143,7 +148,8 @@ pub struct Explorer {
 impl Explorer {
     /// Binds `space` to the package, worst-case powers and base device of
     /// `system` (its own tiles, if any, are ignored — each candidate
-    /// brings its placement).
+    /// brings its placement). Every candidate is solved on `system`'s
+    /// backend.
     pub fn new(system: &CoolingSystem, space: DesignSpace, settings: ExploreSettings) -> Explorer {
         Explorer {
             system: system.clone(),
@@ -159,8 +165,9 @@ impl Explorer {
 
     /// FNV-1a fingerprint of the full exploration identity: the space
     /// spec, the package ([`tecopt::PackageConfig::digest`]), the base
-    /// device, the worst-case powers and every setting that can change a
-    /// result. This is what the ledger header is bound to.
+    /// device, the worst-case powers, the solver backend and every setting
+    /// that can change a result. This is what the ledger header is bound
+    /// to.
     pub fn fingerprint(&self) -> u64 {
         let mut digest = format!(
             "explore v1 {} {} {} powers",
@@ -173,7 +180,8 @@ impl Explorer {
             digest.push_str(&hex_f64(p.value()));
         }
         digest.push_str(&format!(
-            " settings {} {} {} {} {:?} {:?} {} {}",
+            " backend {:?} settings {} {} {} {} {:?} {:?} {} {}",
+            self.system.backend(),
             hex_f64(self.settings.current.tolerance),
             self.settings.current.max_evaluations,
             hex_f64(self.settings.current.ceiling_fraction),
@@ -203,6 +211,7 @@ impl Explorer {
         let powers = self.system.tile_powers().to_vec();
         let theta = self.space.theta_limit();
         let settings = self.settings;
+        let backend = self.system.backend();
 
         let passive = self.system.with_tiles(&[])?;
         let baseline_peak = passive.solve(Amperes(0.0))?.peak();
@@ -237,7 +246,8 @@ impl Explorer {
             match &cand.placement {
                 Placement::Tiles(tiles) => {
                     let system = CoolingSystem::new(config, scaled, tiles, powers.clone())
-                        .map_err(CandidateFailure::plain)?;
+                        .map_err(CandidateFailure::plain)?
+                        .with_backend(backend);
                     let opt = optimize_current_with(&system, settings.current, settings.strategy)
                         .map_err(CandidateFailure::plain)?;
                     Ok(CandidateEval {
@@ -251,7 +261,8 @@ impl Explorer {
                 }
                 Placement::Greedy => {
                     let base = CoolingSystem::new(config, scaled, &[], powers.clone())
-                        .map_err(CandidateFailure::plain)?;
+                        .map_err(CandidateFailure::plain)?
+                        .with_backend(backend);
                     // Probe budgets and deadlines are enforced between
                     // candidates (at claim boundaries); within one greedy
                     // deploy only cancellation propagates, so a candidate
@@ -554,5 +565,26 @@ mod tests {
     fn fingerprint_binds_the_package_not_just_its_grid() {
         assert_eq!(explorer(0.46).fingerprint(), explorer(0.46).fingerprint());
         assert_ne!(explorer(0.46).fingerprint(), explorer(0.47).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_binds_the_factor_strategy_and_the_backend() {
+        let default = explorer(0.46);
+        let rank_k = Explorer {
+            settings: ExploreSettings {
+                strategy: FactorStrategy::RankKUpdate,
+                ..default.settings
+            },
+            ..default.clone()
+        };
+        let dense = Explorer {
+            system: default
+                .system
+                .clone()
+                .with_backend(tecopt_linalg::SolverBackend::DenseCholesky),
+            ..default.clone()
+        };
+        assert_ne!(default.fingerprint(), rank_k.fingerprint());
+        assert_ne!(default.fingerprint(), dense.fingerprint());
     }
 }

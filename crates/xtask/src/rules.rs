@@ -85,10 +85,10 @@ pub struct FileContext {
     pub check_current_clamp: bool,
     /// `cholesky-factor-in-loop` applies: a `Cholesky::factor` call inside
     /// a loop body is an O(n³)-per-iteration refactorization — the cost
-    /// profile the rank-k update path (`FactorStrategy::RankKUpdate`)
-    /// exists to avoid. On for `crates/core/src/*`; the linalg crate
-    /// itself legitimately factors in loops (bisection probes, tests of
-    /// the factorizer).
+    /// profile the placement factor (`StampedSystem::placement_factor`,
+    /// driven by `SteadySolver`) exists to avoid. On for
+    /// `crates/core/src/*`; the linalg crate itself legitimately factors
+    /// in loops (bisection probes, tests of the factorizer).
     pub check_factor_in_loop: bool,
     /// The flow-aware lock rules (`lock-order-inversion`,
     /// `lock-across-blocking`) report findings located in this file. On
@@ -257,7 +257,7 @@ pub const CATALOG: &[RuleInfo] = &[
         severity: Severity::Warning,
         summary: "`Cholesky::factor` inside a loop body analyses and \
                   refactorizes on every iteration; reuse a cached factorization \
-                  (FactorStrategy::RankKUpdate, the solver cache) or hoist \
+                  (SteadySolver / StampedSystem::placement_factor) or hoist \
                   the factor out of the loop",
         scope: "crates/core/src/*",
     },
@@ -1048,8 +1048,8 @@ fn check_factor_in_loop(toks: &[Tok], ctx: &FileContext, findings: &mut Vec<Find
                 ctx,
                 t,
                 "`Cholesky::factor` inside a loop body pays O(n³) per \
-                 iteration; reuse a cached factorization (the solver cache, \
-                 FactorStrategy::RankKUpdate) or hoist the factor out of \
+                 iteration; reuse a cached factorization (SteadySolver, \
+                 StampedSystem::placement_factor) or hoist the factor out of \
                  the loop"
                     .to_string(),
             );

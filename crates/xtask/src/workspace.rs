@@ -55,8 +55,8 @@ const CURRENT_CLAMP_FILES: &[&str] = &[
 ];
 
 /// Prefix where `cholesky-factor-in-loop` applies: the orchestration
-/// layer, whose loops should drive the cached/rank-k-update solve paths
-/// rather than refactorize per iteration.
+/// layer, whose loops should drive the placement factor (through
+/// `SteadySolver`) rather than refactorize per iteration.
 const FACTOR_LOOP_PREFIX: &str = "crates/core/src/";
 
 /// Core files whose shared state participates in the service-layer lock
@@ -119,9 +119,9 @@ pub fn context_for(rel: &str) -> FileContext {
         // work distribution must stay visibly bounded.
         check_queue: rel.starts_with(QUEUE_PREFIX) || rel == THREAD_MODULE,
         check_current_clamp: CURRENT_CLAMP_FILES.contains(&rel),
-        // Repeated O(n³) refactorization is the cost profile the rank-k
-        // update path exists to avoid; the linalg crate itself factors in
-        // loops legitimately (bisection probes, factorizer tests).
+        // Repeated O(n³) refactorization is the cost profile the placement
+        // factor exists to avoid; the linalg crate itself factors in loops
+        // legitimately (bisection probes, factorizer tests).
         check_factor_in_loop: rel.starts_with(FACTOR_LOOP_PREFIX),
         check_locks: rel.starts_with(QUEUE_PREFIX) || LOCK_CORE_FILES.contains(&rel),
         check_cancellation: CANCELLATION_FILES.contains(&rel),
