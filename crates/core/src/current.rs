@@ -92,12 +92,6 @@ impl CurrentOptimum {
         self.probes
     }
 
-    /// Solver fallback stages engaged for the reported optimum state
-    /// (0 unless a hardened solve produced it).
-    pub fn fallbacks_taken(&self) -> usize {
-        self.state.fallbacks_taken()
-    }
-
     /// Which back end produced this optimum.
     pub fn method(&self) -> CurrentMethod {
         self.method
@@ -544,7 +538,6 @@ mod tests {
         let s = system(&[TileIndex::new(1, 1)]);
         let opt = optimize_current(&s, CurrentSettings::default()).unwrap();
         assert!(opt.probes() > 0, "λ_m search probes must be surfaced");
-        assert_eq!(opt.fallbacks_taken(), 0);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl CoolingDesigner {
     /// Also scores up to `count` smaller alternative deployments — the
     /// largest strict prefixes of the greedy tile order, each with its own
     /// optimized current — so the report shows what each device bought.
-    /// Evaluated in parallel via [`evaluate_deployments`]; `0` (the
+    /// Evaluated in parallel via [`evaluate_deployments`](crate::evaluate_deployments); `0` (the
     /// default) skips this.
     pub fn alternatives(mut self, count: usize) -> CoolingDesigner {
         self.alternatives = count;

@@ -16,7 +16,7 @@
 //! region cannot chatter the trip latch.
 //!
 //! [`EnvelopedController`] packages the envelope as a
-//! [`TecController`](crate::transient::TecController) decorator, so any
+//! [`crate::transient::TecController`] decorator, so any
 //! existing policy gains the guarantee without modification:
 //!
 //! ```

@@ -2,8 +2,8 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    solve_robust, CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingSolve,
-    LinalgError, ResolvedBackend, SolveMethod, SolverBackend, SolverPolicy, UpdatableFactor,
+    CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingSolve, LinalgError,
+    ResolvedBackend, SolveMethod, SolverBackend, UpdatableFactor, WARN_CONDITION,
 };
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -426,7 +426,7 @@ fn runaway_from(current: Amperes, e: LinalgError) -> OptError {
 
 /// A per-caller solving handle over one [`CoolingSystem`].
 ///
-/// Owns a private [`SolverCore`] (workspace + factorization cache), so
+/// Owns a private solver core (workspace + factorization cache), so
 /// repeated probes neither reassemble `G` nor contend on the system's
 /// internal mutex — this is what the parallel sweeps hand to each worker
 /// thread. Results are identical to [`CoolingSystem::solve`] bit for bit.
@@ -550,7 +550,6 @@ pub struct SolvedState {
     tec_power: Watts,
     condition_estimate: f64,
     solve_method: SolveMethod,
-    fallbacks_taken: usize,
     degraded: bool,
 }
 
@@ -596,24 +595,20 @@ impl SolvedState {
         self.condition_estimate
     }
 
-    /// Which solver stage produced the temperatures (Cholesky unless a
-    /// fallback engaged via [`CoolingSystem::solve_with_policy`]).
+    /// Which kind of solve produced the temperatures: triangular solves
+    /// through a Cholesky factor, or CG on the explicit
+    /// [`SolverBackend::SparseCg`] backend.
     pub fn solve_method(&self) -> SolveMethod {
         self.solve_method
     }
 
-    /// Fallback stages engaged to obtain this state (0 = fast path).
-    pub fn fallbacks_taken(&self) -> usize {
-        self.fallbacks_taken
-    }
-
     /// `true` when the temperatures warrant caution: the system matrix was
-    /// ill-conditioned or a fallback solver produced them.
+    /// ill-conditioned.
     ///
     /// The default sparse Cholesky backend compares its pivot-ratio
     /// estimate (a lower bound on `κ₂`, see
     /// [`SolvedState::condition_estimate`]) against
-    /// [`SolverPolicy::warn_condition`]. The dense oracle backend's pivot
+    /// [`WARN_CONDITION`]. The dense oracle backend's pivot
     /// ratio is the same kind of bound under the natural order, so the two
     /// can differ by the effect of the ordering. The explicit CG backend
     /// compares an iteration-count heuristic on a different scale, so treat
@@ -856,94 +851,10 @@ impl CoolingSystem {
         self.finish_raw(current, raw)
     }
 
-    /// Derives the user-facing state from a raw backend solve.
-    fn finish_raw(&self, current: Amperes, raw: RawSolve) -> Result<SolvedState, OptError> {
-        let degraded = raw.condition_estimate > SolverPolicy::default().warn_condition;
-        self.finish_state(
-            current,
-            raw.theta,
-            raw.condition_estimate,
-            raw.method,
-            0,
-            degraded,
-        )
-    }
-
-    /// Solves the steady state through the hardened fallback chain
-    /// (Cholesky → pivoted LU → Tikhonov-regularized retry) governed by
-    /// `policy`.
-    ///
-    /// Near the runaway limit `λ_m` the system matrix is nearly singular and
-    /// plain Cholesky can break down on an operating point that is still
-    /// physically feasible; this entry point recovers those solves and
-    /// reports how much the result should be trusted via
-    /// [`SolvedState::degraded`], [`SolvedState::solve_method`] and
-    /// [`SolvedState::condition_estimate`]. With
-    /// [`SolverPolicy::strict`] it behaves exactly like
-    /// [`CoolingSystem::solve`].
-    ///
-    /// # Errors
-    ///
-    /// - [`OptError::BeyondRunaway`] when the whole chain fails with a
-    ///   not-positive-definite root cause — the matrix is genuinely past
-    ///   (or at) runaway, not merely borderline.
-    /// - [`OptError::Linalg`] for ill-conditioning beyond
-    ///   [`SolverPolicy::fail_condition`], invalid policies, or non-finite
-    ///   data.
-    pub fn solve_with_policy(
-        &self,
-        current: Amperes,
-        policy: &SolverPolicy,
-    ) -> Result<SolvedState, OptError> {
-        let m = self.stamped.system_matrix(current)?;
-        let p = self.stamped.power_vector(&self.tile_powers, current)?;
-        let sol = solve_robust(&m, &p, policy).map_err(|e| match e {
-            tecopt_linalg::LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
-                current: current.value(),
-            },
-            other => OptError::Linalg(other),
-        })?;
-        let d = sol.diagnostics;
-        // A fallback solver can algebraically "solve" a genuinely indefinite
-        // system — i.e. an operating point past runaway, where no stable
-        // steady state exists. Cholesky distinguishes borderline rounding
-        // from true indefiniteness; LU and regularization cannot, so their
-        // results are additionally screened for physical plausibility
-        // (absolute temperatures within [0 K, 10⁴ K]).
-        if d.fallbacks_taken > 0 {
-            const MAX_PLAUSIBLE_KELVIN: f64 = 1.0e4;
-            if sol
-                .x
-                .iter()
-                .any(|&t| !(0.0..=MAX_PLAUSIBLE_KELVIN).contains(&t))
-            {
-                return Err(OptError::BeyondRunaway {
-                    current: current.value(),
-                });
-            }
-        }
-        self.finish_state(
-            current,
-            sol.x,
-            d.condition_estimate,
-            d.method,
-            d.fallbacks_taken,
-            d.degraded,
-        )
-    }
-
     /// Derives the user-facing state (silicon temperatures, peak, TEC input
-    /// power) from a raw temperature vector plus solver diagnostics.
-    fn finish_state(
-        &self,
-        current: Amperes,
-        theta: Vec<f64>,
-        condition_estimate: f64,
-        solve_method: SolveMethod,
-        fallbacks_taken: usize,
-        degraded: bool,
-    ) -> Result<SolvedState, OptError> {
-        let temps: Vec<Kelvin> = theta.into_iter().map(Kelvin).collect();
+    /// power) from a raw backend solve.
+    fn finish_raw(&self, current: Amperes, raw: RawSolve) -> Result<SolvedState, OptError> {
+        let temps: Vec<Kelvin> = raw.theta.into_iter().map(Kelvin).collect();
         let silicon = self.stamped.model().silicon_temperatures(&temps);
         let peak = silicon
             .iter()
@@ -956,10 +867,9 @@ impl CoolingSystem {
             silicon,
             peak,
             tec_power,
-            condition_estimate,
-            solve_method,
-            fallbacks_taken,
-            degraded,
+            condition_estimate: raw.condition_estimate,
+            solve_method: raw.method,
+            degraded: raw.condition_estimate > WARN_CONDITION,
         })
     }
 
@@ -1216,7 +1126,6 @@ mod tests {
         let s = system(&[TileIndex::new(1, 1)]);
         let far = s.solve(Amperes(0.0)).unwrap();
         assert_eq!(far.solve_method(), SolveMethod::Cholesky);
-        assert_eq!(far.fallbacks_taken(), 0);
         assert!(far.condition_estimate().is_finite());
         assert!(far.condition_estimate() >= 1.0);
         assert!(!far.degraded());
@@ -1240,27 +1149,6 @@ mod tests {
             near.condition_estimate(),
             far.condition_estimate()
         );
-    }
-
-    #[test]
-    fn solve_with_policy_matches_solve_on_healthy_points() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        let a = s.solve(Amperes(3.0)).unwrap();
-        let b = s
-            .solve_with_policy(Amperes(3.0), &SolverPolicy::default())
-            .unwrap();
-        assert!((a.peak().value() - b.peak().value()).abs() < 1e-12);
-        assert_eq!(b.solve_method(), SolveMethod::Cholesky);
-        assert!(!b.degraded());
-    }
-
-    #[test]
-    fn solve_with_policy_still_reports_runaway_beyond_limit() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        match s.solve_with_policy(Amperes(1.0e5), &SolverPolicy::default()) {
-            Err(OptError::BeyondRunaway { current }) => assert_eq!(current, 1.0e5),
-            other => panic!("expected BeyondRunaway, got {other:?}"),
-        }
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl StampedSystem {
     }
 
     /// The system matrix `G − i·D` as a dense `n×n` matrix, for the dense
-    /// oracles, the robust fallback chain and callers that want one. The
+    /// oracles and callers that want one. The
     /// solve paths use [`StampedSystem::sparse_system_matrix`] or a
     /// [`SolveWorkspace`]; all three hold bit-identical values.
     ///

@@ -19,7 +19,6 @@
 //!   definiteness certificate either. Only explicit callers (the fine-grid
 //!   reference solver and the CG benchmarks) select it.
 
-use crate::SolveMethod;
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,
     DenseCholesky, DenseMatrix, DiagonalUpdate, LinalgError, ShiftedFactor, UpdatableFactor,
@@ -58,6 +57,22 @@ impl SolverBackend {
         }
     }
 }
+
+/// Which kind of solve produced a solution: see [`FactoredSystem::method`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveMethod {
+    /// Triangular solves through a Cholesky factor (sparse, dense, SMW-updated
+    /// or placement-factor).
+    Cholesky,
+    /// Jacobi-preconditioned conjugate gradients on a CSR copy.
+    SparseCg,
+}
+
+/// Pivot-ratio condition estimate above which a solved state is flagged
+/// degraded: rounding can then cost twelve or more of its temperatures'
+/// sixteen significant digits. The estimate is a lower bound on `κ₂`, so
+/// a state below it is not proven sound.
+pub const WARN_CONDITION: f64 = 1e12;
 
 /// A system "factored" for repeated right-hand sides under one backend.
 ///

@@ -52,15 +52,15 @@ pub enum LinalgError {
         /// Column of the offending entry.
         col: usize,
     },
-    /// The factorization succeeded but the pivot-ratio condition estimate
-    /// exceeds the caller's limit: the solution would be dominated by
-    /// rounding error. For the thermal systems of the paper this is the
-    /// numerical signature of operating close to the runaway limit `λ_m`.
+    /// A Sherman–Morrison–Woodbury update's capacitance pivots are too small
+    /// to trust ([`UpdatableFactor`](crate::UpdatableFactor)): the corrected
+    /// solution would be dominated by rounding error, so the caller
+    /// refactors from scratch instead.
     IllConditioned {
         /// Pivot-ratio condition-number estimate of the factored matrix.
         estimate: f64,
     },
-    /// An iteration or fallback budget was exhausted before the requested
+    /// An iteration or probe budget was exhausted before the requested
     /// accuracy was reached. Guarantees that adversarial inputs cannot hang
     /// the searches; the caller can retry with a larger budget.
     BudgetExhausted {

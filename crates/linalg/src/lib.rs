@@ -13,13 +13,17 @@
 //!   network and shared), the positive-definiteness oracle used by the
 //!   paper's `λ_m` search, plus solves and inverses; [`DenseCholesky`]
 //!   keeps the paper's dense `O(n³)` kernel as the slow oracle,
-//! - [`Lu`] — partially pivoted LU for general systems and determinants,
+//! - [`Lu`] — partially pivoted LU for determinants (the minors of the
+//!   paper's Lemma 2) and as the tests' cross-check of [`Cholesky`],
 //! - [`CsrMatrix`] — the storage every conductance matrix is stamped into
 //!   and factored from, and with [`conjugate_gradient`] the kernel of the
 //!   fine-grid reference thermal solver,
 //! - [`SolverBackend`] / [`FactoredSystem`] — one interface over the
 //!   sparse Cholesky (what `Auto` picks at every size), the dense oracle,
-//!   and Jacobi-preconditioned CG,
+//!   and Jacobi-preconditioned CG; [`SolveMethod`] names which kind of
+//!   solve ran and [`WARN_CONDITION`] the pivot-ratio estimate above which
+//!   a solve counts as degraded. A failed Cholesky is never retried by
+//!   another method: it is the positive-definiteness verdict,
 //! - [`stieltjes`] — structure checks (symmetric, nonpositive off-diagonal,
 //!   irreducible) and seeded random generation of positive-definite Stieltjes
 //!   matrices for the Conjecture-1 experiments,
@@ -60,13 +64,14 @@ pub mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod robust;
 mod shifted;
 mod sparse;
 pub mod stieltjes;
 mod update;
 
-pub use backend::{BackendSolve, FactoredSystem, ResolvedBackend, SolverBackend};
+pub use backend::{
+    BackendSolve, FactoredSystem, ResolvedBackend, SolveMethod, SolverBackend, WARN_CONDITION,
+};
 pub use cancel::CancelToken;
 pub use cg::{conjugate_gradient, conjugate_gradient_cancellable, CgOutcome, CgSettings};
 pub use cholesky::{Cholesky, CholeskyPattern};
@@ -74,7 +79,6 @@ pub use dense_cholesky::DenseCholesky;
 pub use error::LinalgError;
 pub use lu::{determinant, log_abs_determinant, Lu};
 pub use matrix::DenseMatrix;
-pub use robust::{solve_robust, RobustSolution, SolveDiagnostics, SolveMethod, SolverPolicy};
 pub use shifted::{FactorPlan, LeadingSolve, ShiftedCholesky, ShiftedFactor};
 pub use sparse::{CsrMatrix, Triplet};
 pub use update::{AppliedUpdate, DiagonalUpdate, SmallLdl, UpdatableFactor, LDL_PIVOT_FLOOR};

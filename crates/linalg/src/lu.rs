@@ -3,8 +3,8 @@ use crate::{DenseMatrix, LinalgError};
 /// LU factorization with partial pivoting, `P·A = L·U`.
 ///
 /// Used where symmetry or definiteness cannot be assumed: determinants of the
-/// minors `A_kl` in Lemma 2 of the paper, and solves of perturbed systems in
-/// diagnostics.
+/// minors `A_kl` in Lemma 2 of the paper, and as an independent check of
+/// Cholesky solves in the tests.
 ///
 /// ```
 /// use tecopt_linalg::{DenseMatrix, Lu};
@@ -90,31 +90,6 @@ impl Lu {
     #[inline]
     pub fn dim(&self) -> usize {
         self.lu.rows()
-    }
-
-    /// Pivot-ratio estimate of the condition number: `max_k |U_kk| / min_k
-    /// |U_kk|`.
-    ///
-    /// With partial pivoting the `U` diagonal magnitudes track the scale
-    /// spread of the matrix; a huge ratio flags systems whose LU solutions
-    /// carry few correct digits. Companion to
-    /// [`Cholesky::condition_estimate`](crate::Cholesky::condition_estimate)
-    /// for the unsymmetric/fallback path. Returns `+∞` for a zero pivot.
-    pub fn condition_estimate(&self) -> f64 {
-        let mut max_p = 0.0_f64;
-        let mut min_p = f64::INFINITY;
-        for k in 0..self.dim() {
-            let p = self.lu[(k, k)].abs();
-            max_p = max_p.max(p);
-            min_p = min_p.min(p);
-        }
-        if self.dim() == 0 {
-            return 1.0;
-        }
-        if min_p == 0.0 {
-            return f64::INFINITY;
-        }
-        max_p / min_p
     }
 
     /// Determinant of the original matrix.

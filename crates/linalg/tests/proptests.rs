@@ -302,7 +302,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn solve_robust_is_total_on_near_singular_blends(
+    fn cholesky_is_total_on_near_singular_blends(
         seed in 0u64..2000,
         dim in 2usize..10,
         t in 0.0f64..=1.0,
@@ -327,25 +327,22 @@ proptest! {
             }
         }
         let b: Vec<f64> = (0..dim).map(|k| (k as f64 * 0.61).cos()).collect();
-        match tecopt_linalg::solve_robust(&a, &b, &tecopt_linalg::SolverPolicy::default()) {
-            Ok(sol) => {
-                // Accepted solutions must actually satisfy the system to the
-                // policy's residual tolerance.
-                let r = a.mul_vec(&sol.x).unwrap();
+        match Cholesky::factor(&a).and_then(|chol| chol.solve(&b)) {
+            Ok(x) => {
+                // Accepted solutions must actually satisfy the system to a
+                // relative residual of 1e-4.
+                let r = a.mul_vec(&x).unwrap();
                 let scale: f64 = b.iter().map(|x| x.abs()).fold(0.0, f64::max).max(1.0)
-                    + a.max_abs() * sol.x.iter().map(|x| x.abs()).fold(0.0, f64::max);
+                    + a.max_abs() * x.iter().map(|x| x.abs()).fold(0.0, f64::max);
                 for (ri, bi) in r.iter().zip(&b) {
                     prop_assert!((ri - bi).abs() <= 1e-4 * scale);
                 }
             }
             Err(e) => {
-                // Degenerate inputs fail with the documented variants only.
+                // Degenerate inputs fail with the definiteness verdict only.
                 prop_assert!(matches!(
                     e,
                     tecopt_linalg::LinalgError::NotPositiveDefinite { .. }
-                        | tecopt_linalg::LinalgError::Singular { .. }
-                        | tecopt_linalg::LinalgError::IllConditioned { .. }
-                        | tecopt_linalg::LinalgError::NoConvergence { .. }
                 ), "unexpected error {e:?}");
             }
         }

@@ -18,7 +18,7 @@
 //!   is still the last resort, because the alternative is refusing work;
 //! - **failover**: a retryable failure (shed, disconnect, shutdown
 //!   refusal) moves to the next replica after one capped, jittered
-//!   backoff step ([`crate::util::backoff_duration`]); a non-retryable
+//!   backoff step (`util::backoff_duration`); a non-retryable
 //!   error returns immediately; exhausting every attempt returns
 //!   [`ServeError::FailoverExhausted`];
 //! - **hedging** (opt-in): when the primary outlives a p99-derived

@@ -15,14 +15,14 @@ use tecopt::{
 use tecopt_device::{DeviceError, OperatingPoint, StampedSystem, TecArray};
 use tecopt_faultinject as fi;
 use tecopt_linalg::{
-    conjugate_gradient, eigen, solve_robust, CgSettings, Cholesky, CsrMatrix, DenseMatrix,
-    LinalgError, Lu, SolverPolicy, Triplet,
+    conjugate_gradient, eigen, CgSettings, Cholesky, CsrMatrix, DenseMatrix, DiagonalUpdate,
+    LinalgError, Lu, Triplet, UpdatableFactor,
 };
 use tecopt_power::hotspot_io::{parse_ptrace, to_ptrace};
 use tecopt_power::{Floorplan, PowerError, PowerProfile, Unit};
 use tecopt_thermal::transient::BackwardEuler;
 use tecopt_thermal::{CompactModel, Rect, ThermalError, TwoPortSpec};
-use tecopt_units::{Amperes, Celsius, Kelvin, Meters, Watts, WattsPerKelvin};
+use tecopt_units::{Amperes, Celsius, Kelvin, Meters, VoltsPerKelvin, Watts, WattsPerKelvin};
 
 // ---------------------------------------------------------------- linalg --
 
@@ -77,20 +77,25 @@ fn every_linalg_error_variant_is_reachable() {
         Err(LinalgError::NoConvergence { iterations: 1, .. })
     ));
 
-    // NonFiniteEntry: NaN poisoning is caught before factorization.
+    // NonFiniteEntry: NaN poisoning is caught by the finiteness screen.
     let mut poisoned = fi::spd_matrix(4, 5);
     fi::inject_nan(&mut poisoned, 2, 1);
     assert!(matches!(
-        solve_robust(&poisoned, &[1.0; 4], &SolverPolicy::default()),
+        poisoned.ensure_finite(),
         Err(LinalgError::NonFiniteEntry { row: 2, col: 1 })
     ));
 
-    // IllConditioned: factorable but numerically meaningless under a strict
-    // policy that forbids fallbacks.
-    let near = DenseMatrix::from_diagonal(&[1.0, 1e-18]);
+    // IllConditioned: an SMW update landing exactly on the definiteness
+    // boundary (diag(4, 4) − 4·e₀e₀ᵀ) leaves a zero capacitance pivot, so
+    // the update refuses to certify anything and asks for a refactor.
+    let factor = UpdatableFactor::new(
+        Cholesky::factor(&DenseMatrix::from_diagonal(&[4.0, 4.0])).unwrap(),
+        &[0],
+    )
+    .unwrap();
     assert!(matches!(
-        solve_robust(&near, &[1.0, 1.0], &SolverPolicy::strict()),
-        Err(LinalgError::IllConditioned { estimate } ) if estimate > 1e15
+        factor.apply(&DiagonalUpdate::new([(0, -4.0)]).unwrap()),
+        Err(LinalgError::IllConditioned { estimate }) if estimate > 1e15
     ));
 
     // BudgetExhausted: a zero probe budget terminates the λ_m search
@@ -388,14 +393,29 @@ fn every_opt_error_variant_is_reachable() {
         }))
     ));
 
-    // Linalg: an invalid solver policy is rejected before any factorization.
-    let bad_policy = SolverPolicy {
-        max_residual: -1.0,
-        ..SolverPolicy::default()
-    };
+    // Linalg: with a vanishing Seebeck coefficient the Peltier term cannot
+    // drive the package into runaway below the λ_m search's 1e18 A
+    // ceiling, so the bracket never closes.
+    let thin = TecParams::superlattice_thin_film();
+    let inert = TecParams::new(
+        VoltsPerKelvin(1e-30),
+        thin.resistance(),
+        thin.conductance(),
+        thin.cold_contact(),
+        thin.hot_contact(),
+        thin.side(),
+    )
+    .unwrap();
+    let sealed = CoolingSystem::new(
+        &config,
+        inert,
+        &[TileIndex::new(1, 1)],
+        vec![Watts(0.1); 16],
+    )
+    .unwrap();
     assert!(matches!(
-        system.solve_with_policy(Amperes(1.0), &bad_policy),
-        Err(OptError::Linalg(LinalgError::InvalidInput(_)))
+        runaway_limit(&sealed, 1e-9),
+        Err(OptError::Linalg(LinalgError::NoConvergence { .. }))
     ));
 
     // BudgetExhausted: an adversarial tolerance below the bracket's

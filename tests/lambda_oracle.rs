@@ -5,9 +5,15 @@
 //! (`generalized_pd_threshold_dense`) factors all of `G − i·D` at every
 //! probe. Both run the same bracket policy, so on these systems the
 //! brackets and probe counts must agree bit for bit.
+//!
+//! The steady solve is tied to the same bracket: on every Table-I
+//! placement it succeeds across `[0, λ_m)` up to the verified-feasible
+//! edge and reports runaway at the verified-infeasible one.
 
 use tecopt::multipin::MultiPinSystem;
-use tecopt::{runaway_limit, CoolingSystem, CurrentSettings, PackageConfig, TecParams, TileIndex};
+use tecopt::{
+    runaway_limit, CoolingSystem, CurrentSettings, OptError, PackageConfig, TecParams, TileIndex,
+};
 use tecopt_linalg::eigen::{generalized_pd_threshold_dense, PdThreshold, DEFAULT_PROBE_BUDGET};
 use tecopt_power::{HypotheticalChip, WorkloadModel};
 use tecopt_units::{Amperes, Watts};
@@ -31,6 +37,38 @@ fn hc02_powers() -> Vec<Watts> {
         .find(|chip| chip.name() == "HC02")
         .unwrap()
         .tile_powers()
+}
+
+const REFERENCE: &str = include_str!("../perfbench/reference/table1.tsv");
+
+/// `(name, tile powers, greedy tiles)` of every Table-I reference row.
+fn table1_placements() -> Vec<(String, Vec<Watts>, Vec<TileIndex>)> {
+    REFERENCE
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            let powers = match f[0] {
+                "Alpha" => alpha_powers(),
+                name => HypotheticalChip::standard_suite()
+                    .into_iter()
+                    .find(|chip| chip.name() == name)
+                    .unwrap()
+                    .tile_powers(),
+            };
+            let greedy = match f[6] {
+                "-" => Vec::new(),
+                list => list
+                    .split(';')
+                    .map(|rc| {
+                        let (r, c) = rc.split_once(',').unwrap();
+                        TileIndex::new(r.parse().unwrap(), c.parse().unwrap())
+                    })
+                    .collect(),
+            };
+            (f[0].to_string(), powers, greedy)
+        })
+        .collect()
 }
 
 fn tiles(pairs: &[(usize, usize)]) -> Vec<TileIndex> {
@@ -146,4 +184,45 @@ fn two_pin_axis_limits_match_the_dense_oracle() {
             dense.lower
         );
     }
+}
+
+#[test]
+fn steady_solve_follows_the_lambda_bracket_on_table1_placements() {
+    const GRID: usize = 24;
+    let tol = CurrentSettings::default().lambda_tolerance;
+    let all: Vec<TileIndex> = package().grid().tiles().collect();
+    let placements = table1_placements();
+    assert_eq!(placements.len(), 11);
+    let mut checked = 0;
+    for (name, powers, greedy) in placements {
+        for (kind, tiles) in [("greedy", greedy), ("full cover", all.clone())] {
+            if tiles.is_empty() {
+                continue;
+            }
+            let system = system(powers.clone(), &tiles);
+            let lim = runaway_limit(&system, tol).unwrap();
+            let edge = lim.feasible().value();
+            for j in 0..=GRID {
+                let i = Amperes(edge * j as f64 / GRID as f64);
+                let state = system.solve(i);
+                assert!(
+                    state.is_ok(),
+                    "{name} {kind}: solve at {} A, feasible edge {edge}: {:?}",
+                    i.value(),
+                    state.err()
+                );
+            }
+            assert!(
+                matches!(
+                    system.solve(lim.infeasible()),
+                    Err(OptError::BeyondRunaway { current }) if current == lim.infeasible().value()
+                ),
+                "{name} {kind}: infeasible edge {} must be runaway",
+                lim.infeasible().value()
+            );
+            checked += 1;
+        }
+    }
+    // HC07's greedy deployment places no device.
+    assert_eq!(checked, 21);
 }
