@@ -25,10 +25,10 @@ use tecopt::{
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, CgSettings, Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky,
-    FactorPlan, FactoredSystem, ResolvedBackend, ShiftedCholesky, Triplet,
+    FactorPlan, FactoredSystem, LeadingBlockCache, ResolvedBackend, ShiftedCholesky, Triplet,
 };
 use tecopt_thermal::TileGrid;
-use tecopt_units::{Amperes, Meters, Watts};
+use tecopt_units::{Amperes, Meters, Ohms, Watts, WattsPerKelvin};
 
 fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver");
@@ -400,7 +400,10 @@ fn bench_placement_factor(c: &mut Criterion) {
 /// on the four hottest passive tiles, from `CoolingSystem::new` (assembly,
 /// then the λ_m search and the golden-section current search inside
 /// `optimize_current_with`) under the default `Refactor` strategy, which
-/// runs on the placement factor, against the opt-in SMW `RankKUpdate`.
+/// runs on the placement factor, against the opt-in SMW `RankKUpdate`;
+/// and `leading_block_hit`, the placement-factor candidate on a
+/// `LeadingBlockCache` that already holds its leading block (another
+/// thickness level of the same mask and contact in an explore sweep).
 fn bench_explore_candidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_candidate");
     group.sample_size(10);
@@ -435,6 +438,38 @@ fn bench_explore_candidate(c: &mut Criterion) {
             })
         });
     }
+    let cache = Arc::new(LeadingBlockCache::new());
+    let candidate = |params: TecParams| {
+        CoolingSystem::new(base.config(), params, &tiles, base.tile_powers().to_vec())
+            .expect("candidate")
+            .with_leading_cache(Arc::clone(&cache))
+    };
+    // Fill the cache at another thickness: G_AA and G_AB do not change.
+    let p = base.stamped().params();
+    let thicker = TecParams::new(
+        p.seebeck(),
+        Ohms(p.resistance().value() * 2.0),
+        WattsPerKelvin(p.conductance().value() / 2.0),
+        p.cold_contact(),
+        p.hot_contact(),
+        p.side(),
+    )
+    .expect("thicker");
+    candidate(thicker)
+        .stamped()
+        .placement_factor()
+        .expect("leading block");
+    group.bench_function("leading_block_hit", |b| {
+        b.iter(|| {
+            let system = candidate(base.stamped().params().clone());
+            optimize_current_with(
+                &system,
+                CurrentSettings::default(),
+                FactorStrategy::Refactor,
+            )
+            .expect("optimum")
+        })
+    });
     group.finish();
 }
 

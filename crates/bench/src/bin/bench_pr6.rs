@@ -11,7 +11,8 @@
 //! - **refactor** — caching off (`set_factorization_reuse(false)`), the
 //!   equivalence oracle: the system matrix reassembled and refactored on
 //!   the simulator's shared Cholesky pattern every step. The
-//!   reuse/refactor ratio is the headline speedup and must be ≥ 5x.
+//!   reuse/refactor steps/s ratio is the headline speedup and must be
+//!   ≥ 5x.
 //! - **enveloped** — caching on, the same policy wrapped in a
 //!   `SafetyEnvelope`. The per-step clamp is a handful of comparisons
 //!   against a triangular solve; its overhead must stay ≤ 2%.
@@ -25,8 +26,15 @@
 //! `run_schedule_supervised` path, alternating which goes first and
 //! which simulator serves which configuration. The
 //! overhead is the median over chunks of the enveloped/reuse time ratio,
-//! and the reuse rate is the whole reuse playback's steps per second. The
-//! refactor oracle reports the best of five playbacks. The reuse and refactor
+//! and the reuse rate is the whole reuse playback's steps per second.
+//!
+//! The speedup is estimated the same way: `PAIRS` pairs of one reuse and
+//! one refactor playback, run back to back with the first of the pair
+//! alternating, and the median of the per-pair steps/s ratios is held
+//! against the gate, printed with the range of the ratios. A single
+//! best-of-five refactor rate against a separate reuse playback read
+//! 4.04–7.08x across runs of one build, a spread wider than the gate's
+//! own margin. The reuse and refactor
 //! trajectories must agree bit-exactly — the oracle property the unit
 //! suite pins — and the solve-site guard is armed throughout, so the
 //! timings include its per-step check. Emits JSON on stdout; the
@@ -51,7 +59,11 @@ const STEPS: usize = 100_000;
 /// shorter schedule keeps its wall time bounded without biasing the
 /// steps/s ratio (both rates are normalized per step).
 const REFACTOR_STEPS: usize = 1_000;
-const REPS: usize = 5;
+/// Reuse steps per speedup pair: long enough that the one factorization
+/// up front is amortized like the full playback's.
+const PAIR_REUSE_STEPS: usize = 10 * REFACTOR_STEPS;
+/// Interleaved reuse/refactor pairs behind the speedup's median.
+const PAIRS: usize = 15;
 /// Interleaved chunks of the reuse/enveloped comparison.
 const CHUNKS: usize = 200;
 
@@ -153,27 +165,45 @@ fn interleaved_playbacks(
         ratios.push(took[1] / took[0]);
     }
     ratios.sort_by(f64::total_cmp);
-    let median = 0.5 * (ratios[(CHUNKS - 1) / 2] + ratios[CHUNKS / 2]);
     let [reuse, enveloped] = samples;
-    Ok((totals[0], totals[1], median, reuse, enveloped))
+    Ok((totals[0], totals[1], median(&ratios), reuse, enveloped))
 }
 
-/// Best-of-`REPS` wall time for one configuration.
-fn time_playback(
+/// The reuse/refactor speedup over `PAIRS` interleaved pairs (see the
+/// module docs): `(sorted per-pair steps/s ratios, median refactor
+/// steps/s, the last refactor trace)`.
+fn speedup_pairs(
     system: &CoolingSystem,
     guard: Amperes,
-    steps: usize,
-    reuse: bool,
-    controller: &mut (dyn TecController + Send),
-) -> Result<(f64, TransientTrace), String> {
-    let mut best = f64::INFINITY;
-    let mut last = TransientTrace::default();
-    for _ in 0..REPS {
-        let (elapsed, trace) = time_once(system, guard, steps, reuse, controller)?;
-        best = best.min(elapsed);
-        last = trace;
+    current: Amperes,
+) -> Result<(Vec<f64>, f64, TransientTrace), String> {
+    let mut ratios = Vec::with_capacity(PAIRS);
+    let mut refactor_rates = Vec::with_capacity(PAIRS);
+    let mut refactor_trace = TransientTrace::default();
+    for pair in 0..PAIRS {
+        let mut rates = [0.0_f64; 2];
+        let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
+        for k in order {
+            let (steps, reuse) = [(PAIR_REUSE_STEPS, true), (REFACTOR_STEPS, false)][k];
+            let (elapsed, trace) =
+                time_once(system, guard, steps, reuse, &mut ConstantCurrent(current))?;
+            rates[k] = steps as f64 / elapsed;
+            if !reuse {
+                refactor_trace = trace;
+            }
+        }
+        ratios.push(rates[0] / rates[1]);
+        refactor_rates.push(rates[1]);
     }
-    Ok((best, last))
+    ratios.sort_by(f64::total_cmp);
+    refactor_rates.sort_by(f64::total_cmp);
+    Ok((ratios, median(&refactor_rates), refactor_trace))
+}
+
+/// The median of a sorted, nonempty slice.
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    0.5 * (sorted[(n - 1) / 2] + sorted[n / 2])
 }
 
 fn main() -> Result<(), String> {
@@ -201,13 +231,7 @@ fn main() -> Result<(), String> {
         ));
     }
 
-    let (refactor_s, refactor_trace) = time_playback(
-        &system,
-        lambda,
-        REFACTOR_STEPS,
-        false,
-        &mut ConstantCurrent(safe),
-    )?;
+    let (speedups, refactor_rate, refactor_trace) = speedup_pairs(&system, lambda, safe)?;
 
     // The cached path must be the oracle's trajectory, bit for bit, over
     // the oracle's (shorter) schedule prefix.
@@ -225,13 +249,14 @@ fn main() -> Result<(), String> {
     }
 
     let reuse_rate = STEPS as f64 / reuse_s;
-    let refactor_rate = REFACTOR_STEPS as f64 / refactor_s;
-    let speedup = reuse_rate / refactor_rate;
+    let speedup = median(&speedups);
+    let (lo, hi) = (speedups[0], speedups[PAIRS - 1]);
     let overhead_pct = (envelope_ratio - 1.0) * 100.0;
 
     eprintln!(
         "reuse={reuse_rate:.0} steps/s refactor={refactor_rate:.0} steps/s \
-         speedup={speedup:.2}x envelope_overhead={overhead_pct:.3}%"
+         speedup={speedup:.2}x (median of {PAIRS} pairs, range {lo:.2}-{hi:.2}x) \
+         envelope_overhead={overhead_pct:.3}%"
     );
     if speedup < 5.0 {
         return Err(format!(
@@ -245,7 +270,7 @@ fn main() -> Result<(), String> {
     }
 
     println!(
-        "{{\n  \"bench\": \"bench_pr6\",\n  \"description\": \"transient playback throughput on a 4x4 hotspot41-like system: implicit steps at dt={DT} s under a constant-current policy with the solve-site guard armed; reuse = factorization cache on ({STEPS} steps), refactor = per-step reassembly and sparse refactorization oracle on the shared Cholesky pattern ({REFACTOR_STEPS} steps, bit-identical trajectory enforced), enveloped = reuse plus the SafetyEnvelope clamp; reuse and enveloped advance side by side in {CHUNKS} alternating chunks, their steps/s are whole-playback rates and the envelope overhead is the median chunk-time ratio; refactor steps/s from the best of {REPS} repetitions\",\n  \"steps\": {STEPS},\n  \"refactor_steps\": {REFACTOR_STEPS},\n  \"dt_seconds\": {DT},\n  \"steps_per_second\": {{ \"reuse\": {reuse_rate:.0}, \"refactor\": {refactor_rate:.0}, \"enveloped\": {:.0} }},\n  \"factorization_reuse_speedup\": {speedup:.2},\n  \"envelope_overhead_pct\": {overhead_pct:.3},\n  \"targets\": {{ \"min_speedup\": 5.0, \"max_envelope_overhead_pct\": 2.0 }}\n}}",
+        "{{\n  \"bench\": \"bench_pr6\",\n  \"description\": \"transient playback throughput on a 4x4 hotspot41-like system: implicit steps at dt={DT} s under a constant-current policy with the solve-site guard armed; reuse = factorization cache on ({STEPS} steps), refactor = per-step reassembly and sparse refactorization oracle on the shared Cholesky pattern ({REFACTOR_STEPS} steps, bit-identical trajectory enforced), enveloped = reuse plus the SafetyEnvelope clamp; reuse and enveloped advance side by side in {CHUNKS} alternating chunks, their steps/s are whole-playback rates and the envelope overhead is the median chunk-time ratio; the speedup is the median steps/s ratio of {PAIRS} interleaved pairs of a {PAIR_REUSE_STEPS}-step reuse and a {REFACTOR_STEPS}-step refactor playback, and the refactor steps/s the median over those pairs\",\n  \"steps\": {STEPS},\n  \"refactor_steps\": {REFACTOR_STEPS},\n  \"dt_seconds\": {DT},\n  \"steps_per_second\": {{ \"reuse\": {reuse_rate:.0}, \"refactor\": {refactor_rate:.0}, \"enveloped\": {:.0} }},\n  \"factorization_reuse_speedup\": {speedup:.2},\n  \"factorization_reuse_speedup_range\": [{lo:.2}, {hi:.2}],\n  \"envelope_overhead_pct\": {overhead_pct:.3},\n  \"targets\": {{ \"min_speedup\": 5.0, \"max_envelope_overhead_pct\": 2.0 }}\n}}",
         STEPS as f64 / envelope_s,
     );
     Ok(())

@@ -2,8 +2,9 @@ use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
 use tecopt_linalg::{
-    CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingSolve, LinalgError,
-    ResolvedBackend, SolveMethod, SolverBackend, UpdatableFactor, WARN_CONDITION,
+    CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingBlockCache,
+    LeadingSolve, LinalgError, ResolvedBackend, SolveMethod, SolverBackend, UpdatableFactor,
+    WARN_CONDITION,
 };
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
@@ -667,19 +668,36 @@ impl CoolingSystem {
     /// Returns a copy of this system with a different TEC tile set (same
     /// package, parameters, powers — and solver backend: a forced backend
     /// used to silently revert to [`SolverBackend::Auto`] here, so every
-    /// greedy-deployment iteration escaped the override).
+    /// greedy-deployment iteration escaped the override — and leading-block
+    /// cache).
     ///
     /// # Errors
     ///
     /// Same contract as [`CoolingSystem::new`].
     pub fn with_tiles(&self, tec_tiles: &[TileIndex]) -> Result<CoolingSystem, OptError> {
-        CoolingSystem::new(
+        let mut system = CoolingSystem::new(
             self.stamped.model().config(),
             self.stamped.params().clone(),
             tec_tiles,
             self.tile_powers.clone(),
-        )
-        .map(|s| s.with_backend(self.backend))
+        )?
+        .with_backend(self.backend);
+        system
+            .stamped
+            .set_leading_cache(self.stamped.leading_cache().cloned());
+        Ok(system)
+    }
+
+    /// Returns this system with its placement factor built through
+    /// `cache` ([`StampedSystem::placement_factor`]), as is every system
+    /// [`CoolingSystem::with_tiles`] derives from it: placements that
+    /// share `G_AA` and `G_AB` (another film thickness over the same
+    /// tiles, a passive network under other device parameters) factor
+    /// `G_AA` once between them. Results are bit-identical with or
+    /// without the cache.
+    pub fn with_leading_cache(mut self, cache: Arc<LeadingBlockCache>) -> CoolingSystem {
+        self.stamped.set_leading_cache(Some(cache));
+        self
     }
 
     /// Returns this system routed through `backend` (the solves of the copy
@@ -1243,6 +1261,22 @@ mod tests {
         assert!(matches!(stepped.backend(), SolverBackend::SparseCg(_)));
         let state = stepped.solve(Amperes(1.0)).unwrap();
         assert_eq!(state.solve_method(), SolveMethod::SparseCg);
+    }
+
+    #[test]
+    fn with_tiles_keeps_the_leading_cache() {
+        let cache = Arc::new(LeadingBlockCache::new());
+        let passive = system(&[]).with_leading_cache(Arc::clone(&cache));
+        passive.solve(Amperes(0.0)).unwrap();
+        assert_eq!((cache.built(), cache.reused()), (1, 0));
+        // Two derived placements reach the cache, and a second passive
+        // system reuses the first one's block.
+        let one = passive.with_tiles(&[TileIndex::new(1, 1)]).unwrap();
+        assert!(Arc::ptr_eq(one.stamped().leading_cache().unwrap(), &cache));
+        one.solve(Amperes(1.0)).unwrap();
+        one.with_tiles(&[]).unwrap().solve(Amperes(0.0)).unwrap();
+        assert_eq!((cache.built(), cache.reused()), (2, 1));
+        assert!(system(&[]).stamped().leading_cache().is_none());
     }
 
     #[test]

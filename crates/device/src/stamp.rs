@@ -14,7 +14,9 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::{DeviceError, TecParams};
-use tecopt_linalg::{CsrMatrix, DenseMatrix, FactorPlan, LinalgError, ShiftedCholesky};
+use tecopt_linalg::{
+    CsrMatrix, DenseMatrix, FactorPlan, LeadingBlockCache, LinalgError, ShiftedCholesky,
+};
 use tecopt_thermal::{CompactModel, PackageConfig, ThermalError, TileIndex};
 use tecopt_units::{Amperes, Kelvin, Watts};
 
@@ -55,6 +57,9 @@ pub struct StampedSystem {
     /// The slot itself is shared, so a clone made before the build still
     /// sees it.
     placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
+    /// Where [`StampedSystem::placement_factor`] looks for, and stores,
+    /// its leading block, if anywhere.
+    leading: Option<Arc<LeadingBlockCache>>,
 }
 
 impl StampedSystem {
@@ -102,6 +107,7 @@ impl StampedSystem {
             joule_nodes,
             junctions,
             placement: Arc::new(OnceLock::new()),
+            leading: None,
         })
     }
 
@@ -112,8 +118,12 @@ impl StampedSystem {
     /// it, so `G_AA` (the Peltier-free block) is factored once per
     /// placement, and analysed on the package's passive order
     /// ([`CompactModel::network_order`]) rather than by a minimum-degree
-    /// search of its own. The Joule sources sit on the same nodes, so the
-    /// part of a solve off the support does not depend on the current.
+    /// search of its own. With a [`LeadingBlockCache`] attached
+    /// ([`StampedSystem::set_leading_cache`]) that factor is shared with
+    /// every placement of the cache that has the same `G_AA` and `G_AB`
+    /// (the same factor, bit for bit). The Joule sources sit on the same
+    /// nodes, so the part of a solve off the support does not depend on
+    /// the current.
     ///
     /// # Errors
     ///
@@ -129,24 +139,37 @@ impl StampedSystem {
             .flat_map(|&(cold, hot)| [cold, hot])
             .collect();
         let order = self.model.network_order()?;
-        let built = ShiftedCholesky::with_order(
-            self.model.g_matrix(),
-            &self.d_diagonal,
-            &support,
-            &order,
-            || {
-                self.model
-                    .cholesky_pattern()
-                    .map(Arc::clone)
-                    .map_err(|e| match e {
-                        ThermalError::Linalg(e) => e,
-                        other => LinalgError::InvalidInput(other.to_string()),
-                    })
-            },
-        )
+        let (g, d) = (self.model.g_matrix(), &self.d_diagonal);
+        let network = || {
+            self.model
+                .cholesky_pattern()
+                .map(Arc::clone)
+                .map_err(|e| match e {
+                    ThermalError::Linalg(e) => e,
+                    other => LinalgError::InvalidInput(other.to_string()),
+                })
+        };
+        let built = match &self.leading {
+            Some(cache) => {
+                ShiftedCholesky::with_order_cached(g, d, &support, &order, cache, network)
+            }
+            None => ShiftedCholesky::with_order(g, d, &support, &order, network),
+        }
         .map_err(ThermalError::from)?;
         // A racing first call may have won; either build is the same.
         Ok(self.placement.get_or_init(|| Arc::new(built)))
+    }
+
+    /// Attaches (or, with `None`, detaches) the cache that
+    /// [`StampedSystem::placement_factor`] builds through. A factor
+    /// already built is kept: it is the same with or without the cache.
+    pub fn set_leading_cache(&mut self, cache: Option<Arc<LeadingBlockCache>>) {
+        self.leading = cache;
+    }
+
+    /// The attached leading-block cache, if any.
+    pub fn leading_cache(&self) -> Option<&Arc<LeadingBlockCache>> {
+        self.leading.as_ref()
     }
 
     /// The plan of [`StampedSystem::placement_factor`] if it has been

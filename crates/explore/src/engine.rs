@@ -2,8 +2,12 @@
 //!
 //! [`Explorer::explore`] drives a [`DesignSpace`] end to end: analytical
 //! first-cut pruning, per-candidate shared-current optimization (golden
-//! section on the placement factor: `G_AA` factored once per candidate,
-//! a `k×k` block per current), quarantine of
+//! section on the placement factor: a `k×k` block per current over a
+//! leading block — `G_AA` factored, `X = G_AA⁻¹·G_AB` — that one
+//! [`LeadingBlockCache`] per call shares between every candidate with the
+//! same `G_AA` and `G_AB`, so the thickness levels of one mask and
+//! contact, and the passive network of every greedy deployment, factor
+//! it once), quarantine of
 //! pathological candidates, and a deterministic Pareto front over peak
 //! temperature vs. total TEC power. Attach a checkpoint path to the
 //! [`RunContext`] and every unit of work flows through the durable
@@ -16,12 +20,14 @@ use crate::pareto::{pareto_front, ParetoPoint};
 use crate::quarantine::{retryable, PartialPrefix, QuarantineReason, QuarantineRecord};
 use crate::space::{Candidate, DesignSpace, Placement};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use tecopt::parallel::{par_map_init_isolated, ItemOutcome};
 use tecopt::record::{fingerprint, hex_f64};
 use tecopt::{
     greedy_deploy_supervised, optimize_current_with, CoolingSystem, CurrentSettings, DeployFailure,
     DeploySettings, FactorStrategy, OptError, RunContext,
 };
+use tecopt_linalg::LeadingBlockCache;
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 
 /// Knobs of one exploration.
@@ -116,6 +122,14 @@ pub struct ExploreReport {
     /// Evaluation attempts completed by *this* process (diagnostics; the
     /// other counts are ledger totals).
     pub evaluated_this_run: usize,
+    /// Leading blocks (`G_AA` factor, `X`, `G_BA·X`) this run of
+    /// [`Explorer::explore`] built (diagnostics, neither in the ledger
+    /// nor on the wire; 0 from [`Explorer::explore_with`]).
+    pub leading_blocks_built: usize,
+    /// Placement factors this run of [`Explorer::explore`] built on a
+    /// leading block another candidate had built (diagnostics, as
+    /// `leading_blocks_built`).
+    pub leading_blocks_reused: usize,
     /// `true` when the ledger already held settled work at startup.
     pub resumed: bool,
 }
@@ -212,8 +226,15 @@ impl Explorer {
         let theta = self.space.theta_limit();
         let settings = self.settings;
         let backend = self.system.backend();
+        // One cache per call, shared by every worker: the candidate order
+        // is thickness-major, so each (mask, contact) pair reaches every
+        // worker and per-worker caches would repeat each build.
+        let leading = Arc::new(LeadingBlockCache::new());
 
-        let passive = self.system.with_tiles(&[])?;
+        let passive = self
+            .system
+            .with_tiles(&[])?
+            .with_leading_cache(Arc::clone(&leading));
         let baseline_peak = passive.solve(Amperes(0.0))?.peak();
         let required_drop = baseline_peak.value() - theta.value();
         let optimism = settings.prune_optimism;
@@ -247,7 +268,8 @@ impl Explorer {
                 Placement::Tiles(tiles) => {
                     let system = CoolingSystem::new(config, scaled, tiles, powers.clone())
                         .map_err(CandidateFailure::plain)?
-                        .with_backend(backend);
+                        .with_backend(backend)
+                        .with_leading_cache(Arc::clone(&leading));
                     let opt = optimize_current_with(&system, settings.current, settings.strategy)
                         .map_err(CandidateFailure::plain)?;
                     Ok(CandidateEval {
@@ -262,7 +284,8 @@ impl Explorer {
                 Placement::Greedy => {
                     let base = CoolingSystem::new(config, scaled, &[], powers.clone())
                         .map_err(CandidateFailure::plain)?
-                        .with_backend(backend);
+                        .with_backend(backend)
+                        .with_leading_cache(Arc::clone(&leading));
                     // Probe budgets and deadlines are enforced between
                     // candidates (at claim boundaries); within one greedy
                     // deploy only cancellation propagates, so a candidate
@@ -295,7 +318,10 @@ impl Explorer {
             }
         };
 
-        self.explore_with(ctx, eval, prune)
+        let mut report = self.explore_with(ctx, eval, prune)?;
+        report.leading_blocks_built = leading.built();
+        report.leading_blocks_reused = leading.reused();
+        Ok(report)
     }
 
     /// The engine over injectable evaluation and prune functions — the
@@ -525,6 +551,8 @@ impl Explorer {
             feasible,
             quarantined: state.quarantined.values().cloned().collect(),
             evaluated_this_run,
+            leading_blocks_built: 0,
+            leading_blocks_reused: 0,
             resumed,
         })
     }

@@ -216,3 +216,102 @@ fn rank_k_records_agree_with_the_default_to_1e_9_relative() {
         }
     }
 }
+
+/// The placements a sweep of `explorer` factors, as (tiles, contact
+/// scale bits) with the number of placement factors each one asks for:
+/// one for the explorer's passive system, one per `Tiles` candidate, and
+/// per `Greedy` candidate one for its passive start and one per
+/// iteration. A placement's `G_AA` and `G_AB` depend on its tiles and its
+/// contacts, not on film thickness, so this pair names its leading block;
+/// every passive network (no tiles, contact 0) shares one.
+fn placements(
+    system: &CoolingSystem,
+    explorer: &Explorer,
+) -> BTreeMap<(Vec<TileIndex>, u64), usize> {
+    let theta = explorer.space().theta_limit();
+    let mut uses = BTreeMap::new();
+    *uses.entry((Vec::new(), 0)).or_default() += 1;
+    for cand in explorer.space().candidates() {
+        let contact = cand.contact_scale.to_bits();
+        match &cand.placement {
+            Placement::Tiles(tiles) => {
+                let mut tiles = tiles.clone();
+                tiles.sort_unstable();
+                *uses.entry((tiles, contact)).or_default() += 1;
+            }
+            Placement::Greedy => {
+                *uses.entry((Vec::new(), 0)).or_default() += 1;
+                let scaled = cand.scaled_params(system.stamped().params()).unwrap();
+                let base =
+                    CoolingSystem::new(system.config(), scaled, &[], system.tile_powers().to_vec())
+                        .unwrap();
+                let outcome = greedy_deploy(&base, DeploySettings::with_limit(theta)).unwrap();
+                let mut covered = Vec::new();
+                for it in outcome.deployment().iterations() {
+                    covered.extend(it.added.iter().copied());
+                    covered.sort_unstable();
+                    *uses.entry((covered.clone(), contact)).or_default() += 1;
+                }
+            }
+        }
+    }
+    uses
+}
+
+#[test]
+fn candidates_share_one_leading_block_per_distinct_passive_block() {
+    let system = base_system();
+    let explorer = Explorer::new(&system, space(&system), ExploreSettings::default());
+    let uses = placements(&system, &explorer);
+    let requested: usize = uses.values().sum();
+    let workers = tecopt::parallel::worker_count();
+    // The explorer's own passive block is built before any worker starts,
+    // so every greedy candidate's passive start reuses it; any other block
+    // is built at most once per worker that meets it first.
+    let most: usize = uses
+        .iter()
+        .map(|((tiles, _), &n)| if tiles.is_empty() { 1 } else { n.min(workers) })
+        .sum();
+
+    let report = explorer.explore(&RunContext::unbounded()).unwrap();
+    let (built, reused) = (report.leading_blocks_built, report.leading_blocks_reused);
+    assert_eq!(built + reused, requested, "built {built}, reused {reused}");
+    assert!(
+        built >= uses.len(),
+        "built {built} for {} blocks",
+        uses.len()
+    );
+    assert!(
+        built <= most,
+        "built {built}, at most {most} at {workers} workers"
+    );
+    assert!(reused >= requested - most);
+
+    // The greedy deployment itself, on a cache that holds the passive
+    // block: it reuses that block for its start and builds one per
+    // iteration.
+    let cache = std::sync::Arc::new(tecopt_linalg::LeadingBlockCache::new());
+    let passive = system
+        .with_tiles(&[])
+        .unwrap()
+        .with_leading_cache(std::sync::Arc::clone(&cache));
+    passive.solve(Amperes(0.0)).unwrap();
+    let greedy = explorer
+        .space()
+        .candidates()
+        .into_iter()
+        .find(|c| c.placement == Placement::Greedy)
+        .unwrap();
+    let scaled = greedy.scaled_params(system.stamped().params()).unwrap();
+    let base = CoolingSystem::new(system.config(), scaled, &[], system.tile_powers().to_vec())
+        .unwrap()
+        .with_leading_cache(std::sync::Arc::clone(&cache));
+    let outcome = greedy_deploy(
+        &base,
+        DeploySettings::with_limit(explorer.space().theta_limit()),
+    )
+    .unwrap();
+    let iterations = outcome.deployment().iterations().len();
+    assert!(iterations > 0);
+    assert_eq!((cache.built(), cache.reused()), (1 + iterations, 1));
+}

@@ -731,6 +731,55 @@ impl Cholesky {
         Cholesky::numeric(Arc::clone(pattern), &values)
     }
 
+    /// This factor with its pattern cut to what the solves and the pivots
+    /// read: the order and the column structure of `L`. The gather maps
+    /// and the row structure, which only the numeric factorization reads,
+    /// are dropped; for the `G_AA` of a placement they are over half of
+    /// what the factor holds. Nothing may factor on the cut pattern, so a
+    /// cut factor never leaves the crate (it lives in the cached leading
+    /// blocks of [`crate::ShiftedCholesky`]).
+    pub(crate) fn into_solve_only(self) -> Cholesky {
+        let Cholesky { pattern, lx } = self;
+        let cut = |n, perm, l_ptr, l_row| CholeskyPattern {
+            n,
+            perm,
+            lo_ptr: Vec::new(),
+            lo_col: Vec::new(),
+            a_ptr: Vec::new(),
+            a_row: Vec::new(),
+            a_src: Vec::new(),
+            l_ptr,
+            l_row,
+            r_ptr: Vec::new(),
+            r_col: Vec::new(),
+            r_slot: Vec::new(),
+        };
+        let pattern = match Arc::try_unwrap(pattern) {
+            Ok(p) => cut(p.n, p.perm, p.l_ptr, p.l_row),
+            Err(shared) => cut(
+                shared.n,
+                shared.perm.clone(),
+                shared.l_ptr.clone(),
+                shared.l_row.clone(),
+            ),
+        };
+        Cholesky {
+            pattern: Arc::new(pattern),
+            lx,
+        }
+    }
+
+    /// Points this factor at `twin`'s pattern when the two have the same
+    /// solve structure (order and column structure of `L`), so one copy
+    /// serves both; otherwise leaves it alone. Only for factors that are
+    /// never factored on again (see [`Cholesky::into_solve_only`]).
+    pub(crate) fn share_solve_structure(&mut self, twin: &Cholesky) {
+        let (p, q) = (&*self.pattern, &*twin.pattern);
+        if p.perm == q.perm && p.l_ptr == q.l_ptr && p.l_row == q.l_row {
+            self.pattern = Arc::clone(&twin.pattern);
+        }
+    }
+
     /// Up-looking numeric factorization over `pattern` of the lower
     /// triangle `a`, laid out by the pattern's structure: row `k` of `L` is
     /// the solve of the leading `k×k` factor against column `k` of the

@@ -79,6 +79,6 @@ pub use dense_cholesky::DenseCholesky;
 pub use error::LinalgError;
 pub use lu::{determinant, log_abs_determinant, Lu};
 pub use matrix::DenseMatrix;
-pub use shifted::{FactorPlan, LeadingSolve, ShiftedCholesky, ShiftedFactor};
+pub use shifted::{FactorPlan, LeadingBlockCache, LeadingSolve, ShiftedCholesky, ShiftedFactor};
 pub use sparse::{CsrMatrix, Triplet};
 pub use update::{AppliedUpdate, DiagonalUpdate, SmallLdl, UpdatableFactor, LDL_PIVOT_FLOOR};

@@ -30,8 +30,19 @@
 //! ([`CholeskyPattern::factor_flops`]), otherwise a sparse numeric factor
 //! of all of `G − i·D` on the network's pattern (at full cover, `k = 288`
 //! on a 12×12 package, a dense block would cost 60× a network factor).
+//!
+//! A build is two parts: the leading block, which depends on `G_AA` and
+//! `G_AB` alone (the analysis and factor of `G_AA`, `X`, `G_BA` and
+//! `P = G_BA·X`), and the trailing part `S₀ = G_BB − P`. Placements that
+//! differ only on the support × support entries of `G` and in `D` — the
+//! film thicknesses of one mask in a design sweep — share the leading
+//! block through a [`LeadingBlockCache`]
+//! ([`ShiftedCholesky::with_order_cached`]); a family built on a shared
+//! block is bit-identical to one built alone.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::cholesky::check_permutation;
 use crate::{Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError};
@@ -77,6 +88,17 @@ enum Family {
 
 #[derive(Debug)]
 struct TrailingBlock {
+    lead: Arc<LeadingBlock>,
+    /// `S₀ = G_BB − P`.
+    s0: DenseMatrix,
+}
+
+/// The part of a [`FactorPlan::TrailingBlock`] family that depends only
+/// on `G_AA` and `G_AB`: a function of the [`LeadingKey`] material, so one
+/// block serves every placement with that material whatever its `G_BB`
+/// and `D`.
+#[derive(Debug)]
+struct LeadingBlock {
     /// The nodes off the support, ascending.
     free: Vec<usize>,
     g_aa: Cholesky,
@@ -85,7 +107,197 @@ struct TrailingBlock {
     /// The stored entries of `G_BA`, row by row: (position in `free`,
     /// value).
     g_ba: Vec<Vec<(usize, f64)>>,
-    s0: DenseMatrix,
+    /// `P = G_BA·X`, `k×k`.
+    p: DenseMatrix,
+}
+
+/// `G` split along the support: `G_AA` as CSR (the free nodes keep their
+/// relative order, so its rows stay sorted) and the stored entries of
+/// `G_BA` (one list per support node).
+struct Split {
+    /// Each node's position in `free` or in the support.
+    slot: Vec<usize>,
+    g_aa: CsrMatrix,
+    g_ba: Vec<Vec<(usize, f64)>>,
+}
+
+/// How many leading blocks a [`LeadingBlockCache`] keeps. One explore
+/// sweep meets about nine distinct keys (the passive network, each
+/// mask × contact pair, the greedy placements), so they never evict each
+/// other; a longer stream evicts the oldest first.
+const LEADING_BLOCK_CAPACITY: usize = 16;
+
+/// A bounded store of leading blocks shared by the placement factors of
+/// one sweep ([`ShiftedCholesky::with_order_cached`]).
+///
+/// A leading block is what a [`FactorPlan::TrailingBlock`] family computes
+/// from `G_AA` and `G_AB` alone: the analysis of `G_AA` on the restricted
+/// order, its factor, `X = G_AA⁻¹·G_AB`, the stored `G_BA` and
+/// `P = G_BA·X` (for an empty support, `G` factored on the network's
+/// pattern). Placements that differ only on the support × support entries
+/// of `G` and in `D` — a TEC film of another thickness over the same
+/// tiles — share it. An entry is keyed by an FNV-1a digest of its key
+/// material: `n`, the support, the elimination order, and the position
+/// and bits of every stored entry of `G` with an endpoint off the
+/// support. A lookup compares the full material, not just the digest, so
+/// a hit is the block a fresh build would compute and a digest collision
+/// is only a miss.
+///
+/// The lock guards lookups and inserts only; blocks are built outside it.
+/// Two threads that miss on the same key both build it (with the same
+/// bits), and the first insert wins.
+#[derive(Default)]
+pub struct LeadingBlockCache {
+    state: Mutex<CacheState>,
+}
+
+#[derive(Default)]
+struct CacheState {
+    /// Oldest first.
+    entries: VecDeque<(LeadingKey, Arc<LeadingBlock>)>,
+    built: usize,
+    reused: usize,
+}
+
+/// The key material of a leading block with its digest: the shape (`n`,
+/// `k`, the support, the order, and the position `r·n + c` of every
+/// stored entry of `G` off the support × support block, row by row) and
+/// the bits of those entries. Stored keys of one shape share it.
+#[derive(Debug, Clone)]
+struct LeadingKey {
+    digest: u64,
+    shape: Arc<[u64]>,
+    values: Vec<u64>,
+}
+
+impl LeadingKey {
+    fn new(g: &CsrMatrix, support: &[usize], on_support: &[bool], order: &[usize]) -> LeadingKey {
+        let n = g.rows();
+        let mut shape = Vec::with_capacity(2 + support.len() + n + g.nnz());
+        let mut values = Vec::with_capacity(g.nnz());
+        shape.push(n as u64);
+        shape.push(support.len() as u64);
+        shape.extend(support.iter().map(|&b| b as u64));
+        shape.extend(order.iter().map(|&v| v as u64));
+        for r in 0..n {
+            for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
+                let c = g.col_indices()[t];
+                if !(on_support[r] && on_support[c]) {
+                    shape.push((r * n + c) as u64);
+                    values.push(g.values()[t].to_bits());
+                }
+            }
+        }
+        // FNV-1a over whole words: one multiply per word keeps the digest
+        // a small part of a lookup.
+        let digest = shape
+            .iter()
+            .chain(&values)
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &w| {
+                (h ^ w).wrapping_mul(0x0100_0000_01b3)
+            });
+        LeadingKey {
+            digest,
+            shape: shape.into(),
+            values,
+        }
+    }
+
+    fn same_shape(&self, other: &LeadingKey) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape
+    }
+}
+
+impl PartialEq for LeadingKey {
+    fn eq(&self, other: &LeadingKey) -> bool {
+        self.digest == other.digest && self.same_shape(other) && self.values == other.values
+    }
+}
+
+impl LeadingBlockCache {
+    /// An empty cache.
+    pub fn new() -> LeadingBlockCache {
+        LeadingBlockCache::default()
+    }
+
+    /// Leading blocks built through this cache: every miss that built
+    /// one, including the loser of a race on one key.
+    pub fn built(&self) -> usize {
+        self.lock().built
+    }
+
+    /// Lookups answered with a stored block.
+    pub fn reused(&self) -> usize {
+        self.lock().reused
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &LeadingKey) -> Option<Arc<LeadingBlock>> {
+        let mut state = self.lock();
+        let hit = state
+            .entries
+            .iter()
+            .find(|(stored, _)| stored == key)
+            .map(|(_, lead)| Arc::clone(lead));
+        if hit.is_some() {
+            state.reused += 1;
+        }
+        hit
+    }
+
+    /// Stores `lead` under `key` unless a racing build stored one first,
+    /// and returns the stored block.
+    fn insert(&self, mut key: LeadingKey, mut lead: LeadingBlock) -> Arc<LeadingBlock> {
+        let mut state = self.lock();
+        state.built += 1;
+        if let Some((_, stored)) = state.entries.iter().find(|(stored, _)| *stored == key) {
+            return Arc::clone(stored);
+        }
+        // A block of the same shape (another contact of one mask) analysed
+        // the same structure in the same order: keep one copy of the shape
+        // and of the factor's solve structure between them.
+        if let Some((twin, block)) = state
+            .entries
+            .iter()
+            .find(|(stored, _)| stored.same_shape(&key))
+        {
+            key.shape = Arc::clone(&twin.shape);
+            lead.g_aa.share_solve_structure(&block.g_aa);
+        }
+        if state.entries.len() == LEADING_BLOCK_CAPACITY {
+            state.entries.pop_front();
+        }
+        let lead = Arc::new(lead);
+        state.entries.push_back((key, Arc::clone(&lead)));
+        lead
+    }
+}
+
+impl fmt::Debug for LeadingBlockCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = self.lock();
+        f.debug_struct("LeadingBlockCache")
+            .field("blocks", &state.entries.len())
+            .field("built", &state.built)
+            .field("reused", &state.reused)
+            .finish()
+    }
+}
+
+/// The stored block for `key`, if there is a cache and it holds one.
+fn lookup(key: &Option<(&LeadingBlockCache, LeadingKey)>) -> Option<Arc<LeadingBlock>> {
+    key.as_ref().and_then(|(cache, key)| cache.get(key))
+}
+
+/// `lead` stored under `key` when there is a cache.
+fn store(key: Option<(&LeadingBlockCache, LeadingKey)>, lead: LeadingBlock) -> Arc<LeadingBlock> {
+    match key {
+        Some((cache, key)) => cache.insert(key, lead),
+        None => Arc::new(lead),
+    }
 }
 
 /// `y_A = G_AA⁻¹·b_A` for one right-hand side `b`: the part of a solve
@@ -143,7 +355,7 @@ impl ShiftedCholesky {
         support: &[usize],
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, None, network_pattern)
+        ShiftedCholesky::build(g, d, support, None, None, None, network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] with `G_AA` analysed on the elimination
@@ -165,7 +377,7 @@ impl ShiftedCholesky {
         order: &[usize],
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, Some(order), network_pattern)
+        ShiftedCholesky::build(g, d, support, None, Some(order), None, network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] on the given plan instead of the rule's,
@@ -183,7 +395,39 @@ impl ShiftedCholesky {
         plan: FactorPlan,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, Some(plan), None, network_pattern)
+        ShiftedCholesky::build(g, d, support, Some(plan), None, None, network_pattern)
+    }
+
+    /// [`ShiftedCholesky::with_order`] through `cache`: the leading block
+    /// (everything that depends only on `G_AA` and `G_AB`, see
+    /// [`LeadingBlockCache`]) is taken from the cache when an earlier
+    /// build stored one for the same key material, and stored there after
+    /// a miss. Only the trailing part, `S₀ = G_BB − G_BA·X`, is computed
+    /// per call; it is the same arithmetic as an uncached build, so the
+    /// family is bit-identical to [`ShiftedCholesky::with_order`]'s. A
+    /// placement the rule sends to [`FactorPlan::Network`] is built as
+    /// without a cache and stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftedCholesky::with_order`].
+    pub fn with_order_cached(
+        g: &CsrMatrix,
+        d: &[f64],
+        support: &[usize],
+        order: &[usize],
+        cache: &LeadingBlockCache,
+        network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
+    ) -> Result<ShiftedCholesky, LinalgError> {
+        ShiftedCholesky::build(
+            g,
+            d,
+            support,
+            None,
+            Some(order),
+            Some(cache),
+            network_pattern,
+        )
     }
 
     fn build(
@@ -192,6 +436,7 @@ impl ShiftedCholesky {
         support: &[usize],
         plan: Option<FactorPlan>,
         order: Option<&[usize]>,
+        cache: Option<&LeadingBlockCache>,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
         let n = g.rows();
@@ -232,65 +477,41 @@ impl ShiftedCholesky {
         let d_support: Vec<f64> = support.iter().map(|&b| d[b]).collect();
         if support.is_empty() && plan != Some(FactorPlan::Network) {
             // A passive placement: G_AA is G, so factor it on the network's
-            // own pattern rather than analyse a copy of it.
-            let g_aa = Cholesky::factor_csr_with(&network_pattern()?, g)?;
-            return Ok(ShiftedCholesky {
-                n,
-                support,
-                d_support,
-                family: Family::Block(Arc::new(TrailingBlock {
-                    free,
-                    g_aa,
-                    x: Vec::new(),
-                    g_ba: Vec::new(),
-                    s0: DenseMatrix::zeros(0, 0),
-                })),
+            // own pattern rather than analyse a copy of it. The key names
+            // that pattern's order, the one the factor is computed in.
+            let pattern = network_pattern()?;
+            let key = cache.map(|c| {
+                (
+                    c,
+                    LeadingKey::new(g, &support, &on_support, pattern.permutation()),
+                )
             });
+            let lead = match lookup(&key) {
+                Some(lead) => lead,
+                None => store(key, LeadingBlock::passive(g, &pattern, free)?),
+            };
+            return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
+        }
+        let key = cache
+            .zip(order)
+            .map(|(c, order)| (c, LeadingKey::new(g, &support, &on_support, order)));
+        if let Some(lead) = lookup(&key) {
+            // Only a block the rule chose is ever stored, so a hit is the
+            // rule's plan.
+            return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
         }
 
-        // One pass over the stored entries: G_AA as CSR (the free nodes
-        // keep their relative order, so its rows stay sorted), and the
-        // stored entries of G_AB (one list per support node) and G_BB.
-        let mut slot = vec![0; n];
-        for block in [&free, &support] {
-            for (s, &node) in block.iter().enumerate() {
-                slot[node] = s;
-            }
-        }
-        let mut aa_ptr = Vec::with_capacity(free.len() + 1);
-        let mut aa_col = Vec::with_capacity(g.nnz());
-        let mut aa_val = Vec::with_capacity(g.nnz());
-        aa_ptr.push(0);
-        let mut g_ba: Vec<Vec<(usize, f64)>> = vec![Vec::new(); support.len()];
-        let mut g_bb = Vec::new();
-        for r in 0..n {
-            for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
-                let (c, v) = (g.col_indices()[t], g.values()[t]);
-                match (on_support[r], on_support[c]) {
-                    (false, false) => {
-                        aa_col.push(slot[c]);
-                        aa_val.push(v);
-                    }
-                    (false, true) => g_ba[slot[c]].push((slot[r], v)),
-                    (true, true) => g_bb.push((slot[r], slot[c], v)),
-                    (true, false) => {}
-                }
-            }
-            if !on_support[r] {
-                aa_ptr.push(aa_col.len());
-            }
-        }
-        let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
+        let split = Split::new(g, &support, &on_support, &free);
         let aa_pattern = Arc::new(match order {
             Some(order) => {
                 let restricted: Vec<usize> = order
                     .iter()
                     .filter(|&&node| !on_support[node])
-                    .map(|&node| slot[node])
+                    .map(|&node| split.slot[node])
                     .collect();
-                CholeskyPattern::analyse_csr_ordered(&g_aa, &restricted)?
+                CholeskyPattern::analyse_csr_ordered(&split.g_aa, &restricted)?
             }
-            None => CholeskyPattern::analyse_csr(&g_aa)?,
+            None => CholeskyPattern::analyse_csr(&split.g_aa)?,
         });
 
         let k = support.len() as f64;
@@ -304,61 +525,41 @@ impl ShiftedCholesky {
             }
             Some(plan) => plan != FactorPlan::Network,
         };
-        let family = if trailing {
-            let g_aa = Cholesky::factor_csr_with(&aa_pattern, &g_aa).map_err(|e| match e {
-                LinalgError::NotPositiveDefinite { pivot } => {
-                    LinalgError::NotPositiveDefinite { pivot: free[pivot] }
-                }
-                other => other,
-            })?;
-            let g_ab: Vec<Vec<f64>> = g_ba
-                .iter()
-                .map(|stored| {
-                    let mut col = vec![0.0; free.len()];
-                    for &(a, v) in stored {
-                        col[a] = v;
-                    }
-                    col
-                })
-                .collect();
-            let x = g_aa.solve_many(&g_ab)?;
-            let mut s0 = DenseMatrix::zeros(support.len(), support.len());
-            for (r, c, v) in g_bb {
-                s0[(r, c)] = v;
-            }
-            // S₀ −= G_BA·X over the stored entries only, in ascending
-            // order: the skipped terms are exact zeros.
-            for (r, g_ba_r) in g_ba.iter().enumerate() {
-                for (c, x_c) in x.iter().enumerate() {
-                    s0[(r, c)] -= g_ba_r.iter().map(|&(a, u)| u * x_c[a]).sum::<f64>();
-                }
-            }
-            Family::Block(Arc::new(TrailingBlock {
-                free,
-                g_aa,
-                x,
-                g_ba,
-                s0,
-            }))
-        } else {
-            let pattern = network_pattern()?;
-            let lower = pattern.gather(g)?;
-            let diag_slots = support
-                .iter()
-                .map(|&b| pattern.diagonal_position(b))
-                .collect();
-            Family::Network {
-                pattern,
-                lower,
-                diag_slots,
-            }
-        };
+        if trailing {
+            let lead = store(key, LeadingBlock::factor(split, &aa_pattern, free)?);
+            return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
+        }
+        let pattern = network_pattern()?;
+        let lower = pattern.gather(g)?;
+        let diag_slots = support
+            .iter()
+            .map(|&b| pattern.diagonal_position(b))
+            .collect();
         Ok(ShiftedCholesky {
             n,
             support,
             d_support,
-            family,
+            family: Family::Network {
+                pattern,
+                lower,
+                diag_slots,
+            },
         })
+    }
+
+    /// The [`FactorPlan::TrailingBlock`] family over `lead`.
+    fn on_block(
+        g: &CsrMatrix,
+        support: Vec<usize>,
+        d_support: Vec<f64>,
+        lead: Arc<LeadingBlock>,
+    ) -> ShiftedCholesky {
+        ShiftedCholesky {
+            n: g.rows(),
+            family: Family::Block(Arc::new(TrailingBlock::new(lead, g, &support))),
+            support,
+            d_support,
+        }
     }
 
     /// `D` on the declared support, ascending by node.
@@ -414,8 +615,8 @@ impl ShiftedCholesky {
         self.check_len(b)?;
         match &self.family {
             Family::Block(blk) => {
-                let rhs: Vec<f64> = blk.free.iter().map(|&a| b[a]).collect();
-                let y = blk.g_aa.solve(&rhs)?;
+                let rhs: Vec<f64> = blk.lead.free.iter().map(|&a| b[a]).collect();
+                let y = blk.lead.g_aa.solve(&rhs)?;
                 Ok(LeadingSolve { rhs, y })
             }
             Family::Network { .. } => Ok(LeadingSolve {
@@ -473,7 +674,117 @@ impl ShiftedCholesky {
     }
 }
 
+impl Split {
+    fn new(g: &CsrMatrix, support: &[usize], on_support: &[bool], free: &[usize]) -> Split {
+        let n = g.rows();
+        let mut slot = vec![0; n];
+        for block in [free, support] {
+            for (s, &node) in block.iter().enumerate() {
+                slot[node] = s;
+            }
+        }
+        let mut aa_ptr = Vec::with_capacity(free.len() + 1);
+        let mut aa_col = Vec::with_capacity(g.nnz());
+        let mut aa_val = Vec::with_capacity(g.nnz());
+        aa_ptr.push(0);
+        let mut g_ba: Vec<Vec<(usize, f64)>> = vec![Vec::new(); support.len()];
+        for r in (0..n).filter(|&r| !on_support[r]) {
+            for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
+                let (c, v) = (g.col_indices()[t], g.values()[t]);
+                if on_support[c] {
+                    g_ba[slot[c]].push((slot[r], v));
+                } else {
+                    aa_col.push(slot[c]);
+                    aa_val.push(v);
+                }
+            }
+            aa_ptr.push(aa_col.len());
+        }
+        let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
+        Split { slot, g_aa, g_ba }
+    }
+}
+
+impl LeadingBlock {
+    /// The block of an empty support: `G` itself factored on `pattern`.
+    fn passive(
+        g: &CsrMatrix,
+        pattern: &Arc<CholeskyPattern>,
+        free: Vec<usize>,
+    ) -> Result<LeadingBlock, LinalgError> {
+        Ok(LeadingBlock {
+            free,
+            g_aa: Cholesky::factor_csr_with(pattern, g)?,
+            x: Vec::new(),
+            g_ba: Vec::new(),
+            p: DenseMatrix::zeros(0, 0),
+        })
+    }
+
+    /// `G_AA` factored on `aa_pattern`, `X = G_AA⁻¹·G_AB` and `P = G_BA·X`.
+    fn factor(
+        split: Split,
+        aa_pattern: &Arc<CholeskyPattern>,
+        free: Vec<usize>,
+    ) -> Result<LeadingBlock, LinalgError> {
+        let g_aa = Cholesky::factor_csr_with(aa_pattern, &split.g_aa).map_err(|e| match e {
+            LinalgError::NotPositiveDefinite { pivot } => {
+                LinalgError::NotPositiveDefinite { pivot: free[pivot] }
+            }
+            other => other,
+        })?;
+        let g_ab: Vec<Vec<f64>> = split
+            .g_ba
+            .iter()
+            .map(|stored| {
+                let mut col = vec![0.0; free.len()];
+                for &(a, v) in stored {
+                    col[a] = v;
+                }
+                col
+            })
+            .collect();
+        let x = g_aa.solve_many(&g_ab)?;
+        // P = G_BA·X over the stored entries only, in ascending order: the
+        // skipped terms are exact zeros.
+        let k = split.g_ba.len();
+        let mut p = DenseMatrix::zeros(k, k);
+        for (r, g_ba_r) in split.g_ba.iter().enumerate() {
+            for (c, x_c) in x.iter().enumerate() {
+                p[(r, c)] = g_ba_r.iter().map(|&(a, u)| u * x_c[a]).sum::<f64>();
+            }
+        }
+        Ok(LeadingBlock {
+            free,
+            g_aa: g_aa.into_solve_only(),
+            x,
+            g_ba: split.g_ba,
+            p,
+        })
+    }
+}
+
 impl TrailingBlock {
+    /// `S₀ = G_BB − P` over `lead`, entry by entry: the stored entries of
+    /// `G_BB` (zero elsewhere), then `P` subtracted.
+    fn new(lead: Arc<LeadingBlock>, g: &CsrMatrix, support: &[usize]) -> TrailingBlock {
+        let k = support.len();
+        let mut s0 = DenseMatrix::zeros(k, k);
+        for (r, &node) in support.iter().enumerate() {
+            for t in g.row_ptr()[node]..g.row_ptr()[node + 1] {
+                if let Ok(c) = support.binary_search(&g.col_indices()[t]) {
+                    s0[(r, c)] = g.values()[t];
+                }
+            }
+        }
+        for r in 0..k {
+            for c in 0..k {
+                s0[(r, c)] -= lead.p[(r, c)];
+            }
+        }
+        TrailingBlock { lead, s0 }
+    }
+
     /// Block substitution for one right-hand side `b` with `y = y_A`.
     fn finish(
         &self,
@@ -484,18 +795,18 @@ impl TrailingBlock {
     ) -> Result<Vec<f64>, LinalgError> {
         let rhs_b: Vec<f64> = support
             .iter()
-            .zip(&self.g_ba)
+            .zip(&self.lead.g_ba)
             .map(|(&node, row)| b[node] - row.iter().map(|&(a, u)| u * y[a]).sum::<f64>())
             .collect();
         let theta_b = s.solve(&rhs_b)?;
         let mut theta_a = y.to_vec();
-        for (x_c, &t) in self.x.iter().zip(&theta_b) {
+        for (x_c, &t) in self.lead.x.iter().zip(&theta_b) {
             for (v, &x) in theta_a.iter_mut().zip(x_c) {
                 *v -= x * t;
             }
         }
         let mut theta = vec![0.0; b.len()];
-        for (&a, v) in self.free.iter().zip(theta_a) {
+        for (&a, v) in self.lead.free.iter().zip(theta_a) {
             theta[a] = v;
         }
         for (&node, v) in support.iter().zip(theta_b) {
@@ -540,8 +851,9 @@ impl ShiftedFactor {
         family.check_len(b)?;
         match &self.factor {
             PerShift::Block { block, s } => {
-                let same = lead.rhs.len() == block.free.len()
+                let same = lead.rhs.len() == block.lead.free.len()
                     && block
+                        .lead
                         .free
                         .iter()
                         .zip(&lead.rhs)
@@ -574,9 +886,9 @@ impl ShiftedFactor {
             PerShift::Block { block, s } => {
                 let cols_a: Vec<Vec<f64>> = rhs
                     .iter()
-                    .map(|b| block.free.iter().map(|&a| b[a]).collect())
+                    .map(|b| block.lead.free.iter().map(|&a| b[a]).collect())
                     .collect();
-                let ys = block.g_aa.solve_many(&cols_a)?;
+                let ys = block.lead.g_aa.solve_many(&cols_a)?;
                 rhs.iter()
                     .zip(&ys)
                     .map(|(b, y)| block.finish(s, &family.support, y, b))
@@ -595,6 +907,7 @@ impl ShiftedFactor {
             PerShift::Block { block, s } => {
                 let l = s.l();
                 let (lo, hi) = block
+                    .lead
                     .g_aa
                     .pivots()
                     .chain((0..l.rows()).map(|r| l[(r, r)]))
@@ -676,7 +989,7 @@ mod tests {
         let Family::Block(blk) = &passive.family else {
             panic!("a passive placement takes the trailing block");
         };
-        assert!(Arc::ptr_eq(blk.g_aa.pattern(), &pattern));
+        assert!(Arc::ptr_eq(blk.lead.g_aa.pattern(), &pattern));
     }
 
     #[test]
@@ -714,5 +1027,87 @@ mod tests {
             fam.factor_at(10.0).unwrap_err(),
             LinalgError::NotPositiveDefinite { pivot: 3 }
         );
+    }
+
+    fn on_support(n: usize, support: &[usize]) -> Vec<bool> {
+        let mut on = vec![false; n];
+        for &b in support {
+            on[b] = true;
+        }
+        on
+    }
+
+    #[test]
+    fn a_digest_collision_is_a_miss() {
+        let g = chain(12);
+        let mut dense = g.to_dense();
+        dense[(0, 0)] = 3.0;
+        let h = CsrMatrix::from_dense(&dense);
+        let order: Vec<usize> = (0..12).collect();
+        let support = on_support(12, &[4]);
+        let key = LeadingKey::new(&g, &[4], &support, &order);
+        let mut forged = LeadingKey::new(&h, &[4], &support, &order);
+        assert_ne!(forged.values, key.values);
+        forged.digest = key.digest;
+
+        // A block of h stored under g's digest is not g's block.
+        let cache = LeadingBlockCache::new();
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(&h).unwrap());
+        let lead = LeadingBlock::passive(&h, &pattern, (0..12).collect()).unwrap();
+        cache.insert(forged.clone(), lead);
+        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&forged).is_some());
+        assert_eq!((cache.built(), cache.reused()), (1, 1));
+
+        // So a build of g through that cache misses, stores its own block
+        // and matches an uncached build.
+        let mut d = vec![0.0; 12];
+        d[4] = 1.0;
+        let cached = Arc::new(
+            ShiftedCholesky::with_order_cached(&g, &d, &[4], &order, &cache, analyse(&g)).unwrap(),
+        );
+        assert_eq!((cache.built(), cache.reused()), (2, 1));
+        let fresh =
+            Arc::new(ShiftedCholesky::with_order(&g, &d, &[4], &order, analyse(&g)).unwrap());
+        let b: Vec<f64> = (0..12).map(|k| 1.0 + k as f64).collect();
+        assert_eq!(
+            cached.factor_at(0.5).unwrap().solve(&b).unwrap(),
+            fresh.factor_at(0.5).unwrap().solve(&b).unwrap()
+        );
+    }
+
+    #[test]
+    fn the_cache_is_bounded_and_evicts_the_oldest() {
+        let cache = LeadingBlockCache::new();
+        let g = chain(6);
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(&g).unwrap());
+        let keys: Vec<LeadingKey> = (0..=LEADING_BLOCK_CAPACITY)
+            .map(|shift| {
+                let order: Vec<usize> = (0..6).map(|k| (k + shift) % 6).collect();
+                let mut key = LeadingKey::new(&g, &[], &[false; 6], &order);
+                key.values.push(shift as u64);
+                key
+            })
+            .collect();
+        for key in &keys {
+            let lead = LeadingBlock::passive(&g, &pattern, (0..6).collect()).unwrap();
+            cache.insert(key.clone(), lead);
+        }
+        assert!(cache.get(&keys[0]).is_none());
+        assert!(keys[1..].iter().all(|key| cache.get(key).is_some()));
+    }
+
+    #[test]
+    fn a_racing_insert_keeps_the_first_block() {
+        let cache = LeadingBlockCache::new();
+        let g = chain(6);
+        let pattern = Arc::new(CholeskyPattern::analyse_csr(&g).unwrap());
+        let order: Vec<usize> = (0..6).collect();
+        let key = LeadingKey::new(&g, &[], &[false; 6], &order);
+        let build = || LeadingBlock::passive(&g, &pattern, (0..6).collect()).unwrap();
+        let first = cache.insert(key.clone(), build());
+        let second = cache.insert(key.clone(), build());
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((cache.built(), cache.reused()), (2, 0));
     }
 }

@@ -8,7 +8,8 @@ use tecopt_linalg::eigen::{
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
 use tecopt_linalg::{
     conjugate_gradient, determinant, CgSettings, Cholesky, CholeskyPattern, CsrMatrix,
-    DenseCholesky, DenseMatrix, FactorPlan, LinalgError, Lu, ShiftedCholesky, Triplet,
+    DenseCholesky, DenseMatrix, FactorPlan, LeadingBlockCache, LinalgError, Lu, ShiftedCholesky,
+    Triplet,
 };
 
 /// The nonzeros of `a` as triplets, row-major.
@@ -748,6 +749,158 @@ proptest! {
                 Cholesky::factor_csr_with(&Arc::new(pattern), &csr).unwrap();
             }
             Err(e) => prop_assert!(matches!(e, LinalgError::InvalidInput(_)), "{e:?}"),
+        }
+    }
+}
+
+/// Asserts that `a` and `b` are the same family bit for bit at every
+/// current of `shifts`: the same definiteness verdict, the same pivot
+/// when not positive definite, and otherwise the same solves (plain and
+/// through either family's leading solve) and condition estimates.
+fn assert_same_family(a: &Arc<ShiftedCholesky>, b: &Arc<ShiftedCholesky>, shifts: &[f64]) {
+    assert_eq!(a.plan(), b.plan());
+    let n = a.factor_at(0.0).map(|f| f.dim()).unwrap_or(0);
+    let rhs: Vec<f64> = (0..n).map(|j| 1.0 + (j as f64 * 0.37).sin()).collect();
+    for &i in shifts {
+        assert_eq!(
+            a.is_pd_at(i).unwrap(),
+            b.is_pd_at(i).unwrap(),
+            "verdict at {i}"
+        );
+        match (a.factor_at(i), b.factor_at(i)) {
+            (Ok(fa), Ok(fb)) => {
+                let x = fa.solve(&rhs).unwrap();
+                assert_eq!(bits(&x), bits(&fb.solve(&rhs).unwrap()), "solve at {i}");
+                let (la, lb) = (
+                    a.leading_solve(&rhs).unwrap(),
+                    b.leading_solve(&rhs).unwrap(),
+                );
+                assert_eq!(bits(&fa.solve_with(&lb, &rhs).unwrap()), bits(&x));
+                assert_eq!(bits(&fb.solve_with(&la, &rhs).unwrap()), bits(&x));
+                assert_eq!(
+                    fa.condition_estimate().to_bits(),
+                    fb.condition_estimate().to_bits(),
+                    "condition at {i}"
+                );
+            }
+            (Err(ea), Err(eb)) => {
+                assert!(
+                    matches!(ea, LinalgError::NotPositiveDefinite { .. }),
+                    "{ea:?}"
+                );
+                assert_eq!(ea, eb, "pivot at {i}");
+            }
+            (ra, rb) => panic!("at {i}: {:?} vs {:?}", ra.err(), rb.err()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A family built on a cached leading block is the fresh build, bit
+    /// for bit, and the key misses on every change to its material.
+    #[test]
+    fn cached_leading_blocks_are_bit_identical_and_keyed_by_their_material(
+        seed in 0u64..5000,
+        k in 0usize..17,
+        extra in 4usize..40,
+        density in 0.1f64..0.8,
+        alpha in 0.05f64..2.0,
+    ) {
+        let dim = k + extra;
+        let g = stieltjes_case(seed, dim, density, 2);
+        let (support, free) = random_support(seed, dim, k);
+        let mut d = vec![0.0; dim];
+        for (j, &b) in support.iter().enumerate() {
+            d[b] = if j % 3 == 2 { -alpha } else { alpha * (1.0 + 0.1 * j as f64) };
+        }
+        let order = random_support(seed ^ 0x5555, dim, dim).0;
+        let family = |g: &DenseMatrix, d: &[f64], support: &[usize], order: &[usize],
+                      cache: Option<&LeadingBlockCache>| {
+            let csr = CsrMatrix::from_dense(g);
+            // The network's own pattern, in the same order, so an empty
+            // support factors in the order the key names too.
+            let network = || Ok(Arc::new(CholeskyPattern::analyse_csr_ordered(&csr, order)?));
+            Arc::new(match cache {
+                Some(cache) => {
+                    ShiftedCholesky::with_order_cached(&csr, d, support, order, cache, network)
+                }
+                None => ShiftedCholesky::with_order(&csr, d, support, order, network),
+            }.unwrap())
+        };
+        // Currents up to and past λ_m (both families must then refuse with
+        // the same pivot).
+        let shifts = |g: &DenseMatrix, d: &[f64]| -> Vec<f64> {
+            let lambda = if d.iter().any(|&x| x > 0.0) {
+                generalized_pd_threshold_dense(g, d, 1e-12, DEFAULT_PROBE_BUDGET)
+                    .unwrap()
+                    .estimate()
+            } else {
+                1.0
+            };
+            [0.0, 0.3, 0.7, 0.95, 1.5].iter().map(|f| f * lambda).collect()
+        };
+
+        let cache = LeadingBlockCache::new();
+        let first = family(&g, &d, &support, &order, Some(&cache));
+        let stored = matches!(first.plan(), FactorPlan::TrailingBlock { .. });
+        prop_assert_eq!(cache.built(), usize::from(stored));
+        assert_same_family(&first, &family(&g, &d, &support, &order, None), &shifts(&g, &d));
+
+        // Another G_BB and D over the same G_AA and G_AB: a hit (when the
+        // rule stored a block), and still the fresh family.
+        let mut thicker = g.clone();
+        for &b in &support {
+            thicker[(b, b)] *= 1.25;
+        }
+        let d2: Vec<f64> = d.iter().map(|v| 0.8 * v).collect();
+        let hit = family(&thicker, &d2, &support, &order, Some(&cache));
+        prop_assert_eq!(cache.reused(), usize::from(stored));
+        let fresh = family(&thicker, &d2, &support, &order, None);
+        assert_same_family(&hit, &fresh, &shifts(&thicker, &d2));
+        if !stored {
+            return Ok(());
+        }
+
+        // Each change to the key material misses.
+        let mut misses = Vec::new();
+        let mut aa = g.clone();
+        aa[(free[0], free[0])] *= 1.01;
+        misses.push(("a G_AA entry", aa, d.clone(), support.clone(), order.clone()));
+        if let Some((a, b)) = free
+            .iter()
+            .flat_map(|&a| support.iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| g[(a, b)] != 0.0)
+        {
+            let mut ab = g.clone();
+            ab[(a, b)] *= 1.01;
+            ab[(b, a)] *= 1.01;
+            misses.push(("a G_AB entry", ab, d.clone(), support.clone(), order.clone()));
+        }
+        let mut moved = support.clone();
+        match moved.first_mut() {
+            Some(b) => *b = free[0],
+            None => moved.push(free[0]),
+        }
+        let mut d_moved = vec![0.0; dim];
+        for &b in &moved {
+            d_moved[b] = alpha;
+        }
+        misses.push(("another support", g.clone(), d_moved, moved, order.clone()));
+        let reversed: Vec<usize> = order.iter().rev().copied().collect();
+        misses.push(("another order", g.clone(), d.clone(), support.clone(), reversed));
+        for (what, g, d, support, order) in misses {
+            let (built, reused) = (cache.built(), cache.reused());
+            let got = family(&g, &d, &support, &order, Some(&cache));
+            prop_assert_eq!(cache.reused(), reused, "{} hit", what);
+            let fresh = family(&g, &d, &support, &order, None);
+            prop_assert_eq!(
+                cache.built(),
+                built + usize::from(matches!(fresh.plan(), FactorPlan::TrailingBlock { .. })),
+                "{}", what
+            );
+            assert_same_family(&got, &fresh, &shifts(&g, &d));
         }
     }
 }

@@ -32,8 +32,10 @@ pub struct HypotheticalSettings {
     /// the default targets 0.08 so the generated peaks land in the paper's
     /// 89-96 °C band).
     pub hot_area_fraction: f64,
-    /// Total chip power range in watts (paper: 15-25; the default floor is
-    /// 17 W so every generated chip actually violates the 85 °C limit).
+    /// Total chip power range in watts (paper: 15-25). The default floor
+    /// is 17 W to push the uncooled peaks past the 85 °C limit, but it does
+    /// not guarantee it: the standard suite's HC07 peaks at 84.1 °C and
+    /// needs no TEC (EXPERIMENTS.md E2).
     pub total_power_range: (f64, f64),
 }
 
@@ -215,11 +217,12 @@ impl HypotheticalChip {
 
     /// Seeds of the standard HC01–HC10 suite.
     ///
-    /// Curated from the seeded generator so the uncooled peak temperatures
-    /// land in the paper's Table-I band (89.4–95.3 °C, column 1): mostly
-    /// chips peaking near 90 °C plus two high-peak chips that — as in the
-    /// paper's HC06/HC09 — cannot be brought down to 85 °C and need a
-    /// relaxed limit.
+    /// Curated from the seeded generator with the paper's Table-I band in
+    /// mind (uncooled peaks 89.4–95.3 °C, column 1), which the suite does
+    /// not hit: its uncooled peaks measure 84.1–106.8 °C (EXPERIMENTS.md
+    /// E2). HC07 peaks below the 85 °C limit and deploys no TEC, and four
+    /// chips (HC01–HC03, HC09) — like the paper's HC06/HC09 — cannot be
+    /// brought down to 85 °C and run at limits raised to 87–96 °C.
     pub const STANDARD_SEEDS: [u64; 10] = [34, 11, 16, 9, 25, 17, 36, 38, 8, 32];
 
     /// The paper's benchmark suite: HC01–HC10 with the
