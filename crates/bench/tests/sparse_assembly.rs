@@ -93,9 +93,14 @@ fn check_chip(name: &str, chip: &CoolingSystem) {
     // package order restricted to the free nodes.
     let order = model.network_order().expect("package order");
     let family = Arc::new(
-        ShiftedCholesky::with_order(&dense_csr, stamped.d_diagonal(), &support, &order, || {
-            Ok(Arc::new(CholeskyPattern::analyse(&dense_g)?))
-        })
+        ShiftedCholesky::with_order(
+            &dense_csr,
+            stamped.d_diagonal(),
+            &support,
+            &order,
+            None,
+            || Ok(Arc::new(CholeskyPattern::analyse(&dense_g)?)),
+        )
         .expect("placement factor of the dense G"),
     );
     for i in currents {

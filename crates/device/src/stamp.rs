@@ -149,13 +149,9 @@ impl StampedSystem {
                     other => LinalgError::InvalidInput(other.to_string()),
                 })
         };
-        let built = match &self.leading {
-            Some(cache) => {
-                ShiftedCholesky::with_order_cached(g, d, &support, &order, cache, network)
-            }
-            None => ShiftedCholesky::with_order(g, d, &support, &order, network),
-        }
-        .map_err(ThermalError::from)?;
+        let built =
+            ShiftedCholesky::with_order(g, d, &support, &order, self.leading.as_deref(), network)
+                .map_err(ThermalError::from)?;
         // A racing first call may have won; either build is the same.
         Ok(self.placement.get_or_init(|| Arc::new(built)))
     }

@@ -36,11 +36,10 @@
 //! `P = G_BA·X`), and the trailing part `S₀ = G_BB − P`. Placements that
 //! differ only on the support × support entries of `G` and in `D` — the
 //! film thicknesses of one mask in a design sweep — share the leading
-//! block through a [`LeadingBlockCache`]
-//! ([`ShiftedCholesky::with_order_cached`]); a family built on a shared
-//! block is bit-identical to one built alone.
+//! block through a [`LeadingBlockCache`] handed to
+//! [`ShiftedCholesky::with_order`]; a family built on a shared block is
+//! bit-identical to one built alone.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -121,14 +120,18 @@ struct Split {
     g_ba: Vec<Vec<(usize, f64)>>,
 }
 
-/// How many leading blocks a [`LeadingBlockCache`] keeps. One explore
-/// sweep meets about nine distinct keys (the passive network, each
-/// mask × contact pair, the greedy placements), so they never evict each
-/// other; a longer stream evicts the oldest first.
+/// How many leading blocks a [`LeadingBlockCache`] stores. One perfbench
+/// explore sweep meets nine distinct keys (the passive network, each
+/// mask × contact pair, the greedy placements). A full cache stores
+/// nothing more and evicts nothing: a sweep revisits its keys
+/// cyclically (thickness-major), so under any eviction order a level
+/// with more distinct keys than this would drop each key before its next
+/// use, while keeping the first ones lets those (the passive block among
+/// them) keep hitting.
 const LEADING_BLOCK_CAPACITY: usize = 16;
 
 /// A bounded store of leading blocks shared by the placement factors of
-/// one sweep ([`ShiftedCholesky::with_order_cached`]).
+/// one sweep (handed to [`ShiftedCholesky::with_order`]).
 ///
 /// A leading block is what a [`FactorPlan::TrailingBlock`] family computes
 /// from `G_AA` and `G_AB` alone: the analysis of `G_AA` on the restricted
@@ -153,8 +156,8 @@ pub struct LeadingBlockCache {
 
 #[derive(Default)]
 struct CacheState {
-    /// Oldest first.
-    entries: VecDeque<(LeadingKey, Arc<LeadingBlock>)>,
+    /// In insertion order, at most [`LEADING_BLOCK_CAPACITY`].
+    entries: Vec<(LeadingKey, Arc<LeadingBlock>)>,
     built: usize,
     reused: usize,
 }
@@ -248,17 +251,21 @@ impl LeadingBlockCache {
         hit
     }
 
-    /// Stores `lead` under `key` unless a racing build stored one first,
-    /// and returns the stored block.
+    /// Stores `lead` under `key` unless a racing build stored one first
+    /// or the cache is full, and returns the block to build on.
     fn insert(&self, mut key: LeadingKey, mut lead: LeadingBlock) -> Arc<LeadingBlock> {
         let mut state = self.lock();
         state.built += 1;
         if let Some((_, stored)) = state.entries.iter().find(|(stored, _)| *stored == key) {
             return Arc::clone(stored);
         }
+        if state.entries.len() == LEADING_BLOCK_CAPACITY {
+            return Arc::new(lead);
+        }
         // A block of the same shape (another contact of one mask) analysed
         // the same structure in the same order: keep one copy of the shape
-        // and of the factor's solve structure between them.
+        // and of the factor's solve structure between them (≈0.56 MB of a
+        // perfbench explore sweep's peak RSS, EXPERIMENTS.md P8).
         if let Some((twin, block)) = state
             .entries
             .iter()
@@ -267,11 +274,8 @@ impl LeadingBlockCache {
             key.shape = Arc::clone(&twin.shape);
             lead.g_aa.share_solve_structure(&block.g_aa);
         }
-        if state.entries.len() == LEADING_BLOCK_CAPACITY {
-            state.entries.pop_front();
-        }
         let lead = Arc::new(lead);
-        state.entries.push_back((key, Arc::clone(&lead)));
+        state.entries.push((key, Arc::clone(&lead)));
         lead
     }
 }
@@ -366,6 +370,15 @@ impl ShiftedCholesky {
     /// the passive network, so eliminating it in that order fills no more
     /// than the passive factor does.
     ///
+    /// With a `cache`, the leading block (everything that depends only on
+    /// `G_AA` and `G_AB`, see [`LeadingBlockCache`]) is taken from it when
+    /// an earlier build stored one for the same key material, and stored
+    /// there after a miss. Only the trailing part, `S₀ = G_BB − G_BA·X`,
+    /// is computed per call; it is the same arithmetic as a build without
+    /// a cache, so the family is bit-identical either way. A placement the
+    /// rule sends to [`FactorPlan::Network`] is built as without a cache
+    /// and stores nothing.
+    ///
     /// # Errors
     ///
     /// As [`ShiftedCholesky::new`], plus [`LinalgError::InvalidInput`] if
@@ -375,9 +388,10 @@ impl ShiftedCholesky {
         d: &[f64],
         support: &[usize],
         order: &[usize],
+        cache: Option<&LeadingBlockCache>,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, Some(order), None, network_pattern)
+        ShiftedCholesky::build(g, d, support, None, Some(order), cache, network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] on the given plan instead of the rule's,
@@ -396,38 +410,6 @@ impl ShiftedCholesky {
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
         ShiftedCholesky::build(g, d, support, Some(plan), None, None, network_pattern)
-    }
-
-    /// [`ShiftedCholesky::with_order`] through `cache`: the leading block
-    /// (everything that depends only on `G_AA` and `G_AB`, see
-    /// [`LeadingBlockCache`]) is taken from the cache when an earlier
-    /// build stored one for the same key material, and stored there after
-    /// a miss. Only the trailing part, `S₀ = G_BB − G_BA·X`, is computed
-    /// per call; it is the same arithmetic as an uncached build, so the
-    /// family is bit-identical to [`ShiftedCholesky::with_order`]'s. A
-    /// placement the rule sends to [`FactorPlan::Network`] is built as
-    /// without a cache and stores nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShiftedCholesky::with_order`].
-    pub fn with_order_cached(
-        g: &CsrMatrix,
-        d: &[f64],
-        support: &[usize],
-        order: &[usize],
-        cache: &LeadingBlockCache,
-        network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
-    ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(
-            g,
-            d,
-            support,
-            None,
-            Some(order),
-            Some(cache),
-            network_pattern,
-        )
     }
 
     fn build(
@@ -1064,11 +1046,11 @@ mod tests {
         let mut d = vec![0.0; 12];
         d[4] = 1.0;
         let cached = Arc::new(
-            ShiftedCholesky::with_order_cached(&g, &d, &[4], &order, &cache, analyse(&g)).unwrap(),
+            ShiftedCholesky::with_order(&g, &d, &[4], &order, Some(&cache), analyse(&g)).unwrap(),
         );
         assert_eq!((cache.built(), cache.reused()), (2, 1));
         let fresh =
-            Arc::new(ShiftedCholesky::with_order(&g, &d, &[4], &order, analyse(&g)).unwrap());
+            Arc::new(ShiftedCholesky::with_order(&g, &d, &[4], &order, None, analyse(&g)).unwrap());
         let b: Vec<f64> = (0..12).map(|k| 1.0 + k as f64).collect();
         assert_eq!(
             cached.factor_at(0.5).unwrap().solve(&b).unwrap(),
@@ -1077,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn the_cache_is_bounded_and_evicts_the_oldest() {
+    fn a_full_cache_stores_nothing_more() {
         let cache = LeadingBlockCache::new();
         let g = chain(6);
         let pattern = Arc::new(CholeskyPattern::analyse_csr(&g).unwrap());
@@ -1093,8 +1075,15 @@ mod tests {
             let lead = LeadingBlock::passive(&g, &pattern, (0..6).collect()).unwrap();
             cache.insert(key.clone(), lead);
         }
-        assert!(cache.get(&keys[0]).is_none());
-        assert!(keys[1..].iter().all(|key| cache.get(key).is_some()));
+        // The first blocks stay; the one past the bound was never stored.
+        let (stored, last) = keys.split_at(LEADING_BLOCK_CAPACITY);
+        assert!(stored.iter().all(|key| cache.get(key).is_some()));
+        assert!(cache.get(&last[0]).is_none());
+        assert_eq!(cache.lock().entries.len(), LEADING_BLOCK_CAPACITY);
+        assert_eq!(
+            (cache.built(), cache.reused()),
+            (LEADING_BLOCK_CAPACITY + 1, LEADING_BLOCK_CAPACITY)
+        );
     }
 
     #[test]

@@ -701,7 +701,7 @@ proptest! {
         }
         let pattern = || Ok(Arc::new(CholeskyPattern::analyse_csr(&csr)?));
         let with_order = Arc::new(
-            ShiftedCholesky::with_order(&csr, &d, &support, network.permutation(), pattern)
+            ShiftedCholesky::with_order(&csr, &d, &support, network.permutation(), None, pattern)
                 .unwrap(),
         );
         let fresh = Arc::new(ShiftedCholesky::new(&csr, &d, &support, pattern).unwrap());
@@ -725,7 +725,7 @@ proptest! {
         let mut bad = network.permutation().to_vec();
         bad[0] = bad[dim - 1];
         prop_assert!(matches!(
-            ShiftedCholesky::with_order(&csr, &d, &support, &bad, pattern),
+            ShiftedCholesky::with_order(&csr, &d, &support, &bad, None, pattern),
             Err(LinalgError::InvalidInput(_))
         ));
     }
@@ -822,12 +822,7 @@ proptest! {
             // The network's own pattern, in the same order, so an empty
             // support factors in the order the key names too.
             let network = || Ok(Arc::new(CholeskyPattern::analyse_csr_ordered(&csr, order)?));
-            Arc::new(match cache {
-                Some(cache) => {
-                    ShiftedCholesky::with_order_cached(&csr, d, support, order, cache, network)
-                }
-                None => ShiftedCholesky::with_order(&csr, d, support, order, network),
-            }.unwrap())
+            Arc::new(ShiftedCholesky::with_order(&csr, d, support, order, cache, network).unwrap())
         };
         // Currents up to and past λ_m (both families must then refuse with
         // the same pivot).
