@@ -16,8 +16,11 @@
 //!   tested against.
 //! - [`SolverBackend::SparseCg`] — Jacobi-preconditioned conjugate gradients
 //!   on a CSR copy; `O(nnz · iters)` per solve and no factorization, but no
-//!   definiteness certificate either. Only explicit callers (the fine-grid
-//!   reference solver and the CG benchmarks) select it.
+//!   definiteness certificate either. No production path selects it: its
+//!   callers are the cross-backend equivalence tests, the `solver`
+//!   criterion bench and perfbench's `linalg.cg_*` metrics. The fine-grid
+//!   reference solver (`tecopt_thermal::refined`) calls the
+//!   [`conjugate_gradient`](crate::conjugate_gradient) kernel directly.
 
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,

@@ -89,8 +89,9 @@ enum Endpoint {
     Unix(PathBuf),
 }
 
-/// A connected byte stream to a server, TCP or Unix. `pub(crate)` so the
-/// fleet's `RemoteShard` shares the client's transport plumbing.
+/// A connected byte stream, TCP or Unix: the one transport type of the
+/// client, the fleet's `RemoteShard` and the server's accepted
+/// connections.
 pub(crate) enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -98,7 +99,14 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    fn read_bytes(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+    /// Wraps a TCP stream with Nagle's algorithm off: every frame is one
+    /// small write that waits for its reply.
+    pub(crate) fn tcp(s: TcpStream) -> Stream {
+        let _ = s.set_nodelay(true);
+        Stream::Tcp(s)
+    }
+
+    pub(crate) fn read_bytes(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.read(buf),
             #[cfg(unix)]
@@ -119,6 +127,14 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
             #[cfg(unix)]
             Stream::Unix(s) => s.set_read_timeout(t),
+        }
+    }
+
+    pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(nb),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(nb),
         }
     }
 }
@@ -292,9 +308,7 @@ impl Client {
         }
         let stream = match &self.endpoint {
             Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
+                Stream::tcp(TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?)
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {

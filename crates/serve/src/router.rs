@@ -239,11 +239,7 @@ impl RemoteShard {
             detail: format!("connect to {}: {e}", self.id),
         };
         let stream = match &self.addr {
-            RemoteAddr::Tcp(addr) => {
-                let s = TcpStream::connect(addr).map_err(refused)?;
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }
+            RemoteAddr::Tcp(addr) => Stream::tcp(TcpStream::connect(addr).map_err(refused)?),
             #[cfg(unix)]
             RemoteAddr::Unix(path) => Stream::Unix(UnixStream::connect(path).map_err(refused)?),
         };

@@ -21,15 +21,16 @@
 //! waiter), and the handler moves on. A hung or slow client can stall
 //! only its own handler slot, never an evaluation worker.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::client::Stream;
 use crate::engine::{Engine, Evaluator, MetricsSnapshot};
 use crate::error::ServeError;
 use crate::util::pause;
@@ -84,59 +85,11 @@ impl Listener {
         }
     }
 
-    fn accept(&self) -> io::Result<Conn> {
+    fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                let _ = s.set_nodelay(true);
-                Ok(Conn::Tcp(s))
-            }
+            Listener::Tcp(l) => Ok(Stream::tcp(l.accept()?.0)),
             #[cfg(unix)]
-            Listener::Unix(l) => {
-                let (s, _) = l.accept()?;
-                Ok(Conn::Unix(s))
-            }
-        }
-    }
-}
-
-/// One accepted connection.
-pub(crate) enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn read_bytes(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.write_all(buf).and_then(|()| s.flush()),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write_all(buf).and_then(|()| s.flush()),
-        }
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(nb),
+            Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
         }
     }
 }
@@ -308,7 +261,7 @@ impl<E: Evaluator> Server<E> {
 
     /// Serves one connection until clean close, disconnect, decode
     /// overflow, or shutdown. Synchronous: one frame in, one frame out.
-    fn handle_connection(&self, mut conn: Conn) {
+    fn handle_connection(&self, mut conn: Stream) {
         if conn
             .set_read_timeout(Some(self.config.poll_interval))
             .is_err()
@@ -342,7 +295,7 @@ impl<E: Evaluator> Server<E> {
 
     /// Decodes, submits, awaits, and replies to one frame. Returns
     /// `false` when the connection must close.
-    fn serve_frame(&self, conn: &mut Conn, buf: &mut Vec<u8>, line: &[u8]) -> bool {
+    fn serve_frame(&self, conn: &mut Stream, buf: &mut Vec<u8>, line: &[u8]) -> bool {
         let text = match std::str::from_utf8(line) {
             Ok(t) => t,
             Err(_) => {
@@ -409,7 +362,7 @@ impl<E: Evaluator> Server<E> {
 
     /// Accumulates bytes until `buf` holds a full line, polling the
     /// shutdown token at every read-timeout tick.
-    fn read_frame(&self, conn: &mut Conn, buf: &mut Vec<u8>) -> FrameRead {
+    fn read_frame(&self, conn: &mut Stream, buf: &mut Vec<u8>) -> FrameRead {
         let mut chunk = [0u8; 4096];
         loop {
             match split_frame(buf) {
@@ -458,7 +411,7 @@ fn respond(key: Option<&str>, result: &Result<crate::wire::Response, ServeError>
 /// # Errors
 ///
 /// [`ServeError::Disconnected`] when the peer is gone.
-fn poll_disconnect(conn: &mut Conn, buf: &mut Vec<u8>) -> Result<(), ServeError> {
+fn poll_disconnect(conn: &mut Stream, buf: &mut Vec<u8>) -> Result<(), ServeError> {
     if conn.set_nonblocking(true).is_err() {
         return Err(ServeError::Disconnected {
             detail: "cannot poll connection".into(),

@@ -17,7 +17,6 @@
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::expect_used)]
 
-pub mod cache;
 pub mod flow;
 pub mod lexer;
 pub mod parser;
@@ -39,9 +38,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Findings silenced by `tecopt:allow` comments.
     pub suppressed: usize,
-    /// Files whose per-file analysis was reused from the incremental
-    /// cache (the workspace-global passes always re-run).
-    pub cache_hits: usize,
 }
 
 impl Report {
@@ -59,97 +55,45 @@ impl Report {
     }
 }
 
-/// Lints every source file of the workspace rooted at `root`: the
-/// incremental cache under `target/` is consulted and refreshed, per-file
-/// analysis fans out over `tecopt::parallel`, and the workspace-global
-/// flow passes (lock graph, blocking chains, Result discards) run over
-/// the combined summaries.
+/// Lints every source file of the workspace rooted at `root`. Every run
+/// analyses every file and writes nothing: per-file analysis fans out
+/// over `tecopt::parallel`, then the workspace-global flow passes (lock
+/// graph, blocking chains, Result discards) run over the combined
+/// summaries.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first I/O or manifest-parse failure;
 /// the CLI maps this to exit code 2.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_with(root, true)
-}
-
-/// [`lint_workspace`] with the incremental cache optionally disabled
-/// (`use_cache: false` neither reads nor writes it — the cold path the
-/// cache benchmark measures).
-pub fn lint_workspace_with(root: &Path, use_cache: bool) -> Result<Report, String> {
-    let cache_file = cache::cache_path(root);
-    let old = if use_cache {
-        fs::read_to_string(&cache_file)
-            .map(|text| cache::parse(&text))
-            .unwrap_or_default()
-    } else {
-        cache::Cache::default()
-    };
-
-    // Per-file analysis, parallel over the workspace's own capped
-    // fork/join helper. Each worker reuses nothing; cache lookups are by
-    // value from the immutable `old` map.
     let files = workspace::workspace_files(root)?;
-    let results: Vec<Result<(String, Option<cache::CacheEntry>), String>> =
-        tecopt::parallel::par_map_init(
-            files,
-            || (),
-            |(), (path, rel)| {
-                let src = fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let hash = tecopt::record::fingerprint(&src);
-                if old.entries.get(&rel).is_some_and(|e| e.hash == hash) {
-                    // Hit: the entry is moved out of `old` (no clone)
-                    // back on the sequential side.
-                    return Ok((rel, None));
-                }
-                let fa = rules::analyze_source(&src, &workspace::context_for(&rel));
-                let entry = cache::CacheEntry {
-                    hash,
-                    findings: fa.outcome.findings,
-                    suppressed: fa.outcome.suppressed,
-                    summary: fa.summary,
-                };
-                Ok((rel, Some(entry)))
-            },
-        );
+    let analyses = tecopt::parallel::collect_first_err(tecopt::parallel::par_map_init(
+        files,
+        || (),
+        |(), (path, rel)| -> Result<rules::FileAnalysis, String> {
+            let src = fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            Ok(rules::analyze_source(&src, &workspace::context_for(&rel)))
+        },
+    ))?;
 
-    let mut old = old;
-    let mut report = Report::default();
-    let mut fresh = cache::Cache::default();
-    for r in results {
-        let (rel, entry) = r?;
-        let entry = match entry {
-            Some(e) => e,
-            None => {
-                report.cache_hits += 1;
-                old.entries
-                    .remove(&rel)
-                    .ok_or_else(|| format!("cache entry for {rel} vanished mid-run"))?
-            }
-        };
-        report.files_scanned += 1;
-        report.suppressed += entry.suppressed;
-        report.findings.extend(entry.findings.iter().cloned());
-        fresh.entries.insert(rel, entry);
+    let mut report = Report {
+        files_scanned: analyses.len(),
+        ..Report::default()
+    };
+    let mut summaries = Vec::with_capacity(analyses.len());
+    for fa in analyses {
+        report.suppressed += fa.outcome.suppressed;
+        report.findings.extend(fa.outcome.findings);
+        summaries.push(fa.summary);
     }
 
-    // Workspace-global flow passes over all summaries (BTreeMap order is
-    // deterministic by path).
-    let summaries: Vec<&flow::FileSummary> = fresh.entries.values().map(|e| &e.summary).collect();
-    let global = flow::analyze(&summaries);
+    // Workspace-global flow passes over all summaries (path order, as
+    // `workspace_files` sorts).
+    let refs: Vec<&flow::FileSummary> = summaries.iter().collect();
+    let global = flow::analyze(&refs);
     report.suppressed += global.suppressed;
     report.findings.extend(global.findings);
-
-    // Best-effort refresh, skipped when every file hit (the cache on disk
-    // is already exactly `fresh`); an unwritable target/ is not a lint
-    // error.
-    if use_cache && report.cache_hits != report.files_scanned {
-        if let Some(dir) = cache_file.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        let _ = fs::write(&cache_file, cache::render(&fresh));
-    }
 
     report
         .findings

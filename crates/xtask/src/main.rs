@@ -9,7 +9,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use tecopt_xtask::rules::CATALOG;
 
@@ -17,9 +16,9 @@ const USAGE: &str = "\
 Usage: cargo run -p tecopt-xtask -- <command> [options]
 
 Commands:
-  lint         Run the numerical-safety & concurrency static-analysis pass
-  rules        Print the rule catalog
-  bench-cache  Time a cold vs. warm full-workspace lint (cache benchmark)
+  lint   Run the numerical-safety & concurrency static-analysis pass
+         over every workspace file; writes nothing
+  rules  Print the rule catalog
 
 Options:
   --format <human|json|sarif>  Output format (default: human)
@@ -29,9 +28,6 @@ Options:
                                <file>; grandfathered ones are tracked
   --update-baseline <file>     Write the current findings to <file> and
                                exit 0
-  --no-cache                   Skip the incremental cache (cold run)
-  --enforce                    bench-cache: exit 1 unless cold < 1s and
-                               warm is >= 5x faster
 ";
 
 struct Args {
@@ -40,8 +36,6 @@ struct Args {
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
     update_baseline: Option<PathBuf>,
-    no_cache: bool,
-    enforce: bool,
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
@@ -60,8 +54,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         baseline: None,
         update_baseline: None,
-        no_cache: false,
-        enforce: false,
     };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -95,8 +87,6 @@ fn parse_args() -> Result<Args, String> {
                         format!("--update-baseline expects a file\n{USAGE}")
                     })?));
             }
-            "--no-cache" => args.no_cache = true,
-            "--enforce" => args.enforce = true,
             other => return Err(format!("unknown option `{other}`\n{USAGE}")),
         }
     }
@@ -127,7 +117,7 @@ fn run_lint(args: &Args) -> Result<ExitCode, String> {
         Some(r) => r.clone(),
         None => find_root()?,
     };
-    let report = tecopt_xtask::lint_workspace_with(&root, !args.no_cache)?;
+    let report = tecopt_xtask::lint_workspace(&root)?;
 
     if let Some(path) = &args.update_baseline {
         std::fs::write(path, tecopt_xtask::render_baseline(&report))
@@ -155,7 +145,6 @@ fn run_lint(args: &Args) -> Result<ExitCode, String> {
                 findings: check.fresh,
                 files_scanned: report.files_scanned,
                 suppressed: report.suppressed,
-                cache_hits: report.cache_hits,
             };
             (shown, failing, note)
         }
@@ -177,48 +166,10 @@ fn run_lint(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// Times a cold (cache deleted) and a warm full-workspace lint and
-/// optionally enforces the performance budget from DESIGN.md §16.
-fn run_bench_cache(args: &Args) -> Result<ExitCode, String> {
-    let root = match &args.root {
-        Some(r) => r.clone(),
-        None => find_root()?,
-    };
-    let cache_file = tecopt_xtask::cache::cache_path(&root);
-    if cache_file.exists() {
-        std::fs::remove_file(&cache_file)
-            .map_err(|e| format!("cannot clear {}: {e}", cache_file.display()))?;
-    }
-    let t0 = Instant::now();
-    let cold = tecopt_xtask::lint_workspace(&root)?;
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let warm = tecopt_xtask::lint_workspace(&root)?;
-    let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let speedup = cold_ms / warm_ms.max(1e-6);
-    println!(
-        "bench-cache: cold {cold_ms:.1} ms ({} files, {} hits), warm {warm_ms:.1} ms \
-         ({} hits), speedup {speedup:.1}x",
-        cold.files_scanned, cold.cache_hits, warm.cache_hits
-    );
-    if warm.cache_hits != warm.files_scanned {
-        return Err(format!(
-            "warm run should hit the cache for every file: {} of {}",
-            warm.cache_hits, warm.files_scanned
-        ));
-    }
-    if args.enforce && (cold_ms >= 1000.0 || speedup < 5.0) {
-        eprintln!("bench-cache: budget violated (need cold < 1000 ms and speedup >= 5x)");
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
     match args.command.as_str() {
         "lint" => run_lint(&args),
-        "bench-cache" => run_bench_cache(&args),
         "rules" => {
             for r in CATALOG {
                 match args.format {

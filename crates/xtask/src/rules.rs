@@ -337,12 +337,6 @@ pub fn rule_severity(id: &str) -> Severity {
     rule(id).severity
 }
 
-/// Maps a rule id back to its `'static` catalog spelling (cache
-/// deserialization needs a `&'static str` for [`Finding::rule`]).
-pub fn rule_id_static(id: &str) -> Option<&'static str> {
-    CATALOG.iter().find(|r| r.id == id).map(|r| r.id)
-}
-
 /// Result of linting one source buffer.
 #[derive(Debug, Default)]
 pub struct LintOutcome {

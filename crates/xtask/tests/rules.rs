@@ -487,10 +487,7 @@ fn live_workspace_is_lint_clean() {
     // The tree itself must stay clean: zero findings, and exactly the
     // suppressions justified in DESIGN.md §11. If you add a suppression,
     // document it there and bump this count in the same change.
-    // Cache off: this test must always exercise fresh analysis (and must
-    // not race the warm-cache test below on the cache file).
-    let report =
-        tecopt_xtask::lint_workspace_with(&workspace_root(), false).expect("workspace scan");
+    let report = tecopt_xtask::lint_workspace(&workspace_root()).expect("workspace scan");
     let rendered = tecopt_xtask::render_human(&report);
     assert!(
         report.findings.is_empty(),
@@ -506,27 +503,65 @@ fn live_workspace_is_lint_clean() {
     );
 }
 
+/// Every file under `dir`, as sorted paths relative to it.
+fn tree_listing(dir: &Path) -> Vec<String> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).expect("list dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).expect("under root");
+                out.push(rel.to_string_lossy().into_owned());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, &mut out);
+    out.sort();
+    out
+}
+
 #[test]
-fn warm_cache_reproduces_cold_findings() {
-    let root = workspace_root();
-    let sig = |r: &tecopt_xtask::Report| {
-        (
-            r.findings
-                .iter()
-                .map(|f| (f.rule, f.file.clone(), f.line, f.col, f.message.clone()))
-                .collect::<Vec<_>>(),
-            r.suppressed,
-            r.files_scanned,
-        )
-    };
-    let cold = tecopt_xtask::lint_workspace_with(&root, false).expect("cold scan");
-    let _populate = tecopt_xtask::lint_workspace(&root).expect("populate cache");
-    let warm = tecopt_xtask::lint_workspace(&root).expect("warm scan");
+fn lint_is_read_only_and_repeatable() {
+    // A throwaway workspace: one member whose only source file carries
+    // one `todo-markers` finding.
+    let root = std::env::temp_dir().join(format!("tecopt-xtask-readonly-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let src_dir = root.join("crates").join("demo").join("src");
+    std::fs::create_dir_all(&src_dir).expect("create temp workspace");
+    std::fs::write(
+        root.join("Cargo.toml"),
+        "[workspace]\nmembers = [\"crates/*\"]\n",
+    )
+    .expect("write root manifest");
+    std::fs::write(
+        root.join("crates").join("demo").join("Cargo.toml"),
+        "[package]\nname = \"demo\"\nversion = \"0.1.0\"\n",
+    )
+    .expect("write member manifest");
+    std::fs::write(src_dir.join("lib.rs"), "pub fn later() {\n    todo!()\n}\n")
+        .expect("write member source");
+    let before = tree_listing(&root);
+
+    let first = tecopt_xtask::lint_workspace(&root).expect("first scan");
+    let second = tecopt_xtask::lint_workspace(&root).expect("second scan");
+    let after = tree_listing(&root);
+    let _ = std::fs::remove_dir_all(&root);
+
+    let found: Vec<_> = first
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line, f.col))
+        .collect();
+    assert_eq!(found, [("todo-markers", "crates/demo/src/lib.rs", 2, 5)]);
+    assert_eq!((first.suppressed, first.files_scanned), (0, 1));
     assert_eq!(
-        warm.cache_hits, warm.files_scanned,
-        "warm run should hit the cache for every file"
+        tecopt_xtask::render_json(&first),
+        tecopt_xtask::render_json(&second),
+        "a repeat lint changed its verdict"
     );
-    assert_eq!(sig(&cold), sig(&warm), "cache changed the lint verdict");
+    assert_eq!(before, after, "lint wrote to the workspace tree");
 }
 
 #[test]

@@ -16,9 +16,7 @@
 #      loops, unpaced service-layer retry loops), checked against the
 #      committed findings baseline
 #      (rule catalog + suppression audit table in DESIGN.md §11, flow
-#      machinery in §16), followed by the cache benchmark, which fails
-#      unless a cold full-workspace lint is under 1 s and a warm
-#      (incremental-cache) one is at least 5x faster,
+#      machinery in §16),
 #   6. compile of every criterion bench target (bench code must never rot),
 #   7. the complete test suite, including the fault-injection error-path
 #      coverage (tests/error_paths.rs), the property-based robustness
@@ -100,9 +98,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo run -p tecopt-xtask -- lint --baseline lint-baseline.txt"
 cargo run -q -p tecopt-xtask -- lint --baseline lint-baseline.txt
-
-echo "==> cargo run --release -p tecopt-xtask -- bench-cache --enforce"
-cargo run --release -q -p tecopt-xtask -- bench-cache --enforce
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
