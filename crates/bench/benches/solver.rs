@@ -7,8 +7,8 @@
 //! dense kernel at 12×12, 32×32 and 64×64 tiles with the analysis of a
 //! placement's `G_AA` on the package order against minimum degree, and at
 //! the same sizes the
-//! sparse path from assembly to factor (CSR stamping, workspace build, CSR
-//! factor) against its dense oracles, and the per-current cost of the two
+//! sparse path from assembly to factor (placement build, grounding check,
+//! CSR stamping, workspace build, CSR factor) against its dense oracles, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
 //! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, and
 //! one 4-device Alpha explorer candidate end to end on the placement
@@ -278,11 +278,16 @@ fn peltier_free_block(system: &CoolingSystem) -> (CsrMatrix, Vec<usize>) {
 }
 
 /// The path from stamps to factor, sparse against its dense oracles, on the
-/// [`sweep_systems`]: CSR assembly of `G` against the dense-stamped
-/// `assemble_dense`, the solver workspace build (a CSR copy of `G`), and
-/// the CSR factor on the network's pattern against the dense `factor_with`
-/// on the same pattern (which converts and checks `n²` entries). The dense
-/// oracles are left out at 64×64, where one `n×n` matrix is ≈ 650 MB.
+/// [`sweep_systems`]: the whole set-up of a 4-device placement
+/// (`placement_build`: `CoolingSystem::with_tiles`, i.e. the network, its
+/// grounding check and its assembly), the grounding check on its own, CSR
+/// assembly of `G` against the dense-stamped `assemble_dense`, the solver
+/// workspace build (a CSR copy of `G`), and the CSR factor on the
+/// network's pattern against the dense `factor_with` on the same pattern
+/// (which converts and checks `n²` entries). The dense oracles are left
+/// out at 64×64, where one `n×n` matrix is ≈ 650 MB. Last,
+/// `placement_build` of the Alpha chip's four hottest passive tiles, the
+/// placement of [`bench_explore_candidate`].
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     group.sample_size(3);
@@ -292,6 +297,14 @@ fn bench_assembly(c: &mut Criterion) {
         let network = stamped.model().network();
         let n = stamped.model().node_count();
         let label = format!("{side}x{side}_n{n}");
+        let far = side - 2;
+        let corners = [(1, 1), (1, far), (far, 1), (far, far)].map(|(r, c)| TileIndex::new(r, c));
+        group.bench_with_input(BenchmarkId::new("placement_build", &label), &n, |b, _| {
+            b.iter(|| system.with_tiles(&corners).expect("placement"))
+        });
+        group.bench_with_input(BenchmarkId::new("grounding_check", &label), &n, |b, _| {
+            b.iter(|| network.validate_grounding().expect("grounded"))
+        });
         group.bench_with_input(BenchmarkId::new("csr_assemble", &label), &n, |b, _| {
             b.iter(|| network.assemble())
         });
@@ -319,7 +332,29 @@ fn bench_assembly(c: &mut Criterion) {
             });
         }
     }
+    let (alpha, tiles) = alpha_hottest_four();
+    group.bench_function(BenchmarkId::new("placement_build", "alpha_4dev"), |b| {
+        b.iter(|| alpha.with_tiles(&tiles).expect("placement"))
+    });
     group.finish();
+}
+
+/// The passive Alpha system and its four hottest tiles, ascending: the
+/// 4-device placement the explorer benches build.
+fn alpha_hottest_four() -> (CoolingSystem, Vec<TileIndex>) {
+    let base = tecopt_bench::alpha_system().expect("alpha");
+    let passive = base.solve(Amperes(0.0)).expect("passive");
+    let mut hottest: Vec<(f64, TileIndex)> = base
+        .config()
+        .grid()
+        .tiles()
+        .zip(passive.silicon_temperatures())
+        .map(|(t, c)| (c.value(), t))
+        .collect();
+    hottest.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut tiles: Vec<TileIndex> = hottest.iter().take(4).map(|&(_, t)| t).collect();
+    tiles.sort_unstable();
+    (base, tiles)
 }
 
 /// The per-current cost of each placement-factor plan on the paper's 12×12
@@ -408,18 +443,7 @@ fn bench_explore_candidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_candidate");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(500));
-    let base = tecopt_bench::alpha_system().expect("alpha");
-    let passive = base.solve(Amperes(0.0)).expect("passive");
-    let mut hottest: Vec<(f64, TileIndex)> = base
-        .config()
-        .grid()
-        .tiles()
-        .zip(passive.silicon_temperatures())
-        .map(|(t, c)| (c.value(), t))
-        .collect();
-    hottest.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut tiles: Vec<TileIndex> = hottest.iter().take(4).map(|&(_, t)| t).collect();
-    tiles.sort_unstable();
+    let (base, tiles) = alpha_hottest_four();
     for (name, strategy) in [
         ("placement_factor", FactorStrategy::Refactor),
         ("rank_k_update", FactorStrategy::RankKUpdate),

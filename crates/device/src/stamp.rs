@@ -17,7 +17,7 @@ use crate::{DeviceError, TecParams};
 use tecopt_linalg::{
     CsrMatrix, DenseMatrix, FactorPlan, LeadingBlockCache, LinalgError, ShiftedCholesky,
 };
-use tecopt_thermal::{CompactModel, PackageConfig, ThermalError, TileIndex};
+use tecopt_thermal::{CompactModel, PackageConfig, ThermalError, TileIndex, TileInterface};
 use tecopt_units::{Amperes, Kelvin, Watts};
 
 /// A compact thermal model with a set of TEC devices stamped in: the
@@ -85,12 +85,14 @@ impl StampedSystem {
         let mut joule_nodes = Vec::with_capacity(2 * tiles.len());
         let mut junctions = Vec::with_capacity(tiles.len());
         let alpha = params.seebeck().value();
-        // `two_ports()` returns tiles in grid order; re-key by tile so the
-        // `junctions` vector matches the caller's `tiles` order.
-        let by_tile: std::collections::HashMap<TileIndex, _> =
-            model.two_ports().into_iter().collect();
+        // Look each tile up in the row-major interface table, so the
+        // `junctions` vector keeps the caller's `tiles` order.
+        let interfaces = model.interfaces();
         for t in tiles {
-            let tp = by_tile[t];
+            // The model spliced a two-port on every tile of `tiles`.
+            let TileInterface::TwoPort(tp) = interfaces[config.grid().linear_index(*t)] else {
+                unreachable!("tile {t:?} was spliced with a two-port");
+            };
             let cold = tp.lower.index();
             let hot = tp.upper.index();
             d_diagonal[hot] = alpha;

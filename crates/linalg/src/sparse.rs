@@ -124,6 +124,65 @@ impl CsrMatrix {
         })
     }
 
+    /// Wraps CSR arrays built outside this crate, after checking in
+    /// `O(rows + nnz)` that they are canonical: `row_ptr` has `rows + 1`
+    /// entries, starts at 0, never decreases and ends at `col_idx.len()`,
+    /// which equals `values.len()`; the columns of each row are strictly
+    /// ascending and below `cols`.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidInput`] naming the first violation.
+    pub fn try_from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<CsrMatrix, LinalgError> {
+        let invalid = |what: String| Err(LinalgError::InvalidInput(what));
+        if row_ptr.len() != rows + 1 {
+            return invalid(format!(
+                "row_ptr has {} entries for {rows} rows",
+                row_ptr.len()
+            ));
+        }
+        if col_idx.len() != values.len() {
+            return invalid(format!(
+                "{} column indices for {} values",
+                col_idx.len(),
+                values.len()
+            ));
+        }
+        if row_ptr[0] != 0 || row_ptr[rows] != col_idx.len() {
+            return invalid(format!(
+                "row_ptr spans {}..{}, not 0..{}",
+                row_ptr[0],
+                row_ptr[rows],
+                col_idx.len()
+            ));
+        }
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            if span[0] > span[1] || span[1] > col_idx.len() {
+                return invalid(format!("row_ptr is not monotone at row {r}"));
+            }
+            let row = &col_idx[span[0]..span[1]];
+            if row.last().is_some_and(|&c| c >= cols) {
+                return invalid(format!("row {r} has a column out of bounds for {cols}"));
+            }
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return invalid(format!("columns of row {r} are not strictly ascending"));
+            }
+        }
+        Ok(CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
     /// Wraps raw CSR arrays the caller built in canonical form (row
     /// pointers from 0 to `col_idx.len()`, strictly ascending columns per
     /// row, one value per column index).
@@ -530,6 +589,46 @@ mod tests {
     fn out_of_bounds_triplet_rejected() {
         let err = CsrMatrix::from_triplets(2, 2, &[Triplet::new(2, 0, 1.0)]).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput(_)));
+    }
+
+    #[test]
+    fn checked_parts_accept_canonical_csr() {
+        let a = laplacian_1d(4);
+        let b = CsrMatrix::try_from_parts(
+            4,
+            4,
+            a.row_ptr().to_vec(),
+            a.col_indices().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(a, b);
+        let empty = CsrMatrix::try_from_parts(0, 3, vec![0], vec![], vec![]).unwrap();
+        assert_eq!(empty.nnz(), 0);
+    }
+
+    #[test]
+    fn checked_parts_reject_malformed_csr_with_a_typed_error() {
+        let parts = |row_ptr: &[usize], col_idx: &[usize], nval: usize| {
+            CsrMatrix::try_from_parts(2, 3, row_ptr.to_vec(), col_idx.to_vec(), vec![1.0; nval])
+        };
+        let cases = [
+            ("non-monotone row_ptr", parts(&[0, 3, 2], &[0, 1, 2], 3)),
+            ("row_ptr past nnz", parts(&[0, 4, 2], &[0, 1], 2)),
+            ("row_ptr not from 0", parts(&[1, 1, 2], &[0, 1], 2)),
+            ("row_ptr not to nnz", parts(&[0, 1, 1], &[0, 1], 2)),
+            ("unsorted columns", parts(&[0, 2, 2], &[1, 0], 2)),
+            ("duplicate columns", parts(&[0, 2, 2], &[1, 1], 2)),
+            ("column out of range", parts(&[0, 1, 2], &[0, 3], 2)),
+            ("row_ptr length", parts(&[0, 2], &[0, 1], 2)),
+            ("values length", parts(&[0, 1, 2], &[0, 1], 3)),
+        ];
+        for (what, result) in cases {
+            assert!(
+                matches!(result, Err(LinalgError::InvalidInput(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]

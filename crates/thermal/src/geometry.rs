@@ -270,23 +270,22 @@ impl LayerGrid {
         0.5 * self.thickness / (self.conductivity * area)
     }
 
-    /// Cells of this grid overlapping `rect`, with the overlap areas.
-    pub fn cells_overlapping(&self, rect: &Rect) -> Vec<(usize, f64)> {
+    /// Cells of this grid overlapping `rect`, with the overlap areas, in
+    /// row-major order. Nothing is allocated: the network builder walks
+    /// one window per tile and per spreader cell.
+    pub fn cells_overlapping(&self, rect: &Rect) -> impl Iterator<Item = (usize, f64)> + '_ {
         // Restrict the scan to the index window covered by the rectangle.
         let ix0 = (((rect.x0 - self.x0) / self.cell).floor().max(0.0)) as usize;
         let iy0 = (((rect.y0 - self.y0) / self.cell).floor().max(0.0)) as usize;
         let ix1 = ((((rect.x1 - self.x0) / self.cell).ceil()) as usize).min(self.nx);
         let iy1 = ((((rect.y1 - self.y0) / self.cell).ceil()) as usize).min(self.ny);
-        let mut out = Vec::new();
-        for iy in iy0..iy1 {
-            for ix in ix0..ix1 {
-                let a = self.cell_rect(iy, ix).overlap_area(rect);
-                if a > 0.0 {
-                    out.push((self.index(iy, ix), a));
-                }
-            }
-        }
-        out
+        let rect = *rect;
+        (iy0..iy1)
+            .flat_map(move |iy| (ix0..ix1).map(move |ix| (iy, ix)))
+            .filter_map(move |(iy, ix)| {
+                let a = self.cell_rect(iy, ix).overlap_area(&rect);
+                (a > 0.0).then(|| (self.index(iy, ix), a))
+            })
     }
 }
 
@@ -374,13 +373,13 @@ mod tests {
         };
         // A 2x2 rect centered on a grid crossing overlaps 4 cells equally.
         let r = Rect::new(0.5, 0.5, 2.5, 2.5);
-        let cells = layer.cells_overlapping(&r);
+        let cells: Vec<_> = layer.cells_overlapping(&r).collect();
         assert_eq!(cells.len(), 9); // 3x3 window, corner cells 0.25, edges 0.5, center 1.0
         let total: f64 = cells.iter().map(|(_, a)| a).sum();
         assert!((total - 4.0).abs() < 1e-12);
         // Fully inside one cell.
         let r2 = Rect::new(0.1, 0.1, 0.4, 0.4);
-        let cells2 = layer.cells_overlapping(&r2);
+        let cells2: Vec<_> = layer.cells_overlapping(&r2).collect();
         assert_eq!(cells2.len(), 1);
         assert_eq!(cells2[0].0, 0);
     }
@@ -413,8 +412,8 @@ mod tests {
             conductivity: 1.0,
         };
         let r = Rect::new(5.0, 5.0, 6.0, 6.0);
-        assert!(layer.cells_overlapping(&r).is_empty());
+        assert!(layer.cells_overlapping(&r).next().is_none());
         let left = Rect::new(-3.0, 0.0, -1.0, 1.0);
-        assert!(layer.cells_overlapping(&left).is_empty());
+        assert!(layer.cells_overlapping(&left).next().is_none());
     }
 }

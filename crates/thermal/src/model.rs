@@ -203,7 +203,23 @@ impl CompactModel {
             conductivity: config.sink_material().conductivity().value(),
         };
 
-        let mut net = ThermalNetwork::new();
+        // Room for every node and stamp up front. The counts are exact but
+        // for the overlap windows, bounded by the cells a square of the
+        // tile's (the spreader cell's) side can cover.
+        let window = |layer: &LayerGrid, side: f64| {
+            let per_axis = (side / layer.cell).ceil() as usize + 1;
+            per_axis.min(layer.nx) * per_axis.min(layer.ny)
+        };
+        let lateral = |nx: usize, ny: usize| nx * ny.saturating_sub(1) + ny * nx.saturating_sub(1);
+        let tiles = grid.tile_count();
+        let nodes =
+            2 * tiles + splices.len() + spreader_layer.cell_count() + sink_layer.cell_count();
+        let edges = 2 * lateral(cols, rows)
+            + tiles * (2 + window(&spreader_layer, tile))
+            + lateral(spreader_layer.nx, spreader_layer.ny)
+            + spreader_layer.cell_count() * window(&sink_layer, spreader_layer.cell)
+            + lateral(sink_layer.nx, sink_layer.ny);
+        let mut net = ThermalNetwork::with_capacity(nodes, edges, sink_layer.cell_count());
 
         // Nodes.
         let silicon: Vec<NodeId> = grid

@@ -1,5 +1,5 @@
 use crate::{ThermalError, TileIndex};
-use tecopt_linalg::{CsrMatrix, DenseMatrix, Triplet};
+use tecopt_linalg::{CsrMatrix, DenseMatrix};
 
 /// Opaque identifier of a node in a [`ThermalNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +75,16 @@ impl ThermalNetwork {
         ThermalNetwork::default()
     }
 
+    /// Creates an empty network with room for `nodes` nodes, `edges`
+    /// conductance stamps and `ambient_legs` ambient legs.
+    pub fn with_capacity(nodes: usize, edges: usize, ambient_legs: usize) -> ThermalNetwork {
+        ThermalNetwork {
+            kinds: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(edges),
+            ambient_legs: Vec::with_capacity(ambient_legs),
+        }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.kinds.len()
@@ -142,30 +152,77 @@ impl ThermalNetwork {
     }
 
     /// Assembles the conductance matrix `G` (Expression 5 of the paper)
-    /// straight into CSR.
+    /// straight into CSR, in `O(n + m log d)` for `m` stamps and rows of at
+    /// most `d` entries.
     ///
     /// Every node's diagonal is stored, even where no stamp reaches it, and
-    /// each entry holds exactly the positions the stamps touch. The
-    /// stamps are emitted in the order [`ThermalNetwork::assemble_dense`]
-    /// applies them, starting every diagonal from `0.0`, and
-    /// [`CsrMatrix::from_triplets`] sums duplicates in that order, so every
-    /// value is bit-identical to the dense `+=` assembly.
+    /// each entry holds exactly the positions the stamps touch. Every value
+    /// is bit-identical to [`ThermalNetwork::assemble_dense`], because each
+    /// entry is summed in the order the dense `+=` loop adds to it: a
+    /// diagonal starts from `0.0` and adds every incident conductance in
+    /// stamp order, then its ambient legs; the off-diagonal stamps are
+    /// bucketed by row in stamp order, each row is sorted stably by column,
+    /// and repeated columns are summed left to right.
     pub fn assemble(&self) -> CsrMatrix {
         let n = self.node_count();
-        let mut t = Vec::with_capacity(n + 4 * self.edges.len() + self.ambient_legs.len());
-        t.extend((0..n).map(|k| Triplet::new(k, k, 0.0)));
+        let mut diagonal = vec![0.0; n];
+        // `start[r]..start[r + 1]` will hold row `r`'s off-diagonal stamps.
+        let mut start = vec![0usize; n + 1];
         for &(a, b, v) in &self.edges {
-            t.push(Triplet::new(a, b, -v));
-            t.push(Triplet::new(b, a, -v));
-            t.push(Triplet::new(a, a, v));
-            t.push(Triplet::new(b, b, v));
+            diagonal[a] += v;
+            diagonal[b] += v;
+            start[a + 1] += 1;
+            start[b + 1] += 1;
         }
         for &(k, v) in &self.ambient_legs {
-            t.push(Triplet::new(k, k, v));
+            diagonal[k] += v;
         }
-        // Node ids are checked against the network when stamped.
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut stamps = vec![(0usize, 0.0f64); 2 * self.edges.len()];
+        for &(a, b, v) in &self.edges {
+            stamps[next[a]] = (b, -v);
+            next[a] += 1;
+            stamps[next[b]] = (a, -v);
+            next[b] += 1;
+        }
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(n + stamps.len());
+        let mut values = Vec::with_capacity(n + stamps.len());
+        row_ptr.push(0);
+        for (r, &d) in diagonal.iter().enumerate() {
+            let row = &mut stamps[start[r]..start[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let mut diagonal_pending = true;
+            for &(c, v) in row.iter() {
+                if diagonal_pending && c > r {
+                    col_idx.push(r);
+                    values.push(d);
+                    diagonal_pending = false;
+                }
+                // Only a column of this row can absorb the stamp.
+                if col_idx.len() > row_ptr[r] && col_idx.last() == Some(&c) {
+                    if let Some(last) = values.last_mut() {
+                        *last += v;
+                        continue;
+                    }
+                }
+                col_idx.push(c);
+                values.push(v);
+            }
+            if diagonal_pending {
+                col_idx.push(r);
+                values.push(d);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        // Node ids are checked against the network when stamped, and the
+        // rows are built sorted and merged above.
         #[allow(clippy::expect_used)]
-        CsrMatrix::from_triplets(n, n, &t).expect("stamps index nodes of this network")
+        CsrMatrix::try_from_parts(n, n, row_ptr, col_idx, values)
+            .expect("stamps index nodes of this network")
     }
 
     /// The dense `n×n` assembly of `G`: the oracle the CSR
@@ -186,33 +243,31 @@ impl ThermalNetwork {
         g
     }
 
+    /// The lowest-index node that node 0 cannot reach through the
+    /// conductances (ambient legs excluded), if any: a union-find over the
+    /// stamps, `O(m log n)` with no adjacency lists.
+    fn first_unreachable(&self) -> Option<usize> {
+        // Every root is the lowest index of its set, so node 0 stays a root.
+        fn root(parent: &mut [usize], mut k: usize) -> usize {
+            while parent[k] != k {
+                parent[k] = parent[parent[k]];
+                k = parent[k];
+            }
+            k
+        }
+        let mut parent: Vec<usize> = (0..self.node_count()).collect();
+        for &(a, b, _) in &self.edges {
+            let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+            parent[ra.max(rb)] = ra.min(rb);
+        }
+        (1..parent.len()).find(|&k| root(&mut parent, k) != 0)
+    }
+
     /// Checks connectivity of the conductance graph (ambient legs excluded):
     /// `true` iff the assembled `G` is irreducible in the sense of
     /// Definition 1 of the paper.
     pub fn is_connected(&self) -> bool {
-        let n = self.node_count();
-        if n <= 1 {
-            return true;
-        }
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b, _) in &self.edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == n
+        self.first_unreachable().is_none()
     }
 
     /// Verifies that every node can reach ambient (necessary for `G` to be
@@ -221,20 +276,22 @@ impl ThermalNetwork {
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidConfig`] naming the first stranded
-    /// node, or noting a missing ambient leg entirely.
+    /// node (the lowest-index node that node 0 cannot reach, with its
+    /// [`NodeKind`]), or noting a missing ambient leg entirely.
     pub fn validate_grounding(&self) -> Result<(), ThermalError> {
         if self.ambient_legs.is_empty() {
             return Err(ThermalError::InvalidConfig(
                 "network has no path to ambient; G would be singular".into(),
             ));
         }
-        if !self.is_connected() {
-            // Find a stranded node for the error message: any node not
-            // reachable from node 0 — with at least one ambient leg on the
-            // reachable side this is what makes G singular on the other.
-            return Err(ThermalError::InvalidConfig(
-                "conductance graph is disconnected; some nodes cannot reach ambient".into(),
-            ));
+        if let Some(k) = self.first_unreachable() {
+            return Err(ThermalError::InvalidConfig(format!(
+                "conductance graph is disconnected: node {} ({:?}) cannot reach node {}; \
+                 G would be singular",
+                NodeId(k),
+                self.kinds[k],
+                NodeId(0)
+            )));
         }
         Ok(())
     }
@@ -296,7 +353,11 @@ mod tests {
         let _b = net.add_node(NodeKind::Spreader(1));
         net.add_ambient_conductance(a, 1.0);
         assert!(!net.is_connected());
-        assert!(net.validate_grounding().is_err());
+        let err = net.validate_grounding().unwrap_err().to_string();
+        assert!(
+            err.contains("node n1 (Spreader(1)) cannot reach node n0"),
+            "{err}"
+        );
     }
 
     #[test]

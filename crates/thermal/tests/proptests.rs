@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use tecopt_linalg::stieltjes::{check_stieltjes, is_irreducible};
-use tecopt_thermal::{CompactModel, PackageConfig, TileGrid, TileIndex, TwoPortSpec};
+use tecopt_thermal::{
+    CompactModel, NodeId, NodeKind, PackageConfig, ThermalNetwork, TileGrid, TileIndex, TwoPortSpec,
+};
 use tecopt_units::{Celsius, KelvinPerWatt, Meters, Watts, WattsPerKelvin};
 
 fn arbitrary_config() -> impl Strategy<Value = PackageConfig> {
@@ -33,6 +35,125 @@ fn arbitrary_config() -> impl Strategy<Value = PackageConfig> {
                     .unwrap()
             },
         )
+}
+
+/// A random network of 1–13 nodes with its conductance stamps as
+/// `(a, b)` pairs: up to 24 stamps, a quarter of them followed by the same
+/// pair reversed and a quarter by the same pair repeated, so that nodes
+/// are often isolated and entries often summed; and zero to three ambient
+/// legs, possibly on one node.
+fn arbitrary_network() -> impl Strategy<Value = (ThermalNetwork, Vec<(usize, usize)>)> {
+    (
+        1usize..14,
+        proptest::collection::vec((0usize..64, 0usize..64, 0.01f64..10.0, 0usize..4), 0..25),
+        proptest::collection::vec((0usize..64, 0.01f64..10.0), 0..4),
+    )
+        .prop_map(|(n, stamps, legs)| {
+            let mut net = ThermalNetwork::new();
+            let ids: Vec<NodeId> = (0..n)
+                .map(|k| {
+                    net.add_node(match k % 3 {
+                        0 => NodeKind::Spreader(k),
+                        1 => NodeKind::Sink(k),
+                        _ => NodeKind::Silicon(TileIndex::new(k, 0)),
+                    })
+                })
+                .collect();
+            let mut edges = Vec::new();
+            if n > 1 {
+                for (a, offset, g, twin) in stamps {
+                    let a = a % n;
+                    let b = (a + 1 + offset % (n - 1)) % n;
+                    let mut stamp = |a: usize, b: usize, g: f64| {
+                        net.add_conductance(ids[a], ids[b], g);
+                        edges.push((a, b));
+                    };
+                    stamp(a, b, g);
+                    match twin {
+                        0 => stamp(b, a, 0.3 * g + 0.7),
+                        1 => stamp(a, b, 1.9 * g),
+                        _ => {}
+                    }
+                }
+            }
+            for (k, g) in legs {
+                net.add_ambient_conductance(ids[k % n], g);
+            }
+            (net, edges)
+        })
+}
+
+/// The grounding check the union-find replaced, kept as its oracle: a
+/// depth-first search from node 0 over one adjacency `Vec` per node. The
+/// lowest-index node it does not reach, if any.
+fn dfs_first_unreachable(n: usize, edges: &[(usize, usize)]) -> Option<usize> {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a].push(b);
+        adj[b].push(a);
+    }
+    let mut seen = vec![false; n];
+    let mut stack = vec![0usize];
+    seen[0] = true;
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u] {
+            if !seen[v] {
+                seen[v] = true;
+                stack.push(v);
+            }
+        }
+    }
+    seen.iter().position(|&s| !s)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass CSR assembly equals the dense `+=` oracle bit for bit
+    /// on arbitrary stamp lists (isolated nodes, repeated and reversed
+    /// pairs, any number of ambient legs), stores every diagonal, and
+    /// stores exactly the off-diagonal positions some stamp touched.
+    #[test]
+    fn assembly_of_any_network_is_bit_identical_to_the_dense_oracle(
+        (net, edges) in arbitrary_network(),
+    ) {
+        let n = net.node_count();
+        let g = net.assemble();
+        let oracle = net.assemble_dense();
+        let dense = g.to_dense();
+        for (u, v) in dense.as_slice().iter().zip(oracle.as_slice()) {
+            prop_assert_eq!(u.to_bits(), v.to_bits());
+        }
+        let mut touched: Vec<(usize, usize)> = edges
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .chain((0..n).map(|k| (k, k)))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let stored: Vec<(usize, usize)> = (0..n)
+            .flat_map(|r| g.col_indices()[g.row_ptr()[r]..g.row_ptr()[r + 1]].iter().map(move |&c| (r, c)))
+            .collect();
+        prop_assert_eq!(stored, touched);
+    }
+
+    /// The union-find grounding check agrees with the per-node-`Vec` DFS
+    /// it replaced, and its error names the node the DFS finds stranded.
+    #[test]
+    fn grounding_check_agrees_with_the_dfs_oracle((net, edges) in arbitrary_network()) {
+        let stranded = dfs_first_unreachable(net.node_count(), &edges);
+        prop_assert_eq!(net.is_connected(), stranded.is_none());
+        let result = net.validate_grounding();
+        match (net.ambient_legs().is_empty(), stranded) {
+            (true, _) => prop_assert!(result.is_err()),
+            (false, None) => prop_assert!(result.is_ok()),
+            (false, Some(k)) => {
+                let message = result.unwrap_err().to_string();
+                let named = format!("node n{k} ({:?}) cannot reach node n0", net.kinds()[k]);
+                prop_assert!(message.contains(&named), "{} lacks {}", message, named);
+            }
+        }
+    }
 }
 
 proptest! {
