@@ -77,7 +77,7 @@ impl ThermalNetwork {
 
     /// Creates an empty network with room for `nodes` nodes, `edges`
     /// conductance stamps and `ambient_legs` ambient legs.
-    pub fn with_capacity(nodes: usize, edges: usize, ambient_legs: usize) -> ThermalNetwork {
+    pub(crate) fn with_capacity(nodes: usize, edges: usize, ambient_legs: usize) -> ThermalNetwork {
         ThermalNetwork {
             kinds: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
