@@ -177,8 +177,12 @@ fn sweep_systems() -> Vec<(usize, CoolingSystem)> {
 /// and the numeric factor on each; the labels carry each `nnz(L_AA)`.
 fn bench_sparse_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_cholesky");
-    group.sample_size(3);
-    group.measurement_time(Duration::from_millis(200));
+    // Runs drift with the host over minutes: 3 samples over 200 ms let
+    // two back-to-back runs of one build differ by 70 %; 30 over 3 s
+    // brought the 12×12 analysis within about 10 %, and more samples did
+    // not help. Compare two builds in both orders.
+    group.sample_size(30);
+    group.measurement_time(Duration::from_secs(3));
     for (side, system) in sweep_systems() {
         let a = system
             .stamped()

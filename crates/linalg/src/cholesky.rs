@@ -17,7 +17,8 @@ const NONE: usize = usize::MAX;
 /// part of the pattern. The compact model analyses its `G` once and shares
 /// the pattern through an [`Arc`] with every solver, transient stepper and
 /// passive solve of that network, which all factor with
-/// [`Cholesky::factor_csr_with`].
+/// [`Cholesky::factor_csr_with`]; the passive network's pattern is shared
+/// further, by every passive network of one package.
 ///
 /// [`CholeskyPattern::analyse_csr`] orders by approximate minimum degree on
 /// the quotient graph: at every step the node of least (approximate)
@@ -26,8 +27,13 @@ const NONE: usize = usize::MAX;
 /// do the factors built on them. [`CholeskyPattern::analyse_csr_ordered`]
 /// takes the order from the caller instead and costs only the symbolic
 /// work: the thermal model runs minimum degree once per package and
-/// analyses every passive network, and every placement's Peltier-free
-/// block, on that order (restricted to the block's nodes).
+/// analyses every placement's Peltier-free block on that order
+/// (restricted to the block's nodes).
+///
+/// The symbolic work is two sweeps over the rows of `L` after the
+/// structure pass: one builds the elimination tree and counts each row and
+/// column of `L`, the other writes the row structure and each entry's
+/// place in its column into arrays of exactly those sizes.
 #[derive(Debug)]
 pub struct CholeskyPattern {
     n: usize,
@@ -94,13 +100,7 @@ impl CholeskyPattern {
                 cols: a.cols(),
             });
         }
-        let n = a.rows();
-        let mut edges = Vec::with_capacity(a.nnz() / 2);
-        for r in 0..n {
-            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
-            edges.extend(row.iter().take_while(|&&c| c < r).map(|&c| (r, c)));
-        }
-        Ok(approximate_minimum_degree(n, &edges))
+        Ok(approximate_minimum_degree(a.rows(), &lower_edges(a)))
     }
 
     /// Analyses the stored structure of the lower triangle of `a` (plus
@@ -123,7 +123,11 @@ impl CholeskyPattern {
     }
 
     /// The analysis of `a` on `perm`, or on a minimum-degree order of its
-    /// structure when `perm` is `None`.
+    /// structure when `perm` is `None`: the structure pass and the gather
+    /// map, then two sweeps of the elimination tree. The first builds the
+    /// tree and counts each row and column of `L` as it goes (the
+    /// `ldl_symbolic` walk); the second writes every row's structure, and
+    /// each entry's place in its column, into arrays of those sizes.
     fn analyse_csr_with(
         a: &CsrMatrix,
         perm: Option<&[usize]>,
@@ -135,131 +139,117 @@ impl CholeskyPattern {
             });
         }
         let n = a.rows();
-        if let Some(perm) = perm {
-            check_permutation(perm, n)?;
-        }
-        // Strictly lower entries, row-major with ascending columns, and
-        // where each sits in the lower-triangle structure.
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut edge_src: Vec<usize> = Vec::new();
-        let mut lo_ptr = Vec::with_capacity(n + 1);
-        let mut lo_col = Vec::with_capacity(a.nnz() / 2 + n);
-        lo_ptr.push(0);
-        for r in 0..n {
-            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
-            for &c in row.iter().take_while(|&&c| c < r) {
-                edges.push((r, c));
-                edge_src.push(lo_col.len());
-                lo_col.push(c);
-            }
-            lo_col.push(r);
-            lo_ptr.push(lo_col.len());
-        }
         let perm = match perm {
-            Some(perm) => perm.to_vec(),
-            None => approximate_minimum_degree(n, &edges),
+            Some(perm) => {
+                check_permutation(perm, n)?;
+                perm.to_vec()
+            }
+            None => approximate_minimum_degree(n, &lower_edges(a)),
         };
         let mut iperm = vec![0; n];
         for (k, &node) in perm.iter().enumerate() {
             iperm[node] = k;
         }
+        // The lower-triangle structure: each row's strictly lower columns,
+        // ascending, then its diagonal.
+        let mut lo_ptr = Vec::with_capacity(n + 1);
+        let mut lo_col = Vec::with_capacity(a.nnz() / 2 + n);
+        lo_ptr.push(0);
+        for r in 0..n {
+            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
+            lo_col.extend(row.iter().take_while(|&&c| c < r));
+            lo_col.push(r);
+            lo_ptr.push(lo_col.len());
+        }
 
-        // Permuted upper triangle, bucketed by column: (column, row,
-        // source position), diagonal first.
-        let entries = (0..n)
-            .map(|r| (r, r, lo_ptr[r + 1] - 1))
-            .chain(
-                edges
-                    .iter()
-                    .zip(&edge_src)
-                    .map(|(&(r, c), &src)| (r, c, src)),
-            )
-            .map(|(r, c, src)| {
-                let (i, j) = (iperm[r], iperm[c]);
-                (i.max(j), i.min(j), src)
-            });
+        // Permuted upper triangle, bucketed by column: each column's
+        // diagonal first, then its strictly lower entries in row-major
+        // order of the lower triangle.
         let mut a_ptr = vec![0; n + 1];
-        for &(r, c) in &edges {
-            a_ptr[iperm[r].max(iperm[c]) + 1] += 1;
+        for r in 0..n {
+            for &c in &lo_col[lo_ptr[r]..lo_ptr[r + 1] - 1] {
+                a_ptr[iperm[r].max(iperm[c]) + 1] += 1;
+            }
         }
         for k in 0..n {
             a_ptr[k + 1] += a_ptr[k] + 1;
         }
-        let mut fill = a_ptr.clone();
         let mut a_row = vec![0; a_ptr[n]];
         let mut a_src = vec![0; a_ptr[n]];
-        for (col, row, src) in entries {
-            a_row[fill[col]] = row;
-            a_src[fill[col]] = src;
-            fill[col] += 1;
+        for (r, &k) in iperm.iter().enumerate() {
+            a_row[a_ptr[k]] = k;
+            a_src[a_ptr[k]] = lo_ptr[r + 1] - 1;
         }
-
-        // Elimination tree (Liu's algorithm with path compression).
-        let mut parent = vec![NONE; n];
-        let mut ancestor = vec![NONE; n];
-        for k in 0..n {
-            for &row in &a_row[a_ptr[k]..a_ptr[k + 1]] {
-                let mut i = row;
-                while i != NONE && i < k {
-                    let next = ancestor[i];
-                    ancestor[i] = k;
-                    if next == NONE {
-                        parent[i] = k;
-                    }
-                    i = next;
-                }
+        let mut fill: Vec<usize> = a_ptr[..n].iter().map(|&p| p + 1).collect();
+        for r in 0..n {
+            for src in lo_ptr[r]..lo_ptr[r + 1] - 1 {
+                let (i, j) = (iperm[r], iperm[lo_col[src]]);
+                let col = i.max(j);
+                a_row[fill[col]] = i.min(j);
+                a_src[fill[col]] = src;
+                fill[col] += 1;
             }
         }
 
-        // Row structure of L: row k is the union of the etree paths from
-        // each nonzero A(i, k), i < k, up to k. Each new path stops at a
-        // node an earlier path reached, so emitting the paths last-found
-        // first, each leaf to root, is a topological order: every column
-        // is listed after the columns that update it.
-        let mut r_ptr = vec![0; n + 1];
-        let mut r_col = Vec::new();
+        // Sweep 1: row k of L is the union of the etree paths from each
+        // nonzero A(i, k), i < k, up to k. Walking them in k order finds
+        // each node's parent at its first row (the tree is complete below
+        // k) and counts row k and the columns it meets.
+        let mut parent = vec![NONE; n];
         let mut mark = vec![NONE; n];
-        let mut path = Vec::new();
-        let mut ends = Vec::new();
+        let mut l_ptr = vec![0; n + 1];
+        let mut r_ptr = vec![0; n + 1];
         for k in 0..n {
             mark[k] = k;
-            path.clear();
-            ends.clear();
+            let mut count = 0;
             for &row in &a_row[a_ptr[k]..a_ptr[k + 1]] {
                 let mut i = row;
                 while mark[i] != k {
                     mark[i] = k;
-                    path.push(i);
+                    if parent[i] == NONE {
+                        parent[i] = k;
+                    }
+                    l_ptr[i + 1] += 1;
+                    count += 1;
                     i = parent[i];
                 }
-                ends.push(path.len());
             }
-            let mut end = path.len();
-            for &start in ends.iter().rev().skip(1).chain([&0]) {
-                r_col.extend_from_slice(&path[start..end]);
-                end = start;
-            }
-            r_ptr[k + 1] = r_col.len();
+            r_ptr[k + 1] = r_ptr[k] + count;
+        }
+        for j in 0..n {
+            l_ptr[j + 1] += l_ptr[j] + 1;
         }
 
-        // Column structure of L: the diagonal, then the rows that reach it.
-        let mut l_ptr = vec![0; n + 1];
-        for k in 0..n {
-            l_ptr[k + 1] = 1;
-        }
-        for &j in &r_col {
-            l_ptr[j + 1] += 1;
-        }
-        for k in 0..n {
-            l_ptr[k + 1] += l_ptr[k];
-        }
+        // Sweep 2: the same walks on the finished tree, each path leaf to
+        // root and stacked below the paths found before it (cs_ereach's
+        // order). Every path stops at a node an earlier one reached, so a
+        // row lists each column after the columns that update it. Columns
+        // fill in row order: the diagonal, then the rows that reach it.
+        let mut r_col = vec![0; r_ptr[n]];
+        let mut r_slot = vec![0; r_ptr[n]];
         let mut l_row = vec![0; l_ptr[n]];
-        let mut next: Vec<usize> = l_ptr[..n].iter().map(|&p| p + 1).collect();
+        let mut next = vec![0; n];
         for j in 0..n {
             l_row[l_ptr[j]] = j;
+            next[j] = l_ptr[j] + 1;
         }
-        let mut r_slot = vec![0; r_col.len()];
+        mark.fill(NONE);
+        let mut path = vec![0; n];
         for k in 0..n {
+            mark[k] = k;
+            let mut top = r_ptr[k + 1];
+            for &row in &a_row[a_ptr[k]..a_ptr[k + 1]] {
+                let mut len = 0;
+                let mut i = row;
+                while mark[i] != k {
+                    mark[i] = k;
+                    path[len] = i;
+                    len += 1;
+                    i = parent[i];
+                }
+                r_col[top - len..top].copy_from_slice(&path[..len]);
+                top -= len;
+            }
             for t in r_ptr[k]..r_ptr[k + 1] {
                 let j = r_col[t];
                 l_row[next[j]] = k;
@@ -405,6 +395,17 @@ fn lower_triangle(a: &DenseMatrix) -> Result<CsrMatrix, LinalgError> {
         row_ptr.push(col_idx.len());
     }
     Ok(CsrMatrix::from_parts(n, n, row_ptr, col_idx, values))
+}
+
+/// The strictly lower entries of the square `a` as `(row, column)` edges,
+/// row-major with ascending columns: the graph minimum degree orders.
+fn lower_edges(a: &CsrMatrix) -> Vec<(usize, usize)> {
+    let mut edges = Vec::with_capacity(a.nnz() / 2);
+    for r in 0..a.rows() {
+        let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
+        edges.extend(row.iter().take_while(|&&c| c < r).map(|&c| (r, c)));
+    }
+    edges
 }
 
 /// [`LinalgError::InvalidInput`] unless `perm` lists every node of `0..n`
@@ -1044,7 +1045,256 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DenseCholesky;
+    use crate::{DenseCholesky, Triplet};
+    use proptest::prelude::*;
+
+    /// The four-sweep analysis the two-sweep one replaced, kept as its
+    /// oracle: the structure pass copies every strictly lower entry into
+    /// an edge list, the elimination tree comes from Liu's algorithm with
+    /// path compression, row structures are emitted path by path into a
+    /// growing `r_col`, and a separate pass builds the columns from them.
+    fn four_sweep_oracle(a: &CsrMatrix, perm: Option<&[usize]>) -> CholeskyPattern {
+        let n = a.rows();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut edge_src: Vec<usize> = Vec::new();
+        let mut lo_ptr = vec![0];
+        let mut lo_col = Vec::new();
+        for r in 0..n {
+            let row = &a.col_indices()[a.row_ptr()[r]..a.row_ptr()[r + 1]];
+            for &c in row.iter().take_while(|&&c| c < r) {
+                edges.push((r, c));
+                edge_src.push(lo_col.len());
+                lo_col.push(c);
+            }
+            lo_col.push(r);
+            lo_ptr.push(lo_col.len());
+        }
+        let perm = match perm {
+            Some(perm) => perm.to_vec(),
+            None => approximate_minimum_degree(n, &edges),
+        };
+        let mut iperm = vec![0; n];
+        for (k, &node) in perm.iter().enumerate() {
+            iperm[node] = k;
+        }
+
+        let entries = (0..n)
+            .map(|r| (r, r, lo_ptr[r + 1] - 1))
+            .chain(
+                edges
+                    .iter()
+                    .zip(&edge_src)
+                    .map(|(&(r, c), &src)| (r, c, src)),
+            )
+            .map(|(r, c, src)| {
+                let (i, j) = (iperm[r], iperm[c]);
+                (i.max(j), i.min(j), src)
+            });
+        let mut a_ptr = vec![0; n + 1];
+        for &(r, c) in &edges {
+            a_ptr[iperm[r].max(iperm[c]) + 1] += 1;
+        }
+        for k in 0..n {
+            a_ptr[k + 1] += a_ptr[k] + 1;
+        }
+        let mut fill = a_ptr.clone();
+        let mut a_row = vec![0; a_ptr[n]];
+        let mut a_src = vec![0; a_ptr[n]];
+        for (col, row, src) in entries {
+            a_row[fill[col]] = row;
+            a_src[fill[col]] = src;
+            fill[col] += 1;
+        }
+
+        let mut parent = vec![NONE; n];
+        let mut ancestor = vec![NONE; n];
+        for k in 0..n {
+            for &row in &a_row[a_ptr[k]..a_ptr[k + 1]] {
+                let mut i = row;
+                while i != NONE && i < k {
+                    let next = ancestor[i];
+                    ancestor[i] = k;
+                    if next == NONE {
+                        parent[i] = k;
+                    }
+                    i = next;
+                }
+            }
+        }
+
+        let mut r_ptr = vec![0; n + 1];
+        let mut r_col = Vec::new();
+        let mut mark = vec![NONE; n];
+        let mut path = Vec::new();
+        let mut ends = Vec::new();
+        for k in 0..n {
+            mark[k] = k;
+            path.clear();
+            ends.clear();
+            for &row in &a_row[a_ptr[k]..a_ptr[k + 1]] {
+                let mut i = row;
+                while mark[i] != k {
+                    mark[i] = k;
+                    path.push(i);
+                    i = parent[i];
+                }
+                ends.push(path.len());
+            }
+            let mut end = path.len();
+            for &start in ends.iter().rev().skip(1).chain([&0]) {
+                r_col.extend_from_slice(&path[start..end]);
+                end = start;
+            }
+            r_ptr[k + 1] = r_col.len();
+        }
+
+        let mut l_ptr = vec![0; n + 1];
+        for k in 0..n {
+            l_ptr[k + 1] = 1;
+        }
+        for &j in &r_col {
+            l_ptr[j + 1] += 1;
+        }
+        for k in 0..n {
+            l_ptr[k + 1] += l_ptr[k];
+        }
+        let mut l_row = vec![0; l_ptr[n]];
+        let mut next: Vec<usize> = l_ptr[..n].iter().map(|&p| p + 1).collect();
+        for j in 0..n {
+            l_row[l_ptr[j]] = j;
+        }
+        let mut r_slot = vec![0; r_col.len()];
+        for k in 0..n {
+            for t in r_ptr[k]..r_ptr[k + 1] {
+                let j = r_col[t];
+                l_row[next[j]] = k;
+                r_slot[t] = next[j];
+                next[j] += 1;
+            }
+        }
+
+        CholeskyPattern {
+            n,
+            perm,
+            lo_ptr,
+            lo_col,
+            a_ptr,
+            a_row,
+            a_src,
+            l_ptr,
+            l_row,
+            r_ptr,
+            r_col,
+            r_slot,
+        }
+    }
+
+    /// Every array of `p` equals the oracle's analysis of `a` on `perm`.
+    fn assert_matches_oracle(p: &CholeskyPattern, a: &CsrMatrix, perm: Option<&[usize]>) {
+        let o = four_sweep_oracle(a, perm);
+        assert_eq!(p.n, o.n);
+        assert_eq!(p.perm, o.perm, "perm");
+        assert_eq!(p.lo_ptr, o.lo_ptr, "lo_ptr");
+        assert_eq!(p.lo_col, o.lo_col, "lo_col");
+        assert_eq!(p.a_ptr, o.a_ptr, "a_ptr");
+        assert_eq!(p.a_row, o.a_row, "a_row");
+        assert_eq!(p.a_src, o.a_src, "a_src");
+        assert_eq!(p.l_ptr, o.l_ptr, "l_ptr");
+        assert_eq!(p.l_row, o.l_row, "l_row");
+        assert_eq!(p.r_ptr, o.r_ptr, "r_ptr");
+        assert_eq!(p.r_col, o.r_col, "r_col");
+        assert_eq!(p.r_slot, o.r_slot, "r_slot");
+    }
+
+    /// Analyses `a` on minimum degree, identity, reversed and `shuffled`
+    /// orders and checks each against the oracle.
+    fn check_orders(a: &CsrMatrix, shuffled: &[usize]) {
+        let n = a.rows();
+        assert_matches_oracle(&CholeskyPattern::analyse_csr(a).unwrap(), a, None);
+        let identity: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for order in [&identity[..], &reversed, shuffled] {
+            let p = CholeskyPattern::analyse_csr_ordered(a, order).unwrap();
+            assert_matches_oracle(&p, a, Some(order));
+        }
+    }
+
+    /// A symmetric structure on `n` nodes from `pairs` (taken mod `n`),
+    /// keeping only the pairs inside one of `parts` residue classes, so
+    /// `parts > 1` splits the graph into disconnected pieces. Diagonals
+    /// are stored only on the nodes `diagonal` selects.
+    fn structure(n: usize, pairs: &[(usize, usize)], parts: usize, diagonal: u64) -> CsrMatrix {
+        let mut t = Vec::new();
+        for &(u, v) in pairs {
+            let (u, v) = (u % n.max(1), v % n.max(1));
+            if u != v && u % parts == v % parts {
+                t.push(Triplet::new(u, v, -1.0));
+                t.push(Triplet::new(v, u, -1.0));
+            }
+        }
+        for k in (0..n).filter(|k| diagonal >> (k % 64) & 1 == 1) {
+            t.push(Triplet::new(k, k, 4.0));
+        }
+        CsrMatrix::from_triplets(n, n, &t).unwrap()
+    }
+
+    /// The permutation of `0..keys.len()` that sorts `keys`.
+    fn shuffle(keys: &[u64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&k| (keys[k], k));
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn two_sweep_analysis_matches_the_four_sweep_oracle(
+            n in 0usize..48,
+            pairs in collection::vec((0usize..48, 0usize..48), 0..160),
+            parts in 1usize..4,
+            diagonal in 0u64..=u64::MAX,
+            keys in collection::vec(0u64..=u64::MAX, 48),
+        ) {
+            let a = structure(n, &pairs, parts, diagonal);
+            check_orders(&a, &shuffle(&keys[..n]));
+        }
+    }
+
+    #[test]
+    fn two_sweep_analysis_matches_the_oracle_on_small_and_split_structures() {
+        // n = 0 and n = 1, with and without a stored diagonal.
+        for a in [
+            structure(0, &[], 1, 0),
+            structure(1, &[], 1, 0),
+            structure(1, &[], 1, 1),
+        ] {
+            let n = a.rows();
+            check_orders(&a, &(0..n).collect::<Vec<_>>());
+        }
+        // Two chains and an isolated node: a forest of three trees.
+        let chains = structure(9, &[(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (5, 7)], 2, !0);
+        check_orders(&chains, &[8, 7, 0, 5, 2, 3, 6, 1, 4]);
+        // A 2-D grid, where every order fills in.
+        let side = 7;
+        let mut pairs = Vec::new();
+        for r in 0..side {
+            for c in 0..side {
+                let k = r * side + c;
+                if c + 1 < side {
+                    pairs.push((k, k + 1));
+                }
+                if r + 1 < side {
+                    pairs.push((k, k + side));
+                }
+            }
+        }
+        let grid = structure(side * side, &pairs, 1, !0);
+        let keys: Vec<u64> = (0..(side * side) as u64)
+            .map(|k| k * 0x9e37_79b9 % 97)
+            .collect();
+        check_orders(&grid, &shuffle(&keys));
+    }
 
     fn spd3() -> DenseMatrix {
         DenseMatrix::from_rows(&[&[25.0, 15.0, -5.0], &[15.0, 18.0, 0.0], &[-5.0, 0.0, 11.0]])

@@ -73,13 +73,13 @@ pub enum TileInterface {
 /// first factorization ([`CompactModel::cholesky_pattern`]) and shared by
 /// every clone, so the symbolic analysis costs once per network however
 /// many solvers, transient steppers and passive solves factor its `G − i·D`
-/// or `C/Δt + G − i·D`. The fill-reducing ordering itself costs once per
-/// package: the passive network's minimum-degree order lives in the
+/// or `C/Δt + G − i·D`. The passive network's analysis costs once per
+/// package: its minimum-degree order and its pattern live in the
 /// [`PackageConfig`] ([`CompactModel::package_order`]), every passive
-/// network built from clones of that configuration is analysed on it, and
-/// every placement's Peltier-free block is analysed on its restriction
-/// ([`CompactModel::network_order`]). A network with spliced devices keeps
-/// a minimum-degree analysis of its own.
+/// network built from clones of that configuration shares that one
+/// pattern, and every placement's Peltier-free block is analysed on the
+/// order's restriction ([`CompactModel::network_order`]). A network with
+/// spliced devices keeps a minimum-degree analysis of its own.
 ///
 /// ```
 /// use tecopt_thermal::{CompactModel, PackageConfig};
@@ -107,8 +107,9 @@ pub struct CompactModel {
     injection: Vec<f64>,
     /// Immutable once assembled, so clones of the model share it.
     g: Arc<CsrMatrix>,
-    /// The Cholesky pattern of `G`, analysed on first use. The slot itself
-    /// is shared, so a clone made before the analysis still sees it.
+    /// The Cholesky pattern of `G`, analysed (or, for a passive network,
+    /// taken from the package) on first use. The slot itself is shared, so
+    /// a clone made before the analysis still sees it.
     pattern: Arc<OnceLock<Arc<CholeskyPattern>>>,
 }
 
@@ -420,12 +421,16 @@ impl CompactModel {
     /// that differs from `G` only on the diagonal (`G − i·D`,
     /// `C/Δt + G − i·D`), via `Cholesky::factor_csr_with`.
     ///
-    /// A passive network is analysed on the package order
-    /// ([`CompactModel::package_order`]), and the first one to be analysed
-    /// fills it from its own minimum-degree search. A network with spliced
-    /// devices runs minimum degree on its own structure: the package order
-    /// with the cold/hot pairs substituted in fills the full-cover factor
-    /// 1.4× (12×12) to 2.8× (64×64) more.
+    /// A passive network's pattern is the package's: kept in the
+    /// [`PackageConfig`] beside the package order, analysed by the first
+    /// passive model to need it (on the package order if a network with
+    /// devices filled that first, else by its own minimum-degree search,
+    /// which fills the order too) and pointer-equal across every passive
+    /// model built from clones of that configuration, whatever their
+    /// power maps. A network with spliced devices runs minimum degree on
+    /// its own structure: the package order with the cold/hot pairs
+    /// substituted in fills the full-cover factor 1.4× (12×12) to 2.8×
+    /// (64×64) more.
     ///
     /// # Errors
     ///
@@ -435,21 +440,23 @@ impl CompactModel {
         if let Some(p) = self.pattern.get() {
             return Ok(p);
         }
-        let slot = self.config.passive_order();
-        let analysed = match slot.get() {
-            Some(order) if self.is_passive() => {
-                CholeskyPattern::analyse_csr_ordered(&self.g, order)?
-            }
-            _ => {
-                let analysed = CholeskyPattern::analyse_csr(&self.g)?;
-                if self.is_passive() {
-                    slot.fill(analysed.permutation().to_vec());
+        let pattern = if self.is_passive() {
+            let slot = self.config.passive();
+            match slot.pattern() {
+                Some(p) => Arc::clone(p),
+                None => {
+                    let analysed = match slot.order() {
+                        Some(order) => CholeskyPattern::analyse_csr_ordered(&self.g, order)?,
+                        None => CholeskyPattern::analyse_csr(&self.g)?,
+                    };
+                    Arc::clone(slot.fill_pattern(analysed))
                 }
-                analysed
             }
+        } else {
+            Arc::new(CholeskyPattern::analyse_csr(&self.g)?)
         };
-        // A racing first call may have won; either analysis is the same.
-        Ok(self.pattern.get_or_init(|| Arc::new(analysed)))
+        // A racing first call may have won; either holds the same analysis.
+        Ok(self.pattern.get_or_init(|| pattern))
     }
 
     /// The minimum-degree elimination order of the package's passive
@@ -458,15 +465,15 @@ impl CompactModel {
     /// [`PackageConfig`]: pointer-equal across them. A passive model fills
     /// it from its own analysis; a model with devices that finds it missing
     /// orders the passive network's structure, derived from its own
-    /// without an assembly.
+    /// without an assembly, and leaves the pattern to a passive model.
     ///
     /// # Errors
     ///
     /// [`ThermalError::Linalg`] if the analysis fails (it cannot: the
     /// structure is square).
     pub fn package_order(&self) -> Result<&Arc<[usize]>, ThermalError> {
-        let slot = self.config.passive_order();
-        if let Some(order) = slot.get() {
+        let slot = self.config.passive();
+        if let Some(order) = slot.order() {
             return Ok(order);
         }
         let order = if self.is_passive() {
@@ -474,7 +481,7 @@ impl CompactModel {
         } else {
             CholeskyPattern::minimum_degree_order(&self.passive_structure()?)?
         };
-        Ok(slot.fill(order))
+        Ok(slot.fill_order(order))
     }
 
     /// The structure of the passive network's `G` (placeholder values):

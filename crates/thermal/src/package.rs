@@ -2,6 +2,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::{Material, ThermalError, TileGrid};
+use tecopt_linalg::CholeskyPattern;
 use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 
 /// Full geometric and material description of the chip package.
@@ -15,11 +16,12 @@ use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 /// the paper's experiments were run against, or [`PackageConfig::builder`]
 /// for full control.
 ///
-/// A configuration also carries the minimum-degree elimination order of
-/// its passive network, filled by the first [`crate::CompactModel`] that
-/// needs it and shared by every clone (see
-/// [`crate::CompactModel::package_order`]). It is a cache of a function of
-/// the other fields: equality and [`PackageConfig::digest`] ignore it.
+/// A configuration also carries the symbolic analysis of its passive
+/// network: the minimum-degree elimination order and the Cholesky pattern
+/// on it, filled by the first [`crate::CompactModel`] that needs them and
+/// shared by every clone (see [`crate::CompactModel::package_order`] and
+/// [`crate::CompactModel::cholesky_pattern`]). It is a cache of a function
+/// of the other fields: equality and [`PackageConfig::digest`] ignore it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackageConfig {
     grid: TileGrid,
@@ -37,41 +39,64 @@ pub struct PackageConfig {
     sink_cells: usize,
     convection_resistance: KelvinPerWatt,
     ambient: Celsius,
-    passive_order: OrderSlot,
+    passive: PassiveSlot,
 }
 
-/// The lazily filled passive-network order of a [`PackageConfig`], one
-/// slot per built configuration and shared by its clones.
+/// The lazily filled analysis of a [`PackageConfig`]'s passive network,
+/// one slot per built configuration and shared by its clones. The order
+/// can be filled alone (a network with devices orders the passive
+/// structure without analysing it); the pattern is filled only by a
+/// passive network, and fills the order from its own if that is empty.
+/// Racing first fills hold the same deterministic analysis, so whichever
+/// wins is kept.
 #[derive(Clone, Default)]
-pub(crate) struct OrderSlot(Arc<OnceLock<Arc<[usize]>>>);
+pub(crate) struct PassiveSlot(Arc<PassiveAnalysis>);
 
-impl OrderSlot {
-    pub(crate) fn get(&self) -> Option<&Arc<[usize]>> {
-        self.0.get()
+#[derive(Default)]
+struct PassiveAnalysis {
+    order: OnceLock<Arc<[usize]>>,
+    pattern: OnceLock<Arc<CholeskyPattern>>,
+}
+
+impl PassiveSlot {
+    pub(crate) fn order(&self) -> Option<&Arc<[usize]>> {
+        self.0.order.get()
     }
 
-    /// Fills the slot unless a racing first fill won (both hold the same
-    /// deterministic order) and returns what it holds.
-    pub(crate) fn fill(&self, order: Vec<usize>) -> &Arc<[usize]> {
-        self.0.get_or_init(|| order.into())
+    pub(crate) fn pattern(&self) -> Option<&Arc<CholeskyPattern>> {
+        self.0.pattern.get()
+    }
+
+    /// Fills the order and returns what the slot holds.
+    pub(crate) fn fill_order(&self, order: Vec<usize>) -> &Arc<[usize]> {
+        self.0.order.get_or_init(|| order.into())
+    }
+
+    /// Fills the pattern, and the order from its permutation, and returns
+    /// the pattern the slot holds.
+    pub(crate) fn fill_pattern(&self, pattern: CholeskyPattern) -> &Arc<CholeskyPattern> {
+        let pattern = self.0.pattern.get_or_init(|| Arc::new(pattern));
+        self.0.order.get_or_init(|| pattern.permutation().into());
+        pattern
     }
 }
 
 /// The slot is a cache, not part of the package's identity.
-impl PartialEq for OrderSlot {
-    fn eq(&self, _: &OrderSlot) -> bool {
+impl PartialEq for PassiveSlot {
+    fn eq(&self, _: &PassiveSlot) -> bool {
         true
     }
 }
 
-impl fmt::Debug for OrderSlot {
+impl fmt::Debug for PassiveSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = if self.get().is_some() {
-            "filled"
-        } else {
-            "empty"
-        };
-        write!(f, "OrderSlot({state})")
+        let state = |filled: bool| if filled { "filled" } else { "empty" };
+        write!(
+            f,
+            "PassiveSlot(order: {}, pattern: {})",
+            state(self.order().is_some()),
+            state(self.pattern().is_some())
+        )
     }
 }
 
@@ -189,9 +214,9 @@ impl PackageConfig {
         self.ambient
     }
 
-    /// The slot holding the passive network's elimination order.
-    pub(crate) fn passive_order(&self) -> &OrderSlot {
-        &self.passive_order
+    /// The slot holding the passive network's order and pattern.
+    pub(crate) fn passive(&self) -> &PassiveSlot {
+        &self.passive
     }
 
     /// A canonical text of every physical field: the grid, each layer's
@@ -383,7 +408,7 @@ impl PackageConfigBuilder {
             sink_cells: self.sink_cells,
             convection_resistance: self.convection_resistance,
             ambient: self.ambient,
-            passive_order: OrderSlot::default(),
+            passive: PassiveSlot::default(),
         })
     }
 }

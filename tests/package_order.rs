@@ -1,17 +1,20 @@
-//! One minimum-degree ordering per package.
+//! One passive-network analysis per package.
 //!
-//! The passive network's elimination order is computed once and kept in
-//! the `PackageConfig`: every system built from clones of one
-//! configuration, and every `with_tiles` result of those, reads the same
-//! order. Passive networks are analysed on it, and each placement's
-//! Peltier-free block on its restriction; a network with spliced devices
-//! keeps a minimum-degree analysis of its own structure.
+//! The passive network's elimination order and its Cholesky pattern are
+//! computed once and kept in the `PackageConfig`: every system built from
+//! clones of one configuration, and every `with_tiles` result of those,
+//! reads the same order, and every passive one shares the same pattern
+//! whatever its power map. Only a passive network fills the pattern; a
+//! network with spliced devices that finds the order missing fills the
+//! order alone. Each placement's Peltier-free block is analysed on the
+//! order's restriction; a network with spliced devices keeps a
+//! minimum-degree analysis of its own structure.
 
 use std::sync::Arc;
 
 use tecopt::{CoolingSystem, PackageConfig, TecParams, TileIndex};
 use tecopt_linalg::CholeskyPattern;
-use tecopt_power::WorkloadModel;
+use tecopt_power::{HypotheticalChip, WorkloadModel};
 use tecopt_units::{Amperes, Watts};
 
 fn alpha(config: &PackageConfig, tiles: &[TileIndex]) -> CoolingSystem {
@@ -57,6 +60,61 @@ fn clones_of_one_package_and_their_placements_share_one_order() {
     let other = order_of(&alpha(&rebuilt, &[]));
     assert!(!Arc::ptr_eq(&other, &first));
     assert_eq!(other, first);
+}
+
+fn pattern_of(system: &CoolingSystem) -> Arc<CholeskyPattern> {
+    Arc::clone(system.stamped().model().cholesky_pattern().unwrap())
+}
+
+#[test]
+fn every_passive_system_of_one_package_shares_one_pattern() {
+    let config = PackageConfig::hotspot41_like(12, 12).unwrap();
+    let alpha_chip = alpha(&config, &[]);
+    let first = pattern_of(&alpha_chip);
+    let hc01 = &HypotheticalChip::standard_suite()[0];
+    let other_chip = CoolingSystem::new(
+        &config.clone(),
+        TecParams::superlattice_thin_film(),
+        &[],
+        hc01.tile_powers(),
+    )
+    .unwrap();
+    let placed = alpha(&config, &[TileIndex::new(5, 5), TileIndex::new(6, 6)]);
+    for system in [
+        other_chip,
+        placed.with_tiles(&[]).unwrap(),
+        alpha_chip.clone(),
+    ] {
+        assert!(Arc::ptr_eq(&pattern_of(&system), &first));
+    }
+    // The shared pattern is the minimum-degree analysis of the network.
+    let own = CholeskyPattern::analyse_csr(alpha_chip.stamped().model().g_matrix()).unwrap();
+    assert_eq!(format!("{own:?}"), format!("{first:?}"));
+
+    // A separately built package analyses its own, equal field by field.
+    let rebuilt = PackageConfig::hotspot41_like(12, 12).unwrap();
+    let other = pattern_of(&alpha(&rebuilt, &[]));
+    assert!(!Arc::ptr_eq(&other, &first));
+    assert_eq!(format!("{other:?}"), format!("{first:?}"));
+}
+
+#[test]
+fn a_device_network_fills_only_the_order_and_a_later_passive_pattern_is_minimum_degree() {
+    let config = PackageConfig::hotspot41_like(12, 12).unwrap();
+    let placed = alpha(&config, &[TileIndex::new(5, 5)]);
+    placed.solve(Amperes(1.0)).unwrap();
+    let slot = format!("{config:?}");
+    assert!(
+        slot.contains("PassiveSlot(order: filled, pattern: empty)"),
+        "{slot}"
+    );
+    let passive = pattern_of(&placed.with_tiles(&[]).unwrap());
+    assert!(format!("{config:?}").contains("PassiveSlot(order: filled, pattern: filled)"));
+
+    let fresh = PackageConfig::hotspot41_like(12, 12).unwrap();
+    let model = tecopt_thermal::CompactModel::new(&fresh).unwrap();
+    let own = CholeskyPattern::analyse_csr(model.g_matrix()).unwrap();
+    assert_eq!(format!("{passive:?}"), format!("{own:?}"));
 }
 
 #[test]
