@@ -8,7 +8,8 @@
 //! placement's `G_AA` on the package order against minimum degree, and at
 //! the same sizes the
 //! sparse path from assembly to factor (placement build, grounding check,
-//! CSR stamping, workspace build, CSR factor) against its dense oracles, and the per-current cost of the two
+//! CSR stamping, workspace build, CSR factor) against its dense oracles,
+//! the passive start of a greedy deployment, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
 //! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, and
 //! one 4-device Alpha explorer candidate end to end on the placement
@@ -289,9 +290,12 @@ fn peltier_free_block(system: &CoolingSystem) -> (CsrMatrix, Vec<usize>) {
 /// workspace build (a CSR copy of `G`), and the CSR factor on the
 /// network's pattern against the dense `factor_with` on the same pattern
 /// (which converts and checks `n²` entries). The dense oracles are left
-/// out at 64×64, where one `n×n` matrix is ≈ 650 MB. Last,
+/// out at 64×64, where one `n×n` matrix is ≈ 650 MB. Then
 /// `placement_build` of the Alpha chip's four hottest passive tiles, the
-/// placement of [`bench_explore_candidate`].
+/// placement of [`bench_explore_candidate`]. Last, `passive_start`: the
+/// passive system of a solved 12×12 passive base built and solved at
+/// `i = 0`, as every `greedy_deploy` call starts, at the
+/// [`bench_sparse_cholesky`] group's settings.
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     group.sample_size(3);
@@ -339,6 +343,19 @@ fn bench_assembly(c: &mut Criterion) {
     let (alpha, tiles) = alpha_hottest_four();
     group.bench_function(BenchmarkId::new("placement_build", "alpha_4dev"), |b| {
         b.iter(|| alpha.with_tiles(&tiles).expect("placement"))
+    });
+    // Tens of microseconds: 3 samples over 200 ms cannot resolve it.
+    group.sample_size(30);
+    group.measurement_time(Duration::from_secs(3));
+    let base = paper_grid_system(12, 12).with_tiles(&[]).expect("passive");
+    base.solve(Amperes(0.0)).expect("passive solve");
+    group.bench_function(BenchmarkId::new("placement_build", "passive_start"), |b| {
+        b.iter(|| {
+            base.with_tiles(&[])
+                .expect("passive")
+                .solve(Amperes(0.0))
+                .expect("solve")
+        })
     });
     group.finish();
 }

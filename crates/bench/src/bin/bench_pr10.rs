@@ -56,8 +56,9 @@ const SPIN_ITERS: u64 = 60_000;
 /// reported as `clean` and `killed`; the fastest of each is reported.
 const REPS: usize = 2;
 /// Interleaved clean / killed-and-resumed sweep pairs behind the resume
-/// overhead's median.
-const PAIRS: usize = 5;
+/// overhead's median. The median of 5 read 1.026, 1.005 and 1.008 in three
+/// runs of one build: five pairs let noise alone cross the 2% gate.
+const PAIRS: usize = 9;
 const MAX_RESUME_OVERHEAD: f64 = 1.02;
 /// The acceptance target: 8x parallel speedup, binding at >= 8 workers.
 const SPEEDUP_TARGET: f64 = 8.0;

@@ -671,10 +671,20 @@ impl CoolingSystem {
     /// greedy-deployment iteration escaped the override — and leading-block
     /// cache).
     ///
+    /// The same tile list (equal slices, order included) is a clone: no
+    /// assembly, no validation and no factor, the placement factor shared
+    /// with `self` (the clone's solver cache starts cold). Any other list
+    /// builds a new placement; an empty one yields the passive system,
+    /// whose factor is the package's
+    /// ([`tecopt_thermal::CompactModel::passive_factor_slot`]).
+    ///
     /// # Errors
     ///
     /// Same contract as [`CoolingSystem::new`].
     pub fn with_tiles(&self, tec_tiles: &[TileIndex]) -> Result<CoolingSystem, OptError> {
+        if tec_tiles == self.tec_tiles() {
+            return Ok(self.clone());
+        }
         let mut system = CoolingSystem::new(
             self.stamped.model().config(),
             self.stamped.params().clone(),
@@ -693,7 +703,11 @@ impl CoolingSystem {
     /// [`CoolingSystem::with_tiles`] derives from it: placements that
     /// share `G_AA` and `G_AB` (another film thickness over the same
     /// tiles, a passive network under other device parameters) factor
-    /// `G_AA` once between them. Results are bit-identical with or
+    /// `G_AA` once between them. A cache other than the attached one
+    /// gives the system a fresh placement slot
+    /// ([`StampedSystem::set_leading_cache`]), so a factor built before
+    /// (the package's passive factor among them) is not carried over: the
+    /// next one goes through `cache`. Results are bit-identical with or
     /// without the cache.
     pub fn with_leading_cache(mut self, cache: Arc<LeadingBlockCache>) -> CoolingSystem {
         self.stamped.set_leading_cache(Some(cache));
@@ -1277,6 +1291,71 @@ mod tests {
         one.with_tiles(&[]).unwrap().solve(Amperes(0.0)).unwrap();
         assert_eq!((cache.built(), cache.reused()), (2, 1));
         assert!(system(&[]).stamped().leading_cache().is_none());
+    }
+
+    fn bits(state: &SolvedState) -> Vec<u64> {
+        state
+            .node_temperatures()
+            .iter()
+            .map(|t| t.value().to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn with_tiles_of_the_same_list_is_a_clone() {
+        let tiles = [TileIndex::new(1, 1), TileIndex::new(2, 3)];
+        let s = system(&tiles);
+        let solved = s.solve(Amperes(1.0)).unwrap();
+        let same = s.with_tiles(&tiles).unwrap();
+        // The factor built for `s` is already there: nothing to build.
+        assert!(same.stamped().placement_plan().is_some());
+        assert!(Arc::ptr_eq(
+            same.stamped().placement_factor().unwrap(),
+            s.stamped().placement_factor().unwrap()
+        ));
+        assert_eq!(bits(&same.solve(Amperes(1.0)).unwrap()), bits(&solved));
+        // Another order of the same tiles is another placement.
+        let permuted = s.with_tiles(&[tiles[1], tiles[0]]).unwrap();
+        assert_eq!(permuted.tec_tiles(), [tiles[1], tiles[0]]);
+        assert!(permuted.stamped().placement_plan().is_none());
+        assert!(!Arc::ptr_eq(
+            permuted.stamped().placement_factor().unwrap(),
+            s.stamped().placement_factor().unwrap()
+        ));
+    }
+
+    #[test]
+    fn attaching_another_cache_builds_the_next_factor_through_it() {
+        // The passive factor is built without a cache first, as a greedy
+        // start does before an explorer attaches its cache.
+        let passive = system(&[]);
+        let uncached = passive.solve(Amperes(0.0)).unwrap();
+        let cache = Arc::new(LeadingBlockCache::new());
+        let cached = passive
+            .with_tiles(&[])
+            .unwrap()
+            .with_leading_cache(Arc::clone(&cache));
+        assert!(cached.stamped().placement_plan().is_none());
+        assert_eq!(bits(&cached.solve(Amperes(0.0)).unwrap()), bits(&uncached));
+        assert_eq!((cache.built(), cache.reused()), (1, 0));
+        // Re-attaching the same cache keeps the factor it built.
+        let again = cached.clone().with_leading_cache(Arc::clone(&cache));
+        assert!(Arc::ptr_eq(
+            again.stamped().placement_factor().unwrap(),
+            cached.stamped().placement_factor().unwrap()
+        ));
+        assert_eq!((cache.built(), cache.reused()), (1, 0));
+        // Another cache builds again, through itself.
+        let other = Arc::new(LeadingBlockCache::new());
+        let moved = again.with_leading_cache(Arc::clone(&other));
+        assert_eq!(bits(&moved.solve(Amperes(0.0)).unwrap()), bits(&uncached));
+        assert_eq!((other.built(), cache.built()), (1, 1));
+        // The uncached systems keep theirs.
+        assert!(passive.stamped().placement_plan().is_some());
+        assert!(!Arc::ptr_eq(
+            passive.stamped().placement_factor().unwrap(),
+            cached.stamped().placement_factor().unwrap()
+        ));
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub struct StampedSystem {
     junctions: Vec<(usize, usize)>,
     /// The placement's factorization of `G − i·D`, built on first use.
     /// The slot itself is shared, so a clone made before the build still
-    /// sees it.
+    /// sees it; a passive system shares its package's slot
+    /// ([`CompactModel::passive_factor_slot`]).
     placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
     /// Where [`StampedSystem::placement_factor`] looks for, and stores,
     /// its leading block, if anywhere.
@@ -66,7 +67,9 @@ impl StampedSystem {
     /// Builds the package model with TEC devices on the given tiles.
     ///
     /// An empty `tiles` slice yields the passive system (`D = 0`), which the
-    /// deployment algorithm uses as its starting point.
+    /// deployment algorithm uses as its starting point. Every passive
+    /// system of one built [`PackageConfig`] shares one placement factor,
+    /// kept in the package ([`CompactModel::passive_factor_slot`]).
     ///
     /// # Errors
     ///
@@ -101,6 +104,7 @@ impl StampedSystem {
             joule_nodes.push(hot);
             junctions.push((cold, hot));
         }
+        let placement = model.passive_factor_slot().cloned().unwrap_or_default();
         Ok(StampedSystem {
             model,
             params,
@@ -108,14 +112,15 @@ impl StampedSystem {
             d_diagonal,
             joule_nodes,
             junctions,
-            placement: Arc::new(OnceLock::new()),
+            placement,
             leading: None,
         })
     }
 
     /// The placement's factorization of the family `G − i·D`
     /// ([`ShiftedCholesky`]), with the junction nodes as the support of
-    /// `D`: built on the first call and shared by every clone. The runaway
+    /// `D`: built on the first call and shared by every clone (and, for a
+    /// passive system, by every passive system of the package). The runaway
     /// search and every steady solve of the default backend factor through
     /// it, so `G_AA` (the Peltier-free block) is factored once per
     /// placement, and analysed on the package's passive order
@@ -159,9 +164,16 @@ impl StampedSystem {
     }
 
     /// Attaches (or, with `None`, detaches) the cache that
-    /// [`StampedSystem::placement_factor`] builds through. A factor
-    /// already built is kept: it is the same with or without the cache.
+    /// [`StampedSystem::placement_factor`] builds through. A cache other
+    /// than the one attached (not pointer-equal) gives this system a fresh
+    /// placement slot, so its next factor is built through, and stored in,
+    /// that cache; clones made before keep the old slot. Re-attaching the
+    /// same cache keeps the slot and any factor in it. The factor is the
+    /// same bit for bit either way.
     pub fn set_leading_cache(&mut self, cache: Option<Arc<LeadingBlockCache>>) {
+        if self.leading.as_ref().map(Arc::as_ptr) != cache.as_ref().map(Arc::as_ptr) {
+            self.placement = Arc::default();
+        }
         self.leading = cache;
     }
 

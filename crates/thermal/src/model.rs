@@ -2,7 +2,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::geometry::LayerGrid;
 use crate::{NodeId, NodeKind, PackageConfig, ThermalError, ThermalNetwork, TileIndex};
-use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix, Triplet};
+use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix, ShiftedCholesky, Triplet};
 use tecopt_units::{Celsius, Kelvin, Watts, WattsPerKelvin};
 
 /// Conductances of a two-port element spliced into the TIM layer in place of
@@ -482,6 +482,18 @@ impl CompactModel {
             CholeskyPattern::minimum_degree_order(&self.passive_structure()?)?
         };
         Ok(slot.fill_order(order))
+    }
+
+    /// The package's slot for the placement factor of its passive network
+    /// (the [`ShiftedCholesky`] of `G` with an empty support), if this
+    /// model is passive: one slot per built [`PackageConfig`], shared by
+    /// every passive model of its clones, so every passive system of one
+    /// package factors `G` once. A passive `G` depends on the package
+    /// fields alone, so whichever passive system fills it first fills it
+    /// for all. `None` for a model with spliced devices, whose factor is
+    /// its own.
+    pub fn passive_factor_slot(&self) -> Option<&Arc<OnceLock<Arc<ShiftedCholesky>>>> {
+        self.is_passive().then(|| self.config.passive().placement())
     }
 
     /// The structure of the passive network's `G` (placeholder values):

@@ -2,7 +2,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::{Material, ThermalError, TileGrid};
-use tecopt_linalg::CholeskyPattern;
+use tecopt_linalg::{CholeskyPattern, ShiftedCholesky};
 use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 
 /// Full geometric and material description of the chip package.
@@ -16,12 +16,16 @@ use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 /// the paper's experiments were run against, or [`PackageConfig::builder`]
 /// for full control.
 ///
-/// A configuration also carries the symbolic analysis of its passive
-/// network: the minimum-degree elimination order and the Cholesky pattern
-/// on it, filled by the first [`crate::CompactModel`] that needs them and
-/// shared by every clone (see [`crate::CompactModel::package_order`] and
-/// [`crate::CompactModel::cholesky_pattern`]). It is a cache of a function
-/// of the other fields: equality and [`PackageConfig::digest`] ignore it.
+/// A configuration also carries the analysis and the factor of its passive
+/// network: the minimum-degree elimination order, the Cholesky pattern on
+/// it and the slot of the passive placement factor, each filled by the
+/// first [`crate::CompactModel`] or system that needs it and shared by
+/// every clone (see [`crate::CompactModel::package_order`],
+/// [`crate::CompactModel::cholesky_pattern`] and
+/// [`crate::CompactModel::passive_factor_slot`]). It is a cache of a
+/// function of the other fields, which are fixed once built: equality and
+/// [`PackageConfig::digest`] ignore it, and [`PackageConfigBuilder::build`]
+/// always starts an empty one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackageConfig {
     grid: TileGrid,
@@ -42,13 +46,14 @@ pub struct PackageConfig {
     passive: PassiveSlot,
 }
 
-/// The lazily filled analysis of a [`PackageConfig`]'s passive network,
-/// one slot per built configuration and shared by its clones. The order
-/// can be filled alone (a network with devices orders the passive
+/// The lazily filled analysis and factor of a [`PackageConfig`]'s passive
+/// network, one slot per built configuration and shared by its clones. The
+/// order can be filled alone (a network with devices orders the passive
 /// structure without analysing it); the pattern is filled only by a
 /// passive network, and fills the order from its own if that is empty.
-/// Racing first fills hold the same deterministic analysis, so whichever
-/// wins is kept.
+/// The placement factor is filled by the first passive system that
+/// factors `G` without a leading-block cache of its own. Racing first
+/// fills hold the same deterministic result, so whichever wins is kept.
 #[derive(Clone, Default)]
 pub(crate) struct PassiveSlot(Arc<PassiveAnalysis>);
 
@@ -56,6 +61,7 @@ pub(crate) struct PassiveSlot(Arc<PassiveAnalysis>);
 struct PassiveAnalysis {
     order: OnceLock<Arc<[usize]>>,
     pattern: OnceLock<Arc<CholeskyPattern>>,
+    placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
 }
 
 impl PassiveSlot {
@@ -78,6 +84,11 @@ impl PassiveSlot {
         let pattern = self.0.pattern.get_or_init(|| Arc::new(pattern));
         self.0.order.get_or_init(|| pattern.permutation().into());
         pattern
+    }
+
+    /// The slot of the passive network's placement factor.
+    pub(crate) fn placement(&self) -> &Arc<OnceLock<Arc<ShiftedCholesky>>> {
+        &self.0.placement
     }
 }
 
@@ -214,7 +225,8 @@ impl PackageConfig {
         self.ambient
     }
 
-    /// The slot holding the passive network's order and pattern.
+    /// The slot holding the passive network's order, pattern and
+    /// placement factor.
     pub(crate) fn passive(&self) -> &PassiveSlot {
         &self.passive
     }

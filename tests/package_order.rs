@@ -1,10 +1,10 @@
-//! One passive-network analysis per package.
+//! One passive system per package.
 //!
-//! The passive network's elimination order and its Cholesky pattern are
-//! computed once and kept in the `PackageConfig`: every system built from
-//! clones of one configuration, and every `with_tiles` result of those,
-//! reads the same order, and every passive one shares the same pattern
-//! whatever its power map. Only a passive network fills the pattern; a
+//! The passive network's elimination order, its Cholesky pattern and its
+//! placement factor are computed once and kept in the `PackageConfig`:
+//! every system built from clones of one configuration, and every
+//! `with_tiles` result of those, reads the same order, and every passive
+//! one shares the same pattern and factor whatever its power map. Only a passive network fills the pattern; a
 //! network with spliced devices that finds the order missing fills the
 //! order alone. Each placement's Peltier-free block is analysed on the
 //! order's restriction; a network with spliced devices keeps a
@@ -12,10 +12,13 @@
 
 use std::sync::Arc;
 
-use tecopt::{CoolingSystem, PackageConfig, TecParams, TileIndex};
-use tecopt_linalg::CholeskyPattern;
+use tecopt::{
+    evaluate_deployments, full_cover, greedy_deploy, CoolingSystem, CurrentSettings,
+    DeploySettings, PackageConfig, TecParams, TileIndex,
+};
+use tecopt_linalg::{CholeskyPattern, ShiftedCholesky};
 use tecopt_power::{HypotheticalChip, WorkloadModel};
-use tecopt_units::{Amperes, Watts};
+use tecopt_units::{Amperes, Celsius, Watts};
 
 fn alpha(config: &PackageConfig, tiles: &[TileIndex]) -> CoolingSystem {
     let powers: Vec<Watts> = WorkloadModel::alpha_spec2000_like()
@@ -96,6 +99,81 @@ fn every_passive_system_of_one_package_shares_one_pattern() {
     let other = pattern_of(&alpha(&rebuilt, &[]));
     assert!(!Arc::ptr_eq(&other, &first));
     assert_eq!(format!("{other:?}"), format!("{first:?}"));
+}
+
+fn factor_of(system: &CoolingSystem) -> Arc<ShiftedCholesky> {
+    Arc::clone(system.stamped().placement_factor().unwrap())
+}
+
+fn hc01(config: &PackageConfig, tiles: &[TileIndex]) -> CoolingSystem {
+    let powers = HypotheticalChip::standard_suite()[0].tile_powers();
+    CoolingSystem::new(config, TecParams::superlattice_thin_film(), tiles, powers).unwrap()
+}
+
+fn temperature_bits(system: &CoolingSystem) -> Vec<u64> {
+    let state = system.solve(Amperes(0.0)).unwrap();
+    state
+        .node_temperatures()
+        .iter()
+        .map(|t| t.value().to_bits())
+        .collect()
+}
+
+#[test]
+fn every_passive_system_of_one_package_shares_one_placement_factor() {
+    let config = PackageConfig::hotspot41_like(12, 12).unwrap();
+    // Another chip on the package factors the passive network first.
+    let first = factor_of(&hc01(&config.clone(), &[]));
+    let alpha_chip = alpha(&config, &[]);
+    let placed = alpha(&config, &[TileIndex::new(5, 5)]);
+    for system in [
+        alpha_chip.clone(),
+        alpha_chip.with_tiles(&[]).unwrap(),
+        placed.with_tiles(&[]).unwrap(),
+        alpha(&config.clone().clone(), &[]),
+    ] {
+        assert!(system.stamped().placement_plan().is_some());
+        assert!(Arc::ptr_eq(&factor_of(&system), &first));
+    }
+    assert!(!Arc::ptr_eq(&factor_of(&placed), &first));
+
+    // A separately built package factors its own, and a solve on the
+    // shared factor is bit-identical to one on it.
+    let rebuilt = alpha(&PackageConfig::hotspot41_like(12, 12).unwrap(), &[]);
+    assert!(rebuilt.stamped().placement_plan().is_none());
+    assert!(!Arc::ptr_eq(&factor_of(&rebuilt), &first));
+    assert_eq!(temperature_bits(&alpha_chip), temperature_bits(&rebuilt));
+}
+
+#[test]
+fn every_baseline_peak_is_the_peak_of_a_freshly_built_passive_system() {
+    let config = PackageConfig::hotspot41_like(12, 12).unwrap();
+    // The package's passive factor comes from another chip.
+    hc01(&config, &[]).solve(Amperes(0.0)).unwrap();
+    let fresh = CoolingSystem::without_devices(
+        &PackageConfig::hotspot41_like(12, 12).unwrap(),
+        TecParams::superlattice_thin_film(),
+        alpha(&config, &[]).tile_powers().to_vec(),
+    )
+    .unwrap();
+    let expected = fresh.solve(Amperes(0.0)).unwrap().peak().value().to_bits();
+    let limit = DeploySettings::with_limit(Celsius(90.0));
+    let current = CurrentSettings::default();
+    // A passive base and a base with devices of their own.
+    for base in [alpha(&config, &[]), alpha(&config, &[TileIndex::new(0, 0)])] {
+        let peaks = [
+            greedy_deploy(&base, limit)
+                .unwrap()
+                .deployment()
+                .baseline_peak(),
+            full_cover(&base, current).unwrap().baseline_peak(),
+            evaluate_deployments(&base, &[vec![TileIndex::new(5, 5)]], current).unwrap()[0]
+                .baseline_peak(),
+        ];
+        for peak in peaks {
+            assert_eq!(peak.value().to_bits(), expected);
+        }
+    }
 }
 
 #[test]
