@@ -8,7 +8,7 @@
 //! placement's `G_AA` on the package order against minimum degree, and at
 //! the same sizes the
 //! sparse path from assembly to factor (placement build, grounding check,
-//! CSR stamping, workspace build, CSR factor) against its dense oracles,
+//! CSR stamping, CSR factor) against its dense oracles,
 //! the passive start of a greedy deployment, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
 //! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, and
@@ -286,9 +286,8 @@ fn peltier_free_block(system: &CoolingSystem) -> (CsrMatrix, Vec<usize>) {
 /// [`sweep_systems`]: the whole set-up of a 4-device placement
 /// (`placement_build`: `CoolingSystem::with_tiles`, i.e. the network, its
 /// grounding check and its assembly), the grounding check on its own, CSR
-/// assembly of `G` against the dense-stamped `assemble_dense`, the solver
-/// workspace build (a CSR copy of `G`), and the CSR factor on the
-/// network's pattern against the dense `factor_with` on the same pattern
+/// assembly of `G` against the dense-stamped `assemble_dense`, and the CSR
+/// factor on the network's pattern against the dense `factor_with` on the same pattern
 /// (which converts and checks `n²` entries). The dense oracles are left
 /// out at 64×64, where one `n×n` matrix is ≈ 650 MB. Then
 /// `placement_build` of the Alpha chip's four hottest passive tiles, the
@@ -315,13 +314,6 @@ fn bench_assembly(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("csr_assemble", &label), &n, |b, _| {
             b.iter(|| network.assemble())
-        });
-        group.bench_with_input(BenchmarkId::new("workspace_build", &label), &n, |b, _| {
-            b.iter(|| {
-                stamped
-                    .solve_workspace(system.tile_powers())
-                    .expect("workspace")
-            })
         });
         let a = stamped
             .sparse_system_matrix(Amperes(1.0))

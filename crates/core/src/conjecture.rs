@@ -9,7 +9,7 @@
 
 use crate::OptError;
 use tecopt_linalg::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
-use tecopt_linalg::{Cholesky, DenseMatrix};
+use tecopt_linalg::{Cholesky, DenseCholesky, DenseMatrix};
 
 /// Result of checking one matrix against Conjecture 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ pub fn check_conjecture1(
             }
         }
         let sym = m.symmetric_part();
-        Ok(Cholesky::is_positive_definite(&sym))
+        Ok(DenseCholesky::is_positive_definite(&sym))
     };
     match pairs {
         Some(list) => {

@@ -1,6 +1,6 @@
 use crate::OptError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tecopt_device::{SolveWorkspace, StampedSystem, TecParams};
+use tecopt_device::{StampedSystem, TecParams};
 use tecopt_linalg::{
     CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingBlockCache,
     LeadingSolve, LinalgError, ResolvedBackend, SolveMethod, SolverBackend, UpdatableFactor,
@@ -43,8 +43,8 @@ pub struct CoolingSystem {
     tile_powers: Vec<Watts>,
     backend: SolverBackend,
     /// Lazily built solver state shared by [`CoolingSystem::solve`] /
-    /// [`CoolingSystem::solve_rhs`] callers: the `(G, p)` pair is assembled
-    /// once and retargeted in place per probe. Guarded by a mutex so `&self`
+    /// [`CoolingSystem::solve_rhs`] callers: `p(i)` is assembled once and
+    /// retargeted in place per probe. Guarded by a mutex so `&self`
     /// solves stay thread-safe; parallel sweeps avoid the lock entirely by
     /// carrying a private [`SteadySolver`] per worker.
     cache: Mutex<SolverCache>,
@@ -53,7 +53,7 @@ pub struct CoolingSystem {
 impl Clone for CoolingSystem {
     fn clone(&self) -> CoolingSystem {
         // The cache is derived state: a clone starts cold and rebuilds its
-        // workspace on first solve.
+        // solver core on first solve.
         CoolingSystem {
             stamped: self.stamped.clone(),
             tile_powers: self.tile_powers.clone(),
@@ -91,8 +91,8 @@ pub enum FactorStrategy {
     /// [`SteadySolver::with_strategy`]: results agree with
     /// [`FactorStrategy::Refactor`] to ~1e-12 relative, not bit for bit.
     /// It applies on the default sparse Cholesky backend. On the CG backend
-    /// it is a no-op — CG takes the workspace's CSR matrix as it is, with
-    /// no factorization to update — and the dense oracle backend always
+    /// it is a no-op — CG takes the CSR matrix `G − i·D` as it is, with no
+    /// factorization to update — and the dense oracle backend always
     /// refactors.
     RankKUpdate,
 }
@@ -111,14 +111,14 @@ const UPDATE_CONDITION_LIMIT: f64 = 1.0e12;
 /// Cholesky factor vs an SMW-updated one, which agree only to rounding),
 /// and the PR-2 cache-poisoning regression showed how a stale hit turns
 /// into silently wrong temperatures. The key therefore pairs the exact
-/// current bits with a representation fingerprint: the workspace's
-/// structural fingerprint for plain factorizations, with an extra marker
-/// folded in for rank-k-updated ones, so the two representations can never
-/// share a slot.
+/// current bits with the strategy that produced the factor, so the two
+/// representations can never share a slot. A core serves one placement
+/// and one power profile (changing either builds a new core), so nothing
+/// else can tell two of its factors apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheKey {
     current_bits: u64,
-    fingerprint: u64,
+    strategy: FactorStrategy,
 }
 
 /// One steady-state solve, before the user-facing state is derived.
@@ -130,21 +130,22 @@ struct RawSolve {
 }
 
 /// The reusable solver state behind both the shared cache and
-/// [`SteadySolver`]: a [`SolveWorkspace`] (CSR `G − i·D` and `p(i)`
-/// retargeted in place), the resolved backend, and the last factorization
-/// keyed by its current so repeated solves at one operating point (e.g. the
-/// two extra right-hand sides of a gradient evaluation) factor only once.
-/// Default-backend factors come from the placement's
-/// [`StampedSystem::placement_factor`], which every core of the placement
-/// shares, so a fresh core never re-analyses or refactors `G_AA`.
+/// [`SteadySolver`]: `p(i)` retargeted in place from `p(0)`, the resolved
+/// backend, and the last factorization keyed by its current so repeated
+/// solves at one operating point (e.g. the two extra right-hand sides of a
+/// gradient evaluation) factor only once. Default-backend factors come from
+/// the placement's [`StampedSystem::placement_factor`], which every core of
+/// the placement shares, so a fresh core never re-analyses or refactors
+/// `G_AA`; the other backends build the matrix they read from the
+/// [`StampedSystem`] when they factor, so a core holds no copy of `G`.
 #[derive(Debug, Clone)]
 struct SolverCore {
-    ws: SolveWorkspace,
+    /// `p(0)`: ambient injection plus silicon dissipation.
+    base_power: Vec<f64>,
+    /// `p(i)` at the current of the last retarget.
+    power: Vec<f64>,
     resolved: ResolvedBackend,
     factored: Option<(CacheKey, FactoredSystem)>,
-    /// Workspace structural fingerprint, fixed at assembly time (retargeting
-    /// the current does not change it) — the plain-path half of [`CacheKey`].
-    fingerprint: u64,
     /// How new currents obtain their factorization; [`FactorStrategy::Refactor`]
     /// unless a private handle opted into rank-k updates.
     strategy: FactorStrategy,
@@ -170,14 +171,11 @@ struct SolverCore {
 
 impl SolverCore {
     fn build(system: &CoolingSystem) -> Result<SolverCore, OptError> {
-        let ws = system
-            .stamped
-            .solve_workspace(&system.tile_powers)
-            .map_err(OptError::from)?;
+        let base_power = system.stamped.model().power_vector(&system.tile_powers)?;
         Ok(SolverCore {
+            power: base_power.clone(),
+            base_power,
             resolved: system.backend.resolve(),
-            fingerprint: ws.structural_fingerprint(),
-            ws,
             factored: None,
             strategy: FactorStrategy::Refactor,
             updatable: None,
@@ -189,54 +187,54 @@ impl SolverCore {
     }
 
     /// The cache key a factorization at `current` would be stored under.
-    ///
-    /// Rank-k-updated factors agree with fresh ones only to rounding, so the
-    /// update strategy folds a marker into the fingerprint half on every
-    /// direct backend: a plain probe can never hit an updated entry (or
-    /// vice versa), which is the stale-representation half of the
-    /// cache poisoning [`CacheKey`] guards against. The CG backend solves
-    /// on an exact copy of the workspace matrix, so it stays under the
-    /// plain fingerprint.
     fn cache_key(&self, current: Amperes) -> CacheKey {
-        let direct = matches!(
-            self.resolved,
-            ResolvedBackend::Cholesky | ResolvedBackend::DenseCholesky
-        );
-        let fingerprint = if self.strategy == FactorStrategy::RankKUpdate && direct {
-            // FNV-style fold of an arbitrary marker ("updated!" in ASCII).
-            (self.fingerprint ^ 0x7570_6461_7465_6421).wrapping_mul(0x0000_0100_0000_01B3)
-        } else {
-            self.fingerprint
-        };
         CacheKey {
             current_bits: current.value().to_bits(),
-            fingerprint,
+            strategy: self.strategy,
         }
     }
 
-    /// Retargets the workspace (and any factorization) to `current`.
+    /// Rebuilds `p(i)` from `p(0)` and the Joule sources of `current`. A
+    /// negative current is rejected and leaves `p` at its previous point.
+    fn retarget_power(
+        &mut self,
+        stamped: &StampedSystem,
+        current: Amperes,
+    ) -> Result<(), OptError> {
+        let joule = stamped.joule_power(current)?.value();
+        self.power.copy_from_slice(&self.base_power);
+        // Every junction is a node of the model, so `get_mut` always hits.
+        for &k in stamped.joule_nodes() {
+            if let Some(p) = self.power.get_mut(k) {
+                *p += joule;
+            }
+        }
+        Ok(())
+    }
+
+    /// Retargets `p(i)` (and any factorization) to `current`.
     fn prepare(&mut self, stamped: &StampedSystem, current: Amperes) -> Result<(), OptError> {
         let key = self.cache_key(current);
         if self.factored.as_ref().is_some_and(|(k, _)| *k == key) {
             return Ok(());
         }
-        // Drop the previous factorization before touching the workspace: if
+        // Drop the previous factorization before touching `p`: if
         // retargeting or factoring fails below, a surviving entry would key
-        // the old current against the failed probe's matrix/power, and a
-        // later solve at that current would cache-hit into wrong data.
+        // the old current against the failed probe's power, and a later
+        // solve at that current would cache-hit into wrong data.
         self.factored = None;
-        self.ws.set_current(current)?;
+        self.retarget_power(stamped, current)?;
         let fact = match self.resolved {
             ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
                 self.factor_via_update(stamped, current)?
             }
             ResolvedBackend::Cholesky => factor_placement(stamped, current)?,
             ResolvedBackend::DenseCholesky => {
-                FactoredSystem::factor(&self.ws.matrix().to_dense(), self.resolved)
+                FactoredSystem::factor(&stamped.system_matrix(current)?, self.resolved)
                     .map_err(|e| runaway_from(current, e))?
             }
             ResolvedBackend::SparseCg(settings) => FactoredSystem::Sparse {
-                matrix: self.ws.matrix().clone(),
+                matrix: stamped.sparse_system_matrix(current)?,
                 settings,
             },
         };
@@ -250,32 +248,25 @@ impl SolverCore {
     /// [`FactorStrategy::Refactor`] when the update is ill-conditioned or its
     /// condition estimate exceeds [`UPDATE_CONDITION_LIMIT`] (the fallback
     /// policy of DESIGN.md §15).
-    ///
-    /// The workspace has already been retargeted to `current` by `prepare`,
-    /// so its power vector matches the probe; only the base-factor build
-    /// temporarily rewinds the current to zero.
     fn factor_via_update(
         &mut self,
         stamped: &StampedSystem,
         current: Amperes,
     ) -> Result<FactoredSystem, OptError> {
+        let delta = stamped.placement_delta();
         let updatable = match self.updatable.clone() {
             Some(u) => u,
             None => {
-                self.ws.set_current(Amperes(0.0))?;
-                let pattern = stamped.model().cholesky_pattern()?;
-                let base = Cholesky::factor_csr_with(pattern, self.ws.matrix())
+                let model = stamped.model();
+                let base = Cholesky::factor_csr_with(model.cholesky_pattern()?, model.g_matrix())
                     .map_err(|e| runaway_from(Amperes(0.0), e))?;
-                let nodes = self.ws.placement_delta();
                 let u =
-                    Arc::new(UpdatableFactor::new(base, nodes.nodes()).map_err(OptError::from)?);
-                self.ws.set_current(current)?;
+                    Arc::new(UpdatableFactor::new(base, delta.nodes()).map_err(OptError::from)?);
                 self.updatable = Some(Arc::clone(&u));
                 u
             }
         };
-        let update = DiagonalUpdate::new(self.ws.placement_delta().deltas_at(current))
-            .map_err(OptError::from)?;
+        let update = DiagonalUpdate::new(delta.deltas_at(current)).map_err(OptError::from)?;
         match updatable.apply(&update) {
             Ok(applied) if applied.condition_estimate() <= UPDATE_CONDITION_LIMIT => {
                 self.updates_applied += 1;
@@ -346,7 +337,7 @@ impl SolverCore {
         }
     }
 
-    /// Solves against the workspace's own power vector `p(i)`. Through
+    /// Solves against the core's own power vector `p(i)`. Through
     /// the placement factor, `y_A = G_AA⁻¹·p_A` is solved once per core and
     /// a solve is the `k×k` block plus `θ_A = y_A − X·θ_B`.
     fn solve_power(
@@ -357,10 +348,10 @@ impl SolverCore {
         self.check_cancel()?;
         self.prepare(stamped, current)?;
         let Some((_, FactoredSystem::Shifted(fact))) = &self.factored else {
-            let rhs = self.ws.power().to_vec();
+            let rhs = self.power.clone();
             return self.solve_raw(stamped, current, &rhs);
         };
-        let power = self.ws.power();
+        let power = &self.power;
         let lead = match &mut self.leading {
             Some(lead) => lead,
             empty => empty.insert(fact.family().leading_solve(power)?),
@@ -406,8 +397,8 @@ impl SolverCore {
     }
 }
 
-/// The placement factor at `current` (the workspace's matrix, factored
-/// through [`StampedSystem::placement_factor`]).
+/// The placement factor at `current`: `G − i·D` factored through
+/// [`StampedSystem::placement_factor`].
 fn factor_placement(stamped: &StampedSystem, current: Amperes) -> Result<FactoredSystem, OptError> {
     stamped
         .placement_factor()?
@@ -427,10 +418,12 @@ fn runaway_from(current: Amperes, e: LinalgError) -> OptError {
 
 /// A per-caller solving handle over one [`CoolingSystem`].
 ///
-/// Owns a private solver core (workspace + factorization cache), so
-/// repeated probes neither reassemble `G` nor contend on the system's
-/// internal mutex — this is what the parallel sweeps hand to each worker
-/// thread. Results are identical to [`CoolingSystem::solve`] bit for bit.
+/// Owns a private solver core (`p(i)` + factorization cache), so repeated
+/// probes neither reassemble `p` nor contend on the system's internal
+/// mutex — this is what the parallel sweeps hand to each worker thread.
+/// Every core of a placement factors through the one shared
+/// [`StampedSystem::placement_factor`]. Results are identical to
+/// [`CoolingSystem::solve`] bit for bit.
 #[derive(Debug)]
 pub struct SteadySolver<'a> {
     system: &'a CoolingSystem,
@@ -498,7 +491,7 @@ impl<'a> SteadySolver<'a> {
     }
 
     /// Solves the steady state at supply current `i` — same contract as
-    /// [`CoolingSystem::solve`], minus the lock and the reassembly.
+    /// [`CoolingSystem::solve`], minus the lock.
     ///
     /// # Errors
     ///
@@ -721,8 +714,8 @@ impl CoolingSystem {
         self
     }
 
-    /// Switches the solver backend in place, invalidating any cached
-    /// factorization/workspace state.
+    /// Switches the solver backend in place, invalidating the cached solver
+    /// core (its `p(i)` and factorization).
     pub fn set_backend(&mut self, backend: SolverBackend) {
         self.backend = backend;
         self.lock_cache().core = None;
@@ -734,8 +727,8 @@ impl CoolingSystem {
     }
 
     /// Replaces the worst-case power profile in place, keeping the package
-    /// and deployment. The cached solver workspace is invalidated so the
-    /// next solve re-assembles `p` (and only then).
+    /// and deployment. The cached solver core is invalidated so the next
+    /// solve re-assembles `p` (and only then).
     ///
     /// # Errors
     ///
@@ -757,7 +750,8 @@ impl CoolingSystem {
         Ok(())
     }
 
-    /// How many times the shared solver cache (re)assembled its workspace —
+    /// How many times the shared solver cache (re)built its solver core
+    /// (assembling `p(0)`; it copies no matrix) —
     /// 1 after any number of [`CoolingSystem::solve`] calls, +1 per
     /// mutation ([`CoolingSystem::set_tile_powers`] /
     /// [`CoolingSystem::set_backend`]). Private [`SteadySolver`] handles do
@@ -766,10 +760,13 @@ impl CoolingSystem {
         self.lock_cache().assemblies
     }
 
-    /// Creates a private solving handle with its own workspace and
+    /// Creates a private solving handle with its own `p(i)` and
     /// factorization cache — the cheap way to run many probes (line
-    /// searches, sweeps) without reassembling `G` or taking the shared
-    /// lock per solve.
+    /// searches, sweeps) without taking the shared lock per solve. A warm
+    /// shared core is cloned (two `n`-vectors, the cached factor's `k×k`
+    /// block and `y_A`, no copy of `G`); a cold one is built without
+    /// touching the shared cache. Either way the handle factors through
+    /// the placement's shared [`StampedSystem::placement_factor`].
     ///
     /// # Errors
     ///
@@ -860,13 +857,15 @@ impl CoolingSystem {
 
     /// Solves the steady state at supply current `i`.
     ///
-    /// The `(G, p)` workspace is built once per system and retargeted in
-    /// place per probe; the linear solve goes through the configured
+    /// `p(i)` is assembled once per system and retargeted in place per
+    /// probe; no copy of `G` is made. The linear solve goes through the
+    /// configured
     /// [`SolverBackend`] (by default the placement factor of
     /// [`StampedSystem::placement_factor`], which refactors only the `k×k`
     /// trailing block on the TEC terminal nodes per current; the dense
     /// oracle, or explicitly chosen Jacobi-preconditioned CG with a
-    /// Cholesky fallback). Any
+    /// Cholesky fallback, each of which builds `G − i·D` when it factors a
+    /// new current). Any
     /// definiteness failure is interpreted as thermal runaway, exactly the
     /// oracle of Theorem 1. The returned state always carries a condition
     /// estimate of the system matrix (pivot-ratio for Cholesky — a lower
@@ -918,7 +917,7 @@ impl CoolingSystem {
 
     /// Solves the auxiliary systems needed by the convexity machinery:
     /// `x = (G − i·D)⁻¹ · rhs` for an arbitrary right-hand side. Shares the
-    /// cached assembly and factorization with [`CoolingSystem::solve`].
+    /// cached solver core and factorization with [`CoolingSystem::solve`].
     ///
     /// # Errors
     ///
@@ -1200,6 +1199,45 @@ mod tests {
     }
 
     #[test]
+    fn core_power_matches_fresh_stamping_bit_for_bit() {
+        let s = CoolingSystem::new(
+            &config(),
+            TecParams::superlattice_thin_film(),
+            &[TileIndex::new(1, 1), TileIndex::new(2, 3)],
+            vec![Watts(0.1); 16],
+        )
+        .unwrap();
+        let mut core = SolverCore::build(&s).unwrap();
+        // Visit currents out of order to exercise the in-place retarget.
+        for i in [0.0, 3.5, 1.25, 3.5, 0.0, 7.0] {
+            core.prepare(s.stamped(), Amperes(i)).unwrap();
+            let p = s
+                .stamped()
+                .power_vector(s.tile_powers(), Amperes(i))
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&core.power), bits(&p), "power at i = {i}");
+        }
+    }
+
+    #[test]
+    fn core_rejects_negative_current_and_keeps_its_power() {
+        let s = system(&[TileIndex::new(1, 1)]);
+        let mut core = SolverCore::build(&s).unwrap();
+        core.prepare(s.stamped(), Amperes(2.0)).unwrap();
+        let at_two = core.power.clone();
+        for bad in [-1.0, f64::NAN] {
+            assert!(matches!(
+                core.prepare(s.stamped(), Amperes(bad)),
+                Err(OptError::Device(
+                    tecopt_device::DeviceError::NegativeCurrent { .. }
+                ))
+            ));
+            assert_eq!(core.power, at_two);
+        }
+    }
+
+    #[test]
     fn set_tile_powers_invalidates_cache_and_matches_fresh_system() {
         let mut s = system(&[TileIndex::new(1, 1)]);
         s.solve(Amperes(2.0)).unwrap();
@@ -1370,7 +1408,7 @@ mod tests {
 
     #[test]
     fn failed_probe_does_not_poison_the_factorization_cache() {
-        // Regression: `prepare` used to re-stamp the workspace to the failed
+        // Regression: `prepare` used to retarget the core to the failed
         // probe's current and bail on the factorization error while the
         // cached key still named the previous current. The next solve at
         // that current then cache-hit `prepare` and read the failed probe's
@@ -1499,6 +1537,8 @@ mod tests {
         let plain_key = fast.core.cache_key(i);
         assert_ne!(updated_key, plain_key);
         assert_eq!(updated_key.current_bits, plain_key.current_bits);
+        assert_eq!(updated_key.strategy, FactorStrategy::RankKUpdate);
+        assert_eq!(plain_key.strategy, FactorStrategy::Refactor);
 
         // Re-solving through the plain strategy must refactor (structural
         // proof: the cached entry is now a plain Cholesky factor) and agree

@@ -162,9 +162,10 @@ pub fn check_lemma3(system: &CoolingSystem, current: Amperes) -> Result<TheoryRe
     let m = system.stamped().system_matrix(current)?;
     let h = Cholesky::factor(&m).map_err(OptError::from)?.inverse();
     let n = h.rows();
+    let floor = -1e-10 * h.max_abs();
     for r in 0..n {
         for c in 0..n {
-            if h[(r, c)] < -1e-10 * h.max_abs() {
+            if h[(r, c)] < floor {
                 return Ok(TheoryReport::refuted(
                     "Lemma 3",
                     r * n + c + 1,
@@ -225,8 +226,12 @@ pub fn check_theorem1(system: &CoolingSystem, samples: usize) -> Result<TheoryRe
 }
 
 /// Theorem 2: sampled entries of `H(i)` grow without bound as `i → λ_m⁻`
-/// (operationalized as: the value at `0.9999·λ_m` exceeds the value at
-/// `0.9·λ_m` by at least 100×).
+/// (operationalized as: approaching `λ_m` a decade at a time, at
+/// `(1 − 10⁻ʲ)·λ_m` for `j = 4, 5, 6`, the value exceeds the value at
+/// `0.9·λ_m` by at least 100×). A simple pole grows 10× per decade, but
+/// its share of `h_kl` at `0.9·λ_m` shrinks as more devices share the
+/// critical mode: on the 144-device full cover of the Alpha chip the
+/// first decade reaches only 74×, and the next 730×.
 ///
 /// # Errors
 ///
@@ -238,12 +243,19 @@ pub fn check_theorem2(system: &CoolingSystem) -> Result<TheoryReport, OptError> 
     let peak_node = system.stamped().model().silicon_nodes()[0].index();
     let mut witnesses = 0;
     for &k in &[cold, hot, peak_node] {
-        let near = crate::h_column(system, Amperes(lam * 0.9999), cold)?[k];
         let far = crate::h_column(system, Amperes(lam * 0.9), cold)?[k];
+        let bound = 100.0 * far.max(1e-30);
+        let mut near = f64::NAN;
+        for closer in [0.9999, 0.99999, 0.999999] {
+            near = crate::h_column(system, Amperes(lam * closer), cold)?[k];
+            if near > bound {
+                break;
+            }
+        }
         witnesses += 1;
         // NaN must count as "did not grow", so the comparison is kept in the
         // affirmative and negated as a bool.
-        let grew = near > 100.0 * far.max(1e-30);
+        let grew = near > bound;
         if !grew {
             return Ok(TheoryReport::refuted(
                 "Theorem 2",

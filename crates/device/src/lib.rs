@@ -47,4 +47,4 @@ pub use array::TecArray;
 pub use error::DeviceError;
 pub use params::TecParams;
 pub use physics::OperatingPoint;
-pub use stamp::{PlacementDelta, SolveWorkspace, StampedSystem};
+pub use stamp::{PlacementDelta, StampedSystem};

@@ -224,9 +224,8 @@ impl StampedSystem {
     }
 
     /// The system matrix `G − i·D` as a dense `n×n` matrix, for the dense
-    /// oracles and callers that want one. The
-    /// solve paths use [`StampedSystem::sparse_system_matrix`] or a
-    /// [`SolveWorkspace`]; all three hold bit-identical values.
+    /// oracles and callers that want one. It holds the same values, bit for
+    /// bit, as [`StampedSystem::sparse_system_matrix`].
     ///
     /// # Errors
     ///
@@ -254,7 +253,7 @@ impl StampedSystem {
     }
 
     /// The power vector `p(i)`: ambient injection, silicon dissipation, and
-    /// `r·i²/2` at every device junction.
+    /// [`StampedSystem::joule_power`] at every device junction.
     ///
     /// # Errors
     ///
@@ -265,65 +264,25 @@ impl StampedSystem {
         silicon_powers: &[Watts],
         current: Amperes,
     ) -> Result<Vec<f64>, DeviceError> {
-        let i = nonnegative(current)?;
+        let joule = self.joule_power(current)?.value();
         let mut p = self.model.power_vector(silicon_powers)?;
-        let joule = 0.5 * self.params.resistance().value() * i * i;
         for &k in &self.joule_nodes {
             p[k] += joule;
         }
         Ok(p)
     }
 
-    /// Builds a reusable solve workspace for this system and power profile.
-    ///
-    /// The workspace copies the CSR `G` (`O(nnz)`) and the base power
-    /// vector `p(0)` **once**, and records where each diagonal entry `D`
-    /// touches is stored. Every later operating point overwrites those few
-    /// values and the Joule entries of `p` in place: `O(#devices)` per
-    /// probe, where [`StampedSystem::system_matrix`] pays `O(n²)`. The
-    /// matrix keeps the structure of `G`, so the sparse Cholesky factors it
-    /// on the model's pattern after one `O(nnz)` structure check. This is
-    /// what makes current sweeps (λ_m bisection, golden section, designer
-    /// candidate evaluation) allocation-free between probes, up to the
-    /// factor itself.
+    /// The Joule source `r·i²/2` that supply current `i` puts on each node
+    /// of [`StampedSystem::joule_nodes`]: the whole difference between
+    /// `p(i)` and `p(0)`.
     ///
     /// # Errors
     ///
-    /// Propagates power-length mismatches from the thermal layer.
-    pub fn solve_workspace(&self, silicon_powers: &[Watts]) -> Result<SolveWorkspace, DeviceError> {
-        let matrix = self.model.g_matrix().clone();
-        let base_power = self.model.power_vector(silicon_powers)?;
-        // Only nodes with a nonzero D entry ever change in the matrix; the
-        // assembly stores every diagonal, so each has a slot.
-        let mut shift_nodes = Vec::new();
-        let mut shift_slots = Vec::new();
-        for (k, _) in self
-            .d_diagonal
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != 0.0)
-        {
-            let slot = matrix.diagonal_offset(k).ok_or_else(|| {
-                ThermalError::InvalidConfig(format!("G stores no diagonal entry at node {k}"))
-            })?;
-            shift_nodes.push(k);
-            shift_slots.push(slot);
-        }
-        let base_diag: Vec<f64> = shift_slots.iter().map(|&t| matrix.values()[t]).collect();
-        let shift_d: Vec<f64> = shift_nodes.iter().map(|&k| self.d_diagonal[k]).collect();
-        let power = base_power.clone();
-        Ok(SolveWorkspace {
-            matrix,
-            shift_slots,
-            base_diag,
-            shift_nodes,
-            shift_d,
-            base_power,
-            power,
-            joule_nodes: self.joule_nodes.clone(),
-            half_resistance: 0.5 * self.params.resistance().value(),
-            current: 0.0,
-        })
+    /// Returns [`DeviceError::NegativeCurrent`] for a negative or non-finite
+    /// current.
+    pub fn joule_power(&self, current: Amperes) -> Result<Watts, DeviceError> {
+        let i = nonnegative(current)?;
+        Ok(Watts(0.5 * self.params.resistance().value() * i * i))
     }
 
     /// The rank-k structure of the placement: which nodes the deployed
@@ -368,126 +327,6 @@ impl StampedSystem {
             total += r * i * i + a * i * delta;
         }
         Ok(Watts(total))
-    }
-}
-
-/// A preassembled `(G − i·D, p(i))` pair, the matrix in CSR with the
-/// structure of `G`, that is retargeted to a new supply current in
-/// `O(#devices)` — see [`StampedSystem::solve_workspace`]. A clone costs
-/// `O(nnz)`.
-///
-/// The matrix produced for a given current is bit-identical to the one
-/// [`StampedSystem::system_matrix`] assembles from scratch, so solver
-/// results are unchanged; only the per-probe cost drops.
-#[derive(Debug, Clone)]
-pub struct SolveWorkspace {
-    matrix: CsrMatrix,
-    /// Offsets of the diagonal entries at `shift_nodes` in the CSR values.
-    shift_slots: Vec<usize>,
-    /// Unshifted `G` diagonal values at `shift_nodes`, in the same order.
-    base_diag: Vec<f64>,
-    /// Nodes where `D` is nonzero (hot/cold junctions).
-    shift_nodes: Vec<usize>,
-    /// `D` values at `shift_nodes`.
-    shift_d: Vec<f64>,
-    /// `p(0)`: ambient injection plus silicon dissipation.
-    base_power: Vec<f64>,
-    /// `p(i)` for the current operating point.
-    power: Vec<f64>,
-    joule_nodes: Vec<usize>,
-    half_resistance: f64,
-    current: f64,
-}
-
-impl SolveWorkspace {
-    /// Retargets the workspace to supply current `i`: overwrites the shifted
-    /// diagonal entries with `g_kk − i·d_k` and rebuilds the Joule terms of
-    /// `p(i)` from the base power vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::NegativeCurrent`] for a negative or non-finite
-    /// current (the workspace is left at its previous operating point).
-    pub fn set_current(&mut self, current: Amperes) -> Result<(), DeviceError> {
-        let i = nonnegative(current)?;
-        let values = self.matrix.values_mut();
-        for ((&slot, &g_kk), &d_k) in self
-            .shift_slots
-            .iter()
-            .zip(&self.base_diag)
-            .zip(&self.shift_d)
-        {
-            values[slot] = g_kk - i * d_k;
-        }
-        self.power.copy_from_slice(&self.base_power);
-        let joule = self.half_resistance * i * i;
-        for &k in &self.joule_nodes {
-            self.power[k] += joule;
-        }
-        self.current = i;
-        Ok(())
-    }
-
-    /// The system matrix `G − i·D` at the last-set current, in CSR with
-    /// the structure of `G`.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.matrix
-    }
-
-    /// The power vector `p(i)` at the last-set current.
-    pub fn power(&self) -> &[f64] {
-        &self.power
-    }
-
-    /// The current the workspace is presently stamped for.
-    pub fn current(&self) -> Amperes {
-        Amperes(self.current)
-    }
-
-    /// Matrix dimension (node count).
-    pub fn dim(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    /// The placement's rank-k structure as seen by this workspace — same
-    /// data as [`StampedSystem::placement_delta`], recoverable without the
-    /// stamped system in hand.
-    pub fn placement_delta(&self) -> PlacementDelta {
-        PlacementDelta {
-            nodes: self.shift_nodes.clone(),
-            per_ampere: self.shift_d.clone(),
-        }
-    }
-
-    /// FNV-1a fingerprint of the *structure* this workspace assembles:
-    /// dimension, shifted nodes, their `D` values, and the unshifted base
-    /// diagonal. Two workspaces with equal fingerprints stamp the same
-    /// matrix family `i ↦ G − i·D` (up to the off-diagonal entries, which
-    /// are fixed by the model the workspace was built from); two different
-    /// placements virtually always differ. Solver caches fold this into
-    /// their key so a factor produced for one matrix lineage can never be
-    /// replayed for another — see the PR-7 cache-poisoning regression
-    /// tests.
-    pub fn structural_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        let mut eat = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.matrix.rows() as u64);
-        eat(self.shift_nodes.len() as u64);
-        for &k in &self.shift_nodes {
-            eat(k as u64);
-        }
-        for &d in &self.shift_d {
-            eat(d.to_bits());
-        }
-        for &g in &self.base_diag {
-            eat(g.to_bits());
-        }
-        h
     }
 }
 
@@ -594,6 +433,7 @@ mod tests {
         let p0 = s.power_vector(&powers, Amperes(0.0)).unwrap();
         let p4 = s.power_vector(&powers, i).unwrap();
         let joule = 0.5 * s.params().resistance().value() * 16.0;
+        assert_eq!(s.joule_power(i).unwrap(), Watts(joule));
         let mut diffs = 0;
         for k in 0..p0.len() {
             let d = p4[k] - p0[k];
@@ -675,34 +515,19 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_fresh_stamping_bit_for_bit() {
+    fn sparse_and_dense_system_matrices_match_bit_for_bit() {
         let s = system(&[TileIndex::new(1, 1), TileIndex::new(2, 3)]);
-        let powers = vec![Watts(0.1); 16];
-        let mut ws = s.solve_workspace(&powers).unwrap();
-        // Visit currents out of order to exercise in-place re-stamping.
+        // The same currents, out of order, as the solver visits them.
         for i in [0.0, 3.5, 1.25, 3.5, 0.0, 7.0] {
-            ws.set_current(Amperes(i)).unwrap();
-            let m = s.system_matrix(Amperes(i)).unwrap();
-            let p = s.power_vector(&powers, Amperes(i)).unwrap();
-            assert_eq!(
-                ws.matrix().to_dense().as_slice(),
-                m.as_slice(),
-                "matrix at i = {i}"
-            );
             let sparse = s.sparse_system_matrix(Amperes(i)).unwrap();
-            assert_eq!(ws.matrix(), &sparse, "sparse matrix at i = {i}");
-            assert_eq!(ws.power(), &p[..], "power at i = {i}");
-            assert_eq!(ws.current(), Amperes(i));
+            let dense = s.system_matrix(Amperes(i)).unwrap();
+            assert_eq!(sparse.to_dense().as_slice(), dense.as_slice(), "i = {i}");
+            // The structure is G's: the shift only rewrites values.
+            assert_eq!(sparse.row_ptr(), s.model().g_matrix().row_ptr());
+            assert_eq!(sparse.col_indices(), s.model().g_matrix().col_indices());
         }
-        assert_eq!(ws.dim(), s.model().node_count());
-        // The structure is G's: retargeting only rewrites values.
-        assert_eq!(ws.matrix().row_ptr(), s.model().g_matrix().row_ptr());
-        assert_eq!(
-            ws.matrix().col_indices(),
-            s.model().g_matrix().col_indices()
-        );
         // Shifted nodes are exactly the junction nodes.
-        let shifted = ws.placement_delta();
+        let shifted = s.placement_delta();
         assert_eq!(shifted.rank(), 4);
         for &(cold, hot) in s.junctions() {
             assert!(shifted.nodes().contains(&cold) && shifted.nodes().contains(&hot));
@@ -724,38 +549,8 @@ mod tests {
         }
         let stamped = s.system_matrix(i).unwrap();
         assert_eq!(rebuilt.as_slice(), stamped.as_slice());
-        // The workspace view agrees with the stamped-system view.
-        let ws = s.solve_workspace(&[Watts(0.1); 16]).unwrap();
-        assert_eq!(ws.placement_delta(), delta);
         // Passive system: empty perturbation.
         assert_eq!(system(&[]).placement_delta().rank(), 0);
-    }
-
-    #[test]
-    fn structural_fingerprint_separates_placements_and_is_stable() {
-        let a = system(&[TileIndex::new(1, 1)]);
-        let b = system(&[TileIndex::new(2, 2)]);
-        let powers = vec![Watts(0.1); 16];
-        let fa = a.solve_workspace(&powers).unwrap().structural_fingerprint();
-        let fb = b.solve_workspace(&powers).unwrap().structural_fingerprint();
-        assert_ne!(fa, fb, "different placements must fingerprint apart");
-        // Deterministic across rebuilds and invariant under set_current.
-        let mut ws = a.solve_workspace(&powers).unwrap();
-        assert_eq!(ws.structural_fingerprint(), fa);
-        ws.set_current(Amperes(3.0)).unwrap();
-        assert_eq!(ws.structural_fingerprint(), fa);
-    }
-
-    #[test]
-    fn workspace_rejects_negative_current_and_keeps_state() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        let mut ws = s.solve_workspace(&[Watts(0.1); 16]).unwrap();
-        ws.set_current(Amperes(2.0)).unwrap();
-        assert!(matches!(
-            ws.set_current(Amperes(-1.0)),
-            Err(DeviceError::NegativeCurrent { .. })
-        ));
-        assert_eq!(ws.current(), Amperes(2.0));
     }
 
     #[test]
@@ -766,6 +561,10 @@ mod tests {
             Err(DeviceError::NegativeCurrent { .. })
         ));
         assert!(s.power_vector(&[Watts(0.0); 16], Amperes(-1.0)).is_err());
+        assert!(matches!(
+            s.joule_power(Amperes(f64::NAN)),
+            Err(DeviceError::NegativeCurrent { .. })
+        ));
     }
 
     #[test]

@@ -634,8 +634,8 @@ impl ShiftedCholesky {
                 lower,
                 diag_slots,
             } => {
-                // `g_kk + (−i)·d_k`: the arithmetic of the solve
-                // workspace's `g_kk − i·d_k`, bit for bit.
+                // `g_kk + (−i)·d_k`: the arithmetic of
+                // `CsrMatrix::add_scaled_diagonal`, bit for bit.
                 let mut m = lower.clone();
                 for (&slot, &d_r) in diag_slots.iter().zip(&self.d_support) {
                     m[slot] += -i * d_r;

@@ -22,8 +22,8 @@ impl Triplet {
 ///
 /// The storage of every conductance matrix in the workspace: the compact
 /// thermal model stamps `G` straight into CSR (the matrix is ≈99 % zeros
-/// at package scale), the solver workspace retargets `G − i·D` by
-/// overwriting diagonal values in place, and the sparse [`Cholesky`]
+/// at package scale), `G − i·D` is a copy with its diagonal shifted
+/// ([`CsrMatrix::add_scaled_diagonal`]), and the sparse [`Cholesky`]
 /// gathers its input from here. It also backs the fine-grid reference
 /// thermal solver, whose CG iterations need only [`CsrMatrix::mul_vec_into`].
 /// Column indices are strictly ascending within each row.
@@ -263,14 +263,6 @@ impl CsrMatrix {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable values. The structure stays fixed, so an offset found once
-    /// (e.g. by [`CsrMatrix::diagonal_offset`]) stays valid: this is how
-    /// the solver workspace retargets `G − i·D` in `O(#devices)`.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// Offset of the stored diagonal entry `(k, k)` in

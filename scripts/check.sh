@@ -25,56 +25,60 @@
 #   8. a single-threaded re-run of the test suite, so any accidental
 #      dependence of the parallel sweeps on test-runner concurrency shows
 #      up as a divergence between the two passes,
-#   9. the chaos pass (tests/chaos.rs): fault injection against the
+#   9. the paper's executable theory (the theory binary: Lemmas 1-3 and
+#      Theorems 1-3 on the deployed Alpha system), regenerating the
+#      committed results/theory.txt; the binary exits 1 on any refuted
+#      claim,
+#  10. the chaos pass (tests/chaos.rs): fault injection against the
 #      supervised sweep runtime (cancellation, deadlines, worker panics,
 #      checkpoint kill/resume), single-threaded and including the
 #      `#[ignore]`d heavyweight 32x32 kill-at-every-probe-boundary sweep
 #      that the ordinary test passes skip,
-#  10. the serve chaos pass (tests/serve_chaos.rs): torn frames, client
+#  11. the serve chaos pass (tests/serve_chaos.rs): torn frames, client
 #      deaths mid-request, overload shedding, deadline storms, panic
 #      containment, and graceful drain against a live tecopt-serve
 #      server, single-threaded and including the `#[ignore]`d 8-client
 #      mixed-chaos soak,
-#  11. the transient chaos pass (tests/transient_chaos.rs): hostile and
+#  12. the transient chaos pass (tests/transient_chaos.rs): hostile and
 #      panicking controllers, mid-trace power spikes, NaN samples, and
 #      kill-at-every-step checkpoint resume against the safety-enveloped
 #      transient runtime (DESIGN.md §14), single-threaded and including
 #      the `#[ignore]`d playback-resume chains,
-#  12. the PR-6 acceptance benchmark (bench_pr6): factorization-reuse
+#  13. the PR-6 acceptance benchmark (bench_pr6): factorization-reuse
 #      speedup ≥ 5x and safety-envelope overhead ≤ 2%, regenerating the
 #      committed BENCH_PR6.json,
-#  13. the rank-k update equivalence suite (tests/update_equivalence.rs):
+#  14. the rank-k update equivalence suite (tests/update_equivalence.rs):
 #      property-based agreement (≤ 1e-8) between SMW-updated and freshly
 #      factored solves, the degraded-condition refactorization fallback,
 #      and cancellation of a supervised fast deployment (DESIGN.md §15),
-#  14. the PR-7 acceptance benchmark (bench_pr7): greedy deployment with
+#  15. the PR-7 acceptance benchmark (bench_pr7): greedy deployment with
 #      FactorStrategy::RankKUpdate ≥ 5x over the refactor-per-probe dense
 #      baseline at 32x32 with peak drift ≤ 1e-8 vs fresh factorizations,
 #      regenerating the committed BENCH_PR7.json,
-#  15. the fleet chaos pass (tests/fleet_chaos.rs): shard kills and
+#  16. the fleet chaos pass (tests/fleet_chaos.rs): shard kills and
 #      restarts mid-sweep under load, failover, health-machine recovery,
 #      cache replication (including poisoned replicas), bit-identical
 #      checkpointed sweep handoff, and the wire-level ping/extension-frame
 #      forward-compatibility contract (DESIGN.md §17), single-threaded and
 #      including the `#[ignore]`d kill-every-shard soak,
-#  16. the PR-9 acceptance benchmark (bench_pr9): fleet failover p99 ≤ 5x
+#  17. the PR-9 acceptance benchmark (bench_pr9): fleet failover p99 ≤ 5x
 #      the healthy p99 and fixed-floor hedging p99 ≤ 0.75x unhedged
 #      against a 20x straggler, regenerating the committed BENCH_PR9.json,
-#  17. the explorer chaos pass (tests/explore_chaos.rs): kill-at-every-
+#  18. the explorer chaos pass (tests/explore_chaos.rs): kill-at-every-
 #      ledger-boundary resume with zero duplicated evaluations and a
 #      bit-identical Pareto front, typed quarantine of panicking/NaN/
 #      envelope-tripping candidates across kill cycles, torn-tail and
 #      full-disk regressions at every fixed persist site, and the keyed
 #      Explore fleet-failover handoff (DESIGN.md §18), single-threaded
 #      and including the `#[ignore]`d 10k-candidate kill/resume soak,
-#  18. the PR-10 acceptance benchmark (bench_pr10): killed-at-half +
+#  19. the PR-10 acceptance benchmark (bench_pr10): killed-at-half +
 #      resume wall time ≤ 1.02x the uninterrupted ledger sweep, zero
 #      duplicated evaluations, and parallel speedup over a serial loop
 #      ≥ min(0.85 x workers, 8) on a 10k-candidate grid, regenerating
 #      the committed BENCH_PR10.json,
-#  19. the benchmark's own unit tests (perfbench/: percentile and span
+#  20. the benchmark's own unit tests (perfbench/: percentile and span
 #      arithmetic, metric names, the result-line schema in run.py),
-#  20. one-second smoke runs of the benchmark's table1 workload (the
+#  21. one-second smoke runs of the benchmark's table1 workload (the
 #      paper's Table-I pipeline on all eleven chips) and explore workload
 #      (a design sweep whose candidates, with different TEC parameters,
 #      share one package order), each of which must report
@@ -107,6 +111,9 @@ cargo test -q --workspace
 
 echo "==> cargo test -q --workspace -- --test-threads=1"
 cargo test -q --workspace -- --test-threads=1
+
+echo "==> cargo run --release -p tecopt-bench --bin theory > results/theory.txt"
+cargo run --release -q -p tecopt-bench --bin theory > results/theory.txt
 
 echo "==> cargo test -q --test chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test chaos -- --test-threads=1 --include-ignored

@@ -16,7 +16,7 @@ use tecopt_units::{Amperes, Watts};
 /// Growth of the peak resident set allowed over the whole scenario.
 ///
 /// Measured on Linux x86-64: the scenario raises `VmHWM` by ≈ 5 MB (the
-/// CSR `G`, the solver workspaces, the Cholesky factors and the transient
+/// CSR `G`, the solver cores, the Cholesky factors and the transient
 /// steppers are each well under 1 MB at this size), where the same
 /// scenario with a dense workspace raised it by ≈ 147 MB. 12 MB leaves
 /// room for allocator and platform variation and stays far under the
