@@ -11,7 +11,9 @@
 //! CSR stamping, CSR factor) against its dense oracles,
 //! the passive start of a greedy deployment, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
-//! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, and
+//! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, the
+//! build of a placement factor on the package pattern against its
+//! exact-pattern oracle at 12×12 and 32×32, and
 //! one 4-device Alpha explorer candidate end to end on the placement
 //! factor against the SMW rank-k update path.
 
@@ -375,7 +377,10 @@ fn alpha_hottest_four() -> (CoolingSystem, Vec<TileIndex>) {
 /// `k×k` trailing block and solving against a cached `y_A`, against a
 /// numeric factor of the whole network on its pattern plus one solve. The
 /// label names the plan the rule picks (`k³/3` against the flops of
-/// `G_AA`'s factor), so the crossover shows between k = 28 and 288.
+/// `G_AA`'s factor on the package pattern), so the crossover shows between
+/// k = 28 and 288. Then `build`: the build of a 4-device placement factor
+/// at 12×12 and 32×32 on the package's passive pattern against the
+/// exact-pattern oracle.
 fn bench_placement_factor(c: &mut Criterion) {
     let mut group = c.benchmark_group("placement_factor");
     group.sample_size(5);
@@ -439,6 +444,52 @@ fn bench_placement_factor(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("network", &label), &k, |b, _| {
             b.iter(|| whole.factor_at(i).expect("pd").solve(&p).expect("solve"))
+        });
+    }
+    // The build of a 4-device placement factor on the 12×12 and 32×32
+    // packages: `G_AA` on the package's passive pattern, as
+    // `StampedSystem::placement_factor` builds it, against its exact
+    // pattern analysed on the restricted package order (the oracle).
+    // Hundreds of microseconds: 3 samples over 200 ms cannot resolve it.
+    group.sample_size(30);
+    group.measurement_time(Duration::from_secs(3));
+    for (side, system) in sweep_systems().into_iter().filter(|(side, _)| *side <= 32) {
+        let far = side - 2;
+        let corners = [(1, 1), (1, far), (far, 1), (far, far)].map(|(r, c)| TileIndex::new(r, c));
+        let placed = system.with_tiles(&corners).expect("placement");
+        let stamped = placed.stamped();
+        let model = stamped.model();
+        let (g, d) = (model.g_matrix(), stamped.d_diagonal());
+        let support: Vec<usize> = stamped
+            .junctions()
+            .iter()
+            .flat_map(|&(cold, hot)| [cold, hot])
+            .collect();
+        let network = || Ok(Arc::clone(model.cholesky_pattern().expect("pattern")));
+        let passive = model.passive_pattern().expect("passive pattern");
+        let order = model.network_order().expect("package order");
+        let label = format!("{side}x{side}_k{}", support.len());
+        let package = format!("{label}_package_pattern");
+        group.bench_with_input(BenchmarkId::new("build", package), &side, |b, _| {
+            b.iter(|| {
+                ShiftedCholesky::with_package_pattern(
+                    g,
+                    d,
+                    &support,
+                    passive,
+                    &model.passive_nodes(),
+                    None,
+                    network,
+                )
+                .expect("package build")
+            })
+        });
+        let exact = format!("{label}_exact_pattern");
+        group.bench_with_input(BenchmarkId::new("build", exact), &side, |b, _| {
+            b.iter(|| {
+                ShiftedCholesky::with_order(g, d, &support, &order, None, network)
+                    .expect("exact build")
+            })
         });
     }
     group.finish();

@@ -90,14 +90,14 @@ fn check_chip(name: &str, chip: &CoolingSystem) {
         .flat_map(|&(cold, hot)| [cold, hot])
         .collect();
     // Built as `StampedSystem::placement_factor` builds it: `G_AA` on the
-    // package order restricted to the free nodes.
-    let order = model.network_order().expect("package order");
+    // package's passive pattern, through the map into the passive network.
     let family = Arc::new(
-        ShiftedCholesky::with_order(
+        ShiftedCholesky::with_package_pattern(
             &dense_csr,
             stamped.d_diagonal(),
             &support,
-            &order,
+            model.passive_pattern().expect("passive pattern"),
+            &model.passive_nodes(),
             None,
             || Ok(Arc::new(CholeskyPattern::analyse(&dense_g)?)),
         )

@@ -1,5 +1,5 @@
 use crate::OptError;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use tecopt_device::{StampedSystem, TecParams};
 use tecopt_linalg::{
     CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingBlockCache,
@@ -48,17 +48,26 @@ pub struct CoolingSystem {
     /// solves stay thread-safe; parallel sweeps avoid the lock entirely by
     /// carrying a private [`SteadySolver`] per worker.
     cache: Mutex<SolverCache>,
+    /// `y_A = G_AA⁻¹·p_A` of the placement factor for this power profile,
+    /// solved by the first core that needs it and shared by every core,
+    /// handle and clone of this placement and profile. A new profile or a
+    /// new placement slot starts an empty one.
+    leading: LeadingSlot,
 }
+
+/// The slot of a placement's leading solve for one power profile.
+type LeadingSlot = Arc<OnceLock<LeadingSolve>>;
 
 impl Clone for CoolingSystem {
     fn clone(&self) -> CoolingSystem {
         // The cache is derived state: a clone starts cold and rebuilds its
-        // solver core on first solve.
+        // solver core on first solve, on the shared `y_A`.
         CoolingSystem {
             stamped: self.stamped.clone(),
             tile_powers: self.tile_powers.clone(),
             backend: self.backend,
             cache: Mutex::new(SolverCache::default()),
+            leading: Arc::clone(&self.leading),
         }
     }
 }
@@ -163,10 +172,11 @@ struct SolverCore {
     /// unrelated [`CoolingSystem::solve`] calls through the cache.
     cancel: Option<CancelToken>,
     /// `y_A = G_AA⁻¹·p_A` of the placement factor for this core's power
-    /// profile, built on the first solve against `p(i)`. The Joule sources
-    /// sit on the TEC terminal nodes, so `p_A` is the same at every
-    /// current; a new profile builds a new core.
-    leading: Option<LeadingSolve>,
+    /// profile: the system's shared slot, filled on the first solve
+    /// against `p(i)` of any core that shares it. The Joule sources sit on
+    /// the TEC terminal nodes, so `p_A` is the same at every current; a new
+    /// profile builds a new core on a new slot.
+    leading: LeadingSlot,
 }
 
 impl SolverCore {
@@ -182,7 +192,7 @@ impl SolverCore {
             updates_applied: 0,
             refactor_fallbacks: 0,
             cancel: None,
-            leading: None,
+            leading: Arc::clone(&system.leading),
         })
     }
 
@@ -352,9 +362,13 @@ impl SolverCore {
             return self.solve_raw(stamped, current, &rhs);
         };
         let power = &self.power;
-        let lead = match &mut self.leading {
+        let lead = match self.leading.get() {
             Some(lead) => lead,
-            empty => empty.insert(fact.family().leading_solve(power)?),
+            None => {
+                let solved = fact.family().leading_solve(power)?;
+                // A racing core may have filled it; both solved one `p_A`.
+                self.leading.get_or_init(|| solved)
+            }
         };
         Ok(RawSolve {
             theta: fact.solve_with(lead, power)?,
@@ -642,6 +656,7 @@ impl CoolingSystem {
             tile_powers,
             backend: SolverBackend::default(),
             cache: Mutex::new(SolverCache::default()),
+            leading: LeadingSlot::default(),
         })
     }
 
@@ -665,8 +680,9 @@ impl CoolingSystem {
     /// cache).
     ///
     /// The same tile list (equal slices, order included) is a clone: no
-    /// assembly, no validation and no factor, the placement factor shared
-    /// with `self` (the clone's solver cache starts cold). Any other list
+    /// assembly, no validation and no factor, the placement factor and the
+    /// leading solve `y_A` shared with `self` (the clone's solver cache
+    /// starts cold). Any other list
     /// builds a new placement; an empty one yields the passive system,
     /// whose factor is the package's
     /// ([`tecopt_thermal::CompactModel::passive_factor_slot`]).
@@ -700,10 +716,11 @@ impl CoolingSystem {
     /// gives the system a fresh placement slot
     /// ([`StampedSystem::set_leading_cache`]), so a factor built before
     /// (the package's passive factor among them) is not carried over: the
-    /// next one goes through `cache`. Results are bit-identical with or
-    /// without the cache.
+    /// next one goes through `cache`, and so is the leading solve `y_A`.
+    /// Results are bit-identical with or without the cache.
     pub fn with_leading_cache(mut self, cache: Arc<LeadingBlockCache>) -> CoolingSystem {
         self.stamped.set_leading_cache(Some(cache));
+        self.leading = LeadingSlot::default();
         self
     }
 
@@ -727,8 +744,9 @@ impl CoolingSystem {
     }
 
     /// Replaces the worst-case power profile in place, keeping the package
-    /// and deployment. The cached solver core is invalidated so the next
-    /// solve re-assembles `p` (and only then).
+    /// and deployment. The cached solver core and the shared leading solve
+    /// are dropped, so the next solve re-assembles `p` and solves `y_A`
+    /// again (and only then); clones made before keep the old profile's.
     ///
     /// # Errors
     ///
@@ -747,6 +765,7 @@ impl CoolingSystem {
         tecopt_units::validate::non_negative_slice("tile power", &raw)?;
         self.tile_powers = tile_powers;
         self.lock_cache().core = None;
+        self.leading = LeadingSlot::default();
         Ok(())
     }
 
@@ -763,10 +782,11 @@ impl CoolingSystem {
     /// Creates a private solving handle with its own `p(i)` and
     /// factorization cache — the cheap way to run many probes (line
     /// searches, sweeps) without taking the shared lock per solve. A warm
-    /// shared core is cloned (two `n`-vectors, the cached factor's `k×k`
-    /// block and `y_A`, no copy of `G`); a cold one is built without
-    /// touching the shared cache. Either way the handle factors through
-    /// the placement's shared [`StampedSystem::placement_factor`].
+    /// shared core is cloned (two `n`-vectors and the cached factor's
+    /// `k×k` block, no copy of `G`); a cold one is built without touching
+    /// the shared cache. Either way the handle factors through the
+    /// placement's shared [`StampedSystem::placement_factor`] and reads the
+    /// system's shared `y_A`.
     ///
     /// # Errors
     ///
@@ -1026,10 +1046,11 @@ mod tests {
         }
 
         // New powers keep the placement, so the block survives while the
-        // core (and the `y_A` it cached for the old profile) is dropped.
-        assert!(system.lock_cache().core.as_ref().unwrap().leading.is_some());
+        // core and the old profile's `y_A` are dropped.
+        assert!(system.leading.get().is_some());
         system.set_tile_powers(vec![Watts(0.1); 16]).unwrap();
         assert!(system.lock_cache().core.is_none());
+        assert!(system.leading.get().is_none());
         system.solve(Amperes(1.0)).unwrap();
         assert!(Arc::ptr_eq(&shared_family(&system), &block));
 
@@ -1042,6 +1063,53 @@ mod tests {
             &fresh,
             other.stamped().placement_factor().unwrap()
         ));
+    }
+
+    /// The leading solve a system's cores read, once one has solved it.
+    fn leading_of(system: &CoolingSystem) -> *const LeadingSolve {
+        system.leading.get().expect("y_A solved")
+    }
+
+    fn state_bits(state: &SolvedState) -> Vec<u64> {
+        state
+            .node_temperatures()
+            .iter()
+            .map(|t| t.value().to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn handles_and_clones_of_one_profile_share_one_leading_solve() {
+        let mut s = system(&[TileIndex::new(1, 1), TileIndex::new(2, 3)]);
+        let mut first = s.solver().unwrap();
+        let a = first.solve(Amperes(1.0)).unwrap();
+        let solved = leading_of(&s);
+        // A second handle, a clone's shared core and a clone's handle are
+        // fresh cores: each reads the one `y_A` and solves none.
+        let mut second = s.solver().unwrap();
+        let clone = s.clone();
+        let b = second.solve(Amperes(1.0)).unwrap();
+        let c = clone.solve(Amperes(1.0)).unwrap();
+        let d = clone.solver().unwrap().solve(Amperes(1.0)).unwrap();
+        assert_eq!(leading_of(&s), solved);
+        assert_eq!(leading_of(&clone), solved);
+        for state in [&b, &c, &d] {
+            assert_eq!(state_bits(state), state_bits(&a));
+        }
+
+        // A new profile solves a new one, and the clone keeps the old.
+        let mut powers = hotspot_powers();
+        powers[3] = Watts(0.4);
+        s.set_tile_powers(powers).unwrap();
+        assert!(s.leading.get().is_none());
+        let e = s.solve(Amperes(1.0)).unwrap();
+        assert_ne!(leading_of(&s), solved);
+        assert_eq!(leading_of(&clone), solved);
+        assert_ne!(state_bits(&e), state_bits(&a));
+        assert_eq!(
+            state_bits(&clone.solve(Amperes(1.0)).unwrap()),
+            state_bits(&a)
+        );
     }
 
     #[test]

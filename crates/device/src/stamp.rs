@@ -123,9 +123,10 @@ impl StampedSystem {
     /// passive system, by every passive system of the package). The runaway
     /// search and every steady solve of the default backend factor through
     /// it, so `G_AA` (the Peltier-free block) is factored once per
-    /// placement, and analysed on the package's passive order
-    /// ([`CompactModel::network_order`]) rather than by a minimum-degree
-    /// search of its own. With a [`LeadingBlockCache`] attached
+    /// placement, on the package's passive pattern
+    /// ([`CompactModel::passive_pattern`], through
+    /// [`CompactModel::passive_nodes`]): no symbolic analysis runs per
+    /// placement. With a [`LeadingBlockCache`] attached
     /// ([`StampedSystem::set_leading_cache`]) that factor is shared with
     /// every placement of the cache that has the same `G_AA` and `G_AB`
     /// (the same factor, bit for bit). The Joule sources sit on the same
@@ -145,7 +146,7 @@ impl StampedSystem {
             .iter()
             .flat_map(|&(cold, hot)| [cold, hot])
             .collect();
-        let order = self.model.network_order()?;
+        let passive = self.model.passive_pattern()?;
         let (g, d) = (self.model.g_matrix(), &self.d_diagonal);
         let network = || {
             self.model
@@ -156,9 +157,16 @@ impl StampedSystem {
                     other => LinalgError::InvalidInput(other.to_string()),
                 })
         };
-        let built =
-            ShiftedCholesky::with_order(g, d, &support, &order, self.leading.as_deref(), network)
-                .map_err(ThermalError::from)?;
+        let built = ShiftedCholesky::with_package_pattern(
+            g,
+            d,
+            &support,
+            passive,
+            &self.model.passive_nodes(),
+            self.leading.as_deref(),
+            network,
+        )
+        .map_err(ThermalError::from)?;
         // A racing first call may have won; either build is the same.
         Ok(self.placement.get_or_init(|| Arc::new(built)))
     }

@@ -26,9 +26,11 @@ const NONE: usize = usize::MAX;
 /// deterministic, so two analyses of one structure agree bit for bit and so
 /// do the factors built on them. [`CholeskyPattern::analyse_csr_ordered`]
 /// takes the order from the caller instead and costs only the symbolic
-/// work: the thermal model runs minimum degree once per package and
-/// analyses every placement's Peltier-free block on that order
-/// (restricted to the block's nodes).
+/// work. The thermal model analyses its package's passive network once
+/// and factors every placement's Peltier-free block on that one pattern
+/// ([`crate::ShiftedCholesky::with_package_pattern`]); the block's own
+/// analysis on the package order, restricted to its nodes, is the
+/// oracle that build is tested against.
 ///
 /// The symbolic work is two sweeps over the rows of `L` after the
 /// structure pass: one builds the elimination tree and counts each row and
@@ -85,22 +87,6 @@ impl CholeskyPattern {
     /// [`LinalgError::NotSquare`] if `a` is not square.
     pub fn analyse_csr(a: &CsrMatrix) -> Result<CholeskyPattern, LinalgError> {
         CholeskyPattern::analyse_csr_with(a, None)
-    }
-
-    /// The elimination order [`CholeskyPattern::analyse_csr`] picks for
-    /// `a`, without the rest of the analysis.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] if `a` is not square.
-    pub fn minimum_degree_order(a: &CsrMatrix) -> Result<Vec<usize>, LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        Ok(approximate_minimum_degree(a.rows(), &lower_edges(a)))
     }
 
     /// Analyses the stored structure of the lower triangle of `a` (plus
@@ -299,10 +285,28 @@ impl CholeskyPattern {
         &self.perm
     }
 
+    /// Order of the analysed matrix.
+    pub(crate) fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// Length of the lower-triangle layout [`CholeskyPattern::gather`]
+    /// produces: the strictly lower entries plus the diagonal.
+    pub(crate) fn lower_len(&self) -> usize {
+        self.lo_col.len()
+    }
+
     /// Where the diagonal entry of row `r` sits in the lower-triangle
     /// layout [`CholeskyPattern::gather`] produces.
     pub(crate) fn diagonal_position(&self, r: usize) -> usize {
         self.lo_ptr[r + 1] - 1
+    }
+
+    /// Where the strictly lower entry `(r, c)`, `c < r`, sits in the
+    /// lower-triangle layout, or `None` if the pattern does not cover it.
+    pub(crate) fn lower_position(&self, r: usize, c: usize) -> Option<usize> {
+        let (lo, diag) = (self.lo_ptr[r], self.lo_ptr[r + 1] - 1);
+        self.lo_col[lo..diag].binary_search(&c).ok().map(|q| lo + q)
     }
 
     /// The lower triangle of `a`, laid out by this pattern's structure, in
@@ -732,55 +736,6 @@ impl Cholesky {
         Cholesky::numeric(Arc::clone(pattern), &values)
     }
 
-    /// This factor with its pattern cut to what the solves and the pivots
-    /// read: the order and the column structure of `L`. The gather maps
-    /// and the row structure, which only the numeric factorization reads,
-    /// are dropped; for the `G_AA` of a placement they are over half of
-    /// what the factor holds. Nothing may factor on the cut pattern, so a
-    /// cut factor never leaves the crate (it lives in the cached leading
-    /// blocks of [`crate::ShiftedCholesky`]).
-    pub(crate) fn into_solve_only(self) -> Cholesky {
-        let Cholesky { pattern, lx } = self;
-        let cut = |n, perm, l_ptr, l_row| CholeskyPattern {
-            n,
-            perm,
-            lo_ptr: Vec::new(),
-            lo_col: Vec::new(),
-            a_ptr: Vec::new(),
-            a_row: Vec::new(),
-            a_src: Vec::new(),
-            l_ptr,
-            l_row,
-            r_ptr: Vec::new(),
-            r_col: Vec::new(),
-            r_slot: Vec::new(),
-        };
-        let pattern = match Arc::try_unwrap(pattern) {
-            Ok(p) => cut(p.n, p.perm, p.l_ptr, p.l_row),
-            Err(shared) => cut(
-                shared.n,
-                shared.perm.clone(),
-                shared.l_ptr.clone(),
-                shared.l_row.clone(),
-            ),
-        };
-        Cholesky {
-            pattern: Arc::new(pattern),
-            lx,
-        }
-    }
-
-    /// Points this factor at `twin`'s pattern when the two have the same
-    /// solve structure (order and column structure of `L`), so one copy
-    /// serves both; otherwise leaves it alone. Only for factors that are
-    /// never factored on again (see [`Cholesky::into_solve_only`]).
-    pub(crate) fn share_solve_structure(&mut self, twin: &Cholesky) {
-        let (p, q) = (&*self.pattern, &*twin.pattern);
-        if p.perm == q.perm && p.l_ptr == q.l_ptr && p.l_row == q.l_row {
-            self.pattern = Arc::clone(&twin.pattern);
-        }
-    }
-
     /// Up-looking numeric factorization over `pattern` of the lower
     /// triangle `a`, laid out by the pattern's structure: row `k` of `L` is
     /// the solve of the leading `k×k` factor against column `k` of the
@@ -912,9 +867,16 @@ impl Cholesky {
     /// columns together (an axpy across the block per `L` entry), so the
     /// factor traffic is amortized over the whole block. The per-column
     /// arithmetic is the same as [`Cholesky::solve`]'s, so every column is
-    /// bit-identical to a single solve. This is the kernel behind
-    /// `FactoredSystem::solve_many` and the `W = A⁻¹·U` precomputation of
-    /// the rank-k update path.
+    /// bit-identical to a single solve (but for the sign of a zero, see
+    /// below). This is the kernel behind `FactoredSystem::solve_many` and
+    /// the `W = A⁻¹·U` precomputation of the rank-k update path.
+    ///
+    /// The forward sweep skips a pivot whose row of the block is exactly
+    /// zero in every column: dividing it and subtracting its multiples
+    /// would change no entry but the sign of a zero, and only a negative
+    /// zero on input can make one. A block of sparse columns (`G_AB` has
+    /// one or two nonzeros per column on the paper's packages) then walks
+    /// only the columns of `L` their nonzeros reach.
     ///
     /// # Errors
     ///
@@ -948,6 +910,9 @@ impl Cholesky {
         for j in 0..n {
             let (head, tail) = y.split_at_mut((j + 1) * m);
             let yj = &mut head[j * m..];
+            if yj.iter().all(|&v| v == 0.0) {
+                continue;
+            }
             let ljj = self.lx[p.l_ptr[j]];
             for v in yj.iter_mut() {
                 *v /= ljj;
@@ -1521,8 +1486,7 @@ mod tests {
     fn ordered_analysis_follows_the_given_order() {
         let a = CsrMatrix::from_dense(&chain(6));
         let amd = CholeskyPattern::analyse_csr(&a).unwrap();
-        let order = CholeskyPattern::minimum_degree_order(&a).unwrap();
-        assert_eq!(order, amd.permutation());
+        let order = amd.permutation().to_vec();
         let same = CholeskyPattern::analyse_csr_ordered(&a, &order).unwrap();
         assert_eq!(same.permutation(), amd.permutation());
         assert_eq!(same.nnz_l(), amd.nnz_l());

@@ -15,29 +15,41 @@
 //! θ_B = (S₀ − i·D_B)⁻¹·(b_B − G_BA·y_A),  θ_A = y_A − X·θ_B,  y_A = G_AA⁻¹·b_A
 //! ```
 //!
-//! so `G_AA` is analysed and factored once, `X` and `S₀` are formed once,
-//! and each shift refactors only the dense `k×k` trailing block. The
-//! analysis of `G_AA` may reuse a caller's order
-//! ([`ShiftedCholesky::with_order`]): the thermal model hands over its
-//! package's passive order, so a placement runs no minimum-degree search. `y_A`
-//! does not depend on the shift; [`ShiftedCholesky::leading_solve`] hands
-//! it out for callers that solve one right-hand side at many shifts.
+//! so `G_AA` is factored once, `X` and `S₀` are formed once, and each
+//! shift refactors only the dense `k×k` trailing block. `y_A` does not
+//! depend on the shift; [`ShiftedCholesky::leading_solve`] hands it out
+//! for callers that solve one right-hand side at many shifts.
+//!
+//! `G_AA` needs no analysis of its own when it is an induced subgraph of
+//! a network already analysed ([`ShiftedCholesky::with_package_pattern`]):
+//! every placement of the thermal model is one of its package's passive
+//! network, with each spliced tile's TIM node taken out. Its values are
+//! placed into that network's lower-triangle layout through a node map;
+//! each pattern node no free node maps to becomes a decoupled identity
+//! row, and every pattern entry `G_AA` lacks is stored as zero. The
+//! up-looking factor keeps those zeros exact: an identity row's column
+//! of `A` is zero, so its entries of `L` are `0 / L_jj` and every update
+//! through them subtracts a zero. The factor restricted to the free nodes
+//! is then a Cholesky factor of `G_AA` in the package order, equal to the
+//! factor on `G_AA`'s own restricted-order analysis
+//! ([`ShiftedCholesky::with_order`], kept as the oracle) to rounding. A
+//! placement then runs no symbolic analysis and owns no pattern.
 //!
 //! The trailing block costs `k³/3` flops per shift, a numeric factor of
 //! the whole network about as much as one of `G_AA`. [`FactorPlan`]
 //! records which the family took: the trailing block when `k³/3` is at
-//! most the flop count of `G_AA`'s own numeric factor
-//! ([`CholeskyPattern::factor_flops`]), otherwise a sparse numeric factor
-//! of all of `G − i·D` on the network's pattern (at full cover, `k = 288`
-//! on a 12×12 package, a dense block would cost 60× a network factor).
+//! most the flop count of the numeric factor of `G_AA` on the pattern it
+//! is factored on ([`CholeskyPattern::factor_flops`]), otherwise a sparse
+//! numeric factor of all of `G − i·D` on the network's pattern (at full
+//! cover, `k = 288` on a 12×12 package, a dense block would cost 60× a
+//! network factor).
 //!
 //! A build is two parts: the leading block, which depends on `G_AA` and
-//! `G_AB` alone (the analysis and factor of `G_AA`, `X`, `G_BA` and
-//! `P = G_BA·X`), and the trailing part `S₀ = G_BB − P`. Placements that
-//! differ only on the support × support entries of `G` and in `D` — the
-//! film thicknesses of one mask in a design sweep — share the leading
-//! block through a [`LeadingBlockCache`] handed to
-//! [`ShiftedCholesky::with_order`]; a family built on a shared block is
+//! `G_AB` alone (the factor of `G_AA`, `X`, `G_BA` and `P = G_BA·X`), and
+//! the trailing part `S₀ = G_BB − P`. Placements that differ only on the
+//! support × support entries of `G` and in `D` — the film thicknesses of
+//! one mask in a design sweep — share the leading block through a
+//! [`LeadingBlockCache`]; a family built on a shared block is
 //! bit-identical to one built alone.
 
 use std::fmt;
@@ -100,7 +112,13 @@ struct TrailingBlock {
 struct LeadingBlock {
     /// The nodes off the support, ascending.
     free: Vec<usize>,
+    /// The pattern node each free node is factored at (`free` order).
+    at: Vec<usize>,
+    /// `G_AA` factored on a pattern that covers it; pattern nodes no free
+    /// node maps to are decoupled identity rows.
     g_aa: Cholesky,
+    /// The least and greatest pivot of `G_AA`'s own rows.
+    pivots: (f64, f64),
     /// `X = G_AA⁻¹·G_AB`, one column per support node.
     x: Vec<Vec<f64>>,
     /// The stored entries of `G_BA`, row by row: (position in `free`,
@@ -110,14 +128,18 @@ struct LeadingBlock {
     p: DenseMatrix,
 }
 
-/// `G` split along the support: `G_AA` as CSR (the free nodes keep their
-/// relative order, so its rows stay sorted) and the stored entries of
-/// `G_BA` (one list per support node).
-struct Split {
-    /// Each node's position in `free` or in the support.
-    slot: Vec<usize>,
-    g_aa: CsrMatrix,
-    g_ba: Vec<Vec<(usize, f64)>>,
+/// Where a build factors `G_AA`.
+#[derive(Clone, Copy)]
+enum LeadingPattern<'a> {
+    /// An analysis of `G_AA`'s own structure: on the restriction of the
+    /// given order of `g`'s nodes, or by minimum degree.
+    Own(Option<&'a [usize]>),
+    /// A pattern that covers `G_AA` through `nodes` (free node → pattern
+    /// node).
+    Package {
+        pattern: &'a Arc<CholeskyPattern>,
+        nodes: &'a [usize],
+    },
 }
 
 /// How many leading blocks a [`LeadingBlockCache`] stores. One perfbench
@@ -131,20 +153,21 @@ struct Split {
 const LEADING_BLOCK_CAPACITY: usize = 16;
 
 /// A bounded store of leading blocks shared by the placement factors of
-/// one sweep (handed to [`ShiftedCholesky::with_order`]).
+/// one sweep (handed to [`ShiftedCholesky::with_package_pattern`] or
+/// [`ShiftedCholesky::with_order`]).
 ///
 /// A leading block is what a [`FactorPlan::TrailingBlock`] family computes
-/// from `G_AA` and `G_AB` alone: the analysis of `G_AA` on the restricted
-/// order, its factor, `X = G_AA⁻¹·G_AB`, the stored `G_BA` and
-/// `P = G_BA·X` (for an empty support, `G` factored on the network's
-/// pattern). Placements that differ only on the support × support entries
-/// of `G` and in `D` — a TEC film of another thickness over the same
-/// tiles — share it. An entry is keyed by an FNV-1a digest of its key
-/// material: `n`, the support, the elimination order, and the position
-/// and bits of every stored entry of `G` with an endpoint off the
-/// support. A lookup compares the full material, not just the digest, so
-/// a hit is the block a fresh build would compute and a digest collision
-/// is only a miss.
+/// from `G_AA` and `G_AB` alone: the factor of `G_AA`, `X = G_AA⁻¹·G_AB`,
+/// the stored `G_BA` and `P = G_BA·X` (for an empty support, `G` factored
+/// on the network's pattern). Placements that differ only on the support
+/// × support entries of `G` and in `D` — a TEC film of another thickness
+/// over the same tiles — share it. An entry is keyed by an FNV-1a digest
+/// of its key material: `n`, the support, the elimination order or node
+/// map, and the position and bits of every stored entry of `G` with an
+/// endpoint off the support; a block factored on a caller's pattern is
+/// keyed by that pattern too (the same `Arc`). A lookup compares the full
+/// material, not just the digest, so a hit is the block a fresh build
+/// would compute and a digest collision is only a miss.
 ///
 /// The lock guards lookups and inserts only; blocks are built outside it.
 /// Two threads that miss on the same key both build it (with the same
@@ -163,25 +186,28 @@ struct CacheState {
 }
 
 /// The key material of a leading block with its digest: the shape (`n`,
-/// `k`, the support, the order, and the position `r·n + c` of every
-/// stored entry of `G` off the support × support block, row by row) and
-/// the bits of those entries. Stored keys of one shape share it.
+/// `k`, the support, the order or node map, and the position `r·n + c`
+/// of every stored entry of `G` off the support × support block, row by
+/// row), the bits of those entries, and the pattern `G_AA` is factored
+/// on when a caller supplies it (compared by pointer: the key holds it,
+/// so its address is never reused while the entry lives).
 #[derive(Debug, Clone)]
 struct LeadingKey {
     digest: u64,
-    shape: Arc<[u64]>,
+    shape: Vec<u64>,
     values: Vec<u64>,
+    pattern: Option<Arc<CholeskyPattern>>,
 }
 
 impl LeadingKey {
-    fn new(g: &CsrMatrix, support: &[usize], on_support: &[bool], order: &[usize]) -> LeadingKey {
+    fn new(g: &CsrMatrix, support: &[usize], on_support: &[bool], layout: &[usize]) -> LeadingKey {
         let n = g.rows();
         let mut shape = Vec::with_capacity(2 + support.len() + n + g.nnz());
         let mut values = Vec::with_capacity(g.nnz());
         shape.push(n as u64);
         shape.push(support.len() as u64);
         shape.extend(support.iter().map(|&b| b as u64));
-        shape.extend(order.iter().map(|&v| v as u64));
+        shape.extend(layout.iter().map(|&v| v as u64));
         for r in 0..n {
             for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
                 let c = g.col_indices()[t];
@@ -201,19 +227,24 @@ impl LeadingKey {
             });
         LeadingKey {
             digest,
-            shape: shape.into(),
+            shape,
             values,
+            pattern: None,
         }
-    }
-
-    fn same_shape(&self, other: &LeadingKey) -> bool {
-        Arc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape
     }
 }
 
 impl PartialEq for LeadingKey {
     fn eq(&self, other: &LeadingKey) -> bool {
-        self.digest == other.digest && self.same_shape(other) && self.values == other.values
+        let same_pattern = match (&self.pattern, &other.pattern) {
+            (Some(p), Some(q)) => Arc::ptr_eq(p, q),
+            (None, None) => true,
+            _ => false,
+        };
+        self.digest == other.digest
+            && same_pattern
+            && self.shape == other.shape
+            && self.values == other.values
     }
 }
 
@@ -253,29 +284,16 @@ impl LeadingBlockCache {
 
     /// Stores `lead` under `key` unless a racing build stored one first
     /// or the cache is full, and returns the block to build on.
-    fn insert(&self, mut key: LeadingKey, mut lead: LeadingBlock) -> Arc<LeadingBlock> {
+    fn insert(&self, key: LeadingKey, lead: LeadingBlock) -> Arc<LeadingBlock> {
         let mut state = self.lock();
         state.built += 1;
         if let Some((_, stored)) = state.entries.iter().find(|(stored, _)| *stored == key) {
             return Arc::clone(stored);
         }
-        if state.entries.len() == LEADING_BLOCK_CAPACITY {
-            return Arc::new(lead);
-        }
-        // A block of the same shape (another contact of one mask) analysed
-        // the same structure in the same order: keep one copy of the shape
-        // and of the factor's solve structure between them (≈0.56 MB of a
-        // perfbench explore sweep's peak RSS, EXPERIMENTS.md P8).
-        if let Some((twin, block)) = state
-            .entries
-            .iter()
-            .find(|(stored, _)| stored.same_shape(&key))
-        {
-            key.shape = Arc::clone(&twin.shape);
-            lead.g_aa.share_solve_structure(&block.g_aa);
-        }
         let lead = Arc::new(lead);
-        state.entries.push((key, Arc::clone(&lead)));
+        if state.entries.len() < LEADING_BLOCK_CAPACITY {
+            state.entries.push((key, Arc::clone(&lead)));
+        }
         lead
     }
 }
@@ -337,9 +355,8 @@ impl ShiftedCholesky {
     ///
     /// For a nonempty support `G_AA` is analysed whatever the plan, since
     /// the plan rule needs its flop count; here it is ordered by minimum
-    /// degree, and [`ShiftedCholesky::with_order`] takes the order from the
-    /// caller instead. `network_pattern` must return the analysis of `g`'s
-    /// own structure; it is called under [`FactorPlan::Network`] and for an
+    /// degree. `network_pattern` must return the analysis of `g`'s own
+    /// structure; it is called under [`FactorPlan::Network`] and for an
     /// empty support, where `G_AA` is `g` itself and is factored on that
     /// pattern.
     ///
@@ -359,25 +376,56 @@ impl ShiftedCholesky {
         support: &[usize],
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, None, None, network_pattern)
+        let own = LeadingPattern::Own(None);
+        ShiftedCholesky::build(g, d, support, None, own, None, network_pattern)
+    }
+
+    /// [`ShiftedCholesky::new`] with `G_AA` factored on `pattern`, an
+    /// analysis of a larger network that holds `G_AA` as an induced
+    /// subgraph: no analysis of `G_AA` runs. `nodes[a]` is the pattern
+    /// node of free node `a` (the entries of support nodes are not read);
+    /// distinct free nodes must map to distinct pattern nodes, and every
+    /// stored entry of `G_AA` must land on an entry `pattern` covers. The
+    /// thermal model passes its package's passive-network pattern and the
+    /// map of its nodes into the passive network. Pattern nodes no free
+    /// node maps to factor as decoupled identity rows (see the module
+    /// docs), and the plan rule weighs `k³/3` against `pattern`'s
+    /// [`CholeskyPattern::factor_flops`], the cost of the factor it runs.
+    ///
+    /// `G_AA` is read through the entries whose images lie in `pattern`'s
+    /// lower triangle (and the diagonal), so `g` must be symmetric, as
+    /// everywhere in this module. With a `cache`, the leading block is
+    /// taken from it when an earlier build stored one for the same key
+    /// material (`pattern` included, by pointer), and stored there after a
+    /// miss; the family is bit-identical either way. A placement the rule
+    /// sends to [`FactorPlan::Network`] stores nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftedCholesky::new`], plus [`LinalgError::InvalidInput`] if
+    /// `nodes` does not have one entry per node, maps a free node outside
+    /// `pattern` or two free nodes to one pattern node, or a stored entry
+    /// of `G_AA` lies outside `pattern` (it is never dropped).
+    pub fn with_package_pattern(
+        g: &CsrMatrix,
+        d: &[f64],
+        support: &[usize],
+        pattern: &Arc<CholeskyPattern>,
+        nodes: &[usize],
+        cache: Option<&LeadingBlockCache>,
+        network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
+    ) -> Result<ShiftedCholesky, LinalgError> {
+        let package = LeadingPattern::Package { pattern, nodes };
+        ShiftedCholesky::build(g, d, support, None, package, cache, network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] with `G_AA` analysed on the elimination
     /// order `order` of `g`'s nodes restricted to the nodes off the
-    /// support ([`CholeskyPattern::analyse_csr_ordered`]), so a placement
-    /// costs no minimum-degree search. The thermal model passes its
-    /// package's passive-network order: `G_AA` is an induced subgraph of
-    /// the passive network, so eliminating it in that order fills no more
-    /// than the passive factor does.
-    ///
-    /// With a `cache`, the leading block (everything that depends only on
-    /// `G_AA` and `G_AB`, see [`LeadingBlockCache`]) is taken from it when
-    /// an earlier build stored one for the same key material, and stored
-    /// there after a miss. Only the trailing part, `S₀ = G_BB − G_BA·X`,
-    /// is computed per call; it is the same arithmetic as a build without
-    /// a cache, so the family is bit-identical either way. A placement the
-    /// rule sends to [`FactorPlan::Network`] is built as without a cache
-    /// and stores nothing.
+    /// support ([`CholeskyPattern::analyse_csr_ordered`]): the exact
+    /// pattern of `G_AA` in that order. The oracle of
+    /// [`ShiftedCholesky::with_package_pattern`], which eliminates `G_AA`
+    /// in the same order on a superset of this pattern. The cache works as
+    /// there, keyed by `order` instead of a pattern.
     ///
     /// # Errors
     ///
@@ -391,7 +439,8 @@ impl ShiftedCholesky {
         cache: Option<&LeadingBlockCache>,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, None, Some(order), cache, network_pattern)
+        let own = LeadingPattern::Own(Some(order));
+        ShiftedCholesky::build(g, d, support, None, own, cache, network_pattern)
     }
 
     /// [`ShiftedCholesky::new`] on the given plan instead of the rule's,
@@ -409,7 +458,8 @@ impl ShiftedCholesky {
         plan: FactorPlan,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
-        ShiftedCholesky::build(g, d, support, Some(plan), None, None, network_pattern)
+        let own = LeadingPattern::Own(None);
+        ShiftedCholesky::build(g, d, support, Some(plan), own, None, network_pattern)
     }
 
     fn build(
@@ -417,7 +467,7 @@ impl ShiftedCholesky {
         d: &[f64],
         support: &[usize],
         plan: Option<FactorPlan>,
-        order: Option<&[usize]>,
+        leading: LeadingPattern<'_>,
         cache: Option<&LeadingBlockCache>,
         network_pattern: impl FnOnce() -> Result<Arc<CholeskyPattern>, LinalgError>,
     ) -> Result<ShiftedCholesky, LinalgError> {
@@ -452,8 +502,15 @@ impl ShiftedCholesky {
                 d[k]
             )));
         }
-        if let Some(order) = order {
-            check_permutation(order, n)?;
+        match leading {
+            LeadingPattern::Own(Some(order)) => check_permutation(order, n)?,
+            LeadingPattern::Package { nodes, .. } if nodes.len() != n => {
+                return Err(LinalgError::InvalidInput(format!(
+                    "a node map of {} entries for n = {n}",
+                    nodes.len()
+                )));
+            }
+            _ => {}
         }
         let free: Vec<usize> = (0..n).filter(|&k| !on_support[k]).collect();
         let d_support: Vec<f64> = support.iter().map(|&b| d[b]).collect();
@@ -474,28 +531,33 @@ impl ShiftedCholesky {
             };
             return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
         }
-        let key = cache
-            .zip(order)
-            .map(|(c, order)| (c, LeadingKey::new(g, &support, &on_support, order)));
+        let key = match leading {
+            LeadingPattern::Own(None) => None,
+            LeadingPattern::Own(Some(order)) => {
+                cache.map(|c| (c, LeadingKey::new(g, &support, &on_support, order)))
+            }
+            LeadingPattern::Package { pattern, nodes } => cache.map(|c| {
+                let mut key = LeadingKey::new(g, &support, &on_support, nodes);
+                key.pattern = Some(Arc::clone(pattern));
+                (c, key)
+            }),
+        };
         if let Some(lead) = lookup(&key) {
             // Only a block the rule chose is ever stored, so a hit is the
             // rule's plan.
             return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
         }
 
-        let split = Split::new(g, &support, &on_support, &free);
-        let aa_pattern = Arc::new(match order {
-            Some(order) => {
-                let restricted: Vec<usize> = order
-                    .iter()
-                    .filter(|&&node| !on_support[node])
-                    .map(|&node| split.slot[node])
-                    .collect();
-                CholeskyPattern::analyse_csr_ordered(&split.g_aa, &restricted)?
+        let (aa_pattern, at) = match leading {
+            LeadingPattern::Own(order) => {
+                let pattern = own_pattern(g, &on_support, &free, order)?;
+                (Arc::new(pattern), (0..free.len()).collect())
             }
-            None => CholeskyPattern::analyse_csr(&split.g_aa)?,
-        });
-
+            LeadingPattern::Package { pattern, nodes } => (
+                Arc::clone(pattern),
+                free.iter().map(|&a| nodes[a]).collect(),
+            ),
+        };
         let k = support.len() as f64;
         let trailing = match plan {
             None => k * k * k / 3.0 <= aa_pattern.factor_flops(),
@@ -508,7 +570,8 @@ impl ShiftedCholesky {
             Some(plan) => plan != FactorPlan::Network,
         };
         if trailing {
-            let lead = store(key, LeadingBlock::factor(split, &aa_pattern, free)?);
+            let lead = LeadingBlock::factor(g, &support, &on_support, free, aa_pattern, at)?;
+            let lead = store(key, lead);
             return Ok(ShiftedCholesky::on_block(g, support, d_support, lead));
         }
         let pattern = network_pattern()?;
@@ -559,6 +622,17 @@ impl ShiftedCholesky {
         }
     }
 
+    /// The pattern `G_AA` is factored on, under
+    /// [`FactorPlan::TrailingBlock`]: the caller's under
+    /// [`ShiftedCholesky::with_package_pattern`], the network's for an
+    /// empty support, otherwise an analysis of `G_AA`'s own.
+    pub fn leading_pattern(&self) -> Option<&Arc<CholeskyPattern>> {
+        match &self.family {
+            Family::Block(blk) => Some(blk.lead.g_aa.pattern()),
+            Family::Network { .. } => None,
+        }
+    }
+
     /// Whether `G − i·D` is positive definite: the verdict of exactly the
     /// factorization [`ShiftedCholesky::factor_at`] would return.
     ///
@@ -598,7 +672,7 @@ impl ShiftedCholesky {
         match &self.family {
             Family::Block(blk) => {
                 let rhs: Vec<f64> = blk.lead.free.iter().map(|&a| b[a]).collect();
-                let y = blk.lead.g_aa.solve(&rhs)?;
+                let y = blk.lead.solve(&rhs)?;
                 Ok(LeadingSolve { rhs, y })
             }
             Family::Network { .. } => Ok(LeadingSolve {
@@ -656,34 +730,39 @@ impl ShiftedCholesky {
     }
 }
 
-impl Split {
-    fn new(g: &CsrMatrix, support: &[usize], on_support: &[bool], free: &[usize]) -> Split {
-        let n = g.rows();
-        let mut slot = vec![0; n];
-        for block in [free, support] {
-            for (s, &node) in block.iter().enumerate() {
-                slot[node] = s;
-            }
+/// The analysis of `G_AA`'s own structure (its CSR, the free nodes in
+/// ascending order), on `order` restricted to the free nodes or by
+/// minimum degree.
+fn own_pattern(
+    g: &CsrMatrix,
+    on_support: &[bool],
+    free: &[usize],
+    order: Option<&[usize]>,
+) -> Result<CholeskyPattern, LinalgError> {
+    let mut slot = vec![0; g.rows()];
+    for (s, &node) in free.iter().enumerate() {
+        slot[node] = s;
+    }
+    let mut aa_ptr = Vec::with_capacity(free.len() + 1);
+    let mut aa_col = Vec::with_capacity(g.nnz());
+    aa_ptr.push(0);
+    for &r in free {
+        let row = &g.col_indices()[g.row_ptr()[r]..g.row_ptr()[r + 1]];
+        aa_col.extend(row.iter().filter(|&&c| !on_support[c]).map(|&c| slot[c]));
+        aa_ptr.push(aa_col.len());
+    }
+    let values = vec![0.0; aa_col.len()];
+    let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, values);
+    match order {
+        Some(order) => {
+            let restricted: Vec<usize> = order
+                .iter()
+                .filter(|&&node| !on_support[node])
+                .map(|&node| slot[node])
+                .collect();
+            CholeskyPattern::analyse_csr_ordered(&g_aa, &restricted)
         }
-        let mut aa_ptr = Vec::with_capacity(free.len() + 1);
-        let mut aa_col = Vec::with_capacity(g.nnz());
-        let mut aa_val = Vec::with_capacity(g.nnz());
-        aa_ptr.push(0);
-        let mut g_ba: Vec<Vec<(usize, f64)>> = vec![Vec::new(); support.len()];
-        for r in (0..n).filter(|&r| !on_support[r]) {
-            for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
-                let (c, v) = (g.col_indices()[t], g.values()[t]);
-                if on_support[c] {
-                    g_ba[slot[c]].push((slot[r], v));
-                } else {
-                    aa_col.push(slot[c]);
-                    aa_val.push(v);
-                }
-            }
-            aa_ptr.push(aa_col.len());
-        }
-        let g_aa = CsrMatrix::from_parts(free.len(), free.len(), aa_ptr, aa_col, aa_val);
-        Split { slot, g_aa, g_ba }
+        None => CholeskyPattern::analyse_csr(&g_aa),
     }
 }
 
@@ -694,56 +773,159 @@ impl LeadingBlock {
         pattern: &Arc<CholeskyPattern>,
         free: Vec<usize>,
     ) -> Result<LeadingBlock, LinalgError> {
+        let g_aa = Cholesky::factor_csr_with(pattern, g)?;
         Ok(LeadingBlock {
+            at: (0..free.len()).collect(),
+            pivots: pivot_range(g_aa.pivots()),
             free,
-            g_aa: Cholesky::factor_csr_with(pattern, g)?,
+            g_aa,
             x: Vec::new(),
             g_ba: Vec::new(),
             p: DenseMatrix::zeros(0, 0),
         })
     }
 
-    /// `G_AA` factored on `aa_pattern`, `X = G_AA⁻¹·G_AB` and `P = G_BA·X`.
+    /// `G_AA` placed into `pattern`'s lower layout (free node `free[a]` at
+    /// pattern node `at[a]`, every other pattern node an identity row) and
+    /// factored, `X = G_AA⁻¹·G_AB` and `P = G_BA·X`. One pass over the
+    /// rows of `g` writes `G_AA` and collects `G_BA`.
     fn factor(
-        split: Split,
-        aa_pattern: &Arc<CholeskyPattern>,
+        g: &CsrMatrix,
+        support: &[usize],
+        on_support: &[bool],
         free: Vec<usize>,
+        pattern: Arc<CholeskyPattern>,
+        at: Vec<usize>,
     ) -> Result<LeadingBlock, LinalgError> {
-        let g_aa = Cholesky::factor_csr_with(aa_pattern, &split.g_aa).map_err(|e| match e {
-            LinalgError::NotPositiveDefinite { pivot } => {
-                LinalgError::NotPositiveDefinite { pivot: free[pivot] }
+        let m = pattern.dim();
+        let mut covered = vec![false; m];
+        for (&a, &node) in free.iter().zip(&at) {
+            if node >= m || std::mem::replace(&mut covered[node], true) {
+                return Err(LinalgError::InvalidInput(format!(
+                    "free node {a} maps to pattern node {node}, out of bounds for a pattern of \
+                     {m} nodes or taken by another free node"
+                )));
             }
+        }
+        let mut lower = vec![0.0; pattern.lower_len()];
+        for node in (0..m).filter(|&node| !covered[node]) {
+            lower[pattern.diagonal_position(node)] = 1.0;
+        }
+        let mut slot = vec![0; g.rows()];
+        for (s, &node) in support.iter().enumerate() {
+            slot[node] = s;
+        }
+        for (s, &node) in free.iter().enumerate() {
+            slot[node] = s;
+        }
+        let mut g_ba: Vec<Vec<(usize, f64)>> = vec![Vec::new(); support.len()];
+        for (a, &r) in free.iter().enumerate() {
+            let row = at[a];
+            for t in g.row_ptr()[r]..g.row_ptr()[r + 1] {
+                let (c, v) = (g.col_indices()[t], g.values()[t]);
+                if on_support[c] {
+                    g_ba[slot[c]].push((a, v));
+                    continue;
+                }
+                let col = at[slot[c]];
+                if col == row {
+                    lower[pattern.diagonal_position(row)] = v;
+                } else if col < row {
+                    let q = pattern.lower_position(row, col).ok_or_else(|| {
+                        LinalgError::InvalidInput(format!(
+                            "G_AA entry ({r}, {c}) lies outside the pattern it is factored on"
+                        ))
+                    })?;
+                    lower[q] = v;
+                }
+            }
+        }
+        let g_aa = Cholesky::numeric(pattern, &lower).map_err(|e| match e {
+            // Only a free node can fail: an identity row's pivot is 1.
+            LinalgError::NotPositiveDefinite { pivot } => LinalgError::NotPositiveDefinite {
+                pivot: at
+                    .iter()
+                    .position(|&node| node == pivot)
+                    .map_or(pivot, |a| free[a]),
+            },
             other => other,
         })?;
-        let g_ab: Vec<Vec<f64>> = split
-            .g_ba
+        let pivots = pivot_range(
+            g_aa.pivots()
+                .zip(g_aa.pattern().permutation())
+                .filter(|&(_, &node)| covered[node])
+                .map(|(p, _)| p),
+        );
+        let g_ab: Vec<Vec<f64>> = g_ba
             .iter()
             .map(|stored| {
-                let mut col = vec![0.0; free.len()];
+                let mut col = vec![0.0; m];
                 for &(a, v) in stored {
-                    col[a] = v;
+                    col[at[a]] = v;
                 }
                 col
             })
             .collect();
-        let x = g_aa.solve_many(&g_ab)?;
+        let x: Vec<Vec<f64>> = g_aa
+            .solve_many(&g_ab)?
+            .iter()
+            .map(|col| at.iter().map(|&node| col[node]).collect())
+            .collect();
         // P = G_BA·X over the stored entries only, in ascending order: the
         // skipped terms are exact zeros.
-        let k = split.g_ba.len();
+        let k = g_ba.len();
         let mut p = DenseMatrix::zeros(k, k);
-        for (r, g_ba_r) in split.g_ba.iter().enumerate() {
+        for (r, g_ba_r) in g_ba.iter().enumerate() {
             for (c, x_c) in x.iter().enumerate() {
                 p[(r, c)] = g_ba_r.iter().map(|&(a, u)| u * x_c[a]).sum::<f64>();
             }
         }
         Ok(LeadingBlock {
             free,
-            g_aa: g_aa.into_solve_only(),
+            at,
+            g_aa,
+            pivots,
             x,
-            g_ba: split.g_ba,
+            g_ba,
             p,
         })
     }
+
+    /// `G_AA⁻¹·b` for a right-hand side `b` in `free` order: placed at the
+    /// pattern nodes (zero on the identity rows, whose solution is zero),
+    /// solved, and read back.
+    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let y = self.g_aa.solve(&self.place(b))?;
+        Ok(self.at.iter().map(|&node| y[node]).collect())
+    }
+
+    /// `b`, in `free` order, at the pattern nodes of the free nodes.
+    fn place(&self, b: &[f64]) -> Vec<f64> {
+        let mut placed = vec![0.0; self.g_aa.dim()];
+        for (&node, &v) in self.at.iter().zip(b) {
+            placed[node] = v;
+        }
+        placed
+    }
+
+    /// [`LeadingBlock::solve`] for many right-hand sides in one blocked
+    /// pass ([`Cholesky::solve_many`]).
+    fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
+        let placed: Vec<Vec<f64>> = rhs.iter().map(|b| self.place(b)).collect();
+        Ok(self
+            .g_aa
+            .solve_many(&placed)?
+            .iter()
+            .map(|col| self.at.iter().map(|&node| col[node]).collect())
+            .collect())
+    }
+}
+
+/// The least and greatest of `pivots` (`(∞, −∞)` for none).
+fn pivot_range(pivots: impl Iterator<Item = f64>) -> (f64, f64) {
+    pivots.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+        (lo.min(p), hi.max(p))
+    })
 }
 
 impl TrailingBlock {
@@ -870,7 +1052,7 @@ impl ShiftedFactor {
                     .iter()
                     .map(|b| block.lead.free.iter().map(|&a| b[a]).collect())
                     .collect();
-                let ys = block.lead.g_aa.solve_many(&cols_a)?;
+                let ys = block.lead.solve_many(&cols_a)?;
                 rhs.iter()
                     .zip(&ys)
                     .map(|(b, y)| block.finish(s, &family.support, y, b))
@@ -882,20 +1064,17 @@ impl ShiftedFactor {
 
     /// Pivot-ratio estimate of `κ₂(G − i·D)`, as
     /// [`Cholesky::condition_estimate`]: under the trailing block the
-    /// pivots are those of `L_AA` and of the `k×k` block, which together
-    /// are the pivots of a Cholesky factor with the support ordered last.
+    /// pivots are those of `G_AA`'s rows of `L` and of the `k×k` block,
+    /// which together are the pivots of a Cholesky factor with the support
+    /// ordered last (the identity rows of a package pattern are not
+    /// `G_AA`'s and do not count).
     pub fn condition_estimate(&self) -> f64 {
         match &self.factor {
             PerShift::Block { block, s } => {
                 let l = s.l();
-                let (lo, hi) = block
-                    .lead
-                    .g_aa
-                    .pivots()
-                    .chain((0..l.rows()).map(|r| l[(r, r)]))
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-                        (lo.min(p), hi.max(p))
-                    });
+                let (lo, hi) = (0..l.rows())
+                    .map(|r| l[(r, r)])
+                    .fold(block.lead.pivots, |(lo, hi), p| (lo.min(p), hi.max(p)));
                 if lo == f64::INFINITY {
                     1.0
                 } else if lo <= 0.0 {

@@ -435,6 +435,25 @@ proptest! {
             prop_assert!(rel_err(&x, &x_dense) <= 1e-10, "solve rel err {}", rel_err(&x, &x_dense));
             prop_assert!(rel_err(x_many, &x_dense) <= 1e-10);
         }
+        // Sparse unit-vector columns, whose blocks the forward sweep skips
+        // wherever every column is still zero: alone and beside a dense
+        // column, each bit-identical to its own solve.
+        let unit = |j: usize| {
+            let mut e = vec![0.0; dim];
+            e[j % dim] = 1.0;
+            e
+        };
+        let sparse: Vec<Vec<f64>> = [seed as usize, seed as usize / 7 + 1, dim - 1]
+            .into_iter()
+            .map(unit)
+            .collect();
+        let mixed: Vec<Vec<f64>> = sparse.iter().chain(&rhs[..1]).cloned().collect();
+        for block in [&sparse, &mixed] {
+            for (b, x_many) in block.iter().zip(&chol.solve_many(block).unwrap()) {
+                prop_assert_eq!(bits(x_many), bits(&chol.solve(b).unwrap()));
+                prop_assert!(rel_err(x_many, &dense.solve(b).unwrap()) <= 1e-10);
+            }
+        }
         let ld = dense.log_det();
         prop_assert!((chol.log_det() - ld).abs() <= 1e-10 * ld.abs().max(1.0),
             "log det {} vs {}", chol.log_det(), ld);
@@ -897,5 +916,192 @@ proptest! {
             );
             assert_same_family(&got, &fresh, &shifts(&g, &d));
         }
+    }
+}
+
+/// A package network for [`package_case`]: `dim` free nodes embedded at
+/// random positions among `dim + slots` pattern nodes, the structure of
+/// `G_AA` plus random extra entries (on the slot rows and between free
+/// nodes) that the placement lacks.
+struct PackageCase {
+    /// The placed network: `G_AA` on the first `dim` nodes, then the
+    /// support.
+    g: DenseMatrix,
+    d: Vec<f64>,
+    support: Vec<usize>,
+    /// Pattern node of each placed node (support entries unused).
+    nodes: Vec<usize>,
+    pattern: Arc<CholeskyPattern>,
+}
+
+fn package_case(seed: u64, dim: usize, k: usize, slots: usize, density: f64) -> PackageCase {
+    let n = dim + k;
+    let g = stieltjes_case(seed, n, density, 2);
+    let support: Vec<usize> = (dim..n).collect();
+    let mut d = vec![0.0; n];
+    for (j, &b) in support.iter().enumerate() {
+        d[b] = if j % 2 == 0 { 0.4 } else { -0.4 } * (1.0 + 0.1 * j as f64);
+    }
+    let m = dim + slots;
+    let places = random_support(seed ^ 0xA5A5, m, m).0;
+    let mut nodes: Vec<usize> = places[..dim].to_vec();
+    nodes.extend(std::iter::repeat_n(places[dim % m.max(1)], k));
+    // G_AA's structure at the pattern nodes, then extra entries: each
+    // slot joined to a few pattern nodes, and a few free–free pairs.
+    let mut t = Vec::new();
+    for p in 0..m {
+        t.push(Triplet::new(p, p, 1.0));
+    }
+    for r in 0..dim {
+        for c in 0..dim {
+            if r != c && g[(r, c)] != 0.0 {
+                t.push(Triplet::new(nodes[r], nodes[c], 1.0));
+            }
+        }
+    }
+    let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+    let mut next = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound.max(1) as u64) as usize
+    };
+    let extra = |u: usize, v: usize, t: &mut Vec<Triplet>| {
+        if u != v {
+            t.push(Triplet::new(u, v, 1.0));
+            t.push(Triplet::new(v, u, 1.0));
+        }
+    };
+    for &slot in &places[dim..] {
+        for _ in 0..3 {
+            let other = next(m);
+            extra(slot, other, &mut t);
+        }
+    }
+    for _ in 0..dim / 4 {
+        let (u, v) = (nodes[next(dim)], nodes[next(dim)]);
+        extra(u, v, &mut t);
+    }
+    let structure = CsrMatrix::from_triplets(m, m, &t).unwrap();
+    let pattern = Arc::new(CholeskyPattern::analyse_csr(&structure).unwrap());
+    PackageCase {
+        g,
+        d,
+        support,
+        nodes,
+        pattern,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `G_AA` factored on a package pattern that covers it with decoupled
+    /// slots and extra stored zeros, against the exact-pattern build on
+    /// the same elimination order and the dense oracle: solves agree to
+    /// 1e-12 relative, and definiteness verdicts agree away from `λ_m`.
+    #[test]
+    fn package_pattern_builds_match_the_exact_pattern_and_dense_oracles(
+        seed in 0u64..5000,
+        dim in 1usize..36,
+        k in 1usize..9,
+        slots in 0usize..6,
+        density in 0.05f64..0.6,
+    ) {
+        let case = package_case(seed, dim, k, slots, density);
+        let (g, d, support) = (&case.g, &case.d, &case.support);
+        let csr = CsrMatrix::from_dense(g);
+        let network = || Ok(Arc::new(CholeskyPattern::analyse_csr(&csr)?));
+        let package = Arc::new(
+            ShiftedCholesky::with_package_pattern(
+                &csr, d, support, &case.pattern, &case.nodes, None, network,
+            )
+            .unwrap(),
+        );
+        // The exact pattern of G_AA in the package's elimination order.
+        let mut placed = vec![usize::MAX; case.pattern.permutation().len()];
+        for a in 0..dim {
+            placed[case.nodes[a]] = a;
+        }
+        let order: Vec<usize> = case
+            .pattern
+            .permutation()
+            .iter()
+            .filter(|&&p| placed[p] != usize::MAX)
+            .map(|&p| placed[p])
+            .chain(support.iter().copied())
+            .collect();
+        let exact = Arc::new(
+            ShiftedCholesky::with_order(&csr, d, support, &order, None, network).unwrap(),
+        );
+        if let FactorPlan::TrailingBlock { .. } = package.plan() {
+            prop_assert!(Arc::ptr_eq(package.leading_pattern().unwrap(), &case.pattern));
+        }
+
+        let lambda = generalized_pd_threshold_dense(g, d, 1e-12, DEFAULT_PROBE_BUDGET)
+            .unwrap()
+            .estimate();
+        let shifted = |i: f64| {
+            let mut m = g.clone();
+            m.add_scaled_diagonal(d, -i).unwrap();
+            m
+        };
+        let b: Vec<f64> = (0..dim + k).map(|j| 1.0 + (j as f64 * 0.61).cos()).collect();
+        for f in [0.0, 0.5, 0.9, 1.1, 1.5, 4.0] {
+            let i = f * lambda;
+            let dense = DenseCholesky::factor(&shifted(i));
+            prop_assert_eq!(package.is_pd_at(i).unwrap(), dense.is_ok(), "at {} λ_m", f);
+            prop_assert_eq!(exact.is_pd_at(i).unwrap(), dense.is_ok(), "at {} λ_m", f);
+            let Ok(dense) = dense else { continue };
+            let x = package.factor_at(i).unwrap().solve(&b).unwrap();
+            let y = exact.factor_at(i).unwrap().solve(&b).unwrap();
+            let z = dense.solve(&b).unwrap();
+            prop_assert!(rel_err(&x, &y) <= 1e-12, "vs exact: {} at {} λ_m", rel_err(&x, &y), f);
+            prop_assert!(rel_err(&x, &z) <= 1e-12, "vs dense: {} at {} λ_m", rel_err(&x, &z), f);
+        }
+    }
+}
+
+#[test]
+fn a_g_aa_entry_outside_the_package_pattern_is_a_typed_error() {
+    // A chain 0 – 1 – 2 with node 3 on the support, joined to node 0.
+    let mut g = DenseMatrix::identity(4);
+    for (u, v) in [(0, 1), (1, 2), (0, 3)] {
+        g[(u, v)] = -0.2;
+        g[(v, u)] = -0.2;
+    }
+    let csr = CsrMatrix::from_dense(&g);
+    let d = [0.0, 0.0, 0.0, 1.0];
+    let network = || -> Result<Arc<CholeskyPattern>, LinalgError> { unreachable!() };
+    let pattern_of = |pairs: &[(usize, usize)]| {
+        let mut t: Vec<Triplet> = (0..4).map(|p| Triplet::new(p, p, 1.0)).collect();
+        for &(u, v) in pairs {
+            t.push(Triplet::new(u, v, 1.0));
+            t.push(Triplet::new(v, u, 1.0));
+        }
+        Arc::new(
+            CholeskyPattern::analyse_csr(&CsrMatrix::from_triplets(4, 4, &t).unwrap()).unwrap(),
+        )
+    };
+    let build = |pattern: &Arc<CholeskyPattern>, nodes: &[usize]| {
+        ShiftedCholesky::with_package_pattern(&csr, &d, &[3], pattern, nodes, None, network)
+    };
+    // Free nodes 0, 1, 2 at pattern nodes 3, 1, 0; pattern node 2 a slot.
+    let nodes = [3, 1, 0, 2];
+    let covering = pattern_of(&[(3, 1), (1, 0), (2, 3)]);
+    assert!(build(&covering, &nodes).is_ok());
+    // The pattern lacks G_AA's (1, 2) entry: refused, never dropped.
+    let lacking = pattern_of(&[(3, 1), (2, 3)]);
+    match build(&lacking, &nodes) {
+        Err(LinalgError::InvalidInput(msg)) => assert!(msg.contains("(1, 2)"), "{msg}"),
+        other => panic!("expected InvalidInput, got {other:?}"),
+    }
+    // Two free nodes on one pattern node, a node outside the pattern, and
+    // a map of the wrong length are refused too.
+    for bad in [&[3, 1, 1, 2][..], &[3, 1, 4, 2], &[3, 1, 0]] {
+        assert!(
+            matches!(build(&covering, bad), Err(LinalgError::InvalidInput(_))),
+            "{bad:?}"
+        );
     }
 }

@@ -75,11 +75,12 @@ pub enum TileInterface {
 /// many solvers, transient steppers and passive solves factor its `G − i·D`
 /// or `C/Δt + G − i·D`. The passive network's analysis costs once per
 /// package: its minimum-degree order and its pattern live in the
-/// [`PackageConfig`] ([`CompactModel::package_order`]), every passive
+/// [`PackageConfig`] ([`CompactModel::passive_pattern`]), every passive
 /// network built from clones of that configuration shares that one
-/// pattern, and every placement's Peltier-free block is analysed on the
-/// order's restriction ([`CompactModel::network_order`]). A network with
-/// spliced devices keeps a minimum-degree analysis of its own.
+/// pattern, and every placement's Peltier-free block is factored on it
+/// through the map of its nodes into the passive network
+/// ([`CompactModel::passive_nodes`]). A network with spliced devices keeps
+/// a minimum-degree analysis of its own for its whole-network factors.
 ///
 /// ```
 /// use tecopt_thermal::{CompactModel, PackageConfig};
@@ -421,13 +422,10 @@ impl CompactModel {
     /// that differs from `G` only on the diagonal (`G − i·D`,
     /// `C/Δt + G − i·D`), via `Cholesky::factor_csr_with`.
     ///
-    /// A passive network's pattern is the package's: kept in the
-    /// [`PackageConfig`] beside the package order, analysed by the first
-    /// passive model to need it (on the package order if a network with
-    /// devices filled that first, else by its own minimum-degree search,
-    /// which fills the order too) and pointer-equal across every passive
-    /// model built from clones of that configuration, whatever their
-    /// power maps. A network with spliced devices runs minimum degree on
+    /// A passive network's pattern is the package's
+    /// ([`CompactModel::passive_pattern`]), pointer-equal across every
+    /// passive model built from clones of that configuration, whatever
+    /// their power maps. A network with spliced devices runs minimum degree on
     /// its own structure: the package order with the cold/hot pairs
     /// substituted in fills the full-cover factor 1.4× (12×12) to 2.8×
     /// (64×64) more.
@@ -441,17 +439,7 @@ impl CompactModel {
             return Ok(p);
         }
         let pattern = if self.is_passive() {
-            let slot = self.config.passive();
-            match slot.pattern() {
-                Some(p) => Arc::clone(p),
-                None => {
-                    let analysed = match slot.order() {
-                        Some(order) => CholeskyPattern::analyse_csr_ordered(&self.g, order)?,
-                        None => CholeskyPattern::analyse_csr(&self.g)?,
-                    };
-                    Arc::clone(slot.fill_pattern(analysed))
-                }
-            }
+            Arc::clone(self.passive_pattern()?)
         } else {
             Arc::new(CholeskyPattern::analyse_csr(&self.g)?)
         };
@@ -459,29 +447,53 @@ impl CompactModel {
         Ok(self.pattern.get_or_init(|| pattern))
     }
 
-    /// The minimum-degree elimination order of the package's passive
-    /// network (the nodes of `CompactModel::new(self.config())`), computed
-    /// once and shared by every model built from clones of this model's
-    /// [`PackageConfig`]: pointer-equal across them. A passive model fills
-    /// it from its own analysis; a model with devices that finds it missing
-    /// orders the passive network's structure, derived from its own
-    /// without an assembly, and leaves the pattern to a passive model.
+    /// The Cholesky pattern of the package's passive network (the network
+    /// of `CompactModel::new(self.config())`), analysed once and kept in
+    /// the [`PackageConfig`] beside the package order: pointer-equal across
+    /// every model built from clones of this model's configuration. The
+    /// first model to need it fills it, passive or not: a passive model
+    /// analyses its own `G`, a model with devices the passive structure
+    /// derived from its own without an assembly
+    /// ([`CompactModel::passive_nodes`]), by minimum degree; the two
+    /// structures are equal, and so are their analyses.
+    ///
+    /// Every placement's Peltier-free block `G_AA` is an induced subgraph
+    /// of the passive network, eliminated in the package order, so this
+    /// one pattern covers every placement's fill: each factors `G_AA` on
+    /// it (`tecopt_linalg::ShiftedCholesky::with_package_pattern`).
     ///
     /// # Errors
     ///
     /// [`ThermalError::Linalg`] if the analysis fails (it cannot: the
     /// structure is square).
+    pub fn passive_pattern(&self) -> Result<&Arc<CholeskyPattern>, ThermalError> {
+        Ok(&self.passive_analysis()?.0)
+    }
+
+    /// The minimum-degree elimination order of the package's passive
+    /// network: the permutation of [`CompactModel::passive_pattern`],
+    /// filled with it and pointer-equal across every model built from
+    /// clones of this model's [`PackageConfig`].
+    ///
+    /// # Errors
+    ///
+    /// As [`CompactModel::passive_pattern`].
     pub fn package_order(&self) -> Result<&Arc<[usize]>, ThermalError> {
+        Ok(&self.passive_analysis()?.1)
+    }
+
+    /// The package's passive pattern and order, filled on first use.
+    fn passive_analysis(&self) -> Result<&(Arc<CholeskyPattern>, Arc<[usize]>), ThermalError> {
         let slot = self.config.passive();
-        if let Some(order) = slot.order() {
-            return Ok(order);
+        if let Some(filled) = slot.analysis() {
+            return Ok(filled);
         }
-        let order = if self.is_passive() {
-            self.cholesky_pattern()?.permutation().to_vec()
+        let analysed = if self.is_passive() {
+            CholeskyPattern::analyse_csr(&self.g)?
         } else {
-            CholeskyPattern::minimum_degree_order(&self.passive_structure()?)?
+            CholeskyPattern::analyse_csr(&self.passive_structure()?)?
         };
-        Ok(slot.fill_order(order))
+        Ok(slot.fill(analysed))
     }
 
     /// The package's slot for the placement factor of its passive network
@@ -496,10 +508,13 @@ impl CompactModel {
         self.is_passive().then(|| self.config.passive().placement())
     }
 
-    /// The structure of the passive network's `G` (placeholder values):
-    /// this network's with each cold/hot pair merged back into its tile's
-    /// TIM node and the lateral TIM conductances a splice drops restored.
-    fn passive_structure(&self) -> Result<CsrMatrix, ThermalError> {
+    /// Each node's index in the package's passive network (the network of
+    /// `CompactModel::new(self.config())`, numbered silicon, TIM,
+    /// spreader, sink): a spliced tile's cold and hot nodes both map to its
+    /// TIM node, every other node to its own counterpart. Off the Peltier
+    /// support the map is one-to-one, and it carries a placement's `G_AA`
+    /// onto the passive network it is an induced subgraph of.
+    pub fn passive_nodes(&self) -> Vec<usize> {
         let tiles = self.silicon.len();
         let mut passive = vec![0; self.node_count()];
         for (k, id) in self.silicon.iter().enumerate() {
@@ -517,6 +532,15 @@ impl CompactModel {
         for (k, id) in self.spreader.iter().chain(&self.sink).enumerate() {
             passive[id.index()] = 2 * tiles + k;
         }
+        passive
+    }
+
+    /// The structure of the passive network's `G` (placeholder values):
+    /// this network's with each cold/hot pair merged back into its tile's
+    /// TIM node and the lateral TIM conductances a splice drops restored.
+    fn passive_structure(&self) -> Result<CsrMatrix, ThermalError> {
+        let tiles = self.silicon.len();
+        let passive = self.passive_nodes();
         let n = 2 * tiles + self.spreader.len() + self.sink.len();
         let mut stored = Vec::with_capacity(self.g.nnz() + 8 * tiles);
         for (r, &a) in passive.iter().enumerate() {
@@ -540,8 +564,10 @@ impl CompactModel {
     /// The package order ([`CompactModel::package_order`]) on this
     /// network's nodes: each spliced tile's TIM node replaced in place by
     /// its cold/hot pair, so a permutation of `0..node_count()`. Restricted
-    /// to the nodes off the Peltier support it orders the placement's
-    /// `G_AA`, an induced subgraph of the passive network.
+    /// to the nodes off the Peltier support it is the order in which a
+    /// placement's `G_AA` is eliminated on the passive pattern, and the
+    /// order of its exact-pattern oracle
+    /// (`tecopt_linalg::ShiftedCholesky::with_order`).
     ///
     /// # Errors
     ///

@@ -17,11 +17,11 @@ use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 /// for full control.
 ///
 /// A configuration also carries the analysis and the factor of its passive
-/// network: the minimum-degree elimination order, the Cholesky pattern on
-/// it and the slot of the passive placement factor, each filled by the
-/// first [`crate::CompactModel`] or system that needs it and shared by
-/// every clone (see [`crate::CompactModel::package_order`],
-/// [`crate::CompactModel::cholesky_pattern`] and
+/// network: the Cholesky pattern with its minimum-degree elimination order
+/// (which every placement's Peltier-free block is factored on) and the
+/// slot of the passive placement factor, each filled by the first
+/// [`crate::CompactModel`] or system that needs it and shared by every
+/// clone (see [`crate::CompactModel::passive_pattern`] and
 /// [`crate::CompactModel::passive_factor_slot`]). It is a cache of a
 /// function of the other fields, which are fixed once built: equality and
 /// [`PackageConfig::digest`] ignore it, and [`PackageConfigBuilder::build`]
@@ -48,42 +48,33 @@ pub struct PackageConfig {
 
 /// The lazily filled analysis and factor of a [`PackageConfig`]'s passive
 /// network, one slot per built configuration and shared by its clones. The
-/// order can be filled alone (a network with devices orders the passive
-/// structure without analysing it); the pattern is filled only by a
-/// passive network, and fills the order from its own if that is empty.
-/// The placement factor is filled by the first passive system that
-/// factors `G` without a leading-block cache of its own. Racing first
-/// fills hold the same deterministic result, so whichever wins is kept.
+/// pattern and its order are filled together, by the first model of the
+/// package that needs either, passive or not. The placement factor is
+/// filled by the first passive system that factors `G` without a
+/// leading-block cache of its own. Racing first fills hold the same
+/// deterministic result, so whichever wins is kept.
 #[derive(Clone, Default)]
 pub(crate) struct PassiveSlot(Arc<PassiveAnalysis>);
 
 #[derive(Default)]
 struct PassiveAnalysis {
-    order: OnceLock<Arc<[usize]>>,
-    pattern: OnceLock<Arc<CholeskyPattern>>,
+    /// The passive network's pattern and its permutation.
+    pattern: OnceLock<(Arc<CholeskyPattern>, Arc<[usize]>)>,
     placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
 }
 
 impl PassiveSlot {
-    pub(crate) fn order(&self) -> Option<&Arc<[usize]>> {
-        self.0.order.get()
-    }
-
-    pub(crate) fn pattern(&self) -> Option<&Arc<CholeskyPattern>> {
+    /// The pattern and its order, if filled.
+    pub(crate) fn analysis(&self) -> Option<&(Arc<CholeskyPattern>, Arc<[usize]>)> {
         self.0.pattern.get()
     }
 
-    /// Fills the order and returns what the slot holds.
-    pub(crate) fn fill_order(&self, order: Vec<usize>) -> &Arc<[usize]> {
-        self.0.order.get_or_init(|| order.into())
-    }
-
-    /// Fills the pattern, and the order from its permutation, and returns
-    /// the pattern the slot holds.
-    pub(crate) fn fill_pattern(&self, pattern: CholeskyPattern) -> &Arc<CholeskyPattern> {
-        let pattern = self.0.pattern.get_or_init(|| Arc::new(pattern));
-        self.0.order.get_or_init(|| pattern.permutation().into());
-        pattern
+    /// Fills the pattern and its order, and returns what the slot holds.
+    pub(crate) fn fill(&self, pattern: CholeskyPattern) -> &(Arc<CholeskyPattern>, Arc<[usize]>) {
+        self.0.pattern.get_or_init(|| {
+            let order = pattern.permutation().into();
+            (Arc::new(pattern), order)
+        })
     }
 
     /// The slot of the passive network's placement factor.
@@ -101,13 +92,12 @@ impl PartialEq for PassiveSlot {
 
 impl fmt::Debug for PassiveSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = |filled: bool| if filled { "filled" } else { "empty" };
-        write!(
-            f,
-            "PassiveSlot(order: {}, pattern: {})",
-            state(self.order().is_some()),
-            state(self.pattern().is_some())
-        )
+        let state = if self.analysis().is_some() {
+            "filled"
+        } else {
+            "empty"
+        };
+        write!(f, "PassiveSlot(order: {state}, pattern: {state})")
     }
 }
 

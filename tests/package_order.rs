@@ -4,11 +4,12 @@
 //! placement factor are computed once and kept in the `PackageConfig`:
 //! every system built from clones of one configuration, and every
 //! `with_tiles` result of those, reads the same order, and every passive
-//! one shares the same pattern and factor whatever its power map. Only a passive network fills the pattern; a
-//! network with spliced devices that finds the order missing fills the
-//! order alone. Each placement's Peltier-free block is analysed on the
-//! order's restriction; a network with spliced devices keeps a
-//! minimum-degree analysis of its own structure.
+//! one shares the same pattern and factor whatever its power map. The
+//! first network of the package fills the pattern and its order, passive
+//! or not. Each placement's Peltier-free block is factored on that
+//! pattern, with no analysis of its own; a network with spliced devices
+//! keeps a minimum-degree analysis of its own structure for its
+//! whole-network factors.
 
 use std::sync::Arc;
 
@@ -177,22 +178,63 @@ fn every_baseline_peak_is_the_peak_of_a_freshly_built_passive_system() {
 }
 
 #[test]
-fn a_device_network_fills_only_the_order_and_a_later_passive_pattern_is_minimum_degree() {
+fn a_device_network_fills_the_package_pattern_on_the_passive_order() {
     let config = PackageConfig::hotspot41_like(12, 12).unwrap();
     let placed = alpha(&config, &[TileIndex::new(5, 5)]);
     placed.solve(Amperes(1.0)).unwrap();
     let slot = format!("{config:?}");
     assert!(
-        slot.contains("PassiveSlot(order: filled, pattern: empty)"),
+        slot.contains("PassiveSlot(order: filled, pattern: filled)"),
         "{slot}"
     );
+    // A later passive network takes the pattern the device network filled.
+    let filled = Arc::clone(placed.stamped().model().passive_pattern().unwrap());
     let passive = pattern_of(&placed.with_tiles(&[]).unwrap());
-    assert!(format!("{config:?}").contains("PassiveSlot(order: filled, pattern: filled)"));
+    assert!(Arc::ptr_eq(&passive, &filled));
 
+    // It is a passive model's own minimum-degree analysis.
     let fresh = PackageConfig::hotspot41_like(12, 12).unwrap();
     let model = tecopt_thermal::CompactModel::new(&fresh).unwrap();
     let own = CholeskyPattern::analyse_csr(model.g_matrix()).unwrap();
     assert_eq!(format!("{passive:?}"), format!("{own:?}"));
+}
+
+const REFERENCE: &str = include_str!("../perfbench/reference/table1.tsv");
+
+/// The deployed tiles of every Table-I reference row (its seventh field,
+/// `row,col;…` or `-`).
+fn table1_placements() -> Vec<Vec<TileIndex>> {
+    REFERENCE
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| match line.split_whitespace().nth(6).unwrap() {
+            "-" => Vec::new(),
+            list => list
+                .split(';')
+                .map(|rc| {
+                    let (r, c) = rc.split_once(',').unwrap();
+                    TileIndex::new(r.parse().unwrap(), c.parse().unwrap())
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+#[test]
+fn every_table1_placement_factors_its_leading_block_on_the_package_pattern() {
+    let config = PackageConfig::hotspot41_like(12, 12).unwrap();
+    let placements = table1_placements();
+    assert_eq!(placements.len(), 11);
+    let mut placed = 0;
+    for tiles in placements {
+        let system = alpha(&config, &tiles);
+        let family = factor_of(&system);
+        let passive = system.stamped().model().passive_pattern().unwrap();
+        let leading = family.leading_pattern().expect("a trailing-block plan");
+        assert!(Arc::ptr_eq(leading, passive), "{tiles:?}");
+        placed += usize::from(!tiles.is_empty());
+    }
+    assert!(placed > 0, "every reference row is passive");
 }
 
 #[test]
