@@ -8,7 +8,8 @@
 //! placement's `G_AA` on the package order against minimum degree, and at
 //! the same sizes the
 //! sparse path from assembly to factor (placement build, grounding check,
-//! CSR stamping, CSR factor) against its dense oracles,
+//! CSR stamping, CSR factor) against its dense oracles, a placement's model
+//! spliced into the package's passive network against its geometric build,
 //! the passive start of a greedy deployment, and the per-current cost of the two
 //! placement-factor plans (the `k×k` trailing block against the network's
 //! numeric factor) at k = 8, 28 and 288 on the paper's 12×12 package, the
@@ -30,7 +31,7 @@ use tecopt_linalg::{
     conjugate_gradient, CgSettings, Cholesky, CholeskyPattern, CsrMatrix, DenseCholesky,
     FactorPlan, FactoredSystem, LeadingBlockCache, ResolvedBackend, ShiftedCholesky, Triplet,
 };
-use tecopt_thermal::TileGrid;
+use tecopt_thermal::{CompactModel, TileGrid, TwoPortSpec};
 use tecopt_units::{Amperes, Meters, Ohms, Watts, WattsPerKelvin};
 
 fn bench_solver(c: &mut Criterion) {
@@ -293,14 +294,18 @@ fn peltier_free_block(system: &CoolingSystem) -> (CsrMatrix, Vec<usize>) {
 /// (which converts and checks `n²` entries). The dense oracles are left
 /// out at 64×64, where one `n×n` matrix is ≈ 650 MB. Then
 /// `placement_build` of the Alpha chip's four hottest passive tiles, the
-/// placement of [`bench_explore_candidate`]. Last, `passive_start`: the
+/// placement of [`bench_explore_candidate`]. Last, at the
+/// [`bench_sparse_cholesky`] group's settings: the same 4-device
+/// placement's model at 12×12 and 32×32, spliced into the package's
+/// passive network (`placement_splice`, what `with_tiles` builds) against
+/// the geometric oracle (`placement_geometry`), and `passive_start`: the
 /// passive system of a solved 12×12 passive base built and solved at
-/// `i = 0`, as every `greedy_deploy` call starts, at the
-/// [`bench_sparse_cholesky`] group's settings.
+/// `i = 0`, as every `greedy_deploy` call starts.
 fn bench_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     group.sample_size(3);
     group.measurement_time(Duration::from_millis(200));
+    let mut corner_placements = Vec::new();
     for (side, system) in sweep_systems() {
         let stamped = system.stamped();
         let network = stamped.model().network();
@@ -311,6 +316,11 @@ fn bench_assembly(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("placement_build", &label), &n, |b, _| {
             b.iter(|| system.with_tiles(&corners).expect("placement"))
         });
+        if side <= 32 {
+            let spec = stamped.params().two_port_spec();
+            let splices: Vec<(TileIndex, TwoPortSpec)> = corners.map(|t| (t, spec)).to_vec();
+            corner_placements.push((label.clone(), stamped.model().config().clone(), splices));
+        }
         group.bench_with_input(BenchmarkId::new("grounding_check", &label), &n, |b, _| {
             b.iter(|| network.validate_grounding().expect("grounded"))
         });
@@ -341,6 +351,14 @@ fn bench_assembly(c: &mut Criterion) {
     // Tens of microseconds: 3 samples over 200 ms cannot resolve it.
     group.sample_size(30);
     group.measurement_time(Duration::from_secs(3));
+    for (label, config, splices) in &corner_placements {
+        group.bench_function(BenchmarkId::new("placement_splice", label), |b| {
+            b.iter(|| CompactModel::with_two_ports(config, splices).expect("splice"))
+        });
+        group.bench_function(BenchmarkId::new("placement_geometry", label), |b| {
+            b.iter(|| CompactModel::from_geometry(config, splices).expect("geometry"))
+        });
+    }
     let base = paper_grid_system(12, 12).with_tiles(&[]).expect("passive");
     base.solve(Amperes(0.0)).expect("passive solve");
     group.bench_function(BenchmarkId::new("placement_build", "passive_start"), |b| {

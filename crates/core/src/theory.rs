@@ -12,7 +12,7 @@
 //! | Lemma 3 | PD Stieltjes matrices have nonnegative inverses | [`check_lemma3`] |
 //! | Theorem 1 | `G − i·D` is PD iff `i < λ_m` (on the sampled grid) | [`check_theorem1`] |
 //! | Theorem 2 | every `h_kl(i) → +∞` as `i → λ_m⁻` | [`check_theorem2`] |
-//! | Theorem 3 | every `h_kl(i)` is midpoint-convex on the sampled grid | [`check_theorem3`] |
+//! | Theorem 3 | every `h_kl(i)` is midpoint-convex on the sampled grid (every junction's columns) | [`check_theorem3`] |
 //!
 //! Each checker returns a [`TheoryReport`] with the witnesses it examined;
 //! `Err` is reserved for malformed inputs, a *refuted* claim comes back as
@@ -272,7 +272,10 @@ pub fn check_theorem2(system: &CoolingSystem) -> Result<TheoryReport, OptError> 
 }
 
 /// Theorem 3: sampled entries of `H(i)` are midpoint-convex across a grid
-/// spanning `[0, 0.98·λ_m]`.
+/// spanning `[0, 0.98·λ_m]`: every node's entry of the cold and the hot
+/// column of every junction (`h_k,cold` and `h_k,hot`, the columns the
+/// Peltier and Joule terms act through), each grid point's columns from
+/// one factorization ([`crate::h_columns`]).
 ///
 /// # Errors
 ///
@@ -285,24 +288,36 @@ pub fn check_theorem3(system: &CoolingSystem, grid: usize) -> Result<TheoryRepor
     }
     let lim = runaway_limit(system, 1e-11)?;
     let lam = lim.feasible().value();
-    let (cold, _) = system.stamped().junctions()[0];
-    // Sample h_.cold at grid points, check midpoint convexity of every node.
-    let mut columns = Vec::with_capacity(grid);
+    let columns: Vec<usize> = system
+        .stamped()
+        .junctions()
+        .iter()
+        .flat_map(|&(cold, hot)| [cold, hot])
+        .collect();
+    // The last three grid points' columns, oldest first.
+    let mut window: Vec<Vec<Vec<f64>>> = Vec::with_capacity(3);
+    let mut witnesses = 0;
     for k in 0..grid {
         let i = lam * 0.98 * k as f64 / (grid - 1) as f64;
-        columns.push(crate::h_column(system, Amperes(i), cold)?);
-    }
-    let mut witnesses = 0;
-    for w in columns.windows(3) {
-        for (node, ((&lo, &mid), &hi)) in w[0].iter().zip(&w[1]).zip(&w[2]).enumerate() {
-            witnesses += 1;
-            let chord = 0.5 * (lo + hi);
-            if mid > chord + 1e-7 * chord.abs().max(1.0) {
-                return Ok(TheoryReport::refuted(
-                    "Theorem 3",
-                    witnesses,
-                    format!("h_{node},{cold} violates midpoint convexity: {mid} > {chord}"),
-                ));
+        if window.len() == 3 {
+            window.remove(0);
+        }
+        window.push(crate::h_columns(system, Amperes(i), &columns)?);
+        let [first, middle, last] = &window[..] else {
+            continue;
+        };
+        for (c, &l) in columns.iter().enumerate() {
+            let triples = first[c].iter().zip(&middle[c]).zip(&last[c]);
+            for (node, ((&lo, &mid), &hi)) in triples.enumerate() {
+                witnesses += 1;
+                let chord = 0.5 * (lo + hi);
+                if mid > chord + 1e-7 * chord.abs().max(1.0) {
+                    return Ok(TheoryReport::refuted(
+                        "Theorem 3",
+                        witnesses,
+                        format!("h_{node},{l} violates midpoint convexity: {mid} > {chord}"),
+                    ));
+                }
             }
         }
     }

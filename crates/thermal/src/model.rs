@@ -1,8 +1,9 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::geometry::LayerGrid;
+use crate::network::Reuse;
 use crate::{NodeId, NodeKind, PackageConfig, ThermalError, ThermalNetwork, TileIndex};
-use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix, ShiftedCholesky, Triplet};
+use tecopt_linalg::{Cholesky, CholeskyPattern, CsrMatrix, ShiftedCholesky};
 use tecopt_units::{Celsius, Kelvin, Watts, WattsPerKelvin};
 
 /// Conductances of a two-port element spliced into the TIM layer in place of
@@ -62,12 +63,15 @@ pub enum TileInterface {
 
 /// The assembled compact thermal model of the package.
 ///
-/// Construction dissects every layer into cells (Sec. IV.A of the paper),
-/// stamps lateral and vertical conductances, eliminates the ambient node and
-/// assembles the conductance matrix `G` straight into CSR (at a 12×12-tile
-/// package `G` has n = 536 rows and 1.2 % nonzeros). The model is immutable
-/// after construction: deployments with different TEC tile sets build fresh
-/// models.
+/// The package's passive network is built once per [`PackageConfig`]:
+/// every layer dissected into cells (Sec. IV.A of the paper), lateral and
+/// vertical conductances stamped, the ambient node eliminated and the
+/// conductance matrix `G` assembled straight into CSR (at a 12×12-tile
+/// package `G` has n = 536 rows and 1.2 % nonzeros). Every model is derived
+/// from it: a passive model shares it, a model with devices splices their
+/// two-ports into it ([`CompactModel::with_two_ports`]). The model is
+/// immutable after construction: deployments with different TEC tile sets
+/// derive fresh models.
 ///
 /// The model also owns the network's [`CholeskyPattern`]: analysed on the
 /// first factorization ([`CompactModel::cholesky_pattern`]) and shared by
@@ -99,14 +103,15 @@ pub enum TileInterface {
 #[derive(Debug, Clone)]
 pub struct CompactModel {
     config: PackageConfig,
-    network: ThermalNetwork,
+    /// Immutable once built, so clones of the model (and every passive
+    /// model of the package) share it, as they share `injection` and `g`.
+    network: Arc<ThermalNetwork>,
     silicon: Vec<NodeId>,
     interfaces: Vec<TileInterface>,
     spreader: Vec<NodeId>,
     sink: Vec<NodeId>,
     /// Ambient-elimination power injection per node (W).
-    injection: Vec<f64>,
-    /// Immutable once assembled, so clones of the model share it.
+    injection: Arc<[f64]>,
     g: Arc<CsrMatrix>,
     /// The Cholesky pattern of `G`, analysed (or, for a passive network,
     /// taken from the package) on first use. The slot itself is shared, so
@@ -128,6 +133,15 @@ impl CompactModel {
     /// elements ("we simply substitute the corresponding TIM node with the
     /// thermal model of the TEC device", Sec. IV.B).
     ///
+    /// Every model is derived from the package's passive network, which is
+    /// built from geometry once per built [`PackageConfig`] and kept in it:
+    /// with no splices the model shares that network, its `G` and its
+    /// injection (pointer-equal across every passive model of the
+    /// package); otherwise the two-ports are spliced into a copy of its
+    /// stamp list and only the rows of `G` they touch are summed again.
+    /// Either is bit-identical to the geometric build
+    /// ([`CompactModel::from_geometry`]).
+    ///
     /// # Errors
     ///
     /// - [`ThermalError::TileOutOfBounds`] for a splice outside the grid.
@@ -137,263 +151,67 @@ impl CompactModel {
         config: &PackageConfig,
         splices: &[(TileIndex, TwoPortSpec)],
     ) -> Result<CompactModel, ThermalError> {
-        let grid = config.grid();
-        let rows = grid.rows();
-        let cols = grid.cols();
-        let tile = grid.tile_size().value();
-        let tile_area = tile * tile;
-
-        // Which tiles are spliced, by linear index.
-        let mut splice_at: Vec<Option<TwoPortSpec>> = vec![None; grid.tile_count()];
-        for (t, spec) in splices {
-            if !grid.contains(*t) {
-                return Err(ThermalError::TileOutOfBounds {
-                    row: t.row,
-                    col: t.col,
-                    rows,
-                    cols,
-                });
-            }
-            spec.validate()?;
-            let k = grid.linear_index(*t);
-            if splice_at[k].is_some() {
-                return Err(ThermalError::DuplicateTwoPort {
-                    row: t.row,
-                    col: t.col,
-                });
-            }
-            splice_at[k] = Some(*spec);
+        let splice_at = splice_table(config, splices)?;
+        let passive = PassiveNetwork::of(config)?;
+        if splices.is_empty() {
+            return Ok(passive.model(config));
         }
+        passive.splice(config, &splice_at, splices.len())
+    }
 
-        // Absolute geometry: sink lower-left at the origin, everything
-        // centered on the sink.
-        let sink_side = config.sink_side().value();
-        let sp_side = config.spreader_side().value();
-        let die_w = grid.width().value();
-        let die_h = grid.height().value();
-
-        let die_layer = LayerGrid {
-            x0: 0.5 * (sink_side - die_w),
-            y0: 0.5 * (sink_side - die_h),
-            nx: cols,
-            ny: rows,
-            cell: tile,
-            thickness: config.die_thickness().value(),
-            conductivity: config.die_material().conductivity().value(),
-        };
-        let tim_layer = LayerGrid {
-            thickness: config.tim_thickness().value(),
-            conductivity: config.tim_material().conductivity().value(),
-            ..die_layer.clone()
-        };
-        let spreader_layer = LayerGrid {
-            x0: 0.5 * (sink_side - sp_side),
-            y0: 0.5 * (sink_side - sp_side),
-            nx: config.spreader_cells(),
-            ny: config.spreader_cells(),
-            cell: sp_side / config.spreader_cells() as f64,
-            thickness: config.spreader_thickness().value(),
-            conductivity: config.spreader_material().conductivity().value(),
-        };
-        let sink_layer = LayerGrid {
-            x0: 0.0,
-            y0: 0.0,
-            nx: config.sink_cells(),
-            ny: config.sink_cells(),
-            cell: sink_side / config.sink_cells() as f64,
-            thickness: config.sink_thickness().value(),
-            conductivity: config.sink_material().conductivity().value(),
-        };
-
-        // Room for every node and stamp up front. The counts are exact but
-        // for the overlap windows, bounded by the cells a square of the
-        // tile's (the spreader cell's) side can cover.
-        let window = |layer: &LayerGrid, side: f64| {
-            let per_axis = (side / layer.cell).ceil() as usize + 1;
-            per_axis.min(layer.nx) * per_axis.min(layer.ny)
-        };
-        let lateral = |nx: usize, ny: usize| nx * ny.saturating_sub(1) + ny * nx.saturating_sub(1);
-        let tiles = grid.tile_count();
-        let nodes =
-            2 * tiles + splices.len() + spreader_layer.cell_count() + sink_layer.cell_count();
-        let edges = 2 * lateral(cols, rows)
-            + tiles * (2 + window(&spreader_layer, tile))
-            + lateral(spreader_layer.nx, spreader_layer.ny)
-            + spreader_layer.cell_count() * window(&sink_layer, spreader_layer.cell)
-            + lateral(sink_layer.nx, sink_layer.ny);
-        let mut net = ThermalNetwork::with_capacity(nodes, edges, sink_layer.cell_count());
-
-        // Nodes.
-        let silicon: Vec<NodeId> = grid
-            .tiles()
-            .map(|t| net.add_node(NodeKind::Silicon(t)))
-            .collect();
-        let interfaces: Vec<TileInterface> = grid
-            .tiles()
-            .map(|t| {
-                let k = grid.linear_index(t);
-                if splice_at[k].is_some() {
-                    TileInterface::TwoPort(TwoPort {
-                        lower: net.add_node(NodeKind::TwoPortLower(t)),
-                        upper: net.add_node(NodeKind::TwoPortUpper(t)),
-                    })
-                } else {
-                    TileInterface::Tim(net.add_node(NodeKind::Interface(t)))
-                }
-            })
-            .collect();
-        let spreader: Vec<NodeId> = (0..spreader_layer.cell_count())
-            .map(|k| net.add_node(NodeKind::Spreader(k)))
-            .collect();
-        let sink: Vec<NodeId> = (0..sink_layer.cell_count())
-            .map(|k| net.add_node(NodeKind::Sink(k)))
-            .collect();
-
-        // Die lateral conduction.
-        let g_si_lat = die_layer.lateral_conductance();
-        for t in grid.tiles() {
-            let k = grid.linear_index(t);
-            for n in grid.neighbors(t) {
-                let kn = grid.linear_index(n);
-                if kn > k {
-                    net.add_conductance(silicon[k], silicon[kn], g_si_lat);
-                }
-            }
-        }
-
-        // TIM lateral conduction between plain TIM tiles only; two-port
-        // elements are laterally isolated (the device sidewalls are narrow
-        // and surrounded by underfill).
-        let g_tim_lat = tim_layer.lateral_conductance();
-        for t in grid.tiles() {
-            let k = grid.linear_index(t);
-            let TileInterface::Tim(a) = interfaces[k] else {
-                continue;
-            };
-            for n in grid.neighbors(t) {
-                let kn = grid.linear_index(n);
-                if kn > k {
-                    if let TileInterface::Tim(b) = interfaces[kn] {
-                        net.add_conductance(a, b, g_tim_lat);
-                    }
-                }
-            }
-        }
-
-        // Vertical: die <-> interface layer, interface <-> spreader.
-        for t in grid.tiles() {
-            let k = grid.linear_index(t);
-            let rect = die_layer.cell_rect(t.row, t.col);
-            match interfaces[k] {
-                TileInterface::Tim(tim_id) => {
-                    let r_si_tim =
-                        die_layer.half_resistance(tile_area) + tim_layer.half_resistance(tile_area);
-                    net.add_conductance(silicon[k], tim_id, 1.0 / r_si_tim);
-                    for (cell, a_ov) in spreader_layer.cells_overlapping(&rect) {
-                        let r =
-                            tim_layer.half_resistance(a_ov) + spreader_layer.half_resistance(a_ov);
-                        net.add_conductance(tim_id, spreader[cell], 1.0 / r);
-                    }
-                }
-                TileInterface::TwoPort(tp) => {
-                    // `interfaces[k]` is `TwoPort` exactly when the builder
-                    // recorded a spec for tile `k` in `splice_at`.
-                    #[allow(clippy::expect_used)]
-                    let spec = splice_at[k].expect("two-port tile has a spec");
-                    // Die tile -> lower terminal: half die thickness in
-                    // series with the lower contact.
-                    let r_lower =
-                        die_layer.half_resistance(tile_area) + 1.0 / spec.lower_contact.value();
-                    net.add_conductance(silicon[k], tp.lower, 1.0 / r_lower);
-                    // Lower <-> upper terminal: the device conductance.
-                    net.add_conductance(tp.lower, tp.upper, spec.mid.value());
-                    // Upper terminal -> spreader cells: contact conductance
-                    // apportioned by overlap, in series with the spreader
-                    // half thickness.
-                    for (cell, a_ov) in spreader_layer.cells_overlapping(&rect) {
-                        let g_contact = spec.upper_contact.value() * (a_ov / tile_area);
-                        let r = 1.0 / g_contact + spreader_layer.half_resistance(a_ov);
-                        net.add_conductance(tp.upper, spreader[cell], 1.0 / r);
-                    }
-                }
-            }
-        }
-
-        // Spreader lateral.
-        let g_sp_lat = spreader_layer.lateral_conductance();
-        for iy in 0..spreader_layer.ny {
-            for ix in 0..spreader_layer.nx {
-                let k = spreader_layer.index(iy, ix);
-                if ix + 1 < spreader_layer.nx {
-                    net.add_conductance(
-                        spreader[k],
-                        spreader[spreader_layer.index(iy, ix + 1)],
-                        g_sp_lat,
-                    );
-                }
-                if iy + 1 < spreader_layer.ny {
-                    net.add_conductance(
-                        spreader[k],
-                        spreader[spreader_layer.index(iy + 1, ix)],
-                        g_sp_lat,
-                    );
-                }
-            }
-        }
-
-        // Spreader <-> sink vertical, by overlap.
-        for iy in 0..spreader_layer.ny {
-            for ix in 0..spreader_layer.nx {
-                let k = spreader_layer.index(iy, ix);
-                let rect = spreader_layer.cell_rect(iy, ix);
-                for (cell, a_ov) in sink_layer.cells_overlapping(&rect) {
-                    let r = spreader_layer.half_resistance(a_ov) + sink_layer.half_resistance(a_ov);
-                    net.add_conductance(spreader[k], sink[cell], 1.0 / r);
-                }
-            }
-        }
-
-        // Sink lateral.
-        let g_sink_lat = sink_layer.lateral_conductance();
-        for iy in 0..sink_layer.ny {
-            for ix in 0..sink_layer.nx {
-                let k = sink_layer.index(iy, ix);
-                if ix + 1 < sink_layer.nx {
-                    net.add_conductance(sink[k], sink[sink_layer.index(iy, ix + 1)], g_sink_lat);
-                }
-                if iy + 1 < sink_layer.ny {
-                    net.add_conductance(sink[k], sink[sink_layer.index(iy + 1, ix)], g_sink_lat);
-                }
-            }
-        }
-
-        // Convection: the total resistance is distributed uniformly over the
-        // sink area, g_cell = h · A_cell with h = 1 / (R_conv · A_sink).
-        let sink_area = sink_side * sink_side;
-        let h = 1.0 / (config.convection_resistance().value() * sink_area);
-        let cell_area = sink_layer.cell * sink_layer.cell;
-        let ambient_k = config.ambient().to_kelvin().value();
-        let mut injection = vec![0.0; net.node_count()];
-        for &id in &sink {
-            let g = h * cell_area;
-            net.add_ambient_conductance(id, g);
-            injection[id.index()] = g * ambient_k;
-        }
-
-        net.validate_grounding()?;
-        let g = net.assemble();
-
+    /// Builds the model from the package geometry, layer by layer: the
+    /// oracle [`CompactModel::with_two_ports`] is tested against, bit for
+    /// bit. No solve path uses it. It takes the same splices and returns
+    /// the same errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompactModel::with_two_ports`].
+    pub fn from_geometry(
+        config: &PackageConfig,
+        splices: &[(TileIndex, TwoPortSpec)],
+    ) -> Result<CompactModel, ThermalError> {
+        let splice_at = splice_table(config, splices)?;
+        let built = Geometry::stamp(config, &splice_at, splices.len());
+        built.network.validate_grounding()?;
+        let g = built.network.assemble();
         Ok(CompactModel {
             config: config.clone(),
-            network: net,
-            silicon,
-            interfaces,
-            spreader,
-            sink,
-            injection,
+            network: Arc::new(built.network),
+            silicon: built.silicon,
+            interfaces: built.interfaces,
+            spreader: built.spreader,
+            sink: built.sink,
+            injection: built.injection.into(),
             g: Arc::new(g),
             pattern: Arc::new(OnceLock::new()),
         })
+    }
+
+    /// A model of `config` on a network numbered as the geometry numbers
+    /// it: one silicon node per tile, then the interface layer
+    /// (`interfaces`), then the spreader and the sink cells.
+    fn on_network(
+        config: &PackageConfig,
+        network: Arc<ThermalNetwork>,
+        interfaces: Vec<TileInterface>,
+        injection: Arc<[f64]>,
+        g: Arc<CsrMatrix>,
+    ) -> CompactModel {
+        let n = network.node_count();
+        let first_sink = n - config.sink_cells() * config.sink_cells();
+        let first_spreader = first_sink - config.spreader_cells() * config.spreader_cells();
+        CompactModel {
+            config: config.clone(),
+            network,
+            silicon: (0..interfaces.len()).map(NodeId).collect(),
+            interfaces,
+            spreader: (first_spreader..first_sink).map(NodeId).collect(),
+            sink: (first_sink..n).map(NodeId).collect(),
+            injection,
+            g,
+            pattern: Arc::new(OnceLock::new()),
+        }
     }
 
     /// The package configuration this model was built from.
@@ -451,11 +269,8 @@ impl CompactModel {
     /// of `CompactModel::new(self.config())`), analysed once and kept in
     /// the [`PackageConfig`] beside the package order: pointer-equal across
     /// every model built from clones of this model's configuration. The
-    /// first model to need it fills it, passive or not: a passive model
-    /// analyses its own `G`, a model with devices the passive structure
-    /// derived from its own without an assembly
-    /// ([`CompactModel::passive_nodes`]), by minimum degree; the two
-    /// structures are equal, and so are their analyses.
+    /// first model to need it fills it, passive or not, by a minimum-degree
+    /// analysis of the package's passive `G`.
     ///
     /// Every placement's Peltier-free block `G_AA` is an induced subgraph
     /// of the passive network, eliminated in the package order, so this
@@ -482,18 +297,15 @@ impl CompactModel {
         Ok(&self.passive_analysis()?.1)
     }
 
-    /// The package's passive pattern and order, filled on first use.
+    /// The package's passive pattern and order, filled on first use from
+    /// the package's passive network.
     fn passive_analysis(&self) -> Result<&(Arc<CholeskyPattern>, Arc<[usize]>), ThermalError> {
         let slot = self.config.passive();
         if let Some(filled) = slot.analysis() {
             return Ok(filled);
         }
-        let analysed = if self.is_passive() {
-            CholeskyPattern::analyse_csr(&self.g)?
-        } else {
-            CholeskyPattern::analyse_csr(&self.passive_structure()?)?
-        };
-        Ok(slot.fill(analysed))
+        let passive = PassiveNetwork::of(&self.config)?;
+        Ok(slot.fill(CholeskyPattern::analyse_csr(&passive.g)?))
     }
 
     /// The package's slot for the placement factor of its passive network
@@ -533,32 +345,6 @@ impl CompactModel {
             passive[id.index()] = 2 * tiles + k;
         }
         passive
-    }
-
-    /// The structure of the passive network's `G` (placeholder values):
-    /// this network's with each cold/hot pair merged back into its tile's
-    /// TIM node and the lateral TIM conductances a splice drops restored.
-    fn passive_structure(&self) -> Result<CsrMatrix, ThermalError> {
-        let tiles = self.silicon.len();
-        let passive = self.passive_nodes();
-        let n = 2 * tiles + self.spreader.len() + self.sink.len();
-        let mut stored = Vec::with_capacity(self.g.nnz() + 8 * tiles);
-        for (r, &a) in passive.iter().enumerate() {
-            for &c in &self.g.col_indices()[self.g.row_ptr()[r]..self.g.row_ptr()[r + 1]] {
-                stored.push(Triplet::new(a, passive[c], 1.0));
-            }
-        }
-        let grid = self.config.grid();
-        for (k, interface) in self.interfaces.iter().enumerate() {
-            if let TileInterface::TwoPort(_) = interface {
-                for neighbor in grid.neighbors(grid.tile_at(k)) {
-                    let kn = grid.linear_index(neighbor);
-                    stored.push(Triplet::new(tiles + k, tiles + kn, 1.0));
-                    stored.push(Triplet::new(tiles + kn, tiles + k, 1.0));
-                }
-            }
-        }
-        Ok(CsrMatrix::from_triplets(n, n, &stored)?)
     }
 
     /// The package order ([`CompactModel::package_order`]) on this
@@ -675,7 +461,7 @@ impl CompactModel {
                 actual: silicon_powers.len(),
             });
         }
-        let mut p = self.injection.clone();
+        let mut p = self.injection.to_vec();
         for (id, w) in self.silicon.iter().zip(silicon_powers) {
             p[id.index()] += w.value();
         }
@@ -782,6 +568,503 @@ impl CompactModel {
             ));
         }
         Ok(())
+    }
+}
+
+/// Each tile's two-port spec, if spliced, by linear index: the splices
+/// checked in order for bounds, spec and duplicates.
+fn splice_table(
+    config: &PackageConfig,
+    splices: &[(TileIndex, TwoPortSpec)],
+) -> Result<Vec<Option<TwoPortSpec>>, ThermalError> {
+    let grid = config.grid();
+    let mut splice_at: Vec<Option<TwoPortSpec>> = vec![None; grid.tile_count()];
+    for (t, spec) in splices {
+        if !grid.contains(*t) {
+            return Err(ThermalError::TileOutOfBounds {
+                row: t.row,
+                col: t.col,
+                rows: grid.rows(),
+                cols: grid.cols(),
+            });
+        }
+        spec.validate()?;
+        let k = grid.linear_index(*t);
+        if splice_at[k].is_some() {
+            return Err(ThermalError::DuplicateTwoPort {
+                row: t.row,
+                col: t.col,
+            });
+        }
+        splice_at[k] = Some(*spec);
+    }
+    Ok(splice_at)
+}
+
+impl TwoPortSpec {
+    /// Die tile → lower terminal: the die's half resistance `die_half`
+    /// over the tile in series with the lower contact.
+    fn lower_conductance(&self, die_half: f64) -> f64 {
+        1.0 / (die_half + 1.0 / self.lower_contact.value())
+    }
+
+    /// Upper terminal → a spreader cell overlapping the tile by
+    /// `overlap`: the contact conductance apportioned by overlap, in
+    /// series with the spreader's half resistance over the overlap.
+    fn upper_conductance(&self, overlap: &Overlap, tile_area: f64) -> f64 {
+        let g_contact = self.upper_contact.value() * (overlap.area / tile_area);
+        1.0 / (1.0 / g_contact + overlap.spreader_half)
+    }
+}
+
+/// A die tile's overlap with one spreader cell.
+#[derive(Debug, Clone, Copy)]
+struct Overlap {
+    /// Overlap area (m²).
+    area: f64,
+    /// The spreader's half resistance through the overlap (K/W).
+    spreader_half: f64,
+}
+
+/// A network stamped from the package geometry, and where its stamps sit.
+struct Geometry {
+    network: ThermalNetwork,
+    silicon: Vec<NodeId>,
+    interfaces: Vec<TileInterface>,
+    spreader: Vec<NodeId>,
+    sink: Vec<NodeId>,
+    injection: Vec<f64>,
+    /// The first TIM lateral stamp; they run up to `vertical[0]`.
+    tim_lateral: usize,
+    /// Tile `k`'s vertical stamps are `vertical[k]..vertical[k + 1]`: die
+    /// to interface first, then interface to each spreader cell it
+    /// overlaps.
+    vertical: Vec<usize>,
+    /// Each interface-to-spreader stamp's overlap, in stamp order.
+    overlaps: Vec<Overlap>,
+    /// The die's half resistance over one tile (K/W).
+    die_half: f64,
+    /// One tile's area (m²).
+    tile_area: f64,
+}
+
+impl Geometry {
+    /// Dissects every layer into cells and stamps the network, with a
+    /// two-port on each tile `splice_at` gives a spec (`splices` of them).
+    fn stamp(
+        config: &PackageConfig,
+        splice_at: &[Option<TwoPortSpec>],
+        splices: usize,
+    ) -> Geometry {
+        let grid = config.grid();
+        let rows = grid.rows();
+        let cols = grid.cols();
+        let tile = grid.tile_size().value();
+        let tile_area = tile * tile;
+
+        // Absolute geometry: sink lower-left at the origin, everything
+        // centered on the sink.
+        let sink_side = config.sink_side().value();
+        let sp_side = config.spreader_side().value();
+        let die_w = grid.width().value();
+        let die_h = grid.height().value();
+
+        let die_layer = LayerGrid {
+            x0: 0.5 * (sink_side - die_w),
+            y0: 0.5 * (sink_side - die_h),
+            nx: cols,
+            ny: rows,
+            cell: tile,
+            thickness: config.die_thickness().value(),
+            conductivity: config.die_material().conductivity().value(),
+        };
+        let tim_layer = LayerGrid {
+            thickness: config.tim_thickness().value(),
+            conductivity: config.tim_material().conductivity().value(),
+            ..die_layer.clone()
+        };
+        let spreader_layer = LayerGrid {
+            x0: 0.5 * (sink_side - sp_side),
+            y0: 0.5 * (sink_side - sp_side),
+            nx: config.spreader_cells(),
+            ny: config.spreader_cells(),
+            cell: sp_side / config.spreader_cells() as f64,
+            thickness: config.spreader_thickness().value(),
+            conductivity: config.spreader_material().conductivity().value(),
+        };
+        let sink_layer = LayerGrid {
+            x0: 0.0,
+            y0: 0.0,
+            nx: config.sink_cells(),
+            ny: config.sink_cells(),
+            cell: sink_side / config.sink_cells() as f64,
+            thickness: config.sink_thickness().value(),
+            conductivity: config.sink_material().conductivity().value(),
+        };
+
+        // Room for every node and stamp up front. The counts are exact but
+        // for the overlap windows, bounded by the cells a square of the
+        // tile's (the spreader cell's) side can cover.
+        let window = |layer: &LayerGrid, side: f64| {
+            let per_axis = (side / layer.cell).ceil() as usize + 1;
+            per_axis.min(layer.nx) * per_axis.min(layer.ny)
+        };
+        let lateral = |nx: usize, ny: usize| nx * ny.saturating_sub(1) + ny * nx.saturating_sub(1);
+        let tiles = grid.tile_count();
+        let nodes = 2 * tiles + splices + spreader_layer.cell_count() + sink_layer.cell_count();
+        let tile_window = window(&spreader_layer, tile);
+        let edges = 2 * lateral(cols, rows)
+            + tiles * (2 + tile_window)
+            + lateral(spreader_layer.nx, spreader_layer.ny)
+            + spreader_layer.cell_count() * window(&sink_layer, spreader_layer.cell)
+            + lateral(sink_layer.nx, sink_layer.ny);
+        let mut net = ThermalNetwork::with_capacity(nodes, edges, sink_layer.cell_count());
+
+        // Nodes.
+        let silicon: Vec<NodeId> = grid
+            .tiles()
+            .map(|t| net.add_node(NodeKind::Silicon(t)))
+            .collect();
+        let interfaces: Vec<TileInterface> = grid
+            .tiles()
+            .map(|t| {
+                let k = grid.linear_index(t);
+                if splice_at[k].is_some() {
+                    TileInterface::TwoPort(TwoPort {
+                        lower: net.add_node(NodeKind::TwoPortLower(t)),
+                        upper: net.add_node(NodeKind::TwoPortUpper(t)),
+                    })
+                } else {
+                    TileInterface::Tim(net.add_node(NodeKind::Interface(t)))
+                }
+            })
+            .collect();
+        let spreader: Vec<NodeId> = (0..spreader_layer.cell_count())
+            .map(|k| net.add_node(NodeKind::Spreader(k)))
+            .collect();
+        let sink: Vec<NodeId> = (0..sink_layer.cell_count())
+            .map(|k| net.add_node(NodeKind::Sink(k)))
+            .collect();
+
+        // Die lateral conduction.
+        let g_si_lat = die_layer.lateral_conductance();
+        for t in grid.tiles() {
+            let k = grid.linear_index(t);
+            for n in grid.neighbors(t) {
+                let kn = grid.linear_index(n);
+                if kn > k {
+                    net.add_conductance(silicon[k], silicon[kn], g_si_lat);
+                }
+            }
+        }
+
+        // TIM lateral conduction between plain TIM tiles only; two-port
+        // elements are laterally isolated (the device sidewalls are narrow
+        // and surrounded by underfill).
+        let tim_lateral = net.conductances().len();
+        let g_tim_lat = tim_layer.lateral_conductance();
+        for t in grid.tiles() {
+            let k = grid.linear_index(t);
+            let TileInterface::Tim(a) = interfaces[k] else {
+                continue;
+            };
+            for n in grid.neighbors(t) {
+                let kn = grid.linear_index(n);
+                if kn > k {
+                    if let TileInterface::Tim(b) = interfaces[kn] {
+                        net.add_conductance(a, b, g_tim_lat);
+                    }
+                }
+            }
+        }
+
+        // Vertical: die <-> interface layer, interface <-> spreader.
+        let die_half = die_layer.half_resistance(tile_area);
+        let mut vertical = Vec::with_capacity(tiles + 1);
+        let mut overlaps = Vec::with_capacity(tiles * tile_window);
+        for t in grid.tiles() {
+            let k = grid.linear_index(t);
+            vertical.push(net.conductances().len());
+            let rect = die_layer.cell_rect(t.row, t.col);
+            let window = spreader_layer.cells_overlapping(&rect).map(|(cell, area)| {
+                let overlap = Overlap {
+                    area,
+                    spreader_half: spreader_layer.half_resistance(area),
+                };
+                (spreader[cell], overlap)
+            });
+            match (interfaces[k], splice_at[k]) {
+                (TileInterface::Tim(tim_id), _) => {
+                    let r_si_tim = die_half + tim_layer.half_resistance(tile_area);
+                    net.add_conductance(silicon[k], tim_id, 1.0 / r_si_tim);
+                    for (cell, overlap) in window {
+                        let r = tim_layer.half_resistance(overlap.area) + overlap.spreader_half;
+                        net.add_conductance(tim_id, cell, 1.0 / r);
+                        overlaps.push(overlap);
+                    }
+                }
+                (TileInterface::TwoPort(tp), Some(spec)) => {
+                    net.add_conductance(silicon[k], tp.lower, spec.lower_conductance(die_half));
+                    // Lower <-> upper terminal: the device conductance.
+                    net.add_conductance(tp.lower, tp.upper, spec.mid.value());
+                    for (cell, overlap) in window {
+                        net.add_conductance(
+                            tp.upper,
+                            cell,
+                            spec.upper_conductance(&overlap, tile_area),
+                        );
+                        overlaps.push(overlap);
+                    }
+                }
+                // `interfaces[k]` is `TwoPort` exactly when `splice_at[k]`
+                // holds a spec.
+                (TileInterface::TwoPort(_), None) => unreachable!("two-port tile without a spec"),
+            }
+        }
+        vertical.push(net.conductances().len());
+
+        // Spreader lateral.
+        let g_sp_lat = spreader_layer.lateral_conductance();
+        for iy in 0..spreader_layer.ny {
+            for ix in 0..spreader_layer.nx {
+                let k = spreader_layer.index(iy, ix);
+                if ix + 1 < spreader_layer.nx {
+                    net.add_conductance(
+                        spreader[k],
+                        spreader[spreader_layer.index(iy, ix + 1)],
+                        g_sp_lat,
+                    );
+                }
+                if iy + 1 < spreader_layer.ny {
+                    net.add_conductance(
+                        spreader[k],
+                        spreader[spreader_layer.index(iy + 1, ix)],
+                        g_sp_lat,
+                    );
+                }
+            }
+        }
+
+        // Spreader <-> sink vertical, by overlap.
+        for iy in 0..spreader_layer.ny {
+            for ix in 0..spreader_layer.nx {
+                let k = spreader_layer.index(iy, ix);
+                let rect = spreader_layer.cell_rect(iy, ix);
+                for (cell, a_ov) in sink_layer.cells_overlapping(&rect) {
+                    let r = spreader_layer.half_resistance(a_ov) + sink_layer.half_resistance(a_ov);
+                    net.add_conductance(spreader[k], sink[cell], 1.0 / r);
+                }
+            }
+        }
+
+        // Sink lateral.
+        let g_sink_lat = sink_layer.lateral_conductance();
+        for iy in 0..sink_layer.ny {
+            for ix in 0..sink_layer.nx {
+                let k = sink_layer.index(iy, ix);
+                if ix + 1 < sink_layer.nx {
+                    net.add_conductance(sink[k], sink[sink_layer.index(iy, ix + 1)], g_sink_lat);
+                }
+                if iy + 1 < sink_layer.ny {
+                    net.add_conductance(sink[k], sink[sink_layer.index(iy + 1, ix)], g_sink_lat);
+                }
+            }
+        }
+
+        // Convection: the total resistance is distributed uniformly over the
+        // sink area, g_cell = h · A_cell with h = 1 / (R_conv · A_sink).
+        let sink_area = sink_side * sink_side;
+        let h = 1.0 / (config.convection_resistance().value() * sink_area);
+        let cell_area = sink_layer.cell * sink_layer.cell;
+        let ambient_k = config.ambient().to_kelvin().value();
+        let mut injection = vec![0.0; net.node_count()];
+        for &id in &sink {
+            let g = h * cell_area;
+            net.add_ambient_conductance(id, g);
+            injection[id.index()] = g * ambient_k;
+        }
+
+        Geometry {
+            network: net,
+            silicon,
+            interfaces,
+            spreader,
+            sink,
+            injection,
+            tim_lateral,
+            vertical,
+            overlaps,
+            die_half,
+            tile_area,
+        }
+    }
+}
+
+/// The package's passive network, built from geometry once per built
+/// [`PackageConfig`] and kept in it, with what a splice needs of the
+/// geometry: where each TIM tile's stamps sit and each tile's overlap
+/// with the spreader cells. It holds no [`CompactModel`] (nor anything
+/// else holding the configuration), so the slot it lives in is never part
+/// of a cycle of `Arc`s.
+pub(crate) struct PassiveNetwork {
+    network: Arc<ThermalNetwork>,
+    g: Arc<CsrMatrix>,
+    injection: Arc<[f64]>,
+    tim_lateral: usize,
+    vertical: Vec<usize>,
+    overlaps: Vec<Overlap>,
+    die_half: f64,
+    tile_area: f64,
+}
+
+impl PassiveNetwork {
+    /// The package's passive network, built and kept on first use.
+    fn of(config: &PackageConfig) -> Result<&PassiveNetwork, ThermalError> {
+        let slot = config.passive();
+        if let Some(network) = slot.network() {
+            return Ok(network);
+        }
+        let built = Geometry::stamp(config, &vec![None; config.grid().tile_count()], 0);
+        built.network.validate_grounding()?;
+        let g = built.network.assemble();
+        Ok(slot.fill_network(PassiveNetwork {
+            network: Arc::new(built.network),
+            g: Arc::new(g),
+            injection: built.injection.into(),
+            tim_lateral: built.tim_lateral,
+            vertical: built.vertical,
+            overlaps: built.overlaps,
+            die_half: built.die_half,
+            tile_area: built.tile_area,
+        }))
+    }
+
+    /// The passive model: this network, its `G` and its injection, shared.
+    fn model(&self, config: &PackageConfig) -> CompactModel {
+        let tiles = config.grid().tile_count();
+        CompactModel::on_network(
+            config,
+            Arc::clone(&self.network),
+            (tiles..2 * tiles)
+                .map(|k| TileInterface::Tim(NodeId(k)))
+                .collect(),
+            Arc::clone(&self.injection),
+            Arc::clone(&self.g),
+        )
+    }
+
+    /// The model with a two-port on each tile `splice_at` gives a spec
+    /// (`splices` of them), derived from this network.
+    ///
+    /// The stamps are written in the order the geometry writes them: the
+    /// passive stamps renumbered, less each spliced tile's TIM laterals,
+    /// with each spliced tile's vertical block replaced by its two-port's
+    /// stamps, computed by the geometry's expressions on the kept overlaps.
+    /// The renumbering is increasing (each spliced TIM node becomes its
+    /// cold node, its hot node right after), so a row no changed stamp
+    /// touches is the passive row renumbered, and only the touched rows
+    /// are summed again ([`ThermalNetwork::assemble_reusing`]).
+    fn splice(
+        &self,
+        config: &PackageConfig,
+        splice_at: &[Option<TwoPortSpec>],
+        splices: usize,
+    ) -> Result<CompactModel, ThermalError> {
+        let tiles = splice_at.len();
+        let passive = &*self.network;
+        let n = passive.node_count() + splices;
+        // Each passive node's index in the spliced network.
+        let mut placed = Vec::with_capacity(passive.node_count());
+        let mut kinds = Vec::with_capacity(n);
+        kinds.extend_from_slice(&passive.kinds()[..tiles]);
+        placed.extend(0..tiles);
+        let mut interfaces = Vec::with_capacity(tiles);
+        for (t, spec) in config.grid().tiles().zip(splice_at) {
+            let node = NodeId(kinds.len());
+            placed.push(node.index());
+            if spec.is_some() {
+                kinds.extend([NodeKind::TwoPortLower(t), NodeKind::TwoPortUpper(t)]);
+                interfaces.push(TileInterface::TwoPort(TwoPort {
+                    lower: node,
+                    upper: NodeId(node.index() + 1),
+                }));
+            } else {
+                kinds.push(NodeKind::Interface(t));
+                interfaces.push(TileInterface::Tim(node));
+            }
+        }
+        placed.extend(2 * tiles + splices..n);
+        kinds.extend_from_slice(&passive.kinds()[2 * tiles..]);
+
+        // The stamps, and the rows a changed stamp touches.
+        let stamps = passive.conductances();
+        let renumber = |&(a, b, g): &(usize, usize, f64)| (placed[a], placed[b], g);
+        let spliced = |node: usize| node >= tiles && splice_at[node - tiles].is_some();
+        let mut touched = vec![false; n];
+        let mut edges = Vec::with_capacity(stamps.len() + splices);
+        edges.extend(stamps[..self.tim_lateral].iter().map(renumber));
+        for stamp in &stamps[self.tim_lateral..self.vertical[0]] {
+            let (a, b, _) = renumber(stamp);
+            if spliced(stamp.0) || spliced(stamp.1) {
+                touched[a] = true;
+                touched[b] = true;
+            } else {
+                edges.push(renumber(stamp));
+            }
+        }
+        for (k, spec) in splice_at.iter().enumerate() {
+            let block = &stamps[self.vertical[k]..self.vertical[k + 1]];
+            let Some(spec) = spec else {
+                edges.extend(block.iter().map(renumber));
+                continue;
+            };
+            let (lower, upper) = (placed[tiles + k], placed[tiles + k] + 1);
+            // The block's overlaps: each tile before `k` has one stamp that
+            // is not an overlap.
+            let first = self.vertical[k] - self.vertical[0] - k;
+            let overlaps = &self.overlaps[first..first + block.len() - 1];
+            edges.push((k, lower, spec.lower_conductance(self.die_half)));
+            edges.push((lower, upper, spec.mid.value()));
+            for (&(_, cell, _), overlap) in block[1..].iter().zip(overlaps) {
+                let cell = placed[cell];
+                edges.push((upper, cell, spec.upper_conductance(overlap, self.tile_area)));
+                touched[cell] = true;
+            }
+            touched[k] = true;
+            touched[lower] = true;
+            touched[upper] = true;
+        }
+        edges.extend(stamps[self.vertical[tiles]..].iter().map(renumber));
+        let legs = passive
+            .ambient_legs()
+            .iter()
+            .map(|&(p, g)| (placed[p], g))
+            .collect();
+        let mut injection = vec![0.0; n];
+        for (&p, &v) in placed.iter().zip(self.injection.iter()) {
+            injection[p] = v;
+        }
+        let network = ThermalNetwork::from_parts(kinds, edges, legs);
+        network.validate_grounding()?;
+
+        let mut rows = vec![None; n];
+        for (p, &r) in placed.iter().enumerate() {
+            if !touched[r] {
+                rows[r] = Some(p);
+            }
+        }
+        let g = network.assemble_reusing(Reuse {
+            base: &self.g,
+            rows: &rows,
+            columns: &placed,
+        });
+        Ok(CompactModel::on_network(
+            config,
+            Arc::new(network),
+            interfaces,
+            injection.into(),
+            Arc::new(g),
+        ))
     }
 }
 
@@ -924,28 +1207,33 @@ mod tests {
     #[test]
     fn splice_errors() {
         let cfg = small_config();
-        let oob = CompactModel::with_two_ports(&cfg, &[(TileIndex::new(9, 9), spec())]);
-        assert!(matches!(oob, Err(ThermalError::TileOutOfBounds { .. })));
-        let dup = CompactModel::with_two_ports(
-            &cfg,
-            &[
-                (TileIndex::new(0, 0), spec()),
-                (TileIndex::new(0, 0), spec()),
-            ],
-        );
-        assert!(matches!(dup, Err(ThermalError::DuplicateTwoPort { .. })));
-        let bad = CompactModel::with_two_ports(
-            &cfg,
-            &[(
-                TileIndex::new(0, 0),
-                TwoPortSpec {
-                    lower_contact: WattsPerKelvin(0.0),
-                    mid: WattsPerKelvin(0.04),
-                    upper_contact: WattsPerKelvin(0.5),
-                },
-            )],
-        );
-        assert!(matches!(bad, Err(ThermalError::InvalidConfig(_))));
+        let t = TileIndex::new(0, 0);
+        let bad = TwoPortSpec {
+            lower_contact: WattsPerKelvin(0.0),
+            mid: WattsPerKelvin(0.04),
+            upper_contact: WattsPerKelvin(0.5),
+        };
+        let cases = [
+            vec![(TileIndex::new(9, 9), spec())],
+            vec![(t, spec()), (t, spec())],
+            vec![(t, bad)],
+            // The first fault in splice order is the one reported.
+            vec![(t, spec()), (t, bad), (TileIndex::new(9, 9), spec())],
+        ];
+        let errors: Vec<ThermalError> = cases
+            .iter()
+            .map(|splices| {
+                let err = CompactModel::with_two_ports(&cfg, splices).unwrap_err();
+                // The geometric oracle reports the same error.
+                let oracle = CompactModel::from_geometry(&cfg, splices).unwrap_err();
+                assert_eq!(format!("{err:?}"), format!("{oracle:?}"));
+                err
+            })
+            .collect();
+        assert!(matches!(errors[0], ThermalError::TileOutOfBounds { .. }));
+        assert!(matches!(errors[1], ThermalError::DuplicateTwoPort { .. }));
+        assert!(matches!(errors[2], ThermalError::InvalidConfig(_)));
+        assert!(matches!(errors[3], ThermalError::InvalidConfig(_)));
     }
 
     #[test]

@@ -151,6 +151,28 @@ impl ThermalNetwork {
         &self.ambient_legs
     }
 
+    /// Conductance stamps as `(a, b, g)` triples between distinct nodes,
+    /// in the order they were stamped.
+    pub fn conductances(&self) -> &[(usize, usize, f64)] {
+        &self.edges
+    }
+
+    /// A network from its parts, unchecked: every node index must be in
+    /// range, no stamp a self-loop, every conductance positive and finite
+    /// (what [`ThermalNetwork::add_conductance`] and
+    /// [`ThermalNetwork::add_ambient_conductance`] assert).
+    pub(crate) fn from_parts(
+        kinds: Vec<NodeKind>,
+        edges: Vec<(usize, usize, f64)>,
+        ambient_legs: Vec<(usize, f64)>,
+    ) -> ThermalNetwork {
+        ThermalNetwork {
+            kinds,
+            edges,
+            ambient_legs,
+        }
+    }
+
     /// Assembles the conductance matrix `G` (Expression 5 of the paper)
     /// straight into CSR, in `O(n + m log d)` for `m` stamps and rows of at
     /// most `d` entries.
@@ -164,15 +186,38 @@ impl ThermalNetwork {
     /// bucketed by row in stamp order, each row is sorted stably by column,
     /// and repeated columns are summed left to right.
     pub fn assemble(&self) -> CsrMatrix {
+        self.assemble_rows(None)
+    }
+
+    /// [`ThermalNetwork::assemble`], but every row `r` with
+    /// `reuse.rows[r] = Some(p)` is row `p` of `reuse.base` with its
+    /// columns renumbered through `reuse.columns`, not summed again. That
+    /// is the same row, bit for bit, when the network's stamps incident to
+    /// `r` are `base`'s stamps incident to `p`, with the same values in the
+    /// same order, and the renumbering is increasing: the diagonal then
+    /// adds the same terms in the same order, and the sorted, merged row
+    /// keeps its order under the map.
+    pub(crate) fn assemble_reusing(&self, reuse: Reuse<'_>) -> CsrMatrix {
+        self.assemble_rows(Some(reuse))
+    }
+
+    fn assemble_rows(&self, reuse: Option<Reuse<'_>>) -> CsrMatrix {
         let n = self.node_count();
+        // Only the rows summed here need their diagonal and stamps.
+        let copied = |r: usize| reuse.as_ref().and_then(|u| u.rows[r]);
+        let summed = |r: usize| copied(r).is_none();
         let mut diagonal = vec![0.0; n];
         // `start[r]..start[r + 1]` will hold row `r`'s off-diagonal stamps.
         let mut start = vec![0usize; n + 1];
         for &(a, b, v) in &self.edges {
-            diagonal[a] += v;
-            diagonal[b] += v;
-            start[a + 1] += 1;
-            start[b + 1] += 1;
+            if summed(a) {
+                diagonal[a] += v;
+                start[a + 1] += 1;
+            }
+            if summed(b) {
+                diagonal[b] += v;
+                start[b + 1] += 1;
+            }
         }
         for &(k, v) in &self.ambient_legs {
             diagonal[k] += v;
@@ -181,45 +226,57 @@ impl ThermalNetwork {
             start[r + 1] += start[r];
         }
         let mut next = start.clone();
-        let mut stamps = vec![(0usize, 0.0f64); 2 * self.edges.len()];
+        let mut stamps = vec![(0usize, 0.0f64); start[n]];
         for &(a, b, v) in &self.edges {
-            stamps[next[a]] = (b, -v);
-            next[a] += 1;
-            stamps[next[b]] = (a, -v);
-            next[b] += 1;
+            if summed(a) {
+                stamps[next[a]] = (b, -v);
+                next[a] += 1;
+            }
+            if summed(b) {
+                stamps[next[b]] = (a, -v);
+                next[b] += 1;
+            }
         }
+        let nnz = stamps.len() + reuse.as_ref().map_or(n, |u| u.base.nnz());
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(n + stamps.len());
-        let mut values = Vec::with_capacity(n + stamps.len());
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         row_ptr.push(0);
-        for (r, &d) in diagonal.iter().enumerate() {
-            let row = &mut stamps[start[r]..start[r + 1]];
-            row.sort_by_key(|&(c, _)| c);
-            let mut diagonal_pending = true;
-            for &(c, v) in row.iter() {
-                if diagonal_pending && c > r {
-                    col_idx.push(r);
-                    values.push(d);
-                    diagonal_pending = false;
+        let mut r = 0;
+        while r < n {
+            match (&reuse, copied(r)) {
+                (Some(u), Some(p)) => {
+                    // A run of rows copied from consecutive rows of `base`
+                    // is one block of its arrays.
+                    let run = u.rows[r..]
+                        .iter()
+                        .zip(p..)
+                        .take_while(|&(&q, p)| q == Some(p))
+                        .count();
+                    let base_ptr = &u.base.row_ptr()[p..=p + run];
+                    let (lo, hi) = (base_ptr[0], base_ptr[run]);
+                    let offset = col_idx.len();
+                    col_idx.extend(u.base.col_indices()[lo..hi].iter().map(|&c| u.columns[c]));
+                    values.extend_from_slice(&u.base.values()[lo..hi]);
+                    row_ptr.extend(base_ptr[1..].iter().map(|&q| q - lo + offset));
+                    r += run;
                 }
-                // Only a column of this row can absorb the stamp.
-                if col_idx.len() > row_ptr[r] && col_idx.last() == Some(&c) {
-                    if let Some(last) = values.last_mut() {
-                        *last += v;
-                        continue;
-                    }
+                _ => {
+                    push_row(
+                        r,
+                        diagonal[r],
+                        &mut stamps[start[r]..start[r + 1]],
+                        &mut col_idx,
+                        &mut values,
+                    );
+                    row_ptr.push(col_idx.len());
+                    r += 1;
                 }
-                col_idx.push(c);
-                values.push(v);
             }
-            if diagonal_pending {
-                col_idx.push(r);
-                values.push(d);
-            }
-            row_ptr.push(col_idx.len());
         }
-        // Node ids are checked against the network when stamped, and the
-        // rows are built sorted and merged above.
+        // Node ids are checked against the network when stamped, the rows
+        // are built sorted and merged above, and a reused row is a sorted
+        // row renumbered by an increasing map.
         #[allow(clippy::expect_used)]
         CsrMatrix::try_from_parts(n, n, row_ptr, col_idx, values)
             .expect("stamps index nodes of this network")
@@ -294,6 +351,54 @@ impl ThermalNetwork {
             )));
         }
         Ok(())
+    }
+}
+
+/// Rows of an assembled `G` that [`ThermalNetwork::assemble_reusing`]
+/// copies instead of summing.
+pub(crate) struct Reuse<'a> {
+    /// The matrix the rows are copied from.
+    pub(crate) base: &'a CsrMatrix,
+    /// Per row of the network: the row of `base` it copies, or `None` to
+    /// sum it from the stamps.
+    pub(crate) rows: &'a [Option<usize>],
+    /// Each column of `base` in this network's numbering, increasing.
+    pub(crate) columns: &'a [usize],
+}
+
+/// Appends row `r` of `G` to CSR arrays: its off-diagonal stamps
+/// `(column, −g)`, in stamp order, sorted stably by column with repeated
+/// columns summed left to right, and the diagonal `d` spliced in at its
+/// column.
+fn push_row(
+    r: usize,
+    d: f64,
+    row: &mut [(usize, f64)],
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<f64>,
+) {
+    let row_start = col_idx.len();
+    row.sort_by_key(|&(c, _)| c);
+    let mut diagonal_pending = true;
+    for &(c, v) in row.iter() {
+        if diagonal_pending && c > r {
+            col_idx.push(r);
+            values.push(d);
+            diagonal_pending = false;
+        }
+        // Only a column of this row can absorb the stamp.
+        if col_idx.len() > row_start && col_idx.last() == Some(&c) {
+            if let Some(last) = values.last_mut() {
+                *last += v;
+                continue;
+            }
+        }
+        col_idx.push(c);
+        values.push(v);
+    }
+    if diagonal_pending {
+        col_idx.push(r);
+        values.push(d);
     }
 }
 

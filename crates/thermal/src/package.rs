@@ -1,6 +1,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use crate::model::PassiveNetwork;
 use crate::{Material, ThermalError, TileGrid};
 use tecopt_linalg::{CholeskyPattern, ShiftedCholesky};
 use tecopt_units::{Celsius, KelvinPerWatt, Meters};
@@ -16,12 +17,15 @@ use tecopt_units::{Celsius, KelvinPerWatt, Meters};
 /// the paper's experiments were run against, or [`PackageConfig::builder`]
 /// for full control.
 ///
-/// A configuration also carries the analysis and the factor of its passive
-/// network: the Cholesky pattern with its minimum-degree elimination order
-/// (which every placement's Peltier-free block is factored on) and the
-/// slot of the passive placement factor, each filled by the first
-/// [`crate::CompactModel`] or system that needs it and shared by every
-/// clone (see [`crate::CompactModel::passive_pattern`] and
+/// A configuration also carries its passive network and that network's
+/// analysis and factor: the network and its `G` (which every
+/// [`crate::CompactModel`] of the package is derived from), the Cholesky
+/// pattern with its minimum-degree elimination order (which every
+/// placement's Peltier-free block is factored on) and the slot of the
+/// passive placement factor, each filled by the first model or system
+/// that needs it and shared by every clone (see
+/// [`crate::CompactModel::with_two_ports`],
+/// [`crate::CompactModel::passive_pattern`] and
 /// [`crate::CompactModel::passive_factor_slot`]). It is a cache of a
 /// function of the other fields, which are fixed once built: equality and
 /// [`PackageConfig::digest`] ignore it, and [`PackageConfigBuilder::build`]
@@ -46,24 +50,38 @@ pub struct PackageConfig {
     passive: PassiveSlot,
 }
 
-/// The lazily filled analysis and factor of a [`PackageConfig`]'s passive
-/// network, one slot per built configuration and shared by its clones. The
-/// pattern and its order are filled together, by the first model of the
-/// package that needs either, passive or not. The placement factor is
-/// filled by the first passive system that factors `G` without a
-/// leading-block cache of its own. Racing first fills hold the same
-/// deterministic result, so whichever wins is kept.
+/// The lazily filled passive network of a [`PackageConfig`], with its
+/// analysis and factor, one slot per built configuration and shared by its
+/// clones. The network is filled by the first model of the package, passive
+/// or not, before anything else. The pattern and its order are filled
+/// together, from the passive `G`, by the first model that needs either.
+/// The placement factor is filled by the first passive system that factors
+/// `G` without a leading-block cache of its own. Racing first fills hold
+/// the same deterministic result, so whichever wins is kept. Nothing in the
+/// slot holds a configuration, so no `Arc` cycle runs through it.
 #[derive(Clone, Default)]
 pub(crate) struct PassiveSlot(Arc<PassiveAnalysis>);
 
 #[derive(Default)]
 struct PassiveAnalysis {
+    /// The passive network, its `G` and the overlaps a splice needs.
+    network: OnceLock<PassiveNetwork>,
     /// The passive network's pattern and its permutation.
     pattern: OnceLock<(Arc<CholeskyPattern>, Arc<[usize]>)>,
     placement: Arc<OnceLock<Arc<ShiftedCholesky>>>,
 }
 
 impl PassiveSlot {
+    /// The passive network, if filled.
+    pub(crate) fn network(&self) -> Option<&PassiveNetwork> {
+        self.0.network.get()
+    }
+
+    /// Fills the passive network, and returns what the slot holds.
+    pub(crate) fn fill_network(&self, network: PassiveNetwork) -> &PassiveNetwork {
+        self.0.network.get_or_init(|| network)
+    }
+
     /// The pattern and its order, if filled.
     pub(crate) fn analysis(&self) -> Option<&(Arc<CholeskyPattern>, Arc<[usize]>)> {
         self.0.pattern.get()
@@ -215,7 +233,7 @@ impl PackageConfig {
         self.ambient
     }
 
-    /// The slot holding the passive network's order, pattern and
+    /// The slot holding the passive network, its order, pattern and
     /// placement factor.
     pub(crate) fn passive(&self) -> &PassiveSlot {
         &self.passive
@@ -477,6 +495,29 @@ mod tests {
         }
         let rebuilt = PackageConfig::builder(grid).build().unwrap();
         assert_eq!(rebuilt.digest(), base.digest());
+    }
+
+    #[test]
+    fn a_dropped_package_frees_its_slot() {
+        use crate::{CompactModel, TileIndex, TwoPortSpec};
+        use tecopt_units::WattsPerKelvin;
+        let config = PackageConfig::hotspot41_like(4, 4).unwrap();
+        let spec = TwoPortSpec {
+            lower_contact: WattsPerKelvin(0.02),
+            mid: WattsPerKelvin(0.04),
+            upper_contact: WattsPerKelvin(0.02),
+        };
+        let passive = CompactModel::new(&config).unwrap();
+        let placed =
+            CompactModel::with_two_ports(&config, &[(TileIndex::new(1, 1), spec)]).unwrap();
+        passive.cholesky_pattern().unwrap();
+        placed.passive_pattern().unwrap();
+        let slot = Arc::downgrade(&config.passive().0);
+        assert!(slot.upgrade().is_some_and(|s| s.network.get().is_some()));
+        drop((config, passive));
+        assert!(slot.upgrade().is_some(), "a model keeps its package");
+        drop(placed);
+        assert!(slot.upgrade().is_none(), "the slot outlived every holder");
     }
 
     #[test]

@@ -106,6 +106,86 @@ fn dfs_first_unreachable(n: usize, edges: &[(usize, usize)]) -> Option<usize> {
     seen.iter().position(|&s| !s)
 }
 
+/// Asserts two models are the same network bit for bit: `G` (row
+/// pointers, columns, value bits), the stamps and ambient legs in order,
+/// the node kinds, injection, capacitance and every node id list.
+fn assert_same_model(model: &CompactModel, oracle: &CompactModel) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (g, h) = (model.g_matrix(), oracle.g_matrix());
+    assert_eq!(g.row_ptr(), h.row_ptr());
+    assert_eq!(g.col_indices(), h.col_indices());
+    assert_eq!(bits(g.values()), bits(h.values()));
+    let stamps = |m: &CompactModel| {
+        let net = m.network();
+        let edges: Vec<_> = net
+            .conductances()
+            .iter()
+            .map(|&(a, b, g)| (a, b, g.to_bits()))
+            .collect();
+        let legs: Vec<_> = net
+            .ambient_legs()
+            .iter()
+            .map(|&(k, g)| (k, g.to_bits()))
+            .collect();
+        (edges, legs, net.kinds().to_vec())
+    };
+    assert_eq!(stamps(model), stamps(oracle));
+    assert_eq!(
+        bits(model.ambient_injection()),
+        bits(oracle.ambient_injection())
+    );
+    assert_eq!(
+        bits(&model.capacitance_vector()),
+        bits(&oracle.capacitance_vector())
+    );
+    assert_eq!(model.silicon_nodes(), oracle.silicon_nodes());
+    assert_eq!(model.interfaces(), oracle.interfaces());
+    assert_eq!(model.spreader_nodes(), oracle.spreader_nodes());
+    assert_eq!(model.sink_nodes(), oracle.sink_nodes());
+}
+
+fn arbitrary_spec() -> impl Strategy<Value = TwoPortSpec> {
+    (1e-3f64..1.0, 1e-3f64..1.0, 1e-3f64..1.0).prop_map(|(lower, mid, upper)| TwoPortSpec {
+        lower_contact: WattsPerKelvin(lower),
+        mid: WattsPerKelvin(mid),
+        upper_contact: WattsPerKelvin(upper),
+    })
+}
+
+/// A package with a tile set on it and one spec per tile. The tile set is
+/// an arbitrary subset (possibly empty), the four corners, the first row
+/// (an edge) or every tile, in ascending or descending order.
+fn arbitrary_placement() -> impl Strategy<Value = (PackageConfig, Vec<(TileIndex, TwoPortSpec)>)> {
+    (
+        arbitrary_config(),
+        0usize..4,
+        proptest::collection::btree_set(0usize..36, 0..10),
+        0usize..2,
+        proptest::collection::vec(arbitrary_spec(), 36),
+    )
+        .prop_map(|(config, kind, pick, descending, specs)| {
+            let (rows, cols) = (config.grid().rows(), config.grid().cols());
+            let n = rows * cols;
+            let mut linear: Vec<usize> = match kind {
+                0 => pick.into_iter().map(|k| k % n).collect(),
+                1 => vec![0, cols - 1, n - cols, n - 1],
+                2 => (0..cols).collect(),
+                _ => (0..n).collect(),
+            };
+            linear.sort_unstable();
+            linear.dedup();
+            if descending == 1 {
+                linear.reverse();
+            }
+            let splices = linear
+                .into_iter()
+                .map(|k| TileIndex::new(k / cols, k % cols))
+                .zip(specs)
+                .collect();
+            (config, splices)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -167,6 +247,26 @@ proptest! {
         let g = model.g_matrix().to_dense();
         prop_assert_eq!(check_stieltjes(&g, 1e-9), Ok(()));
         prop_assert!(is_irreducible(&g));
+    }
+
+    /// A placement spliced into the package's passive network is the
+    /// geometric build bit for bit, for any package, tile set (edge,
+    /// corner, full cover, none) and specs, whether the passive network
+    /// is built by the placement itself or was built before; every passive
+    /// model of the package shares one `G`.
+    #[test]
+    fn spliced_models_equal_the_geometric_oracle(
+        (config, splices) in arbitrary_placement(),
+        passive_first in 0usize..2,
+    ) {
+        let passive = (passive_first == 1).then(|| CompactModel::new(&config).unwrap());
+        let model = CompactModel::with_two_ports(&config, &splices).unwrap();
+        assert_same_model(&model, &CompactModel::from_geometry(&config, &splices).unwrap());
+        let passive = passive.unwrap_or_else(|| CompactModel::new(&config.clone()).unwrap());
+        assert_same_model(&passive, &CompactModel::from_geometry(&config, &[]).unwrap());
+        let again = CompactModel::new(&config).unwrap();
+        prop_assert!(std::ptr::eq(passive.g_matrix(), again.g_matrix()));
+        prop_assert_eq!(splices.is_empty(), std::ptr::eq(model.g_matrix(), again.g_matrix()));
     }
 
     /// The CSR assembly of G equals the dense-stamped oracle bit for bit,

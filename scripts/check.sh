@@ -78,11 +78,13 @@
 #      the committed BENCH_PR10.json,
 #  20. the benchmark's own unit tests (perfbench/: percentile and span
 #      arithmetic, metric names, the result-line schema in run.py),
-#  21. one-second smoke runs of the benchmark's table1 workload (the
-#      paper's Table-I pipeline on all eleven chips) and explore workload
-#      (a design sweep whose candidates, with different TEC parameters,
-#      share one package order), each of which must report
-#      "correct": true.
+#  21. one-second smoke runs of all four benchmark workloads: table1 (the
+#      paper's Table-I pipeline on all eleven chips), explore (a design
+#      sweep whose candidates, with different TEC parameters, share one
+#      package order), transient (a playback on the Alpha deployment) and
+#      serve (requests over TCP loopback), each of which must report
+#      "correct": true. Every workload sets its placements up through
+#      with_tiles, which splices them into the package's passive network.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -151,7 +153,7 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> python3 -m unittest discover -s perfbench"
 python3 -m unittest discover -s perfbench
 
-for workload in table1 explore; do
+for workload in table1 explore transient serve; do
     echo "==> python3 perfbench/run.py --workload $workload --seed 1 --seconds 1 --trace 0"
     smoke=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
     echo "$smoke"

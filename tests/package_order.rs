@@ -187,7 +187,9 @@ fn a_device_network_fills_the_package_pattern_on_the_passive_order() {
         slot.contains("PassiveSlot(order: filled, pattern: filled)"),
         "{slot}"
     );
-    // A later passive network takes the pattern the device network filled.
+    // The placement's factor filled the pattern from the package's passive
+    // network, which its model was spliced from; a later passive network
+    // takes that pattern.
     let filled = Arc::clone(placed.stamped().model().passive_pattern().unwrap());
     let passive = pattern_of(&placed.with_tiles(&[]).unwrap());
     assert!(Arc::ptr_eq(&passive, &filled));
