@@ -178,80 +178,92 @@ pub fn optimize_current_with(
     // gradient's extra right-hand sides) reuse the factorization.
     let mut solver = system.solver()?.with_strategy(strategy);
     let mut opt = match settings.method {
-        CurrentMethod::GoldenSection => golden_section(&mut solver, ceiling, lambda, settings)?,
+        CurrentMethod::GoldenSection => {
+            let (state, evaluations) = golden_section(
+                ceiling,
+                settings.tolerance,
+                settings.max_evaluations,
+                |i| solver.solve(Amperes(i)),
+                |state| state.peak().value(),
+            )?;
+            CurrentOptimum {
+                state,
+                lambda,
+                evaluations,
+                probes: 0,
+                method: CurrentMethod::GoldenSection,
+            }
+        }
         CurrentMethod::GradientDescent => gradient_descent(&mut solver, ceiling, lambda, settings)?,
     };
     opt.probes = probes;
     Ok(opt)
 }
 
-fn golden_section(
-    system: &mut SteadySolver<'_>,
+/// Golden-section search for the least `peak` of `probe(i)` over
+/// `i ∈ [0, ceiling]`, which is unimodal under Conjecture 1: the two
+/// interior seeds, then `i = 0` (so the origin wins when devices cannot
+/// help), then one probe per step until the bracket is at most
+/// `tolerance` wide. Returns the probe with the least peak (the earliest
+/// on a tie) and the number of probes. Single-pin current setting and
+/// every axis of the multi-pin descent run this one loop.
+///
+/// # Errors
+///
+/// The first error of `probe`, and [`OptError::BudgetExhausted`] if the
+/// bracket is still wider than `tolerance` after `max_evaluations` probes.
+pub(crate) fn golden_section<S>(
     ceiling: f64,
-    lambda: Amperes,
-    settings: CurrentSettings,
-) -> Result<CurrentOptimum, OptError> {
+    tolerance: f64,
+    max_evaluations: usize,
+    mut probe: impl FnMut(f64) -> Result<S, OptError>,
+    peak: impl Fn(&S) -> f64,
+) -> Result<(S, usize), OptError> {
     const INV_PHI: f64 = 0.618_033_988_749_894_8;
-    let mut evals = 0usize;
-    let mut best: Option<SolvedState> = None;
-
-    fn consider(best: &mut Option<SolvedState>, state: SolvedState) -> f64 {
-        let peak = state.peak().value();
-        if best.as_ref().is_none_or(|b| peak < b.peak().value()) {
-            *best = Some(state);
+    let consider = |best: &mut S, state: S| -> f64 {
+        let f = peak(&state);
+        if f < peak(best) {
+            *best = state;
         }
-        peak
-    }
+        f
+    };
 
     let mut a = 0.0_f64;
     let mut b = ceiling;
     // Seed the two interior probes.
     let mut c = b - INV_PHI * (b - a);
     let mut d = a + INV_PHI * (b - a);
-    evals += 1;
-    let mut fc = consider(&mut best, system.solve(Amperes(c))?);
-    evals += 1;
-    let mut fd = consider(&mut best, system.solve(Amperes(d))?);
-    // Also probe the endpoint once so i = 0 wins when devices cannot help.
-    evals += 1;
-    consider(&mut best, system.solve(Amperes(a))?);
-    while (b - a) > settings.tolerance && evals < settings.max_evaluations {
+    let mut best = probe(c)?;
+    let mut fc = peak(&best);
+    let mut fd = consider(&mut best, probe(d)?);
+    consider(&mut best, probe(a)?);
+    let mut evals = 3usize;
+    while (b - a) > tolerance && evals < max_evaluations {
+        evals += 1;
         if fc <= fd {
             b = d;
             d = c;
             fd = fc;
             c = b - INV_PHI * (b - a);
-            evals += 1;
-            fc = consider(&mut best, system.solve(Amperes(c))?);
+            fc = consider(&mut best, probe(c)?);
         } else {
             a = c;
             c = d;
             fc = fd;
             d = a + INV_PHI * (b - a);
-            evals += 1;
-            fd = consider(&mut best, system.solve(Amperes(d))?);
+            fd = consider(&mut best, probe(d)?);
         }
     }
-    if (b - a) > settings.tolerance {
+    if (b - a) > tolerance {
         // Ran out of evaluations with the bracket still wider than the
         // requested tolerance: report exhaustion instead of silently
         // returning an under-converged optimum.
         return Err(OptError::BudgetExhausted {
             spent: evals,
-            budget: settings.max_evaluations,
+            budget: max_evaluations,
         });
     }
-    let state = match best {
-        Some(s) => s,
-        None => system.solve(Amperes(0.0))?,
-    };
-    Ok(CurrentOptimum {
-        state,
-        lambda,
-        evaluations: evals,
-        probes: 0,
-        method: CurrentMethod::GoldenSection,
-    })
+    Ok((best, evals))
 }
 
 fn gradient_descent(

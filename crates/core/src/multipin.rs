@@ -44,24 +44,28 @@
 //! # }
 //! ```
 
+use crate::current::golden_section;
 use crate::supervise::RunContext;
 use crate::{CoolingSystem, OptError};
 use tecopt_device::TecParams;
-use tecopt_linalg::eigen::generalized_pd_threshold;
-use tecopt_linalg::{Cholesky, CsrMatrix};
+use tecopt_linalg::eigen::DEFAULT_PROBE_BUDGET;
+use tecopt_linalg::{CsrMatrix, LinalgError};
 use tecopt_thermal::{PackageConfig, TileIndex};
 use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 
 /// A cooling system whose devices are split across several pins.
+///
+/// Every solve and axis limit factors through the placement factor of the
+/// merged single-pin system ([`tecopt_device::StampedSystem::placement_factor`]):
+/// `Σ_g i_g·D_g` lives on the junction nodes, its support, so each pin's
+/// current shifts only its own nodes and `G_AA` is factored once.
 #[derive(Debug, Clone)]
 pub struct MultiPinSystem {
     inner: CoolingSystem,
-    /// Group index per deployed tile (deployment order of `inner`).
-    group_of_device: Vec<usize>,
-    /// Signed-α D diagonal per group.
-    d_groups: Vec<Vec<f64>>,
-    /// Joule node indices per group.
-    joule_groups: Vec<Vec<usize>>,
+    pins: usize,
+    /// The pin group of every node: `Some` on the junction nodes of the
+    /// group's devices, `None` elsewhere.
+    group_of_node: Vec<Option<usize>>,
 }
 
 /// A solved multi-pin steady state.
@@ -134,37 +138,31 @@ impl MultiPinSystem {
             }
         }
         let inner = CoolingSystem::new(config, params, &all_tiles, tile_powers)?;
-        let n = inner.stamped().model().node_count();
-        let alpha = inner.stamped().params().seebeck().value();
-        let mut d_groups = vec![vec![0.0; n]; groups.len()];
-        let mut joule_groups = vec![Vec::new(); groups.len()];
-        for (device, &(cold, hot)) in inner.stamped().junctions().iter().enumerate() {
-            let g = group_of_device[device];
-            d_groups[g][hot] = alpha;
-            d_groups[g][cold] = -alpha;
-            joule_groups[g].push(cold);
-            joule_groups[g].push(hot);
+        let mut group_of_node = vec![None; inner.stamped().model().node_count()];
+        for (&(cold, hot), &g) in inner.stamped().junctions().iter().zip(&group_of_device) {
+            group_of_node[cold] = Some(g);
+            group_of_node[hot] = Some(g);
         }
         Ok(MultiPinSystem {
             inner,
-            group_of_device,
-            d_groups,
-            joule_groups,
+            pins: groups.len(),
+            group_of_node,
         })
     }
 
     /// Number of pins (groups).
     pub fn pin_count(&self) -> usize {
-        self.d_groups.len()
+        self.pins
     }
 
     /// Number of devices in a group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
     pub fn group_size(&self, group: usize) -> usize {
-        self.group_of_device.iter().filter(|&&g| g == group).count()
+        self.inner
+            .stamped()
+            .junctions()
+            .iter()
+            .filter(|&&(cold, _)| self.group_of_node[cold] == Some(group))
+            .count()
     }
 
     /// The underlying single-current system (all groups merged).
@@ -172,19 +170,20 @@ impl MultiPinSystem {
         &self.inner
     }
 
-    /// Assembles `G − Σ_g i_g·D_g` in CSR, with the structure of `G`.
+    /// Assembles `G − Σ_g i_g·D_g` in CSR, with the structure of `G`: the
+    /// input of the dense oracles.
     ///
     /// # Errors
     ///
     /// Returns [`OptError::InvalidParameter`] for a wrong-length or
     /// negative current vector.
     pub fn system_matrix(&self, currents: &[Amperes]) -> Result<CsrMatrix, OptError> {
-        self.check_currents(currents)?;
+        let node_i = self.node_currents(currents)?;
+        let d = self.inner.stamped().d_diagonal();
+        let shift: Vec<f64> = node_i.iter().zip(d).map(|(i, d)| i * d).collect();
         let mut m = self.inner.stamped().model().g_matrix().clone();
-        for (d, i) in self.d_groups.iter().zip(currents) {
-            m.add_scaled_diagonal(d, -i.value())
-                .map_err(tecopt_thermal::ThermalError::from)?;
-        }
+        m.add_scaled_diagonal(&shift, -1.0)
+            .map_err(tecopt_thermal::ThermalError::from)?;
         Ok(m)
     }
 
@@ -195,39 +194,33 @@ impl MultiPinSystem {
     /// Returns [`OptError::BeyondRunaway`] if the current vector lies
     /// outside the positive-definite region.
     pub fn solve(&self, currents: &[Amperes]) -> Result<MultiPinState, OptError> {
-        let m = self.system_matrix(currents)?;
-        let mut p = self
-            .inner
-            .stamped()
-            .model()
-            .power_vector(self.inner.tile_powers())?;
-        let r = self.inner.stamped().params().resistance().value();
-        for (nodes, i) in self.joule_groups.iter().zip(currents) {
-            let joule = 0.5 * r * i.value() * i.value();
-            for &k in nodes {
-                p[k] += joule;
-            }
-        }
-        let pattern = self.inner.stamped().model().cholesky_pattern()?;
-        let chol = Cholesky::factor_csr_with(pattern, &m).map_err(|e| match e {
-            tecopt_linalg::LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
+        let node_i = self.node_currents(currents)?;
+        let stamped = self.inner.stamped();
+        let family = stamped.placement_factor()?;
+        let on_support: Vec<f64> = family.support().iter().map(|&b| node_i[b]).collect();
+        let factor = family.factor_at_each(&on_support).map_err(|e| match e {
+            LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
                 current: currents.iter().map(|i| i.value()).fold(0.0, f64::max),
             },
             other => OptError::Linalg(other),
         })?;
-        let theta = chol.solve(&p).map_err(OptError::from)?;
-        let temps: Vec<Kelvin> = theta.into_iter().map(Kelvin).collect();
-        let model = self.inner.stamped().model();
-        let peak = model
+        let mut p = stamped.model().power_vector(self.inner.tile_powers())?;
+        let r = stamped.params().resistance().value();
+        for &k in stamped.joule_nodes() {
+            p[k] += 0.5 * r * node_i[k] * node_i[k];
+        }
+        let temps: Vec<Kelvin> = factor.solve(&p)?.into_iter().map(Kelvin).collect();
+        let peak = stamped
+            .model()
             .silicon_nodes()
             .iter()
             .map(|id| temps[id.index()].to_celsius())
             .fold(Celsius(f64::NEG_INFINITY), Celsius::max);
         // Total electrical power: per device r·i_g² + α·i_g·Δθ.
-        let alpha = self.inner.stamped().params().seebeck().value();
+        let alpha = stamped.params().seebeck().value();
         let mut tec_power = 0.0;
-        for (device, &(cold, hot)) in self.inner.stamped().junctions().iter().enumerate() {
-            let i = currents[self.group_of_device[device]].value();
+        for &(cold, hot) in stamped.junctions() {
+            let i = node_i[cold];
             let delta = temps[hot].value() - temps[cold].value();
             tec_power += r * i * i + alpha * i * delta;
         }
@@ -241,31 +234,31 @@ impl MultiPinSystem {
 
     /// The runaway limit along one coordinate axis from a feasible point:
     /// the largest `i_g` keeping `G − Σ i·D` positive definite with the
-    /// other currents held fixed.
+    /// other currents held fixed (the `λ_m` bracket of the placement
+    /// factor along that pin's nodes).
     ///
     /// # Errors
     ///
     /// Propagates PD-bisection failures (e.g. if the fixed point is already
     /// infeasible).
     pub fn axis_limit(&self, currents: &[Amperes], group: usize) -> Result<Amperes, OptError> {
-        self.check_currents(currents)?;
+        let node_i = self.node_currents(currents)?;
         if group >= self.pin_count() {
             return Err(OptError::InvalidParameter(format!(
                 "group {group} out of range for {} pins",
                 self.pin_count()
             )));
         }
-        // G' = G − Σ_{h≠g} i_h D_h; search t with G' − t·D_g.
-        let mut g_fixed = self.inner.stamped().model().g_matrix().clone();
-        for (h, (d, i)) in self.d_groups.iter().zip(currents).enumerate() {
-            if h != group {
-                g_fixed
-                    .add_scaled_diagonal(d, -i.value())
-                    .map_err(tecopt_thermal::ThermalError::from)?;
-            }
-        }
-        let t = generalized_pd_threshold(&g_fixed, &self.d_groups[group], 1e-9)
-            .map_err(OptError::from)?;
+        let family = self.inner.stamped().placement_factor()?;
+        let (base, axis): (Vec<f64>, Vec<f64>) = family
+            .support()
+            .iter()
+            .map(|&b| match self.group_of_node[b] {
+                Some(g) if g == group => (0.0, 1.0),
+                _ => (node_i[b], 0.0),
+            })
+            .unzip();
+        let t = family.pd_threshold_along(&base, &axis, 1e-9, DEFAULT_PROBE_BUDGET)?;
         Ok(Amperes(t.lower))
     }
 
@@ -305,77 +298,42 @@ impl MultiPinSystem {
                 "tolerance must be positive, got {tolerance}"
             )));
         }
-        const INV_PHI: f64 = 0.618_033_988_749_894_8;
-        let k = self.pin_count();
-        let mut currents = vec![Amperes(0.0); k];
+        let mut currents = vec![Amperes(0.0); self.pin_count()];
         let mut best = self.solve(&currents)?;
         for _sweep in 0..max_sweeps {
             let sweep_start = best.peak().value();
-            for g in 0..k {
+            for g in 0..self.pin_count() {
                 let ceiling = 0.995 * self.axis_limit(&currents, g)?.value();
-                // Golden section along axis g. Probes never mutate the
-                // shared iterate: each clones it, sets axis g, and solves —
-                // the winning current is written back explicitly below.
-                let mut a = 0.0_f64;
-                let mut b = ceiling;
-                let eval_at = |i: f64| -> Result<MultiPinState, OptError> {
-                    ctx.admit_probe()?;
-                    let mut probe = currents.clone();
-                    probe[g] = Amperes(i);
-                    self.solve(&probe)
-                };
-                let mut c = b - INV_PHI * (b - a);
-                let mut d = a + INV_PHI * (b - a);
-                // The two seed probes are independent factorizations — run
-                // them side by side; every later iteration adds only one
-                // new probe, so the loop itself stays sequential.
-                let (fc_seed, fd_seed) = crate::parallel::join(|| eval_at(c), || eval_at(d));
-                let mut fc = fc_seed?;
-                let mut fd = fd_seed?;
-                while (b - a) > tolerance {
-                    if fc.peak() <= fd.peak() {
-                        b = d;
-                        d = c;
-                        std::mem::swap(&mut fd, &mut fc);
-                        c = b - INV_PHI * (b - a);
-                        fc = eval_at(c)?;
-                    } else {
-                        a = c;
-                        c = d;
-                        std::mem::swap(&mut fc, &mut fd);
-                        d = a + INV_PHI * (b - a);
-                        fd = eval_at(d)?;
-                    }
-                }
-                let (i_best, state) = if fc.peak() <= fd.peak() {
-                    (c, fc)
-                } else {
-                    (d, fd)
-                };
-                // Keep the axis origin if it beats the interior optimum.
-                ctx.admit_probe()?;
-                currents[g] = Amperes(0.0);
-                let at_zero = self.solve(&currents)?;
-                if at_zero.peak() <= state.peak() {
-                    if at_zero.peak() < best.peak() {
-                        best = at_zero;
-                    }
-                } else {
-                    currents[g] = Amperes(i_best);
-                    if state.peak() < best.peak() {
-                        best = state;
-                    }
+                // Each probe solves a copy of the iterate with axis g set;
+                // the winner's current (the origin's when it is best) is
+                // written back below.
+                let (state, _) = golden_section(
+                    ceiling,
+                    tolerance,
+                    usize::MAX,
+                    |i| {
+                        ctx.admit_probe()?;
+                        let mut probe = currents.clone();
+                        probe[g] = Amperes(i);
+                        self.solve(&probe)
+                    },
+                    |state| state.peak().value(),
+                )?;
+                currents[g] = state.currents()[g];
+                if state.peak() < best.peak() {
+                    best = state;
                 }
             }
             if sweep_start - best.peak().value() < 1e-4 {
                 break;
             }
         }
-        // Re-solve at the final currents so the state matches them exactly.
-        self.solve(&currents_of(&best))
+        Ok(best)
     }
 
-    fn check_currents(&self, currents: &[Amperes]) -> Result<(), OptError> {
+    /// The current of every node: its pin's on the junction nodes, zero
+    /// elsewhere.
+    fn node_currents(&self, currents: &[Amperes]) -> Result<Vec<f64>, OptError> {
         if currents.len() != self.pin_count() {
             return Err(OptError::InvalidParameter(format!(
                 "expected {} currents, got {}",
@@ -388,12 +346,12 @@ impl MultiPinSystem {
                 "currents must be nonnegative and finite".into(),
             ));
         }
-        Ok(())
+        Ok(self
+            .group_of_node
+            .iter()
+            .map(|g| g.map_or(0.0, |g| currents[g].value()))
+            .collect())
     }
-}
-
-fn currents_of(state: &MultiPinState) -> Vec<Amperes> {
-    state.currents().to_vec()
 }
 
 #[cfg(test)]

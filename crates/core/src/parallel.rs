@@ -24,7 +24,7 @@ pub fn worker_count() -> usize {
 /// `fa` runs on a scoped worker thread while `fb` runs on the calling
 /// thread, so the pair costs exactly one spawn. Panics from either task
 /// are relayed to the caller. This is the sanctioned primitive for the
-/// two-way forks in the designer and multi-pin pipelines; `std::thread`
+/// two-way forks in the designer pipeline and the serve tier; `std::thread`
 /// must not be used outside this module (`unbounded-spawn` lint).
 pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
 where

@@ -13,7 +13,9 @@
 //! once and every probe is a `k×k` Cholesky of the Schur complement on the
 //! Peltier nodes (or, when `k` is too large for that to pay, a sparse
 //! numeric factor of the whole network). [`ShiftedCholesky::pd_threshold`]
-//! runs the same search over a family a caller already holds.
+//! runs the same search over a family a caller already holds, and
+//! [`ShiftedCholesky::pd_threshold_along`] along a ray of per-node
+//! currents (one pin of a multi-pin system).
 //! [`generalized_pd_threshold_dense`] keeps the paper's dense per-probe
 //! factorization ([`DenseCholesky`]) as the slow oracle.
 //! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
@@ -21,6 +23,7 @@
 
 use std::sync::Arc;
 
+use crate::shifted::check_dim;
 use crate::{CholeskyPattern, CsrMatrix, DenseCholesky, DenseMatrix, LinalgError, ShiftedCholesky};
 
 /// Outcome of the positive-definiteness bisection for
@@ -139,6 +142,43 @@ impl ShiftedCholesky {
     ) -> Result<PdThreshold, LinalgError> {
         validate_search(self.d_support(), rel_tol, max_probes)?;
         bracket_pd_threshold(rel_tol, max_probes, |i| self.is_pd_at(i))
+    }
+
+    /// The same search along a ray of per-node currents: the least upper
+    /// bound of the `t ≥ 0` at which support node `r` (in
+    /// [`ShiftedCholesky::support`] order) carries `base[r] + t·axis[r]`
+    /// and the family stays positive definite
+    /// ([`ShiftedCholesky::factor_at_each`]). With `base` zero and `axis`
+    /// one this is [`ShiftedCholesky::pd_threshold`]; a multi-pin system
+    /// finds one pin's limit with the others held by setting `axis` to one
+    /// on that pin's nodes and zero elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::DimensionMismatch`] unless `base` and `axis` hold
+    ///   one value per support node.
+    /// - As [`ShiftedCholesky::pd_threshold`] for `D` weighted by `axis`:
+    ///   [`LinalgError::InvalidInput`] if no node with `axis[r]·d_r > 0`
+    ///   exists, [`LinalgError::NotPositiveDefinite`] if `base` itself is
+    ///   outside the positive-definite region.
+    pub fn pd_threshold_along(
+        &self,
+        base: &[f64],
+        axis: &[f64],
+        rel_tol: f64,
+        max_probes: usize,
+    ) -> Result<PdThreshold, LinalgError> {
+        check_dim(self.support().len(), base)?;
+        check_dim(self.support().len(), axis)?;
+        let d_axis: Vec<f64> = axis
+            .iter()
+            .zip(self.d_support())
+            .map(|(a, d)| a * d)
+            .collect();
+        validate_search(&d_axis, rel_tol, max_probes)?;
+        bracket_pd_threshold(rel_tol, max_probes, |t| {
+            self.is_pd_with(|r| base[r] + t * axis[r])
+        })
     }
 }
 
@@ -507,6 +547,43 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn threshold_along_an_axis_holds_the_other_nodes() {
+        // G = diag(2, 4, 3), D = I on every node.
+        let g = csr(&DenseMatrix::from_diagonal(&[2.0, 4.0, 3.0]));
+        let fam = ShiftedCholesky::new(&g, &[1.0; 3], &[0, 1, 2], || {
+            Ok(Arc::new(CholeskyPattern::analyse_csr(&g)?))
+        })
+        .unwrap();
+        // The uniform ray is the plain search.
+        assert_eq!(
+            fam.pd_threshold_along(&[0.0; 3], &[1.0; 3], 1e-10, 100),
+            fam.pd_threshold(1e-10, 100)
+        );
+        // Node 0 held at 1.5 A, nodes 1 and 2 along the ray: node 2 binds.
+        let t = fam
+            .pd_threshold_along(&[1.5, 0.0, 0.0], &[0.0, 1.0, 1.0], 1e-10, 100)
+            .unwrap();
+        assert!((t.estimate() - 3.0).abs() < 1e-8, "{t:?}");
+        // A held node already past its limit.
+        assert!(matches!(
+            fam.pd_threshold_along(&[2.5, 0.0, 0.0], &[0.0, 1.0, 1.0], 1e-10, 100),
+            Err(LinalgError::NotPositiveDefinite { pivot: 0 })
+        ));
+        // A ray that loads no node, and a wrong length.
+        assert!(matches!(
+            fam.pd_threshold_along(&[0.0; 3], &[0.0; 3], 1e-10, 100),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            fam.pd_threshold_along(&[0.0; 2], &[1.0; 3], 1e-10, 100),
+            Err(LinalgError::DimensionMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
     }
 
     #[test]

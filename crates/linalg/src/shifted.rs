@@ -641,11 +641,7 @@ impl ShiftedCholesky {
     /// Only errors other than [`LinalgError::NotPositiveDefinite`] (none
     /// for a family built without error).
     pub fn is_pd_at(&self, i: f64) -> Result<bool, LinalgError> {
-        match self.per_shift(i) {
-            Ok(_) => Ok(true),
-            Err(LinalgError::NotPositiveDefinite { .. }) => Ok(false),
-            Err(e) => Err(e),
-        }
+        self.is_pd_with(|_| i)
     }
 
     /// The factorization of `G − i·D`.
@@ -655,10 +651,53 @@ impl ShiftedCholesky {
     /// [`LinalgError::NotPositiveDefinite`] past the runaway limit, naming
     /// the node whose pivot failed.
     pub fn factor_at(self: &Arc<Self>, i: f64) -> Result<ShiftedFactor, LinalgError> {
+        self.factor_with(|_| i)
+    }
+
+    /// The factorization of `G − Σ_r currents[r]·d_r·e_r·e_rᵀ`: one current
+    /// per node of [`ShiftedCholesky::support`], in its order, so devices
+    /// behind different supply pins shift by their own currents.
+    /// [`ShiftedCholesky::factor_at`] is the case of equal currents, bit
+    /// for bit.
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::DimensionMismatch`] unless there is one current
+    ///   per support node.
+    /// - [`LinalgError::NotPositiveDefinite`] outside the positive-definite
+    ///   region, naming the node whose pivot failed.
+    pub fn factor_at_each(
+        self: &Arc<Self>,
+        currents: &[f64],
+    ) -> Result<ShiftedFactor, LinalgError> {
+        check_dim(self.support.len(), currents)?;
+        self.factor_with(|r| currents[r])
+    }
+
+    /// The declared support of `D`, ascending: the nodes
+    /// [`ShiftedCholesky::factor_at_each`] takes a current for.
+    pub fn support(&self) -> &[usize] {
+        &self.support
+    }
+
+    fn factor_with(
+        self: &Arc<Self>,
+        current: impl Fn(usize) -> f64,
+    ) -> Result<ShiftedFactor, LinalgError> {
         Ok(ShiftedFactor {
             family: Arc::clone(self),
-            factor: self.per_shift(i)?,
+            factor: self.per_shift(current)?,
         })
+    }
+
+    /// [`ShiftedCholesky::is_pd_at`] with support node `r` shifted by
+    /// `current(r)`.
+    pub(crate) fn is_pd_with(&self, current: impl Fn(usize) -> f64) -> Result<bool, LinalgError> {
+        match self.per_shift(current) {
+            Ok(_) => Ok(true),
+            Err(LinalgError::NotPositiveDefinite { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// `y_A = G_AA⁻¹·b_A` for the right-hand side `b`: reuse it across
@@ -682,12 +721,14 @@ impl ShiftedCholesky {
         }
     }
 
-    fn per_shift(&self, i: f64) -> Result<PerShift, LinalgError> {
+    /// The factor with support node `r` (in `support` order) shifted by
+    /// `current(r)`.
+    fn per_shift(&self, current: impl Fn(usize) -> f64) -> Result<PerShift, LinalgError> {
         match &self.family {
             Family::Block(blk) => {
                 let mut s = blk.s0.clone();
                 for (r, &d_r) in self.d_support.iter().enumerate() {
-                    s[(r, r)] += -i * d_r;
+                    s[(r, r)] += -current(r) * d_r;
                 }
                 DenseCholesky::factor(&s)
                     .map(|s| PerShift::Block {
@@ -711,8 +752,8 @@ impl ShiftedCholesky {
                 // `g_kk + (−i)·d_k`: the arithmetic of
                 // `CsrMatrix::add_scaled_diagonal`, bit for bit.
                 let mut m = lower.clone();
-                for (&slot, &d_r) in diag_slots.iter().zip(&self.d_support) {
-                    m[slot] += -i * d_r;
+                for (r, (&slot, &d_r)) in diag_slots.iter().zip(&self.d_support).enumerate() {
+                    m[slot] += -current(r) * d_r;
                 }
                 Cholesky::numeric(Arc::clone(pattern), &m).map(PerShift::Network)
             }
@@ -720,14 +761,19 @@ impl ShiftedCholesky {
     }
 
     fn check_len(&self, b: &[f64]) -> Result<(), LinalgError> {
-        if b.len() != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-            });
-        }
-        Ok(())
+        check_dim(self.n, b)
     }
+}
+
+/// A [`LinalgError::DimensionMismatch`] unless `v` has `expected` entries.
+pub(crate) fn check_dim(expected: usize, v: &[f64]) -> Result<(), LinalgError> {
+    if v.len() != expected {
+        return Err(LinalgError::DimensionMismatch {
+            expected,
+            actual: v.len(),
+        });
+    }
+    Ok(())
 }
 
 /// The analysis of `G_AA`'s own structure (its CSR, the free nodes in
@@ -1187,6 +1233,41 @@ mod tests {
         assert_eq!(
             fam.factor_at(10.0).unwrap_err(),
             LinalgError::NotPositiveDefinite { pivot: 3 }
+        );
+    }
+
+    #[test]
+    fn per_node_currents_generalize_the_uniform_shift() {
+        let g = chain(12);
+        let mut d = vec![0.0; 12];
+        d[3] = 1.0;
+        d[4] = -1.0;
+        d[8] = 1.0;
+        let fam = Arc::new(ShiftedCholesky::new(&g, &d, &[8, 3, 4], analyse(&g)).unwrap());
+        assert_eq!(fam.support(), [3, 4, 8]);
+        let b: Vec<f64> = (0..12).map(|k| 1.0 + k as f64).collect();
+        // Equal currents are `factor_at`, bit for bit.
+        assert_eq!(
+            fam.factor_at_each(&[0.7; 3]).unwrap().solve(&b).unwrap(),
+            fam.factor_at(0.7).unwrap().solve(&b).unwrap()
+        );
+        // Unequal currents shift each node by its own.
+        let currents = [0.2, 0.9, 1.3];
+        let mut dense = g.to_dense();
+        for (&node, i) in fam.support().iter().zip(currents) {
+            dense[(node, node)] -= i * d[node];
+        }
+        let oracle = DenseCholesky::factor(&dense).unwrap().solve(&b).unwrap();
+        let x = fam.factor_at_each(&currents).unwrap().solve(&b).unwrap();
+        for (p, q) in x.iter().zip(&oracle) {
+            assert!((p - q).abs() < 1e-12, "{p} vs {q}");
+        }
+        assert_eq!(
+            fam.factor_at_each(&[0.1, 0.2]).unwrap_err(),
+            LinalgError::DimensionMismatch {
+                expected: 3,
+                actual: 2
+            }
         );
     }
 

@@ -10,9 +10,6 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::util::{backoff_duration, pause};
@@ -83,68 +80,21 @@ impl Default for RetryPolicy {
     }
 }
 
-enum Endpoint {
-    Tcp(String),
-    #[cfg(unix)]
-    Unix(PathBuf),
-}
-
-/// A connected byte stream, TCP or Unix: the one transport type of the
-/// client, the fleet's `RemoteShard` and the server's accepted
-/// connections.
-pub(crate) enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Stream {
-    /// Wraps a TCP stream with Nagle's algorithm off: every frame is one
-    /// small write that waits for its reply.
-    pub(crate) fn tcp(s: TcpStream) -> Stream {
-        let _ = s.set_nodelay(true);
-        Stream::Tcp(s)
-    }
-
-    pub(crate) fn read_bytes(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    pub(crate) fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.write_all(buf).and_then(|()| s.flush()),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write_all(buf).and_then(|()| s.flush()),
-        }
-    }
-
-    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
+/// Turns Nagle's algorithm off on a new connection: every frame is one
+/// small write that waits for its reply. The client, the fleet's
+/// `RemoteShard` and the server's accepted connections all pass through
+/// here.
+pub(crate) fn no_delay(s: TcpStream) -> TcpStream {
+    let _ = s.set_nodelay(true);
+    s
 }
 
 /// A synchronous client with reconnection, idempotent retries, and
 /// jittered exponential backoff.
 pub struct Client {
-    endpoint: Endpoint,
+    addr: String,
     policy: RetryPolicy,
-    conn: Option<Stream>,
+    conn: Option<TcpStream>,
     buf: Vec<u8>,
     jitter: u64,
 }
@@ -158,19 +108,9 @@ static NEXT_AUTO_KEY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 impl Client {
     /// A client for a TCP endpoint, e.g. `"127.0.0.1:7878"`.
     pub fn tcp(addr: impl Into<String>) -> Client {
-        Client::new(Endpoint::Tcp(addr.into()))
-    }
-
-    /// A client for a Unix-socket endpoint.
-    #[cfg(unix)]
-    pub fn unix(path: impl Into<PathBuf>) -> Client {
-        Client::new(Endpoint::Unix(path.into()))
-    }
-
-    fn new(endpoint: Endpoint) -> Client {
         let pid = u64::from(std::process::id());
         Client {
-            endpoint,
+            addr: addr.into(),
             policy: RetryPolicy::default(),
             conn: None,
             buf: Vec::new(),
@@ -291,7 +231,7 @@ impl Client {
             None => return Err(ClientError::Io("not connected".into())),
         };
         conn.set_read_timeout(Some(wait)).map_err(io_err)?;
-        conn.write_all_bytes(line.as_bytes()).map_err(io_err)?;
+        conn.write_all(line.as_bytes()).map_err(io_err)?;
         let reply = read_line(conn, &mut self.buf).map_err(io_err)?;
         let text = std::str::from_utf8(&reply)
             .map_err(|_| ClientError::Decode("reply is not valid UTF-8".into()))?;
@@ -306,17 +246,9 @@ impl Client {
         if self.conn.is_some() {
             return Ok(());
         }
-        let stream = match &self.endpoint {
-            Endpoint::Tcp(addr) => {
-                Stream::tcp(TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?)
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                Stream::Unix(UnixStream::connect(path).map_err(|e| ClientError::Io(e.to_string()))?)
-            }
-        };
+        let stream = TcpStream::connect(&self.addr).map_err(|e| ClientError::Io(e.to_string()))?;
         self.buf.clear();
-        self.conn = Some(stream);
+        self.conn = Some(no_delay(stream));
         Ok(())
     }
 
@@ -335,7 +267,7 @@ impl Client {
 /// Reads one `\n`-terminated line (terminator stripped), buffering any
 /// pipelined overflow bytes in `buf` for the next call. Shared with the
 /// fleet's `RemoteShard`.
-pub(crate) fn read_line(conn: &mut Stream, buf: &mut Vec<u8>) -> io::Result<Vec<u8>> {
+pub(crate) fn read_line(conn: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<Vec<u8>> {
     let mut chunk = [0u8; 4096];
     loop {
         let frame = split_frame(buf).map_err(|_| {
@@ -347,7 +279,7 @@ pub(crate) fn read_line(conn: &mut Stream, buf: &mut Vec<u8>) -> io::Result<Vec<
         if let Some(line) = frame {
             return Ok(line);
         }
-        match conn.read_bytes(&mut chunk) {
+        match conn.read(&mut chunk) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,

@@ -3,7 +3,7 @@
 //!
 //! The paper's workloads (steady solves of Eq. 4, λ_m runaway sweeps,
 //! designer candidate sweeps) become request/response jobs behind a
-//! dependency-free line-framed protocol over TCP or a Unix socket, or
+//! dependency-free line-framed protocol over TCP, or
 //! behind the in-process [`Engine`] API directly. The service layer adds
 //! what a long-running deployment needs and the library deliberately
 //! does not: bounded admission with typed [`ServeError::Overloaded`]

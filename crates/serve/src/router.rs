@@ -33,17 +33,13 @@
 //! combination of retries, failovers, and hedges is at-most-once **per
 //! shard** and deduplicates against the replicated cache fleet-wide.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-#[cfg(unix)]
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::client::{read_line, Stream};
+use crate::client::{no_delay, read_line};
 use crate::engine::{Engine, Evaluator};
 use crate::error::ServeError;
 use crate::health::{HealthMonitor, HealthPolicy, HealthState};
@@ -172,13 +168,10 @@ impl<E: Evaluator> ShardHandle for LocalShard<E> {
 pub enum RemoteAddr {
     /// A TCP endpoint, e.g. `"127.0.0.1:7878"`.
     Tcp(String),
-    /// A Unix-socket path.
-    #[cfg(unix)]
-    Unix(PathBuf),
 }
 
 struct Conn {
-    stream: Stream,
+    stream: TcpStream,
     buf: Vec<u8>,
 }
 
@@ -238,11 +231,8 @@ impl RemoteShard {
         let refused = |e: io::Error| ServeError::Disconnected {
             detail: format!("connect to {}: {e}", self.id),
         };
-        let stream = match &self.addr {
-            RemoteAddr::Tcp(addr) => Stream::tcp(TcpStream::connect(addr).map_err(refused)?),
-            #[cfg(unix)]
-            RemoteAddr::Unix(path) => Stream::Unix(UnixStream::connect(path).map_err(refused)?),
-        };
+        let RemoteAddr::Tcp(addr) = &self.addr;
+        let stream = no_delay(TcpStream::connect(addr).map_err(refused)?);
         Ok(Conn {
             stream,
             buf: Vec::new(),
@@ -324,7 +314,7 @@ impl ShardHandle for RemoteShard {
             .map(|ms| Duration::from_millis(ms) + Duration::from_secs(5))
             .map_or(self.response_timeout, |d| d.max(self.response_timeout));
         let mut conn = self.checkout(&self.conn)?;
-        let sent = conn.stream.write_all_bytes(line.as_bytes());
+        let sent = conn.stream.write_all(line.as_bytes());
         if let Err(e) = sent {
             return Err(ServeError::Disconnected {
                 detail: format!("write to {}: {e}", self.id),
@@ -347,7 +337,7 @@ impl ShardHandle for RemoteShard {
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
         let mut conn = self.checkout(&self.ping_conn)?;
         let line = format!("{}\n", encode_ping(nonce));
-        if let Err(e) = conn.stream.write_all_bytes(line.as_bytes()) {
+        if let Err(e) = conn.stream.write_all(line.as_bytes()) {
             return Err(ServeError::Disconnected {
                 detail: format!("ping write to {}: {e}", self.id),
             });
@@ -382,7 +372,7 @@ impl ShardHandle for RemoteShard {
         let mut line = encode_repl(&frame);
         line.push('\n');
         let mut conn = self.checkout(&self.repl_conn)?;
-        match conn.stream.write_all_bytes(line.as_bytes()) {
+        match conn.stream.write_all(line.as_bytes()) {
             Ok(()) => {
                 self.check_in(&self.repl_conn, conn);
                 Ok(())

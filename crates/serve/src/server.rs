@@ -1,5 +1,5 @@
-//! The socket front end: line-framed protocol over TCP or a Unix socket,
-//! using nothing beyond `std::net` / `std::os::unix::net`.
+//! The socket front end: line-framed protocol over TCP, using nothing
+//! beyond `std::net`.
 //!
 //! Threading model (all threads come from the sanctioned
 //! [`tecopt::parallel::service_workers`] pool — the server never spawns
@@ -21,16 +21,13 @@
 //! waiter), and the handler moves on. A hung or slow client can stall
 //! only its own handler slot, never an evaluation worker.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
-use std::path::Path;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::client::Stream;
+use crate::client::no_delay;
 use crate::engine::{Engine, Evaluator, MetricsSnapshot};
 use crate::error::ServeError;
 use crate::util::pause;
@@ -40,13 +37,9 @@ use crate::wire::{
 };
 use tecopt::CancelToken;
 
-/// A bound, non-blocking listening socket (TCP or Unix).
-pub enum Listener {
-    /// TCP, e.g. `127.0.0.1:0`.
-    Tcp(TcpListener),
-    /// Unix domain socket.
-    #[cfg(unix)]
-    Unix(UnixListener),
+/// A bound, non-blocking TCP listening socket.
+pub struct Listener {
+    inner: TcpListener,
 }
 
 impl Listener {
@@ -56,41 +49,19 @@ impl Listener {
     ///
     /// Any socket-level failure from bind.
     pub fn bind_tcp(addr: impl ToSocketAddrs) -> io::Result<Listener> {
-        let l = TcpListener::bind(addr)?;
-        l.set_nonblocking(true)?;
-        Ok(Listener::Tcp(l))
+        let inner = TcpListener::bind(addr)?;
+        inner.set_nonblocking(true)?;
+        Ok(Listener { inner })
     }
 
-    /// Binds a Unix-socket listener and switches it to non-blocking
-    /// accepts. An existing socket file at `path` is an error (the caller
-    /// decides whether unlinking a stale socket is safe).
-    ///
-    /// # Errors
-    ///
-    /// Any socket-level failure from bind.
-    #[cfg(unix)]
-    pub fn bind_unix(path: impl AsRef<Path>) -> io::Result<Listener> {
-        let l = UnixListener::bind(path)?;
-        l.set_nonblocking(true)?;
-        Ok(Listener::Unix(l))
-    }
-
-    /// The bound TCP address (`None` for a Unix listener) — tests bind
-    /// port 0 and read the real port back from here.
+    /// The bound address (`None` if the socket cannot report it) — tests
+    /// bind port 0 and read the real port back from here.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Listener::Tcp(l) => l.local_addr().ok(),
-            #[cfg(unix)]
-            Listener::Unix(_) => None,
-        }
+        self.inner.local_addr().ok()
     }
 
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => Ok(Stream::tcp(l.accept()?.0)),
-            #[cfg(unix)]
-            Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
-        }
+    fn accept(&self) -> io::Result<TcpStream> {
+        Ok(no_delay(self.inner.accept()?.0))
     }
 }
 
@@ -261,7 +232,7 @@ impl<E: Evaluator> Server<E> {
 
     /// Serves one connection until clean close, disconnect, decode
     /// overflow, or shutdown. Synchronous: one frame in, one frame out.
-    fn handle_connection(&self, mut conn: Stream) {
+    fn handle_connection(&self, mut conn: TcpStream) {
         if conn
             .set_read_timeout(Some(self.config.poll_interval))
             .is_err()
@@ -285,8 +256,7 @@ impl<E: Evaluator> Server<E> {
                     self.decode_errors.fetch_add(1, Ordering::Relaxed);
                     // Best-effort error reply on a connection we are
                     // about to drop anyway.
-                    // tecopt:allow(swallowed-result)
-                    let _ = conn.write_all_bytes(respond(None, &Err(err)).as_bytes());
+                    let _ = conn.write_all(respond(None, &Err(err)).as_bytes());
                     return;
                 }
             }
@@ -295,15 +265,13 @@ impl<E: Evaluator> Server<E> {
 
     /// Decodes, submits, awaits, and replies to one frame. Returns
     /// `false` when the connection must close.
-    fn serve_frame(&self, conn: &mut Stream, buf: &mut Vec<u8>, line: &[u8]) -> bool {
+    fn serve_frame(&self, conn: &mut TcpStream, buf: &mut Vec<u8>, line: &[u8]) -> bool {
         let text = match std::str::from_utf8(line) {
             Ok(t) => t,
             Err(_) => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
                 let err = ServeError::DecodeError("frame is not valid UTF-8".into());
-                return conn
-                    .write_all_bytes(respond(None, &Err(err)).as_bytes())
-                    .is_ok();
+                return conn.write_all(respond(None, &Err(err)).as_bytes()).is_ok();
             }
         };
         // Fleet liveness probe: answered before admission, so a draining
@@ -312,7 +280,7 @@ impl<E: Evaluator> Server<E> {
         if let Some(nonce) = decode_ping(text) {
             let mut pong = encode_pong(nonce);
             pong.push('\n');
-            return conn.write_all_bytes(pong.as_bytes()).is_ok();
+            return conn.write_all(pong.as_bytes()).is_ok();
         }
         // Extension frames (`#`-prefixed) are one-way by contract: never
         // answered, never fatal. Unknown tags from newer peers are
@@ -334,9 +302,7 @@ impl<E: Evaluator> Server<E> {
             Ok(f) => f,
             Err(e) => {
                 self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                return conn
-                    .write_all_bytes(respond(None, &Err(e)).as_bytes())
-                    .is_ok();
+                return conn.write_all(respond(None, &Err(e)).as_bytes()).is_ok();
             }
         };
         let key = frame.key.clone();
@@ -356,13 +322,13 @@ impl<E: Evaluator> Server<E> {
                 waited
             }
         };
-        conn.write_all_bytes(respond(key.as_deref(), &result).as_bytes())
+        conn.write_all(respond(key.as_deref(), &result).as_bytes())
             .is_ok()
     }
 
     /// Accumulates bytes until `buf` holds a full line, polling the
     /// shutdown token at every read-timeout tick.
-    fn read_frame(&self, conn: &mut Stream, buf: &mut Vec<u8>) -> FrameRead {
+    fn read_frame(&self, conn: &mut TcpStream, buf: &mut Vec<u8>) -> FrameRead {
         let mut chunk = [0u8; 4096];
         loop {
             match split_frame(buf) {
@@ -370,7 +336,7 @@ impl<E: Evaluator> Server<E> {
                 Ok(None) => {}
                 Err(e) => return FrameRead::TooLong(e),
             }
-            match conn.read_bytes(&mut chunk) {
+            match conn.read(&mut chunk) {
                 Ok(0) => {
                     return if buf.is_empty() {
                         FrameRead::CleanClose
@@ -411,7 +377,7 @@ fn respond(key: Option<&str>, result: &Result<crate::wire::Response, ServeError>
 /// # Errors
 ///
 /// [`ServeError::Disconnected`] when the peer is gone.
-fn poll_disconnect(conn: &mut Stream, buf: &mut Vec<u8>) -> Result<(), ServeError> {
+fn poll_disconnect(conn: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(), ServeError> {
     if conn.set_nonblocking(true).is_err() {
         return Err(ServeError::Disconnected {
             detail: "cannot poll connection".into(),
@@ -419,7 +385,7 @@ fn poll_disconnect(conn: &mut Stream, buf: &mut Vec<u8>) -> Result<(), ServeErro
     }
     let mut chunk = [0u8; 1024];
     let verdict = loop {
-        match conn.read_bytes(&mut chunk) {
+        match conn.read(&mut chunk) {
             Ok(0) => {
                 break Err(ServeError::Disconnected {
                     detail: "peer closed while request in flight".into(),
@@ -450,7 +416,6 @@ fn poll_disconnect(conn: &mut Stream, buf: &mut Vec<u8>) -> Result<(), ServeErro
     // Back to blocking-with-timeout for the frame reader. If restoring
     // blocking mode fails the next read errors immediately and the
     // connection is torn down there.
-    // tecopt:allow(swallowed-result)
     let _ = conn.set_nonblocking(false);
     verdict
 }

@@ -498,7 +498,7 @@ fn live_workspace_is_lint_clean() {
         "scan looks truncated: {rendered}"
     );
     assert_eq!(
-        report.suppressed, 7,
+        report.suppressed, 5,
         "suppression count drifted from DESIGN.md §11:\n{rendered}"
     );
 }

@@ -28,7 +28,9 @@
 #   9. the paper's executable theory (the theory binary: Lemmas 1-3 and
 #      Theorems 1-3 on the deployed Alpha system), regenerating the
 #      committed results/theory.txt; the binary exits 1 on any refuted
-#      claim,
+#      claim; then the multi-pin example (EXPERIMENTS X2), regenerating
+#      the committed results/multi_pin.txt so a drift in its figures
+#      shows in git diff,
 #  10. the chaos pass (tests/chaos.rs): fault injection against the
 #      supervised sweep runtime (cancellation, deadlines, worker panics,
 #      checkpoint kill/resume), single-threaded and including the
@@ -116,6 +118,9 @@ cargo test -q --workspace -- --test-threads=1
 
 echo "==> cargo run --release -p tecopt-bench --bin theory > results/theory.txt"
 cargo run --release -q -p tecopt-bench --bin theory > results/theory.txt
+
+echo "==> cargo run --release --example multi_pin > results/multi_pin.txt"
+cargo run --release -q --example multi_pin > results/multi_pin.txt
 
 echo "==> cargo test -q --test chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test chaos -- --test-threads=1 --include-ignored

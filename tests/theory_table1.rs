@@ -4,11 +4,14 @@
 //! HC01–HC10, with the limit raised 1 °C at a time as the paper does) and
 //! the full-cover Alpha system. A chip that needs no device gets the typed
 //! `NoDevicesDeployed` error, never a panic.
+//!
+//! The same systems keep the first law: the heat leaving through the
+//! ambient legs is the chip's power plus the devices' electrical input.
 
 use tecopt::theory::{check_all, TheoryReport};
 use tecopt::{
-    full_cover, greedy_deploy, CoolingSystem, CurrentSettings, DeploySettings, OptError,
-    PackageConfig, TecParams,
+    full_cover, greedy_deploy, runaway_limit, CoolingSystem, CurrentSettings, DeploySettings,
+    OptError, PackageConfig, TecParams,
 };
 use tecopt_power::{HypotheticalChip, WorkloadModel};
 use tecopt_units::{Amperes, Celsius};
@@ -64,6 +67,35 @@ fn assert_every_claim_holds(name: &str, reports: &[TheoryReport]) {
     }
 }
 
+/// Heat through the ambient legs equals chip power plus `tec_power`
+/// (Eq. 3) at 0.1, 0.5 and 0.9·λ_m. Summed over every node, `(G − i·D)·θ
+/// = p` says the legs carry `Σp + i·Σ_k d_k·θ_k`, and the Peltier sum is
+/// `α·i·Σ(θ_hot − θ_cold)`, the term `tec_power` adds to `r·i²`, only when
+/// `D` is `+α` at every hot node and `−α` at every cold one: a sign fault
+/// anywhere in `D` breaks the balance.
+fn assert_first_law(name: &str, system: &CoolingSystem) {
+    let lambda = runaway_limit(system, CurrentSettings::default().lambda_tolerance)
+        .unwrap()
+        .lambda()
+        .value();
+    let ambient = system.config().ambient().to_kelvin().value();
+    let legs = system.stamped().model().network().ambient_legs();
+    for fraction in [0.1, 0.5, 0.9] {
+        let state = system.solve(Amperes(fraction * lambda)).unwrap();
+        let temps = state.node_temperatures();
+        let convected: f64 = legs
+            .iter()
+            .map(|&(node, g)| g * (temps[node].value() - ambient))
+            .sum();
+        let supplied = system.total_chip_power().value() + state.tec_power().value();
+        let rel = (convected - supplied).abs() / supplied;
+        assert!(
+            rel <= 1e-10,
+            "{name} at {fraction}·λ_m: convected {convected} W, supplied {supplied} W ({rel:e})"
+        );
+    }
+}
+
 #[test]
 fn every_claim_holds_on_every_table1_placement() {
     let mut checked = Vec::new();
@@ -73,6 +105,7 @@ fn every_claim_holds_on_every_table1_placement() {
         match check_all(&system) {
             Ok(reports) => {
                 assert_every_claim_holds(&name, &reports);
+                assert_first_law(&name, &system);
                 checked.push(name);
             }
             Err(OptError::NoDevicesDeployed) => {
@@ -94,4 +127,5 @@ fn every_claim_holds_on_full_cover_alpha() {
     let system = full.system();
     assert_eq!(system.device_count(), 144);
     assert_every_claim_holds("full-cover Alpha", &check_all(system).unwrap());
+    assert_first_law("full-cover Alpha", system);
 }
