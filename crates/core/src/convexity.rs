@@ -29,7 +29,7 @@ pub fn h_column(system: &CoolingSystem, current: Amperes, l: usize) -> Result<Ve
         )));
     };
     *slot = 1.0;
-    system.solve_rhs(current, &e)
+    system.solver()?.solve_rhs(current, &e)
 }
 
 /// Several columns of `H(i)` from one factorization: the batched form of
@@ -59,7 +59,7 @@ pub fn h_columns(
             Ok(e)
         })
         .collect::<Result<_, _>>()?;
-    system.solve_rhs_many(current, &rhs)
+    system.solver()?.solve_rhs_many(current, &rhs)
 }
 
 /// `η_k(i) = Σ_{l ∈ HOT∪CLD} h_kl(i)` for every node `k` (Eq. 10): the
@@ -70,11 +70,7 @@ pub fn h_columns(
 ///
 /// Same failure modes as [`h_column`].
 pub fn eta(system: &CoolingSystem, current: Amperes) -> Result<Vec<f64>, OptError> {
-    let rhs = joule_indicator(
-        system.stamped().model().node_count(),
-        system.stamped().joule_nodes(),
-    )?;
-    system.solve_rhs(current, &rhs)
+    eta_with(&mut system.solver()?, current)
 }
 
 /// The indicator vector `1_J` of the Joule (junction) nodes, with a typed
@@ -101,23 +97,19 @@ pub fn eta_and_derivative(
     system: &CoolingSystem,
     current: Amperes,
 ) -> Result<(Vec<f64>, Vec<f64>), OptError> {
-    let e = eta(system, current)?;
-    let d = system.stamped().d_diagonal();
-    let v: Vec<f64> = e.iter().zip(d).map(|(x, dk)| x * dk).collect();
-    let ep = system.solve_rhs(current, &v)?;
-    Ok((e, ep))
+    eta_and_derivative_with(&mut system.solver()?, current)
 }
 
-/// [`eta`] evaluated through a private solver handle — the lock-free probe
-/// the parallel certificate workers use.
+/// [`eta`] evaluated through a solver handle — the probe the parallel
+/// certificate workers use.
 fn eta_with(solver: &mut SteadySolver<'_>, current: Amperes) -> Result<Vec<f64>, OptError> {
     let stamped = solver.system().stamped();
     let rhs = joule_indicator(stamped.model().node_count(), stamped.joule_nodes())?;
     solver.solve_rhs(current, &rhs)
 }
 
-/// [`eta_and_derivative`] evaluated through a private solver handle. The
-/// two solves share one factorization (same current key).
+/// [`eta_and_derivative`] evaluated through a solver handle. The two
+/// solves share one factorization (same current key).
 fn eta_and_derivative_with(
     solver: &mut SteadySolver<'_>,
     current: Amperes,
@@ -286,11 +278,10 @@ pub fn certify_convexity_supervised(
     };
 
     // Sub-ranges are independent (each freezes its own slope at `i_t`), so
-    // they are checked in parallel, one warm solver handle per worker.
-    // Assemble the shared core up front and clone one prototype handle per
-    // worker: the clone is infallible and carries the context's token, so
-    // a raised token also stops the sparse backend mid-iteration.
-    system.warm_solver_cache().map_err(fail)?;
+    // they are checked in parallel, one solver handle per worker. Build
+    // one prototype handle up front and clone it per worker: the clone is
+    // infallible and carries the context's token, so a raised token also
+    // stops the sparse backend mid-iteration.
     let proto = system
         .solver()
         .map_err(fail)?

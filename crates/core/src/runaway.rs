@@ -130,11 +130,10 @@ pub fn sweep_fractions_supervised(
     };
 
     // Every sample is an independent factor+solve at `lam·f` — fan them
-    // out over worker threads, each with its own warm solver handle.
-    // Assemble the shared core up front and clone one prototype handle per
-    // worker: the clone is infallible and carries the context's token, so
-    // a raised token also stops the sparse backend mid-iteration.
-    system.warm_solver_cache().map_err(fail)?;
+    // out over worker threads, each with its own solver handle. Build one
+    // prototype handle up front and clone it per worker: the clone is
+    // infallible and carries the context's token, so a raised token also
+    // stops the sparse backend mid-iteration.
     let proto = system
         .solver()
         .map_err(fail)?

@@ -1,5 +1,5 @@
 use crate::OptError;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use tecopt_device::{StampedSystem, TecParams};
 use tecopt_linalg::{
     CancelToken, Cholesky, DiagonalUpdate, FactorPlan, FactoredSystem, LeadingBlockCache,
@@ -14,6 +14,11 @@ use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 ///
 /// The single supply current reflects the paper's one-extra-pin constraint:
 /// all deployed devices are electrically in series and share `i`.
+///
+/// A system holds no solver state of its own: every steady solve runs
+/// through a [`SteadySolver`] handle ([`CoolingSystem::solver`]), and
+/// [`CoolingSystem::solve`] builds one per call. Clones share the
+/// placement factor and the leading solve `y_A`.
 ///
 /// ```
 /// use tecopt::CoolingSystem;
@@ -37,19 +42,13 @@ use tecopt_units::{Amperes, Celsius, Kelvin, Watts};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoolingSystem {
     stamped: StampedSystem,
     tile_powers: Vec<Watts>,
     backend: SolverBackend,
-    /// Lazily built solver state shared by [`CoolingSystem::solve`] /
-    /// [`CoolingSystem::solve_rhs`] callers: `p(i)` is assembled once and
-    /// retargeted in place per probe. Guarded by a mutex so `&self`
-    /// solves stay thread-safe; parallel sweeps avoid the lock entirely by
-    /// carrying a private [`SteadySolver`] per worker.
-    cache: Mutex<SolverCache>,
     /// `y_A = G_AA⁻¹·p_A` of the placement factor for this power profile,
-    /// solved by the first core that needs it and shared by every core,
+    /// solved by the first handle that needs it and shared by every
     /// handle and clone of this placement and profile. A new profile or a
     /// new placement slot starts an empty one.
     leading: LeadingSlot,
@@ -58,33 +57,13 @@ pub struct CoolingSystem {
 /// The slot of a placement's leading solve for one power profile.
 type LeadingSlot = Arc<OnceLock<LeadingSolve>>;
 
-impl Clone for CoolingSystem {
-    fn clone(&self) -> CoolingSystem {
-        // The cache is derived state: a clone starts cold and rebuilds its
-        // solver core on first solve, on the shared `y_A`.
-        CoolingSystem {
-            stamped: self.stamped.clone(),
-            tile_powers: self.tile_powers.clone(),
-            backend: self.backend,
-            cache: Mutex::new(SolverCache::default()),
-            leading: Arc::clone(&self.leading),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct SolverCache {
-    core: Option<SolverCore>,
-    assemblies: usize,
-}
-
 /// How a solver obtains the factorization of `G − i·D` when the probe
 /// current changes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FactorStrategy {
     /// Factor afresh at every new current — the reference path (and the
     /// equivalence oracle for the update path). This is the default and
-    /// the only strategy the shared [`CoolingSystem::solve`] cache uses. On
+    /// the strategy of [`CoolingSystem::solve`]. On
     /// the default backend "afresh" means the placement's
     /// [`StampedSystem::placement_factor`]: `G_AA` is factored once per
     /// placement and a new current refactors only the `k×k` trailing block
@@ -113,7 +92,7 @@ pub enum FactorStrategy {
 /// correction can amplify rounding. See DESIGN.md §15 for the policy.
 const UPDATE_CONDITION_LIMIT: f64 = 1.0e12;
 
-/// Cache key of the last factorization held by a [`SolverCore`].
+/// Cache key of the last factorization held by a [`SteadySolver`].
 ///
 /// The current alone is NOT a sound key: two factorizations at the same
 /// current can represent the same matrix in different ways (a fresh
@@ -121,8 +100,8 @@ const UPDATE_CONDITION_LIMIT: f64 = 1.0e12;
 /// and the PR-2 cache-poisoning regression showed how a stale hit turns
 /// into silently wrong temperatures. The key therefore pairs the exact
 /// current bits with the strategy that produced the factor, so the two
-/// representations can never share a slot. A core serves one placement
-/// and one power profile (changing either builds a new core), so nothing
+/// representations can never share a slot. A handle borrows its system,
+/// so its placement and power profile cannot change under it, and nothing
 /// else can tell two of its factors apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheKey {
@@ -138,62 +117,161 @@ struct RawSolve {
     method: SolveMethod,
 }
 
-/// The reusable solver state behind both the shared cache and
-/// [`SteadySolver`]: `p(i)` retargeted in place from `p(0)`, the resolved
-/// backend, and the last factorization keyed by its current so repeated
-/// solves at one operating point (e.g. the two extra right-hand sides of a
-/// gradient evaluation) factor only once. Default-backend factors come from
-/// the placement's [`StampedSystem::placement_factor`], which every core of
-/// the placement shares, so a fresh core never re-analyses or refactors
-/// `G_AA`; the other backends build the matrix they read from the
-/// [`StampedSystem`] when they factor, so a core holds no copy of `G`.
+/// The placement factor at `current`: `G − i·D` factored through
+/// [`StampedSystem::placement_factor`].
+fn factor_placement(stamped: &StampedSystem, current: Amperes) -> Result<FactoredSystem, OptError> {
+    stamped
+        .placement_factor()?
+        .factor_at(current.value())
+        .map(FactoredSystem::Shifted)
+        .map_err(|e| runaway_from(current, e))
+}
+
+fn runaway_from(current: Amperes, e: LinalgError) -> OptError {
+    match e {
+        LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
+            current: current.value(),
+        },
+        other => OptError::Linalg(other),
+    }
+}
+
+/// The solver state over one [`CoolingSystem`], and the only one: `p(i)`
+/// retargeted in place from `p(0)`, and the last factorization keyed by
+/// its current, so repeated solves at one operating point (e.g. the two
+/// extra right-hand sides of a gradient evaluation) factor only once.
+///
+/// [`CoolingSystem::solve`] builds a handle per call; line searches,
+/// sweeps and served requests keep one for many probes, and the parallel
+/// sweeps give every worker a clone. Default-backend factors come from the
+/// placement's [`StampedSystem::placement_factor`], which every handle of
+/// the placement shares, so a fresh handle never re-analyses or refactors
+/// `G_AA`, and it reads the system's shared `y_A`. The other backends build
+/// the matrix they read from the [`StampedSystem`] when they factor, so a
+/// handle holds no copy of `G`. Results are identical to
+/// [`CoolingSystem::solve`] bit for bit.
 #[derive(Debug, Clone)]
-struct SolverCore {
+pub struct SteadySolver<'a> {
+    system: &'a CoolingSystem,
     /// `p(0)`: ambient injection plus silicon dissipation.
     base_power: Vec<f64>,
     /// `p(i)` at the current of the last retarget.
     power: Vec<f64>,
-    resolved: ResolvedBackend,
     factored: Option<(CacheKey, FactoredSystem)>,
     /// How new currents obtain their factorization; [`FactorStrategy::Refactor`]
-    /// unless a private handle opted into rank-k updates.
+    /// unless the handle opted into rank-k updates.
     strategy: FactorStrategy,
     /// The shared `i = 0` factorization behind [`FactorStrategy::RankKUpdate`],
     /// built lazily on the first updated probe and kept for the lifetime of
-    /// the placement (clones share it through the [`Arc`]).
+    /// the handle (clones share it through the [`Arc`]).
     updatable: Option<Arc<UpdatableFactor>>,
     /// Rank-k updates applied in place of full refactorizations.
     updates_applied: usize,
     /// Full refactorizations forced by a degraded update condition estimate.
     refactor_fallbacks: usize,
-    /// Cooperative cancellation flag, set only on private
-    /// [`SteadySolver`] handles via [`SteadySolver::with_cancel`]; the
-    /// shared cache never carries one, so a token cannot leak into
-    /// unrelated [`CoolingSystem::solve`] calls through the cache.
+    /// Cooperative cancellation flag, set via [`SteadySolver::with_cancel`].
     cancel: Option<CancelToken>,
-    /// `y_A = G_AA⁻¹·p_A` of the placement factor for this core's power
-    /// profile: the system's shared slot, filled on the first solve
-    /// against `p(i)` of any core that shares it. The Joule sources sit on
-    /// the TEC terminal nodes, so `p_A` is the same at every current; a new
-    /// profile builds a new core on a new slot.
-    leading: LeadingSlot,
 }
 
-impl SolverCore {
-    fn build(system: &CoolingSystem) -> Result<SolverCore, OptError> {
-        let base_power = system.stamped.model().power_vector(&system.tile_powers)?;
-        Ok(SolverCore {
-            power: base_power.clone(),
-            base_power,
-            resolved: system.backend.resolve(),
-            factored: None,
-            strategy: FactorStrategy::Refactor,
-            updatable: None,
-            updates_applied: 0,
-            refactor_fallbacks: 0,
-            cancel: None,
-            leading: Arc::clone(&system.leading),
-        })
+impl<'a> SteadySolver<'a> {
+    /// The system this solver probes.
+    pub fn system(&self) -> &'a CoolingSystem {
+        self.system
+    }
+
+    /// Attaches a cooperative cancellation token: every subsequent solve
+    /// through this handle checks it before preparing a factorization and
+    /// (on the sparse backend) at every CG iteration boundary, returning
+    /// [`OptError::Cancelled`] once it is raised. The token is private to
+    /// this handle and its clones.
+    #[must_use]
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = Some(token);
+        self
+    }
+
+    /// Routes this handle's factorizations through `strategy`.
+    ///
+    /// [`FactorStrategy::RankKUpdate`] turns per-current refactorizations
+    /// into rank-k Sherman–Morrison–Woodbury corrections over one cached
+    /// `i = 0` factor — the fast path behind the PR-7 greedy-deployment
+    /// speedup. The strategy is private to this handle and its clones;
+    /// [`CoolingSystem::solve`] always refactors, and the factorization
+    /// cache key distinguishes the two representations, so switching
+    /// strategies can never serve a stale updated factor to a plain probe
+    /// (see the PR-7 cache-poisoning regression tests).
+    #[must_use]
+    pub fn with_strategy(mut self, strategy: FactorStrategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// The factorization strategy this handle routes new currents through.
+    pub fn strategy(&self) -> FactorStrategy {
+        self.strategy
+    }
+
+    /// Rank-k updates this handle applied in place of full
+    /// refactorizations (diagnostic; 0 under [`FactorStrategy::Refactor`]).
+    pub fn rank_k_updates(&self) -> usize {
+        self.updates_applied
+    }
+
+    /// Full refactorizations forced by a degraded update condition
+    /// estimate — the automatic fallback of DESIGN.md §15.
+    pub fn refactor_fallbacks(&self) -> usize {
+        self.refactor_fallbacks
+    }
+
+    /// Solves the steady state at supply current `i` — the contract of
+    /// [`CoolingSystem::solve`], reusing this handle's `p` and its
+    /// factorization when `current` matches the previous probe.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`CoolingSystem::solve`].
+    pub fn solve(&mut self, current: Amperes) -> Result<SolvedState, OptError> {
+        let raw = self.solve_power(current)?;
+        self.system.finish_raw(current, raw)
+    }
+
+    /// Solves `(G − i·D)·x = rhs` for an arbitrary right-hand side, reusing
+    /// the factorization when `current` matches the previous probe.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`CoolingSystem::solve`].
+    pub(crate) fn solve_rhs(
+        &mut self,
+        current: Amperes,
+        rhs: &[f64],
+    ) -> Result<Vec<f64>, OptError> {
+        Ok(self.solve_raw(current, rhs)?.theta)
+    }
+
+    /// Solves `(G − i·D)·x_j = rhs_j` for several independent right-hand
+    /// sides through one factorization — the batched form behind the
+    /// gradient's paired solves and the multi-column response probes —
+    /// using the blocked multi-RHS triangular sweeps on the Cholesky (and
+    /// rank-k-updated) representations. The CG backend has no shared-factor
+    /// economy to exploit, so it solves column by column, fallback behavior
+    /// included.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`CoolingSystem::solve`].
+    pub(crate) fn solve_rhs_many(
+        &mut self,
+        current: Amperes,
+        rhs: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, OptError> {
+        self.check_cancel()?;
+        let fact = self.prepare(current)?;
+        if fact.method() == SolveMethod::SparseCg {
+            return rhs.iter().map(|b| self.solve_rhs(current, b)).collect();
+        }
+        let outs = fact.solve_many(rhs).map_err(|e| runaway_from(current, e))?;
+        Ok(outs.into_iter().map(|o| o.x).collect())
     }
 
     /// The cache key a factorization at `current` would be stored under.
@@ -206,11 +284,8 @@ impl SolverCore {
 
     /// Rebuilds `p(i)` from `p(0)` and the Joule sources of `current`. A
     /// negative current is rejected and leaves `p` at its previous point.
-    fn retarget_power(
-        &mut self,
-        stamped: &StampedSystem,
-        current: Amperes,
-    ) -> Result<(), OptError> {
+    fn retarget_power(&mut self, current: Amperes) -> Result<(), OptError> {
+        let stamped = self.system.stamped();
         let joule = stamped.joule_power(current)?.value();
         self.power.copy_from_slice(&self.base_power);
         // Every junction is a node of the model, so `get_mut` always hits.
@@ -222,34 +297,36 @@ impl SolverCore {
         Ok(())
     }
 
-    /// Retargets `p(i)` (and any factorization) to `current`.
-    fn prepare(&mut self, stamped: &StampedSystem, current: Amperes) -> Result<(), OptError> {
+    /// Retargets `p(i)` (and the factorization) to `current` and returns
+    /// the factorization it holds there.
+    fn prepare(&mut self, current: Amperes) -> Result<&FactoredSystem, OptError> {
         let key = self.cache_key(current);
-        if self.factored.as_ref().is_some_and(|(k, _)| *k == key) {
-            return Ok(());
-        }
-        // Drop the previous factorization before touching `p`: if
+        // Take the previous factorization out before touching `p`: if
         // retargeting or factoring fails below, a surviving entry would key
         // the old current against the failed probe's power, and a later
         // solve at that current would cache-hit into wrong data.
-        self.factored = None;
-        self.retarget_power(stamped, current)?;
-        let fact = match self.resolved {
-            ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
-                self.factor_via_update(stamped, current)?
+        let fact = match self.factored.take() {
+            Some((k, fact)) if k == key => fact,
+            _ => {
+                self.retarget_power(current)?;
+                let stamped = self.system.stamped();
+                match self.system.backend.resolve() {
+                    ResolvedBackend::Cholesky if self.strategy == FactorStrategy::RankKUpdate => {
+                        self.factor_via_update(current)?
+                    }
+                    ResolvedBackend::Cholesky => factor_placement(stamped, current)?,
+                    resolved @ ResolvedBackend::DenseCholesky => {
+                        FactoredSystem::factor(&stamped.system_matrix(current)?, resolved)
+                            .map_err(|e| runaway_from(current, e))?
+                    }
+                    ResolvedBackend::SparseCg(settings) => FactoredSystem::Sparse {
+                        matrix: stamped.sparse_system_matrix(current)?,
+                        settings,
+                    },
+                }
             }
-            ResolvedBackend::Cholesky => factor_placement(stamped, current)?,
-            ResolvedBackend::DenseCholesky => {
-                FactoredSystem::factor(&stamped.system_matrix(current)?, self.resolved)
-                    .map_err(|e| runaway_from(current, e))?
-            }
-            ResolvedBackend::SparseCg(settings) => FactoredSystem::Sparse {
-                matrix: stamped.sparse_system_matrix(current)?,
-                settings,
-            },
         };
-        self.factored = Some((key, fact));
-        Ok(())
+        Ok(&self.factored.insert((key, fact)).1)
     }
 
     /// Produces the factorization at `current` by rank-k update over the
@@ -258,11 +335,8 @@ impl SolverCore {
     /// [`FactorStrategy::Refactor`] when the update is ill-conditioned or its
     /// condition estimate exceeds [`UPDATE_CONDITION_LIMIT`] (the fallback
     /// policy of DESIGN.md §15).
-    fn factor_via_update(
-        &mut self,
-        stamped: &StampedSystem,
-        current: Amperes,
-    ) -> Result<FactoredSystem, OptError> {
+    fn factor_via_update(&mut self, current: Amperes) -> Result<FactoredSystem, OptError> {
+        let stamped = self.system.stamped();
         let delta = stamped.placement_delta();
         let updatable = match self.updatable.clone() {
             Some(u) => u,
@@ -294,7 +368,7 @@ impl SolverCore {
         }
     }
 
-    /// Returns [`OptError::Cancelled`] once this core's token is raised.
+    /// Returns [`OptError::Cancelled`] once this handle's token is raised.
     fn check_cancel(&self) -> Result<(), OptError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(OptError::from(LinalgError::Cancelled { iterations: 0 }));
@@ -305,21 +379,11 @@ impl SolverCore {
     /// Solves against an arbitrary right-hand side at `current`, falling
     /// back to the placement factor if the CG backend stalls or needs an
     /// authoritative definiteness verdict.
-    fn solve_raw(
-        &mut self,
-        stamped: &StampedSystem,
-        current: Amperes,
-        rhs: &[f64],
-    ) -> Result<RawSolve, OptError> {
+    fn solve_raw(&mut self, current: Amperes, rhs: &[f64]) -> Result<RawSolve, OptError> {
         self.check_cancel()?;
-        self.prepare(stamped, current)?;
-        #[allow(clippy::expect_used)]
-        let (_, fact) = self
-            .factored
-            .as_ref()
-            // tecopt:allow(panic-in-kernel) — prepare() just populated it
-            .expect("prepare populated the factorization");
-        match fact.solve_with_cancel(rhs, self.cancel.as_ref()) {
+        let cancel = self.cancel.clone();
+        let fact = self.prepare(current)?;
+        match fact.solve_with_cancel(rhs, cancel.as_ref()) {
             Ok(out) => Ok(RawSolve {
                 theta: out.x,
                 condition_estimate: out.condition_estimate,
@@ -334,7 +398,7 @@ impl SolverCore {
                 // diagonal, or stagnation. Cholesky is the authoritative
                 // oracle for all three — it either produces the solution
                 // or proves the point is past runaway.
-                let chol = factor_placement(stamped, current)?;
+                let chol = factor_placement(self.system.stamped(), current)?;
                 let out = chol.solve(rhs).map_err(OptError::from)?;
                 self.factored = Some((self.cache_key(current), chol));
                 Ok(RawSolve {
@@ -347,27 +411,26 @@ impl SolverCore {
         }
     }
 
-    /// Solves against the core's own power vector `p(i)`. Through
-    /// the placement factor, `y_A = G_AA⁻¹·p_A` is solved once per core and
-    /// a solve is the `k×k` block plus `θ_A = y_A − X·θ_B`.
-    fn solve_power(
-        &mut self,
-        stamped: &StampedSystem,
-        current: Amperes,
-    ) -> Result<RawSolve, OptError> {
+    /// Solves against the handle's own power vector `p(i)`. Through
+    /// the placement factor, `y_A = G_AA⁻¹·p_A` is solved once per power
+    /// profile (the system's shared slot) and a solve is the `k×k` block
+    /// plus `θ_A = y_A − X·θ_B`. The Joule sources sit on the TEC terminal
+    /// nodes, so `p_A` is the same at every current.
+    fn solve_power(&mut self, current: Amperes) -> Result<RawSolve, OptError> {
         self.check_cancel()?;
-        self.prepare(stamped, current)?;
+        self.prepare(current)?;
         let Some((_, FactoredSystem::Shifted(fact))) = &self.factored else {
             let rhs = self.power.clone();
-            return self.solve_raw(stamped, current, &rhs);
+            return self.solve_raw(current, &rhs);
         };
         let power = &self.power;
-        let lead = match self.leading.get() {
+        let leading = &self.system.leading;
+        let lead = match leading.get() {
             Some(lead) => lead,
             None => {
                 let solved = fact.family().leading_solve(power)?;
-                // A racing core may have filled it; both solved one `p_A`.
-                self.leading.get_or_init(|| solved)
+                // A racing handle may have filled it; both solved one `p_A`.
+                leading.get_or_init(|| solved)
             }
         };
         Ok(RawSolve {
@@ -375,176 +438,6 @@ impl SolverCore {
             condition_estimate: fact.condition_estimate(),
             method: SolveMethod::Cholesky,
         })
-    }
-
-    /// Solves several right-hand sides at one current through one
-    /// factorization, using the blocked multi-RHS triangular sweeps on the
-    /// Cholesky (and rank-k-updated) representations. The CG backend has
-    /// no shared-factor economy to exploit, so it delegates to per-column
-    /// [`SolverCore::solve_raw`] calls — fallback behavior included.
-    fn solve_raw_many(
-        &mut self,
-        stamped: &StampedSystem,
-        current: Amperes,
-        rhs: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.check_cancel()?;
-        self.prepare(stamped, current)?;
-        let sparse = matches!(
-            self.factored.as_ref().map(|(_, f)| f.method()),
-            Some(SolveMethod::SparseCg)
-        );
-        if sparse {
-            return rhs
-                .iter()
-                .map(|b| Ok(self.solve_raw(stamped, current, b)?.theta))
-                .collect();
-        }
-        #[allow(clippy::expect_used)]
-        let (_, fact) = self
-            .factored
-            .as_ref()
-            // tecopt:allow(panic-in-kernel) — prepare() just populated it
-            .expect("prepare populated the factorization");
-        let outs = fact.solve_many(rhs).map_err(|e| runaway_from(current, e))?;
-        Ok(outs.into_iter().map(|o| o.x).collect())
-    }
-}
-
-/// The placement factor at `current`: `G − i·D` factored through
-/// [`StampedSystem::placement_factor`].
-fn factor_placement(stamped: &StampedSystem, current: Amperes) -> Result<FactoredSystem, OptError> {
-    stamped
-        .placement_factor()?
-        .factor_at(current.value())
-        .map(FactoredSystem::Shifted)
-        .map_err(|e| runaway_from(current, e))
-}
-
-fn runaway_from(current: Amperes, e: LinalgError) -> OptError {
-    match e {
-        LinalgError::NotPositiveDefinite { .. } => OptError::BeyondRunaway {
-            current: current.value(),
-        },
-        other => OptError::Linalg(other),
-    }
-}
-
-/// A per-caller solving handle over one [`CoolingSystem`].
-///
-/// Owns a private solver core (`p(i)` + factorization cache), so repeated
-/// probes neither reassemble `p` nor contend on the system's internal
-/// mutex — this is what the parallel sweeps hand to each worker thread.
-/// Every core of a placement factors through the one shared
-/// [`StampedSystem::placement_factor`]. Results are identical to
-/// [`CoolingSystem::solve`] bit for bit.
-#[derive(Debug)]
-pub struct SteadySolver<'a> {
-    system: &'a CoolingSystem,
-    core: SolverCore,
-}
-
-impl Clone for SteadySolver<'_> {
-    fn clone(&self) -> Self {
-        SteadySolver {
-            system: self.system,
-            core: self.core.clone(),
-        }
-    }
-}
-
-impl<'a> SteadySolver<'a> {
-    /// The system this solver probes.
-    pub fn system(&self) -> &'a CoolingSystem {
-        self.system
-    }
-
-    /// Attaches a cooperative cancellation token: every subsequent solve
-    /// through this handle checks it before preparing a factorization and
-    /// (on the sparse backend) at every CG iteration boundary, returning
-    /// [`OptError::Cancelled`] once it is raised. The token is private to
-    /// this handle and its clones — the system's shared solver cache never
-    /// carries one.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.core.cancel = Some(token);
-        self
-    }
-
-    /// Routes this handle's factorizations through `strategy`.
-    ///
-    /// [`FactorStrategy::RankKUpdate`] turns per-current refactorizations
-    /// into rank-k Sherman–Morrison–Woodbury corrections over one cached
-    /// `i = 0` factor — the fast path behind the PR-7 greedy-deployment
-    /// speedup. The strategy is private to this handle and its clones; the
-    /// shared [`CoolingSystem::solve`] cache always refactors, and the
-    /// factorization cache key distinguishes the two representations, so
-    /// switching strategies can never serve a stale updated factor to a
-    /// plain probe (see the PR-7 cache-poisoning regression tests).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: FactorStrategy) -> Self {
-        self.core.strategy = strategy;
-        self
-    }
-
-    /// The factorization strategy this handle routes new currents through.
-    pub fn strategy(&self) -> FactorStrategy {
-        self.core.strategy
-    }
-
-    /// Rank-k updates this handle applied in place of full
-    /// refactorizations (diagnostic; 0 under [`FactorStrategy::Refactor`]).
-    pub fn rank_k_updates(&self) -> usize {
-        self.core.updates_applied
-    }
-
-    /// Full refactorizations forced by a degraded update condition
-    /// estimate — the automatic fallback of DESIGN.md §15.
-    pub fn refactor_fallbacks(&self) -> usize {
-        self.core.refactor_fallbacks
-    }
-
-    /// Solves the steady state at supply current `i` — same contract as
-    /// [`CoolingSystem::solve`], minus the lock.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CoolingSystem::solve`].
-    pub fn solve(&mut self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self.core.solve_power(&self.system.stamped, current)?;
-        self.system.finish_raw(current, raw)
-    }
-
-    /// Solves `(G − i·D)·x = rhs` for an arbitrary right-hand side, reusing
-    /// the factorization when `current` matches the previous probe.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CoolingSystem::solve`].
-    pub(crate) fn solve_rhs(
-        &mut self,
-        current: Amperes,
-        rhs: &[f64],
-    ) -> Result<Vec<f64>, OptError> {
-        Ok(self
-            .core
-            .solve_raw(&self.system.stamped, current, rhs)?
-            .theta)
-    }
-
-    /// Solves `(G − i·D)·x_j = rhs_j` for several independent right-hand
-    /// sides through one factorization — the batched form behind the
-    /// gradient's paired solves and the multi-column response probes.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CoolingSystem::solve`].
-    pub(crate) fn solve_rhs_many(
-        &mut self,
-        current: Amperes,
-        rhs: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.core.solve_raw_many(&self.system.stamped, current, rhs)
     }
 }
 
@@ -655,7 +548,6 @@ impl CoolingSystem {
             stamped,
             tile_powers,
             backend: SolverBackend::default(),
-            cache: Mutex::new(SolverCache::default()),
             leading: LeadingSlot::default(),
         })
     }
@@ -681,9 +573,8 @@ impl CoolingSystem {
     ///
     /// The same tile list (equal slices, order included) is a clone: no
     /// assembly, no validation and no factor, the placement factor and the
-    /// leading solve `y_A` shared with `self` (the clone's solver cache
-    /// starts cold). Any other list
-    /// builds a new placement; an empty one yields the passive system,
+    /// leading solve `y_A` shared with `self`. Any other list builds a new
+    /// placement; an empty one yields the passive system,
     /// whose factor is the package's
     /// ([`tecopt_thermal::CompactModel::passive_factor_slot`]).
     ///
@@ -725,17 +616,16 @@ impl CoolingSystem {
     }
 
     /// Returns this system routed through `backend` (the solves of the copy
-    /// use it; the copy's cache starts cold).
+    /// use it).
     pub fn with_backend(mut self, backend: SolverBackend) -> CoolingSystem {
         self.set_backend(backend);
         self
     }
 
-    /// Switches the solver backend in place, invalidating the cached solver
-    /// core (its `p(i)` and factorization).
+    /// Switches the solver backend in place; the next handle solves
+    /// through it.
     pub fn set_backend(&mut self, backend: SolverBackend) {
         self.backend = backend;
-        self.lock_cache().core = None;
     }
 
     /// The configured solver backend (before `Auto` is resolved).
@@ -744,9 +634,9 @@ impl CoolingSystem {
     }
 
     /// Replaces the worst-case power profile in place, keeping the package
-    /// and deployment. The cached solver core and the shared leading solve
-    /// are dropped, so the next solve re-assembles `p` and solves `y_A`
-    /// again (and only then); clones made before keep the old profile's.
+    /// and deployment. The shared leading solve is dropped, so the next
+    /// solve solves `y_A` again (and only then); clones made before keep
+    /// the old profile's.
     ///
     /// # Errors
     ///
@@ -764,27 +654,14 @@ impl CoolingSystem {
         let raw: Vec<f64> = tile_powers.iter().map(|p| p.value()).collect();
         tecopt_units::validate::non_negative_slice("tile power", &raw)?;
         self.tile_powers = tile_powers;
-        self.lock_cache().core = None;
         self.leading = LeadingSlot::default();
         Ok(())
     }
 
-    /// How many times the shared solver cache (re)built its solver core
-    /// (assembling `p(0)`; it copies no matrix) —
-    /// 1 after any number of [`CoolingSystem::solve`] calls, +1 per
-    /// mutation ([`CoolingSystem::set_tile_powers`] /
-    /// [`CoolingSystem::set_backend`]). Private [`SteadySolver`] handles do
-    /// not count. Diagnostic for the assembly-reuse regression tests.
-    pub fn workspace_assemblies(&self) -> usize {
-        self.lock_cache().assemblies
-    }
-
-    /// Creates a private solving handle with its own `p(i)` and
-    /// factorization cache — the cheap way to run many probes (line
-    /// searches, sweeps) without taking the shared lock per solve. A warm
-    /// shared core is cloned (two `n`-vectors and the cached factor's
-    /// `k×k` block, no copy of `G`); a cold one is built without touching
-    /// the shared cache. Either way the handle factors through the
+    /// Creates a solving handle with its own `p(i)` and factorization
+    /// cache: every steady solve runs through one, and many probes (line
+    /// searches, sweeps) keep one. Building it assembles `p(0)` (an
+    /// `n`-vector, no copy of `G`); the handle factors through the
     /// placement's shared [`StampedSystem::placement_factor`] and reads the
     /// system's shared `y_A`.
     ///
@@ -794,43 +671,18 @@ impl CoolingSystem {
     /// [`OptError::PowerLengthMismatch`]) that [`CoolingSystem::solve`]
     /// would also report.
     pub fn solver(&self) -> Result<SteadySolver<'_>, OptError> {
-        // Adopt the shared core when it exists so the handle starts warm;
-        // otherwise build a fresh one without touching the shared cache.
-        let existing = self.lock_cache().core.clone();
-        let core = match existing {
-            Some(core) => core,
-            None => SolverCore::build(self)?,
-        };
-        Ok(SteadySolver { system: self, core })
-    }
-
-    /// Assembles the shared solver core if it is still cold, so subsequent
-    /// [`CoolingSystem::solver`] calls clone it instead of rebuilding —
-    /// the pre-flight step of the parallel sweeps, which guarantees each
-    /// worker's handle construction cannot fail.
-    pub(crate) fn warm_solver_cache(&self) -> Result<(), OptError> {
-        self.with_core(|_, _| Ok(()))
-    }
-
-    fn lock_cache(&self) -> MutexGuard<'_, SolverCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs `f` against the shared cached solver core, building it on first
-    /// use.
-    fn with_core<R>(
-        &self,
-        f: impl FnOnce(&mut SolverCore, &StampedSystem) -> Result<R, OptError>,
-    ) -> Result<R, OptError> {
-        let mut cache = self.lock_cache();
-        if cache.core.is_none() {
-            cache.core = Some(SolverCore::build(self)?);
-            cache.assemblies += 1;
-        }
-        #[allow(clippy::expect_used)]
-        // tecopt:allow(panic-in-kernel) — populated on the line just above
-        let core = cache.core.as_mut().expect("core populated just above");
-        f(core, &self.stamped)
+        let base_power = self.stamped.model().power_vector(&self.tile_powers)?;
+        Ok(SteadySolver {
+            system: self,
+            power: base_power.clone(),
+            base_power,
+            factored: None,
+            strategy: FactorStrategy::Refactor,
+            updatable: None,
+            updates_applied: 0,
+            refactor_fallbacks: 0,
+            cancel: None,
+        })
     }
 
     /// Which factorization the placement's steady solves and runaway
@@ -875,10 +727,11 @@ impl CoolingSystem {
         self.stamped.device_count()
     }
 
-    /// Solves the steady state at supply current `i`.
-    ///
-    /// `p(i)` is assembled once per system and retargeted in place per
-    /// probe; no copy of `G` is made. The linear solve goes through the
+    /// Solves the steady state at supply current `i` through a fresh
+    /// [`SteadySolver`] handle (`self.solver()?.solve(i)`); keep a handle
+    /// to solve at many currents, or at one current repeatedly, without
+    /// re-assembling `p` and refactoring. No copy of `G` is made. The
+    /// linear solve goes through the
     /// configured
     /// [`SolverBackend`] (by default the placement factor of
     /// [`StampedSystem::placement_factor`], which refactors only the `k×k`
@@ -898,8 +751,7 @@ impl CoolingSystem {
     ///   (thermal runaway).
     /// - [`OptError::Device`] for a negative current.
     pub fn solve(&self, current: Amperes) -> Result<SolvedState, OptError> {
-        let raw = self.with_core(|core, stamped| core.solve_power(stamped, current))?;
-        self.finish_raw(current, raw)
+        self.solver()?.solve(current)
     }
 
     /// Derives the user-facing state (silicon temperatures, peak, TEC input
@@ -934,32 +786,6 @@ impl CoolingSystem {
             .map(|(tile, _)| tile)
             .collect()
     }
-
-    /// Solves the auxiliary systems needed by the convexity machinery:
-    /// `x = (G − i·D)⁻¹ · rhs` for an arbitrary right-hand side. Shares the
-    /// cached solver core and factorization with [`CoolingSystem::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CoolingSystem::solve`].
-    pub(crate) fn solve_rhs(&self, current: Amperes, rhs: &[f64]) -> Result<Vec<f64>, OptError> {
-        self.with_core(|core, stamped| Ok(core.solve_raw(stamped, current, rhs)?.theta))
-    }
-
-    /// Batched form of [`CoolingSystem::solve_rhs`]: several independent
-    /// right-hand sides against one factorization at `current`, via the
-    /// blocked multi-RHS triangular sweeps on the dense backend.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CoolingSystem::solve`].
-    pub(crate) fn solve_rhs_many(
-        &self,
-        current: Amperes,
-        rhs: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, OptError> {
-        self.with_core(|core, stamped| core.solve_raw_many(stamped, current, rhs))
-    }
 }
 
 #[cfg(test)]
@@ -986,16 +812,20 @@ mod tests {
         .unwrap()
     }
 
-    /// The placement factor a core's cached factorization belongs to.
-    fn family_of(core: &SolverCore) -> Arc<tecopt_linalg::ShiftedCholesky> {
-        match core.factored.as_ref().map(|(_, f)| f) {
+    /// The placement factor a handle's cached factorization belongs to.
+    fn family_of(solver: &SteadySolver<'_>) -> Arc<tecopt_linalg::ShiftedCholesky> {
+        match solver.factored.as_ref().map(|(_, f)| f) {
             Some(FactoredSystem::Shifted(f)) => Arc::clone(f.family()),
             other => panic!("expected a placement factor, got {other:?}"),
         }
     }
 
-    fn shared_family(system: &CoolingSystem) -> Arc<tecopt_linalg::ShiftedCholesky> {
-        family_of(system.lock_cache().core.as_ref().expect("warm cache"))
+    /// The placement factor a fresh handle of `system` solves `current`
+    /// through.
+    fn solved_family(system: &CoolingSystem, current: f64) -> Arc<tecopt_linalg::ShiftedCholesky> {
+        let mut handle = system.solver().unwrap();
+        handle.solve(Amperes(current)).unwrap();
+        family_of(&handle)
     }
 
     #[test]
@@ -1011,27 +841,15 @@ mod tests {
             Some(FactorPlan::TrailingBlock { k: 2 })
         );
         let block = Arc::clone(system.stamped().placement_factor().unwrap());
-        system.solve(Amperes(1.0)).unwrap();
-        assert!(Arc::ptr_eq(&shared_family(&system), &block));
-
-        // Two private handles, one adopting the warm core, both solving at
-        // new currents.
-        for current in [2.0, 3.0] {
-            let mut handle = system.solver().unwrap();
-            handle.solve(Amperes(current)).unwrap();
-            assert!(Arc::ptr_eq(&family_of(&handle.core), &block));
+        for current in [1.0, 2.0, 3.0] {
+            assert!(Arc::ptr_eq(&solved_family(&system, current), &block));
         }
 
-        // A clone starts with a cold cache but the same placement: its
-        // shared core and a handle built from scratch both reuse the block.
+        // A clone, and one made before the factor was built, share the
+        // placement: their handles reuse the block.
         let clone = system.clone();
-        let mut cold = clone.solver().unwrap();
-        cold.solve(Amperes(1.5)).unwrap();
-        assert!(Arc::ptr_eq(&family_of(&cold.core), &block));
-        clone.solve(Amperes(2.5)).unwrap();
-        assert!(Arc::ptr_eq(&shared_family(&clone), &block));
-        early.solve(Amperes(0.5)).unwrap();
-        assert!(Arc::ptr_eq(&shared_family(&early), &block));
+        assert!(Arc::ptr_eq(&solved_family(&clone, 1.5), &block));
+        assert!(Arc::ptr_eq(&solved_family(&early, 0.5), &block));
 
         // The transient simulator factors `C/Δt + G − i·D` on the model's
         // one network pattern, which the trailing block never analyses.
@@ -1046,18 +864,15 @@ mod tests {
         }
 
         // New powers keep the placement, so the block survives while the
-        // core and the old profile's `y_A` are dropped.
+        // old profile's `y_A` is dropped.
         assert!(system.leading.get().is_some());
         system.set_tile_powers(vec![Watts(0.1); 16]).unwrap();
-        assert!(system.lock_cache().core.is_none());
         assert!(system.leading.get().is_none());
-        system.solve(Amperes(1.0)).unwrap();
-        assert!(Arc::ptr_eq(&shared_family(&system), &block));
+        assert!(Arc::ptr_eq(&solved_family(&system, 1.0), &block));
 
         // A new tile set is a new placement with its own block.
         let other = system.with_tiles(&[TileIndex::new(2, 2)]).unwrap();
-        other.solve(Amperes(1.0)).unwrap();
-        let fresh = shared_family(&other);
+        let fresh = solved_family(&other, 1.0);
         assert!(!Arc::ptr_eq(&fresh, &block));
         assert!(Arc::ptr_eq(
             &fresh,
@@ -1065,7 +880,7 @@ mod tests {
         ));
     }
 
-    /// The leading solve a system's cores read, once one has solved it.
+    /// The leading solve a system's handles read, once one has solved it.
     fn leading_of(system: &CoolingSystem) -> *const LeadingSolve {
         system.leading.get().expect("y_A solved")
     }
@@ -1084,8 +899,8 @@ mod tests {
         let mut first = s.solver().unwrap();
         let a = first.solve(Amperes(1.0)).unwrap();
         let solved = leading_of(&s);
-        // A second handle, a clone's shared core and a clone's handle are
-        // fresh cores: each reads the one `y_A` and solves none.
+        // A second handle, a clone's solve and a clone's handle are fresh
+        // handles: each reads the one `y_A` and solves none.
         let mut second = s.solver().unwrap();
         let clone = s.clone();
         let b = second.solve(Amperes(1.0)).unwrap();
@@ -1251,23 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_is_assembled_once_across_solves() {
-        // Regression: `solve` used to clone + restamp `G` and rebuild `p`
-        // on every call. The assembly must now happen once and be
-        // retargeted in place per probe.
-        let s = system(&[TileIndex::new(1, 1)]);
-        assert_eq!(s.workspace_assemblies(), 0);
-        let first = s.solve(Amperes(2.0)).unwrap();
-        for i in [0.0, 1.0, 2.0, 3.5, 1.0] {
-            s.solve(Amperes(i)).unwrap();
-        }
-        let ones = vec![1.0; first.node_temperatures().len()];
-        s.solve_rhs(Amperes(2.0), &ones).unwrap();
-        assert_eq!(s.workspace_assemblies(), 1);
-    }
-
-    #[test]
-    fn core_power_matches_fresh_stamping_bit_for_bit() {
+    fn handle_power_matches_fresh_stamping_bit_for_bit() {
         let s = CoolingSystem::new(
             &config(),
             TecParams::superlattice_thin_film(),
@@ -1275,33 +1074,33 @@ mod tests {
             vec![Watts(0.1); 16],
         )
         .unwrap();
-        let mut core = SolverCore::build(&s).unwrap();
+        let mut handle = s.solver().unwrap();
         // Visit currents out of order to exercise the in-place retarget.
         for i in [0.0, 3.5, 1.25, 3.5, 0.0, 7.0] {
-            core.prepare(s.stamped(), Amperes(i)).unwrap();
+            handle.prepare(Amperes(i)).unwrap();
             let p = s
                 .stamped()
                 .power_vector(s.tile_powers(), Amperes(i))
                 .unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&core.power), bits(&p), "power at i = {i}");
+            assert_eq!(bits(&handle.power), bits(&p), "power at i = {i}");
         }
     }
 
     #[test]
-    fn core_rejects_negative_current_and_keeps_its_power() {
+    fn handle_rejects_negative_current_and_keeps_its_power() {
         let s = system(&[TileIndex::new(1, 1)]);
-        let mut core = SolverCore::build(&s).unwrap();
-        core.prepare(s.stamped(), Amperes(2.0)).unwrap();
-        let at_two = core.power.clone();
+        let mut handle = s.solver().unwrap();
+        handle.prepare(Amperes(2.0)).unwrap();
+        let at_two = handle.power.clone();
         for bad in [-1.0, f64::NAN] {
             assert!(matches!(
-                core.prepare(s.stamped(), Amperes(bad)),
+                handle.prepare(Amperes(bad)),
                 Err(OptError::Device(
                     tecopt_device::DeviceError::NegativeCurrent { .. }
                 ))
             ));
-            assert_eq!(core.power, at_two);
+            assert_eq!(handle.power, at_two);
         }
     }
 
@@ -1309,13 +1108,11 @@ mod tests {
     fn set_tile_powers_invalidates_cache_and_matches_fresh_system() {
         let mut s = system(&[TileIndex::new(1, 1)]);
         s.solve(Amperes(2.0)).unwrap();
-        assert_eq!(s.workspace_assemblies(), 1);
 
         let mut new_powers = hotspot_powers();
         new_powers[10] = Watts(0.9);
         s.set_tile_powers(new_powers.clone()).unwrap();
         let updated = s.solve(Amperes(2.0)).unwrap();
-        assert_eq!(s.workspace_assemblies(), 2);
 
         let fresh = CoolingSystem::new(
             &config(),
@@ -1476,7 +1273,7 @@ mod tests {
 
     #[test]
     fn failed_probe_does_not_poison_the_factorization_cache() {
-        // Regression: `prepare` used to retarget the core to the failed
+        // Regression: `prepare` used to retarget the solver state to the failed
         // probe's current and bail on the factorization error while the
         // cached key still named the previous current. The next solve at
         // that current then cache-hit `prepare` and read the failed probe's
@@ -1535,19 +1332,6 @@ mod tests {
             }
             assert_eq!(via_system.peak().value(), via_handle.peak().value());
         }
-        // The handle's probes must not count as shared-cache assemblies.
-        assert_eq!(s.workspace_assemblies(), 1);
-    }
-
-    #[test]
-    fn clone_starts_with_a_cold_cache() {
-        let s = system(&[TileIndex::new(1, 1)]);
-        s.solve(Amperes(1.0)).unwrap();
-        let c = s.clone();
-        assert_eq!(c.workspace_assemblies(), 0);
-        let a = s.solve(Amperes(1.0)).unwrap();
-        let b = c.solve(Amperes(1.0)).unwrap();
-        assert_eq!(a.peak().value(), b.peak().value());
     }
 
     #[test]
@@ -1596,13 +1380,13 @@ mod tests {
             .with_strategy(FactorStrategy::RankKUpdate);
         fast.solve(i).unwrap();
         assert!(
-            matches!(fast.core.factored, Some((_, FactoredSystem::Updated(_)))),
+            matches!(fast.factored, Some((_, FactoredSystem::Updated(_)))),
             "fast path should have cached an updated factor"
         );
         // The two strategies must never agree on a cache key at one current.
-        let updated_key = fast.core.cache_key(i);
-        fast.core.strategy = FactorStrategy::Refactor;
-        let plain_key = fast.core.cache_key(i);
+        let updated_key = fast.cache_key(i);
+        let mut plain = fast.with_strategy(FactorStrategy::Refactor);
+        let plain_key = plain.cache_key(i);
         assert_ne!(updated_key, plain_key);
         assert_eq!(updated_key.current_bits, plain_key.current_bits);
         assert_eq!(updated_key.strategy, FactorStrategy::RankKUpdate);
@@ -1610,14 +1394,10 @@ mod tests {
 
         // Re-solving through the plain strategy must refactor (structural
         // proof: the cached entry is now a plain Cholesky factor) and agree
-        // with the shared path bit for bit.
-        let mut plain = SteadySolver {
-            system: &s,
-            core: fast.core,
-        };
+        // with the system's own solve bit for bit.
         let again = plain.solve(i).unwrap();
         assert!(
-            matches!(plain.core.factored, Some((_, FactoredSystem::Shifted(_)))),
+            matches!(plain.factored, Some((_, FactoredSystem::Shifted(_)))),
             "plain probe must not reuse the updated factor"
         );
         for (a, b) in reference
@@ -1669,10 +1449,11 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let batched = s.solve_rhs_many(Amperes(1.5), &cols).unwrap();
+            let mut handle = s.solver().unwrap();
+            let batched = handle.solve_rhs_many(Amperes(1.5), &cols).unwrap();
             assert_eq!(batched.len(), cols.len());
             for (b, col) in batched.iter().zip(&cols) {
-                let single = s.solve_rhs(Amperes(1.5), col).unwrap();
+                let single = handle.solve_rhs(Amperes(1.5), col).unwrap();
                 for (x, y) in b.iter().zip(&single) {
                     let rel = (x - y).abs() / y.abs().max(1.0);
                     assert!(rel < 1e-10, "batched vs scalar rel err {rel}");

@@ -837,6 +837,66 @@ mod tests {
     }
 
     #[test]
+    fn a_submit_into_a_black_hole_times_out_or_cancels_never_hangs() {
+        use tecopt_serve::ShardHandle as _;
+        let ms = std::time::Duration::from_millis;
+        let hole = BlackHole::bind().unwrap();
+        let shard = |timeout| {
+            tecopt_serve::RemoteShard::new(
+                "black-hole",
+                tecopt_serve::RemoteAddr::Tcp(hole.addr().unwrap()),
+            )
+            .with_response_timeout(timeout)
+            .with_io_slice(ms(5))
+        };
+        // No deadline on the frame: the response timeout bounds the wait.
+        let frame = tecopt_serve::RequestFrame {
+            key: Some("k".into()),
+            deadline_ms: None,
+            request: tecopt_serve::Request::Steady {
+                current: tecopt_units::Amperes(1.0),
+            },
+        };
+
+        let timed = shard(ms(50));
+        let cancel = tecopt::CancelToken::new();
+        let (_held, submitted) = tecopt::parallel::join(
+            || hole.swallow_one(ms(200)),
+            || timed.submit(&frame, &cancel),
+        );
+        match submitted {
+            Err(tecopt_serve::ServeError::Disconnected { detail }) => {
+                assert!(detail.contains("timed out"), "{detail}");
+            }
+            other => panic!("expected timeout Disconnected, got {other:?}"),
+        }
+
+        // A token raised mid-wait ends it long before the response timeout.
+        let patient = shard(std::time::Duration::from_secs(30));
+        let cancel = tecopt::CancelToken::new();
+        let (_held, (_, (submitted, waited))) = tecopt::parallel::join(
+            || hole.swallow_one(ms(200)),
+            || {
+                tecopt::parallel::join(
+                    || {
+                        settle(ms(30));
+                        cancel.cancel();
+                    },
+                    || {
+                        let t0 = std::time::Instant::now();
+                        (patient.submit(&frame, &cancel), t0.elapsed())
+                    },
+                )
+            },
+        );
+        match submitted {
+            Err(tecopt_serve::ServeError::Eval(tecopt::OptError::Cancelled { .. })) => {}
+            other => panic!("expected Eval(Cancelled), got {other:?}"),
+        }
+        assert!(waited < std::time::Duration::from_secs(5), "{waited:?}");
+    }
+
+    #[test]
     fn tear_tail_truncates_and_disk_full_blocks_only_the_temp_path() {
         let dir = std::env::temp_dir().join(format!("tecopt-fi-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

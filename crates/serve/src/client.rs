@@ -85,6 +85,7 @@ impl Default for RetryPolicy {
 /// `RemoteShard` and the server's accepted connections all pass through
 /// here.
 pub(crate) fn no_delay(s: TcpStream) -> TcpStream {
+    // tecopt:allow(swallowed-result) — Nagle on costs latency, not answers
     let _ = s.set_nodelay(true);
     s
 }

@@ -256,6 +256,7 @@ impl<E: Evaluator> Server<E> {
                     self.decode_errors.fetch_add(1, Ordering::Relaxed);
                     // Best-effort error reply on a connection we are
                     // about to drop anyway.
+                    // tecopt:allow(swallowed-result) — the connection closes next
                     let _ = conn.write_all(respond(None, &Err(err)).as_bytes());
                     return;
                 }
@@ -416,6 +417,7 @@ fn poll_disconnect(conn: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(), ServeE
     // Back to blocking-with-timeout for the frame reader. If restoring
     // blocking mode fails the next read errors immediately and the
     // connection is torn down there.
+    // tecopt:allow(swallowed-result) — the next read reports the failure
     let _ = conn.set_nonblocking(false);
     verdict
 }

@@ -9,7 +9,8 @@
 //! with cycle detection (`lock-order-inversion`), guard-across-blocking
 //! detection with transitive call chains (`lock-across-blocking`), and
 //! `Result`-discard matching against the workspace's own
-//! `Result`-returning functions (`swallowed-result`). `uncancelled-loop`
+//! `Result`-returning functions and a named list of std `io::Result`
+//! methods (`swallowed-result`, [`IO_RESULT_METHODS`]). `uncancelled-loop`
 //! is file-local and computed inside [`summarize`].
 //!
 //! Lock identity (DESIGN.md §16): `self.field.lock()` resolves to
@@ -51,6 +52,21 @@ const BLOCKING_METHODS: &[&str] = &[
     "sync_all",
     "sync_data",
     "send_to",
+];
+
+/// `std` socket and write methods returning `io::Result`: a `let _ =` on
+/// one of them is a `swallowed-result` like one on a workspace
+/// `Result`-returning fn, since a dropped error there hides a dead peer.
+pub const IO_RESULT_METHODS: &[&str] = &[
+    "write",
+    "write_all",
+    "write_fmt",
+    "flush",
+    "set_nodelay",
+    "set_nonblocking",
+    "set_read_timeout",
+    "set_write_timeout",
+    "shutdown",
 ];
 
 /// Identifiers that count as consulting a cancellation token inside a
@@ -804,20 +820,25 @@ pub fn analyze(files: &[&FileSummary]) -> AnalyzeOutcome {
     };
 
     // swallowed-result: discards whose final callee is a workspace
-    // Result-returning fn, plus every statement-position `.ok()`.
+    // Result-returning fn or a std `io::Result` socket/write method, plus
+    // every statement-position `.ok()`.
     for file in files {
         for f in &file.fns {
             for d in &f.discards {
-                if !(d.via_ok || result_fns.contains(d.callee.as_str())) {
-                    continue;
-                }
                 let what = if d.via_ok {
                     "statement-level `.ok()` discards a Result".to_string()
-                } else {
+                } else if result_fns.contains(d.callee.as_str()) {
                     format!(
                         "`let _ =` discards the Result of workspace fn `{}`",
                         d.callee
                     )
+                } else if IO_RESULT_METHODS.contains(&d.callee.as_str()) {
+                    format!(
+                        "`let _ =` discards the io::Result of std method `{}`",
+                        d.callee
+                    )
+                } else {
+                    continue;
                 };
                 raw.push(Finding {
                     rule: "swallowed-result",

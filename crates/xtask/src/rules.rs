@@ -284,7 +284,10 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "swallowed-result",
         severity: Severity::Warning,
-        summary: "`let _ =` on a workspace Result-returning call, or a \
+        summary: "`let _ =` on a workspace Result-returning call or on a \
+                  std io::Result socket/write method (write, write_all, \
+                  write_fmt, flush, set_nodelay, set_nonblocking, \
+                  set_read_timeout, set_write_timeout, shutdown), or a \
                   statement-position `.ok()`, silently drops an error the \
                   callee went out of its way to report",
         scope: "all workspace sources (flow analysis, tests excluded)",

@@ -422,6 +422,32 @@ fn swallowed_result_fixture() {
 }
 
 #[test]
+fn swallowed_io_result_fixture() {
+    let src = fixture("swallowed_io_result.rs");
+    let out = flow_lint(&[(&src, &FileContext::plain("fx"))]);
+    assert_eq!(
+        triples(&out),
+        [
+            // `let _ =` on std socket and write methods returning
+            // io::Result, with no workspace fn of that name in sight.
+            ("swallowed-result", 8, 5),
+            ("swallowed-result", 9, 5),
+            ("swallowed-result", 10, 5),
+        ]
+    );
+    // The `flush` discard carries its allow comment.
+    assert_eq!(out.suppressed, 1);
+    // The rule catalog states the method list the rule checks.
+    let rule = CATALOG
+        .iter()
+        .find(|r| r.id == "swallowed-result")
+        .expect("rule in catalog");
+    for method in tecopt_xtask::flow::IO_RESULT_METHODS {
+        assert!(rule.summary.contains(method), "catalog omits {method}");
+    }
+}
+
+#[test]
 fn uncancelled_loop_fixture() {
     let src = fixture("uncancelled_loop.rs");
     let ctx = FileContext {

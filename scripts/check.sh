@@ -29,8 +29,10 @@
 #      Theorems 1-3 on the deployed Alpha system), regenerating the
 #      committed results/theory.txt; the binary exits 1 on any refuted
 #      claim; then the multi-pin example (EXPERIMENTS X2), regenerating
-#      the committed results/multi_pin.txt so a drift in its figures
-#      shows in git diff,
+#      the committed results/multi_pin.txt, and the fig6_hkl binary
+#      (h_kl(i) through CoolingSystem's per-call solver handles at 37
+#      currents), regenerating the committed results/fig6_hkl.txt, so a
+#      drift in either file's figures shows in git diff,
 #  10. the chaos pass (tests/chaos.rs): fault injection against the
 #      supervised sweep runtime (cancellation, deadlines, worker panics,
 #      checkpoint kill/resume), single-threaded and including the
@@ -121,6 +123,9 @@ cargo run --release -q -p tecopt-bench --bin theory > results/theory.txt
 
 echo "==> cargo run --release --example multi_pin > results/multi_pin.txt"
 cargo run --release -q --example multi_pin > results/multi_pin.txt
+
+echo "==> cargo run --release -p tecopt-bench --bin fig6_hkl > results/fig6_hkl.txt"
+cargo run --release -q -p tecopt-bench --bin fig6_hkl > results/fig6_hkl.txt
 
 echo "==> cargo test -q --test chaos -- --test-threads=1 --include-ignored"
 cargo test -q --test chaos -- --test-threads=1 --include-ignored
