@@ -262,12 +262,13 @@ pub fn certify_convexity_supervised(
     let silicon: Vec<usize> = model.silicon_nodes().iter().map(|id| id.index()).collect();
 
     // A checkpoint only resumes the certificate it was written by: digest
-    // the interval ceiling (which reflects the system and λ_m) and every
-    // setting that shapes the per-sub-range verdicts.
+    // the system, the interval ceiling and every setting that shapes the
+    // per-sub-range verdicts.
     let fp = {
         let digest = format!(
-            "{} {} {} {} {} {}",
+            "{} {} {} {} {} {} {}",
             <Option<CertificateOutcome>>::KIND,
+            system.digest(),
             hex_f64(ceiling),
             settings.subranges,
             settings.probes_per_subrange,

@@ -57,9 +57,10 @@ where
 ///   every item and typically surfaces the first `Err` by index, matching
 ///   what a sequential loop would have reported first.
 ///
-/// Falls back to a plain sequential loop when `items` has at most one
-/// element or only one hardware thread is available. Worker panics are
-/// relayed to the caller.
+/// Runs on [`par_map_init_isolated`] with its gate always open, so it
+/// spawns and claims exactly as that mapper does; a worker panic lets
+/// the other items finish, then the lowest-index panic is re-raised with
+/// its message.
 pub fn par_map_init<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
 where
     T: Send,
@@ -67,66 +68,14 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let workers = worker_count().min(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items.into_iter().map(|item| f(&mut state, item)).collect();
-    }
-
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-
-    let run_worker = || {
-        let mut state = init();
-        loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= work.len() {
-                break;
-            }
-            #[allow(clippy::expect_used)] // claimed via the atomic counter
-            let item = work[idx]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .expect("each work slot is claimed exactly once");
-            let result = f(&mut state, item);
-            *slots[idx]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-        }
-    };
-
-    // One worker runs on the calling thread, so an N-way fan-out costs
-    // N − 1 spawns and the common two-item case costs exactly one.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
-        run_worker();
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-
-    slots
+    par_map_init_isolated(items, init, f, || true)
         .into_iter()
-        .map(|slot| {
-            #[allow(clippy::expect_used)] // the scope joins every worker first
-            let result = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every slot filled before scope exit");
-            result
+        .map(|outcome| match outcome {
+            ItemOutcome::Done(result) => result,
+            ItemOutcome::Panicked { payload } => std::panic::resume_unwind(Box::new(payload)),
+            ItemOutcome::Skipped => unreachable!("an always-open gate skips no item"),
         })
         .collect()
-}
-
-/// Collapses per-item results to a `Vec` or the first error *by item
-/// index* — exactly the error a sequential loop would have hit first, so
-/// parallel and sequential sweeps report identical failures.
-pub fn collect_first_err<R, E>(results: Vec<Result<R, E>>) -> Result<Vec<R>, E> {
-    results.into_iter().collect()
 }
 
 /// One item's fate under the panic-isolating mapper
@@ -345,13 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn first_error_by_index_wins() {
-        let results: Vec<Result<usize, String>> =
-            vec![Ok(0), Err("first".into()), Ok(2), Err("second".into())];
-        assert_eq!(collect_first_err(results).unwrap_err(), "first");
-    }
-
-    #[test]
     fn empty_and_single_item_fall_back_to_sequential() {
         let empty: Vec<usize> = par_map_init(Vec::new(), || (), |(), i: usize| i);
         assert!(empty.is_empty());
@@ -508,7 +450,10 @@ mod tests {
             },
         );
         assert_eq!(
-            collect_first_err(results).unwrap_err(),
+            results
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_err(),
             "index 2 failed",
             "lowest index wins even though index 11 completed first"
         );

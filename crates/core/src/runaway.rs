@@ -114,10 +114,11 @@ pub fn sweep_fractions_supervised(
     sorted.sort_by(f64::total_cmp);
 
     // A checkpoint only resumes the sweep it was written by: digest the
-    // limit (which already reflects the system), the tolerance and the
-    // sorted sample plan, all bit-exact.
+    // system, the limit, the tolerance and the sorted sample plan, all
+    // bit-exact. λ_m alone does not pin the system: it depends on neither
+    // the tile powers nor the device resistance.
     let fp = {
-        let mut digest = String::from(SweepPoint::KIND);
+        let mut digest = format!("{} {}", SweepPoint::KIND, system.digest());
         digest.push(' ');
         digest.push_str(&hex_f64(lam));
         digest.push(' ');

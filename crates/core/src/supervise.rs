@@ -597,16 +597,7 @@ pub fn score_candidates(
     ctx: &RunContext,
 ) -> Result<Vec<CandidateScore>, SweepFailure<CandidateScore>> {
     let fp = {
-        let mut digest = format!(
-            "{} {} {}",
-            CandidateScore::KIND,
-            base.config().digest(),
-            base.stamped().params().digest()
-        );
-        for p in base.tile_powers() {
-            digest.push(' ');
-            digest.push_str(&hex_f64(p.value()));
-        }
+        let mut digest = format!("{} {}", CandidateScore::KIND, base.digest());
         for tiles in candidates {
             digest.push(';');
             for t in tiles {

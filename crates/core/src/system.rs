@@ -727,6 +727,30 @@ impl CoolingSystem {
         self.stamped.device_count()
     }
 
+    /// A canonical text of everything that fixes this system's results:
+    /// the package and device digests, the TEC tiles in deployment order,
+    /// every tile power as the 16 hex digits of its bits, and the solver
+    /// backend. Resumable sweeps, transient playbacks and explore ledgers
+    /// bind their checkpoints to it, so a checkpoint written for one
+    /// system reads as stale on another.
+    pub fn digest(&self) -> String {
+        let mut digest = format!(
+            "system {} {} tiles",
+            self.config().digest(),
+            self.stamped.params().digest()
+        );
+        for t in self.tec_tiles() {
+            digest.push_str(&format!(" {},{}", t.row, t.col));
+        }
+        digest.push_str(" powers");
+        for p in &self.tile_powers {
+            digest.push(' ');
+            digest.push_str(&crate::record::hex_f64(p.value()));
+        }
+        digest.push_str(&format!(" backend {:?}", self.backend));
+        digest
+    }
+
     /// Solves the steady state at supply current `i` through a fresh
     /// [`SteadySolver`] handle (`self.solver()?.solve(i)`); keep a handle
     /// to solve at many currents, or at one current repeatedly, without

@@ -789,9 +789,10 @@ impl TransientSimulator {
     /// `params_fingerprint` must bind every input that is not digested
     /// internally — in particular the controller and envelope
     /// configuration (see [`ControllerSpec::digest`]). The simulator
-    /// digests its own timestep, node count, starting state, and the full
-    /// schedule; a checkpoint whose fingerprint or step total disagrees is
-    /// rejected as stale instead of silently resumed.
+    /// digests its system ([`CoolingSystem::digest`]), timestep, node
+    /// count, starting state, and the full schedule; a checkpoint whose
+    /// fingerprint or step total disagrees is rejected as stale instead
+    /// of silently resumed.
     ///
     /// # Errors
     ///
@@ -867,7 +868,8 @@ impl TransientSimulator {
     /// playback checkpoint's identity.
     fn playback_fingerprint(&self, schedule: &[(f64, Vec<Watts>)], params: u64) -> u64 {
         let mut data = format!(
-            "{CHECKPOINT_KIND} params {params:016x} dt {} nodes {} time {} state",
+            "{CHECKPOINT_KIND} params {params:016x} {} dt {} nodes {} time {} state",
+            self.system.digest(),
             hex_f64(self.dt),
             self.theta.len(),
             hex_f64(self.time)

@@ -178,24 +178,15 @@ impl Explorer {
     }
 
     /// FNV-1a fingerprint of the full exploration identity: the space
-    /// spec, the package ([`tecopt::PackageConfig::digest`]), the base
-    /// device, the worst-case powers, the solver backend and every setting
-    /// that can change a result. This is what the ledger header is bound
-    /// to.
+    /// spec, the base system ([`CoolingSystem::digest`]: package, device,
+    /// its own tiles, worst-case powers and solver backend) and every
+    /// setting that can change a result. This is what the ledger header
+    /// is bound to.
     pub fn fingerprint(&self) -> u64 {
-        let mut digest = format!(
-            "explore v1 {} {} {} powers",
+        let digest = format!(
+            "explore v1 {} {} settings {} {} {} {} {:?} {:?} {} {}",
             self.space.digest(),
-            self.system.config().digest(),
-            self.system.stamped().params().digest(),
-        );
-        for p in self.system.tile_powers() {
-            digest.push(' ');
-            digest.push_str(&hex_f64(p.value()));
-        }
-        digest.push_str(&format!(
-            " backend {:?} settings {} {} {} {} {:?} {:?} {} {}",
-            self.system.backend(),
+            self.system.digest(),
             hex_f64(self.settings.current.tolerance),
             self.settings.current.max_evaluations,
             hex_f64(self.settings.current.ceiling_fraction),
@@ -204,7 +195,7 @@ impl Explorer {
             self.settings.strategy,
             self.settings.retry_budget.max(1),
             hex_f64(self.settings.prune_optimism),
-        ));
+        );
         fingerprint(&digest)
     }
 
@@ -596,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_binds_the_factor_strategy_and_the_backend() {
+    fn fingerprint_binds_the_strategy_and_the_backend() {
         let default = explorer(0.46);
         let rank_k = Explorer {
             settings: ExploreSettings {

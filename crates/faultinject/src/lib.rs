@@ -778,7 +778,7 @@ mod tests {
     fn a_refused_port_is_an_instant_typed_disconnect() {
         use tecopt_serve::ShardHandle as _;
         let addr = refused_tcp_addr().unwrap();
-        let shard = tecopt_serve::RemoteShard::new("refused", tecopt_serve::RemoteAddr::Tcp(addr));
+        let shard = tecopt_serve::RemoteShard::new("refused", addr);
         let t0 = std::time::Instant::now();
         match shard.ping(std::time::Duration::from_millis(100)) {
             Err(tecopt_serve::ServeError::Disconnected { detail }) => {
@@ -794,11 +794,8 @@ mod tests {
     fn a_slow_accept_loop_times_a_ping_out_as_disconnected() {
         use tecopt_serve::ShardHandle as _;
         let slow = SlowAccept::bind(std::time::Duration::from_millis(300)).unwrap();
-        let shard = tecopt_serve::RemoteShard::new(
-            "slow-accept",
-            tecopt_serve::RemoteAddr::Tcp(slow.addr().unwrap()),
-        )
-        .with_io_slice(std::time::Duration::from_millis(5));
+        let shard = tecopt_serve::RemoteShard::new("slow-accept", slow.addr().unwrap())
+            .with_io_slice(std::time::Duration::from_millis(5));
         let (served, pinged) = tecopt::parallel::join(
             || slow.serve_one_pong(),
             || shard.ping(std::time::Duration::from_millis(50)),
@@ -819,11 +816,8 @@ mod tests {
     fn a_black_hole_is_a_typed_timeout_never_a_hang() {
         use tecopt_serve::ShardHandle as _;
         let hole = BlackHole::bind().unwrap();
-        let shard = tecopt_serve::RemoteShard::new(
-            "black-hole",
-            tecopt_serve::RemoteAddr::Tcp(hole.addr().unwrap()),
-        )
-        .with_io_slice(std::time::Duration::from_millis(5));
+        let shard = tecopt_serve::RemoteShard::new("black-hole", hole.addr().unwrap())
+            .with_io_slice(std::time::Duration::from_millis(5));
         let (_held, pinged) = tecopt::parallel::join(
             || hole.swallow_one(std::time::Duration::from_millis(200)),
             || shard.ping(std::time::Duration::from_millis(50)),
@@ -842,12 +836,9 @@ mod tests {
         let ms = std::time::Duration::from_millis;
         let hole = BlackHole::bind().unwrap();
         let shard = |timeout| {
-            tecopt_serve::RemoteShard::new(
-                "black-hole",
-                tecopt_serve::RemoteAddr::Tcp(hole.addr().unwrap()),
-            )
-            .with_response_timeout(timeout)
-            .with_io_slice(ms(5))
+            tecopt_serve::RemoteShard::new("black-hole", hole.addr().unwrap())
+                .with_response_timeout(timeout)
+                .with_io_slice(ms(5))
         };
         // No deadline on the frame: the response timeout bounds the wait.
         let frame = tecopt_serve::RequestFrame {

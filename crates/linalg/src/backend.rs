@@ -24,7 +24,7 @@
 
 use crate::{
     conjugate_gradient_cancellable, AppliedUpdate, CancelToken, CgSettings, Cholesky, CsrMatrix,
-    DenseCholesky, DenseMatrix, DiagonalUpdate, LinalgError, ShiftedFactor, UpdatableFactor,
+    DenseCholesky, DenseMatrix, LinalgError, ShiftedFactor,
 };
 
 /// Which linear-solver backend a [`CoolingSystem`](../../tecopt) probe uses.
@@ -198,81 +198,6 @@ impl FactoredSystem {
         }
     }
 
-    /// Re-keys this factored system to the diagonally perturbed matrix
-    /// `A + Δ` without a full refactorization.
-    ///
-    /// - **Cholesky**: builds an [`UpdatableFactor`] over the perturbed
-    ///   nodes and applies the Sherman–Morrison–Woodbury correction (`O(k)`
-    ///   triangular solves once, then `O(k³)`). Callers updating the same
-    ///   node set repeatedly should hold an [`UpdatableFactor`] themselves
-    ///   and pay the setup once; this entry point is the uniform-interface
-    ///   form.
-    /// - **Dense**: not supported — the dense oracle always refactors.
-    /// - **Sparse** (CG): patches the CSR diagonal in place via
-    ///   [`CsrMatrix::set_diagonal_entry`] (inserting structurally missing
-    ///   diagonals) and re-screens positivity, exactly like
-    ///   [`FactoredSystem::factor`] does.
-    /// - **Updated**: merges the new deltas into the existing correction
-    ///   over the shared base factor (same node-set restriction as
-    ///   [`UpdatableFactor::apply`]).
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::NotPositiveDefinite`] if the perturbed matrix is no
-    ///   longer positive definite (past thermal runaway).
-    /// - [`LinalgError::IllConditioned`] when the update's small pivots are
-    ///   too degraded to trust — fall back to a fresh factorization.
-    /// - [`LinalgError::InvalidInput`] for out-of-bounds nodes, (on the
-    ///   updated variant) nodes outside the prepared set, or the dense
-    ///   oracle backend.
-    pub fn update_rank_k(&self, update: &DiagonalUpdate) -> Result<FactoredSystem, LinalgError> {
-        match self {
-            FactoredSystem::Cholesky(chol) => {
-                let nodes: Vec<usize> = update.entries().iter().map(|&(k, _)| k).collect();
-                let factor = UpdatableFactor::new(chol.clone(), &nodes)?;
-                Ok(FactoredSystem::Updated(factor.apply(update)?))
-            }
-            FactoredSystem::Dense(_) => Err(LinalgError::InvalidInput(
-                "the dense oracle backend takes no rank-k updates; refactor instead".into(),
-            )),
-            FactoredSystem::Shifted(_) => Err(LinalgError::InvalidInput(
-                "a placement factor takes no rank-k updates; factor it at the new current".into(),
-            )),
-            FactoredSystem::Sparse { matrix, settings } => {
-                let mut patched = matrix.clone();
-                for &(k, delta) in update.entries() {
-                    if k >= patched.rows() || k >= patched.cols() {
-                        return Err(LinalgError::InvalidInput(format!(
-                            "update node {k} out of bounds for {}x{}",
-                            patched.rows(),
-                            patched.cols()
-                        )));
-                    }
-                    let value = patched.get(k, k) + delta;
-                    if value <= 0.0 || !value.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: k });
-                    }
-                    patched.set_diagonal_entry(k, value)?;
-                }
-                Ok(FactoredSystem::Sparse {
-                    matrix: patched,
-                    settings: *settings,
-                })
-            }
-            FactoredSystem::Updated(applied) => {
-                let mut merged: Vec<(usize, f64)> = applied.entries().to_vec();
-                for &(node, delta) in update.entries() {
-                    match merged.binary_search_by_key(&node, |&(n, _)| n) {
-                        Ok(pos) => merged[pos].1 += delta,
-                        Err(pos) => merged.insert(pos, (node, delta)),
-                    }
-                }
-                let combined = DiagonalUpdate::new(merged)?;
-                Ok(FactoredSystem::Updated(applied.factor().apply(&combined)?))
-            }
-        }
-    }
-
     /// Solves `A·X = B` for a block of right-hand sides.
     ///
     /// The Cholesky and updated backends use the blocked triangular sweeps
@@ -383,6 +308,7 @@ fn cg_condition_estimate(iterations: usize, tolerance: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
+    use crate::{DiagonalUpdate, UpdatableFactor};
 
     fn spd(dim: usize, density: f64, seed: u64) -> DenseMatrix {
         random_stieltjes(
@@ -491,92 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_k_update_matches_fresh_factor_on_all_backends() {
-        let dim = 48;
-        let a = spd(dim, 0.1, 17);
-        let update = DiagonalUpdate::new([(3, 0.6), (20, -0.05), (41, 1.2)]).expect("finite");
-        let mut perturbed = a.clone();
-        let mut diag = vec![0.0; dim];
-        for &(k, v) in update.entries() {
-            diag[k] = v;
-        }
-        perturbed
-            .add_scaled_diagonal(&diag, 1.0)
-            .expect("dims match");
-        let b: Vec<f64> = (0..dim).map(|k| (k as f64 * 0.23).cos() + 1.0).collect();
-        let oracle = FactoredSystem::factor(&perturbed, ResolvedBackend::DenseCholesky)
-            .expect("SPD")
-            .solve(&b)
-            .expect("solves");
-
-        for backend in [
-            ResolvedBackend::Cholesky,
-            ResolvedBackend::SparseCg(CgSettings::default()),
-        ] {
-            let base = FactoredSystem::factor(&a, backend).expect("SPD");
-            let updated = base.update_rank_k(&update).expect("updatable");
-            let got = updated.solve(&b).expect("solves");
-            assert!(
-                rel_err(&oracle.x, &got.x) < 1e-8,
-                "{backend:?}: rel err {}",
-                rel_err(&oracle.x, &got.x)
-            );
-            assert_eq!(updated.dim(), dim);
-        }
-        let dense = FactoredSystem::factor(&a, ResolvedBackend::DenseCholesky).expect("SPD");
-        assert!(matches!(
-            dense.update_rank_k(&update),
-            Err(LinalgError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn stacked_updates_compose_on_the_updated_variant() {
-        let dim = 24;
-        let a = spd(dim, 0.2, 23);
-        let first = DiagonalUpdate::new([(2, 0.5), (11, -0.1)]).expect("finite");
-        let second = DiagonalUpdate::new([(2, -0.2), (11, 0.3)]).expect("finite");
-        let base = FactoredSystem::factor(&a, ResolvedBackend::Cholesky).expect("SPD");
-        let once = base.update_rank_k(&first).expect("updatable");
-        let twice = once.update_rank_k(&second).expect("stacks");
-
-        let mut perturbed = a.clone();
-        let mut diag = vec![0.0; dim];
-        diag[2] = 0.3;
-        diag[11] = 0.2;
-        perturbed
-            .add_scaled_diagonal(&diag, 1.0)
-            .expect("dims match");
-        let b: Vec<f64> = (0..dim).map(|k| (k as f64 * 0.7).sin()).collect();
-        let oracle = DenseCholesky::factor(&perturbed)
-            .expect("SPD")
-            .solve(&b)
-            .expect("solves");
-        let got = twice.solve(&b).expect("solves");
-        assert!(rel_err(&oracle, &got.x) < 1e-10);
-        assert_eq!(twice.method(), SolveMethod::Cholesky);
-    }
-
-    #[test]
-    fn indefinite_update_is_rejected_uniformly() {
-        let a = spd(20, 0.2, 31);
-        let update = DiagonalUpdate::new([(7, -1e9)]).expect("finite");
-        for backend in [
-            ResolvedBackend::Cholesky,
-            ResolvedBackend::SparseCg(CgSettings::default()),
-        ] {
-            let base = FactoredSystem::factor(&a, backend).expect("SPD");
-            assert!(
-                matches!(
-                    base.update_rank_k(&update),
-                    Err(LinalgError::NotPositiveDefinite { .. })
-                ),
-                "{backend:?}"
-            );
-        }
-    }
-
-    #[test]
     fn solve_many_matches_per_rhs_solve_on_all_variants() {
         let dim = 40;
         let a = spd(dim, 0.1, 41);
@@ -592,7 +432,15 @@ mod tests {
         let sparse = FactoredSystem::factor(&a, ResolvedBackend::SparseCg(CgSettings::default()))
             .expect("positive diagonal");
         let chol = FactoredSystem::factor(&a, ResolvedBackend::Cholesky).expect("SPD");
-        let updated = chol.update_rank_k(&update).expect("updatable");
+        let FactoredSystem::Cholesky(base) = &chol else {
+            unreachable!("the Cholesky backend factors to the Cholesky variant")
+        };
+        let updated = FactoredSystem::Updated(
+            UpdatableFactor::new(base.clone(), &[5])
+                .expect("updatable")
+                .apply(&update)
+                .expect("updatable"),
+        );
         for f in [&dense, &chol, &sparse, &updated] {
             let block = f.solve_many(&rhs).expect("solves");
             assert_eq!(block.len(), rhs.len());

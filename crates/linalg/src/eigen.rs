@@ -18,8 +18,6 @@
 //! currents (one pin of a multi-pin system).
 //! [`generalized_pd_threshold_dense`] keeps the paper's dense per-probe
 //! factorization ([`DenseCholesky`]) as the slow oracle.
-//! [`power_iteration`] and [`min_eigenvalue_symmetric`] support the
-//! Conjecture-1 experiments and diagnostics.
 
 use std::sync::Arc;
 
@@ -310,104 +308,6 @@ fn bracket_pd_threshold(
     })
 }
 
-/// Dominant eigenpair of a symmetric matrix by power iteration.
-///
-/// Returns `(eigenvalue, eigenvector)`. Convergence is declared when the
-/// Rayleigh quotient changes by less than `tol` between sweeps.
-///
-/// # Errors
-///
-/// - [`LinalgError::NotSquare`] if `a` is not square.
-/// - [`LinalgError::NoConvergence`] if `max_iter` sweeps do not converge.
-pub fn power_iteration(
-    a: &DenseMatrix,
-    max_iter: usize,
-    tol: f64,
-) -> Result<(f64, Vec<f64>), LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Err(LinalgError::InvalidInput("empty matrix".into()));
-    }
-    // Deterministic start vector with all components nonzero.
-    let mut v: Vec<f64> = (0..n).map(|k| 1.0 + (k as f64) / (n as f64)).collect();
-    normalize(&mut v);
-    let mut lambda = 0.0_f64;
-    for it in 0..max_iter {
-        let mut w = a.mul_vec(&v)?;
-        let nrm = normalize(&mut w);
-        if nrm == 0.0 {
-            // v was in the null space; eigenvalue 0 with that vector.
-            return Ok((0.0, v));
-        }
-        let new_lambda = a.quadratic_form(&w)?;
-        v = w;
-        if it > 0 && (new_lambda - lambda).abs() <= tol * new_lambda.abs().max(1.0) {
-            return Ok((new_lambda, v));
-        }
-        lambda = new_lambda;
-    }
-    Err(LinalgError::NoConvergence {
-        iterations: max_iter,
-        residual: f64::NAN,
-    })
-}
-
-/// Smallest eigenvalue of a symmetric matrix, via power iteration on the
-/// spectrally shifted matrix `s·I − A` with `s` an upper bound on the
-/// spectral radius (Gershgorin).
-///
-/// # Errors
-///
-/// Propagates errors from [`power_iteration`].
-pub fn min_eigenvalue_symmetric(
-    a: &DenseMatrix,
-    max_iter: usize,
-    tol: f64,
-) -> Result<f64, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    // Gershgorin bound on the spectral radius.
-    let mut s = 0.0_f64;
-    for r in 0..n {
-        let mut radius = 0.0;
-        for c in 0..n {
-            if c != r {
-                radius += a[(r, c)].abs();
-            }
-        }
-        s = s.max(a[(r, r)].abs() + radius);
-    }
-    let mut shifted = DenseMatrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            shifted[(r, c)] = if r == c { s - a[(r, c)] } else { -a[(r, c)] };
-        }
-    }
-    let (mu, _) = power_iteration(&shifted, max_iter, tol)?;
-    Ok(s - mu)
-}
-
-fn normalize(v: &mut [f64]) -> f64 {
-    let nrm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if nrm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= nrm;
-        }
-    }
-    nrm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,29 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_finds_dominant_pair() {
-        let a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let (lambda, v) = power_iteration(&a, 10_000, 1e-14).unwrap();
-        assert!((lambda - 3.0).abs() < 1e-8);
-        // Eigenvector is (1,1)/sqrt(2) up to sign.
-        assert!((v[0].abs() - v[1].abs()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn min_eigenvalue_of_known_matrix() {
-        let a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let lam = min_eigenvalue_symmetric(&a, 10_000, 1e-14).unwrap();
-        assert!((lam - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn min_eigenvalue_flags_indefinite() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        let lam = min_eigenvalue_symmetric(&a, 10_000, 1e-14).unwrap();
-        assert!((lam + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn threshold_matches_generalized_eigen_on_random_stieltjes() {
         use crate::stieltjes::{random_stieltjes, seeded_rng, StieltjesSampler};
         let mut rng = seeded_rng(11);
@@ -629,14 +506,18 @@ mod tests {
             })
             .collect();
         let t = generalized_pd_threshold(&csr(&g), &d, 1e-11).unwrap();
-        // At the threshold, G - lambda*D should be singular: its smallest
-        // eigenvalue is ~0.
-        let mut m = g.clone();
-        m.add_scaled_diagonal(&d, -t.estimate()).unwrap();
-        let lam_min = min_eigenvalue_symmetric(&m, 200_000, 1e-13).unwrap();
-        assert!(
-            lam_min.abs() < 1e-5 * m.max_abs(),
-            "smallest eigenvalue at threshold is {lam_min}"
-        );
+        // The threshold is the smallest generalized eigenvalue: a dense
+        // factorization of G - i*D, independent of the Schur-complement
+        // probes, succeeds just below it and fails just above it.
+        let shifted = |i: f64| {
+            let mut m = g.clone();
+            m.add_scaled_diagonal(&d, -i).unwrap();
+            DenseCholesky::factor(&m)
+        };
+        assert!(shifted(t.estimate() * (1.0 - 1e-6)).is_ok());
+        assert!(matches!(
+            shifted(t.estimate() * (1.0 + 1e-6)),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
     }
 }

@@ -398,16 +398,6 @@ pub struct AppliedUpdate {
 }
 
 impl AppliedUpdate {
-    /// The updatable factor this update was applied over.
-    pub fn factor(&self) -> &UpdatableFactor {
-        &self.factor
-    }
-
-    /// The `(node, delta)` pairs of the applied perturbation.
-    pub fn entries(&self) -> &[(usize, f64)] {
-        &self.entries
-    }
-
     /// Rank of the applied perturbation.
     pub fn rank(&self) -> usize {
         self.entries.len()

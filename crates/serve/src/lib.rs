@@ -46,8 +46,7 @@ pub use health::{HealthMonitor, HealthPolicy, HealthState};
 pub use queue::{BoundedQueue, PushError};
 pub use replicate::{ReplEntry, ReplicationSink, Replicator};
 pub use router::{
-    HedgePolicy, LocalShard, RemoteAddr, RemoteShard, Router, RouterConfig, RouterMetricsSnapshot,
-    ShardHandle,
+    HedgePolicy, LocalShard, RemoteShard, Router, RouterConfig, RouterMetricsSnapshot, ShardHandle,
 };
 pub use server::{Listener, Server, ServerConfig, ServerReport};
 pub use wire::{Request, RequestFrame, Response, ResponseFrame};

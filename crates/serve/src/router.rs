@@ -163,13 +163,6 @@ impl<E: Evaluator> ShardHandle for LocalShard<E> {
 // RemoteShard: a server across a socket behind the shard trait.
 // ---------------------------------------------------------------------
 
-/// Where a remote shard listens.
-#[derive(Debug, Clone)]
-pub enum RemoteAddr {
-    /// A TCP endpoint, e.g. `"127.0.0.1:7878"`.
-    Tcp(String),
-}
-
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -185,7 +178,8 @@ struct Conn {
 /// blocking read (the workspace flow lint enforces exactly this).
 pub struct RemoteShard {
     id: String,
-    addr: RemoteAddr,
+    /// The TCP endpoint, e.g. `"127.0.0.1:7878"`.
+    addr: String,
     /// One read-timeout slice; cancellation and deadlines are checked
     /// between slices.
     io_slice: Duration,
@@ -198,13 +192,13 @@ pub struct RemoteShard {
 }
 
 impl RemoteShard {
-    /// A shard named `id` at `addr`.
-    pub fn new(id: impl Into<String>, addr: RemoteAddr) -> RemoteShard {
+    /// A shard named `id` listening on the TCP endpoint `addr`.
+    pub fn new(id: impl Into<String>, addr: impl Into<String>) -> RemoteShard {
         let id = id.into();
         RemoteShard {
             nonce: AtomicU64::new(fingerprint(&id) | 1),
             id,
-            addr,
+            addr: addr.into(),
             io_slice: Duration::from_millis(20),
             response_timeout: Duration::from_secs(30),
             conn: Mutex::new(None),
@@ -231,8 +225,7 @@ impl RemoteShard {
         let refused = |e: io::Error| ServeError::Disconnected {
             detail: format!("connect to {}: {e}", self.id),
         };
-        let RemoteAddr::Tcp(addr) = &self.addr;
-        let stream = no_delay(TcpStream::connect(addr).map_err(refused)?);
+        let stream = no_delay(TcpStream::connect(&self.addr).map_err(refused)?);
         Ok(Conn {
             stream,
             buf: Vec::new(),

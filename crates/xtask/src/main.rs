@@ -21,28 +21,21 @@ Commands:
   rules  Print the rule catalog
 
 Options:
-  --format <human|json|sarif>  Output format (default: human)
-  --root <dir>                 Workspace root (default: nearest ancestor
-                               with a [workspace] Cargo.toml)
-  --baseline <file>            Fail only on findings not fingerprinted in
-                               <file>; grandfathered ones are tracked
-  --update-baseline <file>     Write the current findings to <file> and
-                               exit 0
+  --format <human|json>  Output format (default: human)
+  --root <dir>           Workspace root (default: nearest ancestor
+                         with a [workspace] Cargo.toml)
 ";
 
 struct Args {
     command: String,
     format: Format,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: Option<PathBuf>,
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,8 +45,6 @@ fn parse_args() -> Result<Args, String> {
         command,
         format: Format::Human,
         root: None,
-        baseline: None,
-        update_baseline: None,
     };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -61,10 +52,9 @@ fn parse_args() -> Result<Args, String> {
                 args.format = match argv.next().as_deref() {
                     Some("human") => Format::Human,
                     Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
                     other => {
                         return Err(format!(
-                            "--format expects `human`, `json`, or `sarif`, got {other:?}\n{USAGE}"
+                            "--format expects `human` or `json`, got {other:?}\n{USAGE}"
                         ))
                     }
                 };
@@ -73,18 +63,6 @@ fn parse_args() -> Result<Args, String> {
                 args.root =
                     Some(PathBuf::from(argv.next().ok_or_else(|| {
                         format!("--root expects a directory\n{USAGE}")
-                    })?));
-            }
-            "--baseline" => {
-                args.baseline =
-                    Some(PathBuf::from(argv.next().ok_or_else(|| {
-                        format!("--baseline expects a file\n{USAGE}")
-                    })?));
-            }
-            "--update-baseline" => {
-                args.update_baseline =
-                    Some(PathBuf::from(argv.next().ok_or_else(|| {
-                        format!("--update-baseline expects a file\n{USAGE}")
                     })?));
             }
             other => return Err(format!("unknown option `{other}`\n{USAGE}")),
@@ -119,50 +97,14 @@ fn run_lint(args: &Args) -> Result<ExitCode, String> {
     };
     let report = tecopt_xtask::lint_workspace(&root)?;
 
-    if let Some(path) = &args.update_baseline {
-        std::fs::write(path, tecopt_xtask::render_baseline(&report))
-            .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))?;
-        println!(
-            "tecopt-xtask lint: baseline updated with {} finding(s) -> {}",
-            report.findings.len(),
-            path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let (shown, failing, note) = match &args.baseline {
-        Some(path) => {
-            let set = tecopt_xtask::load_baseline(path)?;
-            let check = tecopt_xtask::apply_baseline(&report, &set);
-            let note = format!(
-                "baseline {}: {} grandfathered, {} stale\n",
-                path.display(),
-                check.grandfathered,
-                check.stale
-            );
-            let failing = !check.fresh.is_empty();
-            let shown = tecopt_xtask::Report {
-                findings: check.fresh,
-                files_scanned: report.files_scanned,
-                suppressed: report.suppressed,
-            };
-            (shown, failing, note)
-        }
-        None => {
-            let failing = !report.findings.is_empty();
-            (report, failing, String::new())
-        }
-    };
-
     match args.format {
-        Format::Human => print!("{}{}", tecopt_xtask::render_human(&shown), note),
-        Format::Json => print!("{}", tecopt_xtask::render_json(&shown)),
-        Format::Sarif => print!("{}", tecopt_xtask::render_sarif(&shown)),
+        Format::Human => print!("{}", tecopt_xtask::render_human(&report)),
+        Format::Json => print!("{}", tecopt_xtask::render_json(&report)),
     }
-    if failing {
-        Ok(ExitCode::from(1))
-    } else {
+    if report.findings.is_empty() {
         Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::from(1))
     }
 }
 
@@ -178,7 +120,7 @@ fn run() -> Result<ExitCode, String> {
                         println!("  scope: {}", r.scope);
                         println!("  {}", r.summary);
                     }
-                    _ => println!(
+                    Format::Json => println!(
                         "{{\"id\": \"{}\", \"severity\": \"{}\"}}",
                         r.id,
                         r.severity.label()

@@ -591,73 +591,6 @@ fn lint_is_read_only_and_repeatable() {
 }
 
 #[test]
-fn baseline_grandfathers_known_findings_and_flags_fresh_ones() {
-    let src = fixture("swallowed_result.rs");
-    let out = flow_lint(&[(&src, &FileContext::plain("fx"))]);
-    assert_eq!(out.findings.len(), 2, "fixture drifted");
-    let report = tecopt_xtask::Report {
-        findings: out.findings,
-        files_scanned: 1,
-        ..Default::default()
-    };
-
-    // Round-trip through the on-disk format.
-    let path = std::env::temp_dir().join(format!(
-        "tecopt-xtask-baseline-test-{}.txt",
-        std::process::id()
-    ));
-    std::fs::write(&path, tecopt_xtask::render_baseline(&report)).expect("write baseline");
-    let set = tecopt_xtask::load_baseline(&path).expect("load baseline");
-    let _ = std::fs::remove_file(&path);
-
-    // Full baseline: everything grandfathered, nothing fresh or stale.
-    let check = tecopt_xtask::apply_baseline(&report, &set);
-    assert!(check.fresh.is_empty(), "{:?}", check.fresh);
-    assert_eq!((check.grandfathered, check.stale), (2, 0));
-
-    // Drop one entry: that finding comes back as fresh (failing).
-    let mut partial = set.clone();
-    let first = tecopt_xtask::baseline_fingerprint(&report.findings[0]);
-    partial.remove(&first);
-    let check = tecopt_xtask::apply_baseline(&report, &partial);
-    assert_eq!(check.fresh.len(), 1);
-    assert_eq!(tecopt_xtask::baseline_fingerprint(&check.fresh[0]), first);
-
-    // Fix one finding: its baseline entry is reported stale.
-    let fixed = tecopt_xtask::Report {
-        findings: vec![report.findings[1].clone()],
-        files_scanned: 1,
-        ..Default::default()
-    };
-    let check = tecopt_xtask::apply_baseline(&fixed, &set);
-    assert!(check.fresh.is_empty());
-    assert_eq!((check.grandfathered, check.stale), (1, 1));
-}
-
-#[test]
-fn sarif_output_has_rules_results_and_fingerprints() {
-    let src = fixture("swallowed_result.rs");
-    let out = flow_lint(&[(&src, &FileContext::plain("fx"))]);
-    let report = tecopt_xtask::Report {
-        findings: out.findings,
-        files_scanned: 1,
-        ..Default::default()
-    };
-    let sarif = tecopt_xtask::render_sarif(&report);
-    assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-    for r in CATALOG {
-        assert!(sarif.contains(&format!("\"id\": \"{}\"", r.id)), "{sarif}");
-    }
-    assert!(
-        sarif.contains("\"ruleId\": \"swallowed-result\""),
-        "{sarif}"
-    );
-    assert!(sarif.contains("\"startLine\": 12"), "{sarif}");
-    assert!(sarif.contains("tecoptFnv/v1"), "{sarif}");
-    assert_eq!(sarif, tecopt_xtask::render_sarif(&report), "must be stable");
-}
-
-#[test]
 fn json_output_is_deterministic_and_escaped() {
     let src = "pub fn f(v: &[f64]) -> f64 { v.first().unwrap() + \"x\\\"y\".len() as f64 }\n";
     let outcome = lint_source(src, &FileContext::strictest("a\"b.rs"));

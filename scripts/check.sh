@@ -13,10 +13,10 @@
 #      tecopt::parallel, unsafe code, truncating float casts, todo markers,
 #      and the flow-aware concurrency rules (lock-order inversion cycles,
 #      guards across blocking calls, swallowed Results, uncancelled sweep
-#      loops, unpaced service-layer retry loops), checked against the
-#      committed findings baseline
-#      (rule catalog + suppression audit table in DESIGN.md §11, flow
-#      machinery in §16),
+#      loops, unpaced service-layer retry loops); any finding fails the
+#      step, and a `tecopt:allow` marker with a reason is the one way to
+#      accept one (rule catalog + suppression audit table in DESIGN.md
+#      §11, flow machinery in §16),
 #   6. compile of every criterion bench target (bench code must never rot),
 #   7. the complete test suite, including the fault-injection error-path
 #      coverage (tests/error_paths.rs), the property-based robustness
@@ -106,8 +106,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> cargo run -p tecopt-xtask -- lint --baseline lint-baseline.txt"
-cargo run -q -p tecopt-xtask -- lint --baseline lint-baseline.txt
+echo "==> cargo run -p tecopt-xtask -- lint"
+cargo run -q -p tecopt-xtask -- lint
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

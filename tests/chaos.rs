@@ -534,6 +534,66 @@ fn checkpointed_certificate_resumes_to_the_same_verdict() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// `system` with every tile power doubled: λ_m does not depend on the
+/// powers, so only a checkpoint bound to the whole system can tell the two
+/// apart.
+fn doubled_powers(system: &CoolingSystem) -> CoolingSystem {
+    let mut doubled = system.clone();
+    let powers = system.tile_powers().iter().map(|p| *p * 2.0).collect();
+    doubled.set_tile_powers(powers).unwrap();
+    doubled
+}
+
+fn assert_stale(error: &OptError) {
+    assert!(
+        matches!(error, OptError::InvalidParameter(msg) if msg.contains("stale checkpoint")),
+        "expected a stale-checkpoint error, got {error:?}"
+    );
+}
+
+#[test]
+fn runaway_checkpoint_resumed_on_doubled_powers_is_stale() {
+    let system = small_system();
+    let fractions = [0.1, 0.3, 0.5, 0.7, 0.9, 1.05];
+    let path = scratch("runaway-other-system.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let ctx = RunContext::unbounded().probe_budget(2).checkpoint(&path);
+    let failure =
+        tecopt::runaway::sweep_fractions_supervised(&system, &fractions, 1e-9, &ctx).unwrap_err();
+    assert_eq!(failure.completed(), 2);
+
+    let ctx = RunContext::unbounded().checkpoint(&path);
+    let failure = tecopt::runaway::sweep_fractions_supervised(
+        &doubled_powers(&system),
+        &fractions,
+        1e-9,
+        &ctx,
+    )
+    .unwrap_err();
+    assert_stale(&failure.error);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn certificate_checkpoint_resumed_on_doubled_powers_is_stale() {
+    let system = small_system();
+    let settings = ConvexitySettings {
+        subranges: 6,
+        ..ConvexitySettings::default()
+    };
+    let path = scratch("certificate-other-system.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let ctx = RunContext::unbounded().probe_budget(3).checkpoint(&path);
+    let failure = certify_convexity_supervised(&system, settings, &ctx).unwrap_err();
+    assert_eq!(failure.completed(), 3);
+
+    let ctx = RunContext::unbounded().checkpoint(&path);
+    let failure =
+        certify_convexity_supervised(&doubled_powers(&system), settings, &ctx).unwrap_err();
+    assert_stale(&failure.error);
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn optimize_current_beyond_budget_still_restores_cache_consistency() {
     // Stack supervision on top of the PR 2 regression: exhaust a sweep's

@@ -70,10 +70,15 @@ fn every_linalg_error_variant_is_reachable() {
         Err(LinalgError::Singular { .. })
     ));
 
-    // NoConvergence: a one-iteration cap cannot settle the power method.
-    let a = fi::spd_matrix(6, 4);
+    // NoConvergence: a one-iteration cap cannot settle CG on a coupled
+    // system.
+    let a = CsrMatrix::from_dense(&fi::spd_matrix(6, 4));
+    let cap = CgSettings {
+        max_iterations: 1,
+        ..CgSettings::default()
+    };
     assert!(matches!(
-        eigen::power_iteration(&a, 1, 1e-30),
+        conjugate_gradient(&a, &[1.0; 6], cap),
         Err(LinalgError::NoConvergence { iterations: 1, .. })
     ));
 

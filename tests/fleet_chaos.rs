@@ -35,9 +35,9 @@ use tecopt::{
 use tecopt_faultinject::{ShardKill, SlowEvaluator};
 use tecopt_serve::wire::{encode_repl, encode_request, request_fingerprint, ReplFrame};
 use tecopt_serve::{
-    Engine, EngineConfig, Evaluator, HealthPolicy, HealthState, Listener, LocalShard, RemoteAddr,
-    RemoteShard, ReplEntry, Replicator, Request, RequestFrame, Response, Router, RouterConfig,
-    ServeError, Server, ServerConfig, ShardHandle,
+    Engine, EngineConfig, Evaluator, HealthPolicy, HealthState, Listener, LocalShard, RemoteShard,
+    ReplEntry, Replicator, Request, RequestFrame, Response, Router, RouterConfig, ServeError,
+    Server, ServerConfig, ShardHandle,
 };
 use tecopt_units::{Amperes, Celsius, Watts};
 
@@ -655,8 +655,7 @@ fn replication_frames_file_entries_a_remote_shard_then_serves() {
         peak: Celsius(70.0),
         tec_power: Watts(7.0),
     };
-    let shard = RemoteShard::new("srv", RemoteAddr::Tcp(h.addr.clone()))
-        .with_io_slice(Duration::from_millis(5));
+    let shard = RemoteShard::new("srv", h.addr.clone()).with_io_slice(Duration::from_millis(5));
     shard
         .replicate(&ReplEntry {
             request_fp: request_fingerprint(&request),

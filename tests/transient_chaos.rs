@@ -500,6 +500,50 @@ fn stale_checkpoint_is_rejected_not_silently_resumed() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn playback_checkpoint_resumed_with_another_resistance_is_stale() {
+    let sched = schedule();
+    let system = small_system();
+    let lm = lambda(&system);
+    let fp = playback_fp();
+    let path = scratch("other-resistance-playback.ckpt");
+    let _ = std::fs::remove_file(&path);
+
+    let mut sim = TransientSimulator::new(system.clone(), DT).unwrap();
+    sim.set_guard(lm).unwrap();
+    let ctx = RunContext::unbounded().probe_budget(2).checkpoint(&path);
+    let failure = sim
+        .run_schedule_checkpointed(&sched, &mut build_enveloped(lm), fp, &ctx)
+        .unwrap_err();
+    assert_eq!(failure.completed(), 2);
+
+    // Same schedule, controller and node count on a device with three
+    // times the resistance: its λ_m is the same, its samples are not.
+    let params = TecParams::superlattice_thin_film();
+    let params = params.with_resistance(params.resistance() * 3.0).unwrap();
+    let other = CoolingSystem::new(
+        system.config(),
+        params,
+        system.tec_tiles(),
+        system.tile_powers().to_vec(),
+    )
+    .unwrap();
+    let mut sim = TransientSimulator::new(other, DT).unwrap();
+    sim.set_guard(lm).unwrap();
+    let ctx = RunContext::unbounded().checkpoint(&path);
+    let failure = sim
+        .run_schedule_checkpointed(&sched, &mut build_enveloped(lm), fp, &ctx)
+        .unwrap_err();
+    match &failure.error {
+        OptError::InvalidParameter(msg) => {
+            assert!(msg.contains("stale checkpoint"), "{msg}");
+        }
+        other => panic!("expected a stale-checkpoint error, got {other:?}"),
+    }
+    assert!(failure.partial.samples().is_empty());
+    let _ = std::fs::remove_file(&path);
+}
+
 // ---------------------------------------------------------------------------
 // The serve tier: Transient requests under the engine
 // ---------------------------------------------------------------------------
